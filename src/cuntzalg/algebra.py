@@ -11,13 +11,38 @@ Reduction collapses any full sibling block {(J+(i), K+(i)) : i} carrying
 a common coefficient into (J, K).  Two reduced expansions can still name
 the same element (the second relation lets a term fan out), so equality
 pads both sides to a common adjoint depth per grade before comparing.
+
+Construction.  The public constructor ``CuntzPoly(n, terms)`` checks every
+letter and drops or merges zero coefficients.  Term maps built by the
+library's own operations (sum, negation, scaling, product, adjoint,
+reduction) already have in-range letters and nonzero coefficients, so
+they are wrapped by ``CuntzPoly._from_valid`` without a second check.
+The term map of a polynomial is never mutated after construction: the
+product caches sorted views of it.
+
+Product.  The term (J1, K1) of a left factor meets (J2, K2) of a right
+factor only when one of K1, J2 is a prefix of the other.  ``__mul__``
+walks the terms of the smaller factor and finds their partners in the
+larger one through its keys sorted by J (right factor) or K (left
+factor), built on first use and cached on the polynomial: one bisect
+per proper prefix of the walked word, then one contiguous scan over the
+words that extend it.  A product of sizes a <= b with words of length
+at most L costs O(b log b) once per larger factor, then
+O(a L log b + pairs) instead of the O(a b) of trying every pair.  The
+pairs found are summed in the order of the all-pairs loop (left term,
+then right term), so the result, term order included, is the same;
+``reduce`` contracts greedily in that order, so the order is part of
+the printed normal form.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Tuple
+from array import array
+from bisect import bisect_left
+from operator import itemgetter
+from typing import Dict, Iterable, Iterator, List, Mapping, Tuple
 
-from .scalars import MINUS_ONE, ONE, Scalar, ZERO
+from .scalars import ONE, Scalar, ZERO
 from .words import Word, all_words, check_word
 
 Key = Tuple[Word, Word]
@@ -26,7 +51,7 @@ Key = Tuple[Word, Word]
 class CuntzPoly:
     """A finite sum of monomials c * s_J s_K^* over the alphabet 1..N."""
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n", "terms", "_by_j", "_by_k")
 
     def __init__(self, n: int, terms: Mapping[Key, Scalar] | None = None):
         if n < 2:
@@ -45,6 +70,17 @@ class CuntzPoly:
                 else:
                     data[key] = coeff
         self.terms = data
+        self._by_j = self._by_k = None
+
+    @classmethod
+    def _from_valid(cls, n: int, data: Dict[Key, Scalar]) -> "CuntzPoly":
+        """Wrap a term map built inside the library, unchecked: its letters
+        are in 1..n, no coefficient is zero, and nobody mutates it later."""
+        poly = object.__new__(cls)
+        poly.n = n
+        poly.terms = data
+        poly._by_j = poly._by_k = None
+        return poly
 
     # -- constructors ----------------------------------------------------
 
@@ -90,50 +126,86 @@ class CuntzPoly:
         data = dict(self.terms)
         for key, coeff in other.terms.items():
             acc = data.get(key)
-            total = coeff if acc is None else acc + coeff
-            if total.is_zero():
-                data.pop(key, None)
+            if acc is None:
+                data[key] = coeff
             else:
-                data[key] = total
-        return CuntzPoly(self.n, data)
+                total = acc + coeff
+                if total.is_zero():
+                    del data[key]
+                else:
+                    data[key] = total
+        return CuntzPoly._from_valid(self.n, data)
 
     def __sub__(self, other: "CuntzPoly") -> "CuntzPoly":
         return self + (-other)
 
     def __neg__(self) -> "CuntzPoly":
-        return self.scale(MINUS_ONE)
+        return CuntzPoly._from_valid(
+            self.n, {key: -coeff for key, coeff in self.terms.items()})
 
     def scale(self, c: Scalar) -> "CuntzPoly":
         if c.is_zero():
             return CuntzPoly.zero(self.n)
-        return CuntzPoly(self.n, {key: coeff * c for key, coeff in self.terms.items()})
+        return CuntzPoly._from_valid(
+            self.n, {key: coeff * c for key, coeff in self.terms.items()})
 
     def __mul__(self, other: "CuntzPoly") -> "CuntzPoly":
         """Product using s_K^* s_L = s_{L'} (L = K + L') or s_{K'}^* (K = L + K')."""
         self._check_same(other)
+        width = len(other.terms)
+        # (rank of the pair in the all-pairs order, left key, right key,
+        # product of their coefficients)
+        pairs = []
+        if len(self.terms) <= width:
+            keys, pos = other._sorted_keys(0)
+            right = other.terms
+            for p, (key1, c1) in enumerate(self.terms.items()):
+                row = p * width
+                for s in _partners(keys, 0, key1[1]):
+                    key2 = keys[s]
+                    pairs.append((row + pos[s], key1, key2, c1 * right[key2]))
+        else:
+            keys, pos = self._sorted_keys(1)
+            left = self.terms
+            for q, (key2, c2) in enumerate(other.terms.items()):
+                for s in _partners(keys, 1, key2[0]):
+                    key1 = keys[s]
+                    pairs.append((pos[s] * width + q, key1, key2, left[key1] * c2))
+        pairs.sort()
         data: Dict[Key, Scalar] = {}
-        for (j1, k1), c1 in self.terms.items():
-            for (j2, k2), c2 in other.terms.items():
-                if len(k1) <= len(j2):
-                    if j2[:len(k1)] != k1:
-                        continue
-                    key = (j1 + j2[len(k1):], k2)
-                else:
-                    if k1[:len(j2)] != j2:
-                        continue
-                    key = (j1, k2 + k1[len(j2):])
-                coeff = c1 * c2
-                acc = data.get(key)
-                total = coeff if acc is None else acc + coeff
+        for _, (j1, k1), (j2, k2), coeff in pairs:
+            if len(k1) <= len(j2):
+                key = (j1 + j2[len(k1):], k2)
+            else:
+                key = (j1, k2 + k1[len(j2):])
+            acc = data.get(key)
+            if acc is None:
+                data[key] = coeff
+            else:
+                total = acc + coeff
                 if total.is_zero():
-                    data.pop(key, None)
+                    del data[key]
                 else:
                     data[key] = total
-        return CuntzPoly(self.n, data)
+        return CuntzPoly._from_valid(self.n, data)
+
+    def _sorted_keys(self, side: int) -> Tuple[List[Key], array]:
+        """The term keys sorted by J (side 0) or K (side 1), ties in term
+        order, and the position in ``terms`` of each; cached."""
+        cached = self._by_k if side else self._by_j
+        if cached is None:
+            keys = list(self.terms)
+            order = sorted(range(len(keys)), key=lambda p: keys[p][side])
+            cached = ([keys[p] for p in order], array("I", order))
+            if side:
+                self._by_k = cached
+            else:
+                self._by_j = cached
+        return cached
 
     def adjoint(self) -> "CuntzPoly":
-        return CuntzPoly(self.n, {(k, j): c.conjugate()
-                                  for (j, k), c in self.terms.items()})
+        return CuntzPoly._from_valid(
+            self.n, {(k, j): c.conjugate() for (j, k), c in self.terms.items()})
 
     def __pow__(self, m: int) -> "CuntzPoly":
         if m < 0:
@@ -177,7 +249,7 @@ class CuntzPoly:
                         data[parent] = total
                     changed = True
                     break
-        return CuntzPoly(self.n, data)
+        return CuntzPoly._from_valid(self.n, data)
 
     def _padded(self) -> Dict[Key, Scalar]:
         """Expand each term so that, within every grade d = |J| - |K|, all
@@ -252,7 +324,7 @@ class CuntzPoly:
             elif body == "1":
                 parts.append(c)
             else:
-                if ("+" in c[1:]) or ("-" in c[1:]) or ("/" in c) or ("r2" in c):
+                if ("+" in c[1:]) or ("-" in c[1:]) or ("/" in c):
                     parts.append(f"({c})*{body}")
                 else:
                     parts.append(f"{c}*{body}")
@@ -264,17 +336,27 @@ class CuntzPoly:
     def __repr__(self) -> str:
         return f"CuntzPoly(N={self.n}, {self})"
 
-    def to_json(self):
-        from .words import render_word
-        reduced = self.reduce()
-        return {
-            "n": self.n,
-            "terms": [
-                {"left": render_word(j), "right": render_word(k),
-                 "coeff": reduced.terms[(j, k)].to_json()}
-                for (j, k) in reduced.support()
-            ],
-        }
+
+def _partners(keys: List[Key], side: int, w: Word) -> Iterator[int]:
+    """Indices into ``keys``, sorted by their word x on ``side``, of the
+    keys whose x is a proper prefix of w or starts with w, in index order.
+
+    The proper prefixes of w ascend in sort order and all come before the
+    words that start with w, so each search starts where the last ended."""
+    word = itemgetter(side)
+    end = len(keys)
+    lo = 0
+    for cut in range(len(w)):
+        x = w[:cut]
+        lo = bisect_left(keys, x, lo, end, key=word)
+        while lo < end and keys[lo][side] == x:
+            yield lo
+            lo += 1
+    cut = len(w)
+    lo = bisect_left(keys, w, lo, end, key=word)
+    while lo < end and keys[lo][side][:cut] == w:
+        yield lo
+        lo += 1
 
 
 def gauge_lift(x: CuntzPoly) -> CuntzPoly:

@@ -4,6 +4,11 @@ Every coefficient in this library is a ``Scalar``: a value a + b*sqrt(2)
 with rational a, b stored as :class:`fractions.Fraction`.  This is the
 smallest field containing all coefficients that occur (integers, halves,
 and 1/sqrt(2)); no floating point is used anywhere.
+
+Most coefficients are rational, so the field operations skip the sqrt(2)
+arithmetic when both operands have a zero sqrt(2) part.  Their results
+are built from Fractions directly; only the public ``Scalar(rat, root2)``
+coerces its arguments.
 """
 
 from __future__ import annotations
@@ -52,18 +57,26 @@ class Scalar:
     # -- field operations ----------------------------------------------
 
     def __add__(self, other: "Scalar") -> "Scalar":
-        return Scalar(self.rat + other.rat, self.root2 + other.root2)
+        if self.root2 or other.root2:
+            return _exact(self.rat + other.rat, self.root2 + other.root2)
+        return _exact(self.rat + other.rat, _Q0)
 
     def __sub__(self, other: "Scalar") -> "Scalar":
-        return Scalar(self.rat - other.rat, self.root2 - other.root2)
+        if self.root2 or other.root2:
+            return _exact(self.rat - other.rat, self.root2 - other.root2)
+        return _exact(self.rat - other.rat, _Q0)
 
     def __neg__(self) -> "Scalar":
-        return Scalar(-self.rat, -self.root2)
+        if self.root2:
+            return _exact(-self.rat, -self.root2)
+        return _exact(-self.rat, _Q0)
 
     def __mul__(self, other: "Scalar") -> "Scalar":
         # (a + b r)(c + d r) = (ac + 2bd) + (ad + bc) r,  r = sqrt(2)
         a, b, c, d = self.rat, self.root2, other.rat, other.root2
-        return Scalar(a * c + 2 * b * d, a * d + b * c)
+        if b or d:
+            return _exact(a * c + 2 * b * d, a * d + b * c)
+        return _exact(a * c, _Q0)
 
     def inverse(self) -> "Scalar":
         """Multiplicative inverse: (a - b r) / (a^2 - 2 b^2).
@@ -75,7 +88,7 @@ class Scalar:
         norm = a * a - 2 * b * b
         if norm == 0:
             raise ZeroDivisionError("inverse of zero in Q(sqrt2)")
-        return Scalar(a / norm, -b / norm)
+        return _exact(a / norm, -b / norm)
 
     def __truediv__(self, other: "Scalar") -> "Scalar":
         return self * other.inverse()
@@ -86,7 +99,7 @@ class Scalar:
 
     def galois_conjugate(self) -> "Scalar":
         """The field automorphism a + b*sqrt(2) -> a - b*sqrt(2)."""
-        return Scalar(self.rat, -self.root2)
+        return _exact(self.rat, -self.root2)
 
     # -- comparison / hashing -------------------------------------------
 
@@ -127,16 +140,16 @@ class Scalar:
                 parts.append(s)
         return " ".join(parts)
 
-    def to_json(self) -> dict:
-        """Exact JSON form {"rat": [num, den], "sqrt2": [num, den]}."""
-        return {
-            "rat": [self.rat.numerator, self.rat.denominator],
-            "sqrt2": [self.root2.numerator, self.root2.denominator],
-        }
 
-    @staticmethod
-    def from_json(obj: dict) -> "Scalar":
-        return Scalar(Fraction(*obj["rat"]), Fraction(*obj["sqrt2"]))
+_Q0 = Fraction(0)
+
+
+def _exact(rat: Fraction, root2: Fraction) -> Scalar:
+    """A Scalar from two Fractions, without the coercion of Scalar()."""
+    out = object.__new__(Scalar)
+    out.rat = rat
+    out.root2 = root2
+    return out
 
 
 ZERO = Scalar(0)

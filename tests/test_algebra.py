@@ -1,9 +1,11 @@
 """Polynomials in the Cuntz algebra: relations, normal forms, equality."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cuntzalg.scalars import INV_SQRT2, MINUS_ONE, ONE, Scalar
+from cuntzalg.scalars import INV_SQRT2, MINUS_ONE, ONE, SQRT2, ZERO, Scalar
 from cuntzalg.algebra import CuntzPoly, embed_word, gauge_lift
 
 
@@ -119,3 +121,123 @@ def test_ring_axioms(a, b, c):
 def test_reduce_preserves_value(a):
     assert a.reduce() == a
     assert a.adjoint().adjoint() == a
+
+
+# -- the indexed product against the all-pairs loop ---------------------------
+
+
+def all_pairs_product(a, b):
+    """The term map of a * b, found by trying every pair of terms."""
+    data = {}
+    for (j1, k1), c1 in a.terms.items():
+        for (j2, k2), c2 in b.terms.items():
+            if len(k1) <= len(j2):
+                if j2[:len(k1)] != k1:
+                    continue
+                key = (j1 + j2[len(k1):], k2)
+            else:
+                if k1[:len(j2)] != j2:
+                    continue
+                key = (j1, k2 + k1[len(j2):])
+            coeff = c1 * c2
+            acc = data.get(key)
+            total = coeff if acc is None else acc + coeff
+            if total.is_zero():
+                data.pop(key, None)
+            else:
+                data[key] = total
+    return data
+
+
+PRODUCT_COEFFS = [ONE, MINUS_ONE, Scalar(2), Scalar(Fraction(-1, 2)), SQRT2,
+                  INV_SQRT2, Scalar(1, -1)]
+
+
+@st.composite
+def prefix_polys(draw, n, min_terms=0, max_terms=12):
+    """Polynomials whose words are prefixes (length 0-5) of a few random
+    words, so that J and K often extend one another and one J often
+    carries several K."""
+    roots = draw(st.lists(st.lists(st.integers(1, n), min_size=5,
+                                   max_size=5).map(tuple),
+                          min_size=1, max_size=3))
+    words = sorted({w[:cut] for w in roots for cut in range(6)})
+    pick = st.sampled_from(words)
+    keys = draw(st.lists(st.tuples(pick, pick), min_size=min_terms,
+                         max_size=max_terms, unique=True))
+    coeffs = st.sampled_from(PRODUCT_COEFFS)
+    return CuntzPoly(n, {key: draw(coeffs) for key in keys})
+
+
+def poly_pairs(left_terms=(0, 12), right_terms=(0, 12)):
+    return st.sampled_from([2, 3]).flatmap(lambda n: st.tuples(
+        prefix_polys(n, *left_terms), prefix_polys(n, *right_terms)))
+
+
+def assert_product_matches(a, b):
+    # the exact term map, in the order the all-pairs loop builds it
+    assert list((a * b).terms.items()) == list(all_pairs_product(a, b).items())
+
+
+@settings(max_examples=150, deadline=None)
+@given(poly_pairs())
+def test_product_matches_all_pairs(pair):
+    a, b = pair
+    assert_product_matches(a, b)
+    assert_product_matches(b, a)
+
+
+@settings(max_examples=80, deadline=None)
+@given(poly_pairs(left_terms=(1, 1), right_terms=(4, 16)))
+def test_one_term_product_matches_all_pairs(pair):
+    one_term, many = pair
+    assert_product_matches(one_term, many)
+    assert_product_matches(many, one_term)
+
+
+def test_product_cancels_to_zero():
+    # s_1 E_11 and s_11 s_1^* E_11 are both s_11 s_1^*
+    a = CuntzPoly(2, {((1,), ()): ONE, ((1, 1), (1,)): MINUS_ONE})
+    e11 = CuntzPoly.matrix_unit(2, (1,), (1,))
+    assert (a * e11).terms == {}
+    assert_product_matches(a, e11)
+    assert_product_matches(e11, a)
+
+
+def test_repeated_products_match_all_pairs():
+    # the second round runs on the sorted keys cached by the first
+    big = gauge_lift(gen(1) * gen(2).adjoint() + gen(2))
+    for _ in range(2):
+        assert_product_matches(gen(1).adjoint(), big)
+        assert_product_matches(big, gen(2))
+
+
+# -- the construction boundary --------------------------------------------
+
+
+def test_out_of_range_letter_rejected():
+    with pytest.raises(ValueError):
+        CuntzPoly(2, {((3,), ()): ONE})
+
+
+def test_zero_coefficients_dropped():
+    p = CuntzPoly(2, {((1,), ()): ZERO, ((2,), (1,)): ONE,
+                      ((), ()): Scalar(0, 0)})
+    assert p.terms == {((2,), (1,)): ONE}
+
+
+def assert_valid_terms(p):
+    """What CuntzPoly._from_valid takes on trust."""
+    for (j, k), coeff in p.terms.items():
+        assert type(j) is tuple and type(k) is tuple
+        assert all(1 <= letter <= p.n for letter in j + k)
+        assert not coeff.is_zero()
+
+
+@settings(max_examples=80, deadline=None)
+@given(poly_pairs(), st.sampled_from(PRODUCT_COEFFS + [ZERO]))
+def test_internal_results_are_valid(pair, c):
+    a, b = pair
+    for result in (a + b, a - b, a * b, b * a, -a, a.scale(c), a.adjoint(),
+                   (a * b).reduce(), (a + b).reduce()):
+        assert_valid_terms(result)

@@ -1,0 +1,75 @@
+"""Byte-identical CLI output: the benchmark's golden jobs and pinned normal forms.
+
+``reduce`` contracts sibling blocks greedily in term order and is not
+confluent, so a change to the order in which products emit their terms
+can change a printed normal form without changing its value.  These
+outputs were recorded before the indexed product replaced the all-pairs
+loop, and must not move.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from cuntzalg.cli import main
+
+GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
+
+
+def golden_jobs():
+    with open(GOLDEN) as fh:
+        recorded = json.load(fh)
+    return [pytest.param(line, out, id=line) for jobs in recorded.values()
+            for line, out in sorted(jobs.items())]
+
+
+@pytest.mark.parametrize("line,expected", golden_jobs())
+def test_golden_cli_output(capsys, line, expected):
+    code = main(line.split())
+    assert code == 0
+    assert capsys.readouterr().out == expected
+
+
+NORMAL_FORMS = [
+    (["s1 s1' + s2 s2'"],
+     '{"n":2,"terms":[["0","0","1"]]}'),
+    (["s11 s11' + s12 s12' + 2 s1 s1' + 2 s2 s2'"],
+     '{"n":2,"terms":[["1","1","3"],["2","2","2"]]}'),
+    (["2 s1 s1' + 2 s2 s2' + s11 s11' + s12 s12'"],
+     '{"n":2,"terms":[["0","0","2"],["1","1","1"]]}'),
+    (["(s1 + s2) (s1' + s2')"],
+     '{"n":2,"terms":[["0","0","1"],["1","2","1"],["2","1","1"]]}'),
+    (["r2 (s1 - s2) (s1 + s2)' (s12 + s21)"],
+     '{"n":2,"terms":[["11","0","sqrt2"],["12","0","sqrt2"],'
+     '["21","0","-sqrt2"],["22","0","-sqrt2"]]}'),
+    (["(s11 s11' + s12 s12' + 2 s2 s2') "
+      "(s1 s1' + s2 s2' + s11 s11' + s12 s12')"],
+     '{"n":2,"terms":[["0","0","2"]]}'),
+    (["(s1 s1' + s22 s22') (s21 s21' + 3 s1 s1') + s2 s2'"],
+     '{"n":2,"terms":[["1","1","3"],["2","2","1"]]}'),
+    (["(s1 s1' + s2 s2') (2 s1 s1' + 2 s2 s2' + s11 s11' + s12 s12')"],
+     '{"n":2,"terms":[["0","0","2"],["1","1","1"]]}'),
+    (["E[12,21] E[21,12] + E[11,11] + E[22,22] + 1/2 E[21,21]"],
+     '{"n":2,"terms":[["1","1","1"],["21","21","1/2"],["22","22","1"]]}'),
+    (["(1/2 s1 + r2 s2) (1/2 s1 + r2 s2)' - s2 s2'"],
+     '{"n":2,"terms":[["1","1","1/4"],["1","2","1/2*sqrt2"],'
+     '["2","1","1/2*sqrt2"],["2","2","1"]]}'),
+    (["s1 s1' + s2 s2' + s3 s3' + s31 s31' + s32 s32' + s33 s33'",
+      "--n", "3"],
+     '{"n":3,"terms":[["0","0","1"],["3","3","1"]]}'),
+    (["(s1 + s2 + s3)' (s12 + s23 s3' + r2 s31 s1')", "--n", "3"],
+     '{"n":3,"terms":[["1","1","sqrt2"],["2","0","1"],["3","3","1"]]}'),
+    (["b[1/2] b[1/2]' + b[1/2]' b[1/2]", "--embed"],
+     '{"n":2,"terms":[["0","0","1"]]}'),
+    (["a2 a3 a3' a2'", "--embed"],
+     '{"n":2,"terms":[["111","111","1"],["211","211","1"]]}'),
+]
+
+
+@pytest.mark.parametrize("args,expected", NORMAL_FORMS,
+                         ids=[" ".join(args) for args, _ in NORMAL_FORMS])
+def test_pinned_normal_form(capsys, args, expected):
+    code = main(["normal", *args, "--json"])
+    assert code == 0
+    assert capsys.readouterr().out == expected + "\n"

@@ -62,3 +62,26 @@ def test_inverse(a):
         return
     inv = a.inverse()
     assert a * inv == ONE
+
+
+rational_scalars = st.builds(Scalar, rationals)
+mixed_scalars = st.one_of(rational_scalars, scalars)
+
+
+@given(mixed_scalars, mixed_scalars)
+def test_operations_match_textbook_formulas(x, y):
+    a, b, c, d = x.rat, x.root2, y.rat, y.root2
+    for got, want in [(x + y, Scalar(a + c, b + d)),
+                      (x - y, Scalar(a - c, b - d)),
+                      (x * y, Scalar(a * c + 2 * b * d, a * d + b * c)),
+                      (-x, Scalar(-a, -b))]:
+        assert got == want
+        assert hash(got) == hash(want)
+        assert type(got.rat) is Fraction and type(got.root2) is Fraction
+
+
+@given(rational_scalars, rational_scalars)
+def test_rational_results_stay_rational(x, y):
+    assert (x * y).is_rational()
+    assert (x + y).is_rational() and (x - y).is_rational()
+    assert (-x).is_rational()
