@@ -12,7 +12,7 @@ computations to small exact linear-algebra problems over Q(sqrt 2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .scalars import MINUS_ONE, ONE, Scalar, ZERO
@@ -116,6 +116,9 @@ def uhf_restriction_equal(m1: PermEndo, m2: PermEndo,
     with a generating set of the depth-n units.  One failing generator
     yields a concrete unit whose images differ.
     """
+    if level < 1:
+        raise ValueError(f"certification level must be at least 1, "
+                         f"got {level}")
     if m1.n != m2.n:
         raise ValueError("rank mismatch")
     for n in range(1, level + 1):
@@ -339,22 +342,8 @@ ALL_SIGMA = ["id", "12", "13", "14", "23", "24", "34",
 
 KLEIN = ["id", "(12)(34)", "(13)(24)", "(14)(23)"]
 
-UHF_IDENTITIES = [("14", "1243"), ("124", "143"),
-                  ("132", "234"), ("23", "1342")]
-
 CLASS_REPRESENTATIVES = ["id", "(12)(34)", "12", "13", "24", "34",
                          "142", "123", "14", "124", "132", "23"]
-
-
-@dataclass
-class EndoRecord:
-    """A classified endomorphism with machine-checked evidence."""
-
-    name: str
-    endo: PermEndo
-    fingerprints: Dict[str, str] = field(default_factory=dict)
-    verdict: str = "undetermined"
-    evidence: List[str] = field(default_factory=list)
 
 
 def theorem14_counts(level: int = 5) -> Dict[str, int]:

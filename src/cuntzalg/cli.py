@@ -223,7 +223,10 @@ def cmd_car(args) -> int:
 
 
 def cmd_mixture(args) -> int:
-    k = Fraction(args.index)
+    try:
+        k = Fraction(args.index)
+    except ZeroDivisionError:
+        raise ValueError(f"bad mixture index {args.index!r}") from None
     if args.check:
         step = Fraction(1)
         ks: List[Fraction] = []

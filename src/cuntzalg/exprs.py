@@ -19,9 +19,9 @@ algebra; mixing the two promotes the fermion part to its image in O_2.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Optional, Tuple, Union
+from typing import Tuple, Union
 
-from .scalars import ONE, SQRT2, Scalar
+from .scalars import SQRT2, Scalar
 from .words import parse_word
 from .algebra import CuntzPoly
 from .fermions import CarExpr, mixture, psi_map
@@ -37,8 +37,7 @@ class ExprError(ValueError):
         self.pos = pos
 
 
-def _promote(left: Value, right: Value,
-             n: int) -> Tuple[Value, Value]:
+def _promote(left: Value, right: Value) -> Tuple[Value, Value]:
     """Bring two operands to a common algebra for + / *."""
     def lift(v: Value, like: Value) -> Value:
         if isinstance(v, Scalar):
@@ -98,7 +97,7 @@ class _Parser:
             op = self.text[self.pos]
             self.pos += 1
             rhs = self.term()
-            left, right = _promote(value, rhs, self.n)
+            left, right = _promote(value, rhs)
             if isinstance(left, Scalar) != isinstance(right, Scalar):
                 raise self.error("cannot add a scalar to an operator")
             value = left + right if op == "+" else left - right
@@ -116,7 +115,7 @@ class _Parser:
             if c not in "sabE(r0123456789":
                 break
             rhs = self.factor()
-            left, right = _promote(value, rhs, self.n)
+            left, right = _promote(value, rhs)
             if isinstance(left, Scalar):
                 value = right.scale(left) if not isinstance(right, Scalar) \
                     else left * right
@@ -154,7 +153,10 @@ class _Parser:
             num = int(self.take_digits())
             if self.peek() == "/":
                 self.pos += 1
+                start = self.pos
                 den = int(self.take_digits())
+                if den == 0:
+                    raise ExprError("zero denominator", start)
                 return Scalar(Fraction(num, den))
             return Scalar(Fraction(num))
         if c == "s":
@@ -211,7 +213,7 @@ class _Parser:
         self.pos += 1
         try:
             k = Fraction(body)
-        except ValueError:
+        except (ValueError, ZeroDivisionError):
             raise ExprError(f"bad mixture index {body!r}", start) from None
         return mixture(k)
 

@@ -160,6 +160,8 @@ def anticommutator(x: CarExpr, y: CarExpr) -> CarExpr:
 def verify_car(modes: int) -> bool:
     """Check the canonical anticommutation relations for a_1 .. a_modes,
     and the closed form of each generator against the recursion."""
+    if modes < 1:
+        raise ValueError(f"number of modes must be at least 1, got {modes}")
     for n in range(1, modes + 1):
         if not car_generator(n) == car_generator_closed(n):
             return False
@@ -297,6 +299,8 @@ def vacuum_check(name: str, max_mode: int = 7) -> bool:
     Fock*: a_n^* annihilates the vacuum.  IW: a_{2n-1} and a_{2n}^*
     annihilate it; IW*: a_{2n-1}^* and a_{2n} do.
     """
+    if max_mode < 1:
+        raise ValueError(f"max mode must be at least 1, got {max_mode}")
     rep, label = _rep_and_vacuum(name)
     omega = {label: ONE}
     key = name.lower().rstrip()

@@ -169,11 +169,6 @@ def zeta(x: CuntzPoly) -> CuntzPoly:
 # -- permutative endomorphisms -----------------------------------------
 
 
-def lex_words(n: int, length: int) -> List[Word]:
-    """Words of the given length in lexicographic order."""
-    return sorted(all_words(n, length))
-
-
 class PermEndo(Morphism):
     """psi_sigma for a (signed) permutation sigma of words of length l.
 
@@ -248,6 +243,8 @@ def perm_from_cycles(cycles: Iterable[Sequence[int]], n: int,
     label_parts = []
     for cyc in cycles:
         cyc = list(cyc)
+        if len(set(cyc)) != len(cyc):
+            raise ValueError(f"cycle {cyc} repeats an entry")
         if set(cyc) & seen:
             raise ValueError("cycles must be disjoint")
         seen.update(cyc)

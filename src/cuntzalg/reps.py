@@ -250,6 +250,10 @@ def branch(rep, endo: PermEndo, seed_bound: Optional[int] = None,
     level = endo.level
     if seed_bound is None:
         seed_bound = max(level - 1, 1)
+    elif seed_bound < level - 1:
+        raise ValueError(f"seed bound {seed_bound} is below the level "
+                         f"minus one ({level - 1}) of the endomorphism, "
+                         f"so components would be missed")
     n = rep.n
     tails = list(all_words(n, level - 1))
     sigma = endo.sigma

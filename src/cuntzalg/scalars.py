@@ -1,32 +1,44 @@
 """Exact arithmetic in the real quadratic field Q(sqrt(2)).
 
 Every coefficient in this library is a ``Scalar``: a value a + b*sqrt(2)
-with rational a, b stored as :class:`fractions.Fraction`.  This is the
-smallest field containing all coefficients that occur (integers, halves,
-and 1/sqrt(2)); no floating point is used anywhere.
+with rational a, b.  This is the smallest field containing all
+coefficients that occur (integers, halves, and 1/sqrt(2)); no floating
+point is used anywhere.
 
-Most coefficients are rational, so the field operations skip the sqrt(2)
-arithmetic when both operands have a zero sqrt(2) part.  Their results
-are built from Fractions directly; only the public ``Scalar(rat, root2)``
-coerces its arguments.
+A Scalar stores three Python ints (a, b, d) meaning (a + b*sqrt(2))/d,
+in canonical form: d >= 1 and gcd(a, b, d) = 1, with zero as (0, 0, 1).
+Equal values therefore have equal triples, so ``==`` and ``hash`` compare
+ints.  The field operations work on the ints directly and call ``gcd``
+only when the result may be reducible, that is when its denominator
+exceeds 1.  Most coefficients are the signs +-1, so the integer case
+d = 1 is the fast path.  Results are built by the unchecked ``_make``;
+only the public ``Scalar(rat, root2)`` coerces its arguments through
+:class:`fractions.Fraction`, and the read-only ``rat`` and ``root2`` give
+the two rational parts back as Fractions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Union
 
 RationalLike = Union[int, Fraction]
 
 
 class Scalar:
-    """An element a + b*sqrt(2) of Q(sqrt(2)) with exact rational a, b."""
+    """An element (a + b*sqrt(2))/d of Q(sqrt(2)) with exact ints a, b, d."""
 
-    __slots__ = ("rat", "root2")
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, rat: RationalLike = 0, root2: RationalLike = 0):
-        self.rat = Fraction(rat)
-        self.root2 = Fraction(root2)
+        rat = Fraction(rat)
+        root2 = Fraction(root2)
+        d = lcm(rat.denominator, root2.denominator)
+        # both parts are in lowest terms, so gcd(a, b, d) is already 1
+        self._a = rat.numerator * (d // rat.denominator)
+        self._b = root2.numerator * (d // root2.denominator)
+        self._d = d
 
     # -- constructors -------------------------------------------------
 
@@ -43,52 +55,91 @@ class Scalar:
         """1/sqrt(2) = sqrt(2)/2."""
         return Scalar(0, Fraction(1, 2))
 
+    # -- rational parts --------------------------------------------------
+
+    @property
+    def rat(self) -> Fraction:
+        """The rational part a/d."""
+        return Fraction(self._a, self._d)
+
+    @property
+    def root2(self) -> Fraction:
+        """The coefficient b/d of sqrt(2)."""
+        # most scalars are rational, and callers test root2 for truth
+        if not self._b:
+            return _F0
+        return Fraction(self._b, self._d)
+
     # -- predicates ----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.rat and not self.root2
+        return not self._a and not self._b
 
     def is_one(self) -> bool:
-        return self.rat == 1 and not self.root2
+        return self._a == 1 and not self._b and self._d == 1
 
     def is_rational(self) -> bool:
-        return not self.root2
+        return not self._b
 
     # -- field operations ----------------------------------------------
 
     def __add__(self, other: "Scalar") -> "Scalar":
-        if self.root2 or other.root2:
-            return _exact(self.rat + other.rat, self.root2 + other.root2)
-        return _exact(self.rat + other.rat, _Q0)
+        d, g = self._d, other._d
+        if d == g:
+            if d == 1:
+                out = _new(Scalar)  # _make inlined
+                out._a = self._a + other._a
+                out._b = self._b + other._b
+                out._d = 1
+                return out
+            return _reduced(self._a + other._a, self._b + other._b, d)
+        return _reduced(self._a * g + other._a * d,
+                        self._b * g + other._b * d, d * g)
 
     def __sub__(self, other: "Scalar") -> "Scalar":
-        if self.root2 or other.root2:
-            return _exact(self.rat - other.rat, self.root2 - other.root2)
-        return _exact(self.rat - other.rat, _Q0)
+        d, g = self._d, other._d
+        if d == g:
+            if d == 1:
+                return _make(self._a - other._a, self._b - other._b, 1)
+            return _reduced(self._a - other._a, self._b - other._b, d)
+        return _reduced(self._a * g - other._a * d,
+                        self._b * g - other._b * d, d * g)
 
     def __neg__(self) -> "Scalar":
-        if self.root2:
-            return _exact(-self.rat, -self.root2)
-        return _exact(-self.rat, _Q0)
+        return _make(-self._a, -self._b, self._d)
 
     def __mul__(self, other: "Scalar") -> "Scalar":
-        # (a + b r)(c + d r) = (ac + 2bd) + (ad + bc) r,  r = sqrt(2)
-        a, b, c, d = self.rat, self.root2, other.rat, other.root2
-        if b or d:
-            return _exact(a * c + 2 * b * d, a * d + b * c)
-        return _exact(a * c, _Q0)
+        # (a + b r)(e + f r) = (ae + 2bf) + (af + be) r,  r = sqrt(2)
+        a, b, d = self._a, self._b, self._d
+        e, f, g = other._a, other._b, other._d
+        if b or f:
+            x, y = a * e + 2 * b * f, a * f + b * e
+        else:
+            x, y = a * e, 0
+        if d == 1 and g == 1:
+            out = _new(Scalar)  # _make inlined
+            out._a = x
+            out._b = y
+            out._d = 1
+            return out
+        return _reduced(x, y, d * g)
 
     def inverse(self) -> "Scalar":
-        """Multiplicative inverse: (a - b r) / (a^2 - 2 b^2).
+        """Multiplicative inverse: d (a - b r) / (a^2 - 2 b^2).
 
         The norm a^2 - 2b^2 vanishes only for a = b = 0 because sqrt(2)
         is irrational, so division by a nonzero Scalar is always defined.
         """
-        a, b = self.rat, self.root2
+        a, b, d = self._a, self._b, self._d
+        if not b:
+            if not a:
+                raise ZeroDivisionError("inverse of zero in Q(sqrt2)")
+            # gcd(a, d) = 1 already
+            return _make(d, 0, a) if a > 0 else _make(-d, 0, -a)
         norm = a * a - 2 * b * b
-        if norm == 0:
-            raise ZeroDivisionError("inverse of zero in Q(sqrt2)")
-        return _exact(a / norm, -b / norm)
+        if norm < 0:
+            return _reduced(-d * a, d * b, -norm)
+        return _reduced(d * a, -d * b, norm)
 
     def __truediv__(self, other: "Scalar") -> "Scalar":
         return self * other.inverse()
@@ -99,22 +150,23 @@ class Scalar:
 
     def galois_conjugate(self) -> "Scalar":
         """The field automorphism a + b*sqrt(2) -> a - b*sqrt(2)."""
-        return _exact(self.rat, -self.root2)
+        return _make(self._a, -self._b, self._d)
 
     # -- comparison / hashing -------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Scalar):
             return NotImplemented
-        return self.rat == other.rat and self.root2 == other.root2
+        return (self._a == other._a and self._b == other._b
+                and self._d == other._d)
 
     def __hash__(self) -> int:
-        return hash((self.rat, self.root2))
+        return hash((self._a, self._b, self._d))
 
     # -- rendering -------------------------------------------------------
 
     def __float__(self) -> float:
-        return float(self.rat) + float(self.root2) * 2 ** 0.5
+        return self._a / self._d + self._b / self._d * 2 ** 0.5
 
     def __repr__(self) -> str:
         return f"Scalar({self.rat!r}, {self.root2!r})"
@@ -123,15 +175,16 @@ class Scalar:
         if self.is_zero():
             return "0"
         parts = []
-        if self.rat:
-            parts.append(str(self.rat))
-        if self.root2:
-            if self.root2 == 1:
+        rat, root2 = self.rat, self.root2
+        if rat:
+            parts.append(str(rat))
+        if root2:
+            if root2 == 1:
                 s = "sqrt2"
-            elif self.root2 == -1:
+            elif root2 == -1:
                 s = "-sqrt2"
             else:
-                s = f"{self.root2}*sqrt2"
+                s = f"{root2}*sqrt2"
             if parts and not s.startswith("-"):
                 parts.append("+ " + s)
             elif parts:
@@ -141,15 +194,27 @@ class Scalar:
         return " ".join(parts)
 
 
-_Q0 = Fraction(0)
+_new = object.__new__
+_F0 = Fraction(0)
 
 
-def _exact(rat: Fraction, root2: Fraction) -> Scalar:
-    """A Scalar from two Fractions, without the coercion of Scalar()."""
-    out = object.__new__(Scalar)
-    out.rat = rat
-    out.root2 = root2
+def _make(a: int, b: int, d: int) -> Scalar:
+    """The Scalar (a + b*sqrt(2))/d from a canonical triple, unchecked."""
+    out = _new(Scalar)
+    out._a = a
+    out._b = b
+    out._d = d
     return out
+
+
+def _reduced(a: int, b: int, d: int) -> Scalar:
+    """The Scalar (a + b*sqrt(2))/d for any d >= 1, in canonical form."""
+    k = gcd(a, b, d)
+    if k != 1:
+        a //= k
+        b //= k
+        d //= k
+    return _make(a, b, d)
 
 
 ZERO = Scalar(0)

@@ -88,16 +88,6 @@ def minimal_rotation(word: Word) -> Word:
     return s[least:least + k]
 
 
-def word_precedes(w1: Word, w2: Word, n: int) -> bool:
-    """The base-N weight order: w1 precedes w2 if the weighted difference
-    sum((w2[i]-w1[i]) * N^(k-1-i)) is >= 0.  Exposed for completeness."""
-    if len(w1) != len(w2):
-        raise ValueError("comparator requires equal lengths")
-    k = len(w1)
-    total = sum((b - a) * n ** (k - 1 - i) for i, (a, b) in enumerate(zip(w1, w2)))
-    return total >= 0
-
-
 @dataclass(frozen=True)
 class CycleClass:
     """Rotation class of a primitive finite word plus a phase label.
@@ -198,22 +188,6 @@ def tail_equal(k1: EvWord, k2: EvWord) -> bool:
     start = max(len(k1.prefix), len(k2.prefix)) + 1
     window = math.lcm(len(k1.period), len(k2.period))
     return all(k1.letter(p) == k2.letter(p) for p in range(start, start + window))
-
-
-def tail_class(k: EvWord) -> Word:
-    """Hashable invariant that is equal exactly for tail_equal words.
-
-    The primitive period rotated so that index i reads the letter at
-    absolute positions congruent to i+1 modulo the period length.
-    """
-    per = len(k.period)
-    # letter(p) = period[(p - len(prefix) - 1) % per] for p > len(prefix)
-    offset = (-len(k.prefix)) % per
-    return tuple(k.period[(offset + i) % per] for i in range(per))
-
-
-def constant_ev_word(n: int, letter: int) -> EvWord:
-    return make_ev_word(n, (), (letter,))
 
 
 def word_power(word: Word, m: int) -> Word:

@@ -1,5 +1,7 @@
 """Classification machinery: conjugacy, restriction equality, commutants."""
 
+import pytest
+
 from cuntzalg.algebra import CuntzPoly
 from cuntzalg.morphisms import flip, standard_endo
 from cuntzalg.classify import (commutant_witness, fingerprint, flip_unitary,
@@ -71,3 +73,10 @@ def test_theorem14_counts():
     counts = theorem14_counts(level=3)
     assert counts == {"restrictions": 20, "classes": 12, "klein": 4,
                       "irreducible": 4, "reducible": 6}
+
+
+def test_depth_zero_certificate_is_refused():
+    with pytest.raises(ValueError, match="at least 1"):
+        uhf_restriction_equal(standard_endo("14"), standard_endo("23"), 0)
+    with pytest.raises(ValueError, match="at least 1"):
+        theorem14_counts(level=0)

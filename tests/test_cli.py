@@ -154,3 +154,38 @@ def test_classify(capsys):
     counts = json.loads(out)["counts"]
     assert counts["classes"] == 12
     assert counts["restrictions"] == 20
+
+
+@pytest.mark.parametrize("argv", [("normal", "1/0"), ("normal", "b[1/0]"),
+                                  ("mixture", "1/0")])
+def test_zero_denominator_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_repeated_cycle_entry_is_usage_error(capsys):
+    code, _, err = run(capsys, "branch", "--rep", "P(12)", "--endo",
+                       "psi:1122")
+    assert code == 2
+    assert "repeats" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("branch", "--rep", "P(12)", "--endo", "psi:142", "--seed-bound", "0"),
+    ("branch", "--rep", "P(12)", "--endo", "psi:142", "--seed-bound", "-1"),
+    ("classify", "--level", "0"),
+    ("verify", "theorem14", "--level", "0"),
+    ("vacuum", "fock", "--max-mode", "-1"),
+    ("car", "--check-modes", "0"),
+])
+def test_out_of_range_option_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_seed_bound_at_level_minus_one(capsys):
+    code, out, _ = run(capsys, "branch", "--rep", "P(12)", "--endo",
+                       "psi:142", "--seed-bound", "1")
+    assert (code, out.strip()) == (0, "P(11) (+) P(22)")

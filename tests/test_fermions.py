@@ -92,6 +92,13 @@ def test_vacuum_checks():
         assert vacuum_check(name, max_mode=7)
 
 
+def test_vacuous_checks_are_refused():
+    with pytest.raises(ValueError, match="at least 1"):
+        verify_car(0)
+    with pytest.raises(ValueError, match="at least 1"):
+        vacuum_check("fock", max_mode=-1)
+
+
 def test_fermion_branch():
     assert fermion_branch("fock", standard_endo("142")) == ["IW", "IW*"]
     assert fermion_branch("iw", standard_endo("14")) == ["IW", "IW"]

@@ -104,6 +104,13 @@ def test_perm_from_cycles_codec():
     assert endo.sigma[(1, 2)] == (1, 2)
 
 
+def test_perm_from_cycles_rejects_repeated_entry():
+    with pytest.raises(ValueError, match="repeats"):
+        perm_from_cycles([[1, 1, 2, 2]], 2, 2)
+    with pytest.raises(ValueError, match="disjoint"):
+        perm_from_cycles([[1, 2], [2, 3]], 2, 2)
+
+
 def test_gauge_grade_preserved():
     m = standard_endo("1324")
     x = gen(1) * gen(2).adjoint()  # grade 0

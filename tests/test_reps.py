@@ -31,6 +31,17 @@ def test_branch_cycle_examples():
     assert labels(branch(CycleRep(2, (1,)), p13)) == ["P(2)"]
 
 
+def test_seed_bound_below_level_minus_one_is_rejected():
+    p1324 = standard_endo("1324")
+    rep = CycleRep(2, (1, 2))
+    for bound in (0, -1):
+        with pytest.raises(ValueError, match="seed bound"):
+            branch(rep, p1324, seed_bound=bound)
+        with pytest.raises(ValueError, match="seed bound"):
+            uhf_branch(2, (1, 2), p1324, seed_bound=bound)
+    assert labels(branch(rep, p1324, seed_bound=1)) == labels(branch(rep, p1324))
+
+
 def test_power_components_split_into_phases():
     res = branch(CycleRep(2, (1, 2)), standard_endo("142"))
     classes = sorted(str(c) for c in res.cycle_classes())
