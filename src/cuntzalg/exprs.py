@@ -1,6 +1,7 @@
 """Expression parser for the command-line front end.
 
-Grammar (whitespace-insensitive):
+Grammar (whitespace between tokens is ignored; a digit run is one token,
+so it holds no spaces: "s1 2" is s_1 times 2, not s_12):
 
     expr    := ['-'] term (('+' | '-') term)*
     term    := factor (['*'] factor)*
@@ -71,6 +72,7 @@ class _Parser:
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
     def take_digits(self) -> str:
+        self.skip_ws()
         start = self.pos
         while self.pos < len(self.text) and self.text[self.pos].isdigit():
             self.pos += 1
@@ -153,6 +155,7 @@ class _Parser:
             num = int(self.take_digits())
             if self.peek() == "/":
                 self.pos += 1
+                self.skip_ws()
                 start = self.pos
                 den = int(self.take_digits())
                 if den == 0:

@@ -113,11 +113,22 @@ class CarExpr:
 
 _GEN_CACHE: Dict[int, CuntzPoly] = {}
 
+# a_n has 2^(n-1) terms in O_2, 32768 at the limit; higher modes are
+# refused before any a_n is built, rather than exhausting memory
+MAX_MODE = 16
+
+
+def _check_mode(n: int) -> None:
+    if n > MAX_MODE:
+        raise ValueError(f"fermion mode {n} is above the limit of "
+                         f"{MAX_MODE}: a_n has 2^(n-1) terms in O_2")
+
 
 def car_generator(n: int) -> CuntzPoly:
     """The n-th annihilator as an element of O_2 (recursive embedding)."""
     if n < 1:
         raise ValueError("fermion modes are numbered from 1")
+    _check_mode(n)
     if n not in _GEN_CACHE:
         if n == 1:
             _GEN_CACHE[n] = CuntzPoly.matrix_unit(2, (1,), (2,))
@@ -162,6 +173,7 @@ def verify_car(modes: int) -> bool:
     and the closed form of each generator against the recursion."""
     if modes < 1:
         raise ValueError(f"number of modes must be at least 1, got {modes}")
+    _check_mode(modes)
     for n in range(1, modes + 1):
         if not car_generator(n) == car_generator_closed(n):
             return False
@@ -237,6 +249,8 @@ def verify_mixture_car(indices: Iterable[Fraction]) -> bool:
     half-integer index set."""
     idx = [_check_half_integer(k) for k in indices]
     bs = {k: mixture(k) for k in idx}
+    _check_mode(max((n for b in bs.values() for w in b.terms for n, _ in w),
+                    default=1))
     for i, k in enumerate(idx):
         for l in idx[i:]:
             if not psi_map(anticommutator(bs[k], bs[l])).is_zero():
@@ -301,6 +315,7 @@ def vacuum_check(name: str, max_mode: int = 7) -> bool:
     """
     if max_mode < 1:
         raise ValueError(f"max mode must be at least 1, got {max_mode}")
+    _check_mode(max_mode)
     rep, label = _rep_and_vacuum(name)
     omega = {label: ONE}
     key = name.lower().rstrip()

@@ -181,6 +181,10 @@ class PermEndo(Morphism):
 
     def __init__(self, n: int, level: int, sigma: Mapping[Word, Word],
                  signs: Mapping[Word, int] | None = None, name: str = ""):
+        if n < 2:
+            raise ValueError("need at least two isometries")
+        if level < 1:
+            raise ValueError(f"level must be at least 1, got {level}")
         domain = list(all_words(n, level))
         table: Dict[Word, Word] = {}
         for j in domain:
@@ -205,7 +209,8 @@ class PermEndo(Morphism):
                 src = (i,) + tail
                 coeff = ONE if eps[src] == 1 else MINUS_ONE
                 terms[(table[src], tail)] = coeff
-            images.append(CuntzPoly(n, terms))
+            # every image word was checked above, tails come from all_words
+            images.append(CuntzPoly._from_valid(n, terms))
         super().__init__(images, name=name, check=False)
         self.level = level
         self.sigma = table

@@ -157,7 +157,7 @@ def test_classify(capsys):
 
 
 @pytest.mark.parametrize("argv", [("normal", "1/0"), ("normal", "b[1/0]"),
-                                  ("mixture", "1/0")])
+                                  ("mixture", "1/0"), ("normal", "1 / 0")])
 def test_zero_denominator_is_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
@@ -189,3 +189,43 @@ def test_seed_bound_at_level_minus_one(capsys):
     code, out, _ = run(capsys, "branch", "--rep", "P(12)", "--endo",
                        "psi:142", "--seed-bound", "1")
     assert (code, out.strip()) == (0, "P(11) (+) P(22)")
+
+
+def test_branch_step_budget_is_usage_error(capsys):
+    code, out, err = run(capsys, "branch", "--rep", "P(1)", "--endo",
+                         "psi:1324", "--seed-bound", "18")
+    assert (code, out) == (2, "")
+    assert err == ("error: branch exceeded its total of 200000 predecessor "
+                   "steps over 262144 seed labels (seed bound 18); lower "
+                   "the seed bound\n")
+
+
+@pytest.mark.parametrize("text, same_as", [
+    ("1 / 2", "1/2"), ("1/ 2", "1/2"), ("E[1, 2]", "E[1,2]"), ("a 3", "a3"),
+    ("E[ 12 , 21 ]", "E[12,21]"), ("s 12", "s12"), ("s1 2", "2 s1")])
+def test_whitespace_before_digits(capsys, text, same_as):
+    code, out, err = run(capsys, "normal", text)
+    assert (code, err) == (0, "")
+    assert out == run(capsys, "normal", same_as)[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ("normal", "--embed", "a30"),
+    ("eq", "a30", "a30"),
+    ("car", "a17"),
+    ("car", "--check-modes", "40"),
+    ("vacuum", "fock", "--max-mode", "40"),
+    ("mixture", "61/2", "--json"),
+    ("mixture", "61/2", "--check"),
+])
+def test_fermion_mode_above_limit_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: fermion mode ") and err.count("\n") == 1
+    assert "above the limit of 16" in err
+
+
+def test_formal_fermion_words_need_no_embedding(capsys):
+    # printing a30 or b_{61/2} as a formal word builds no a_n in O_2
+    assert run(capsys, "normal", "a30") == (0, "a30\n", "")
+    assert run(capsys, "mixture", "61/2") == (0, "a1a1'a63' + a1'a1a63\n", "")

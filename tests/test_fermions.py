@@ -6,7 +6,7 @@ import pytest
 
 from cuntzalg.algebra import CuntzPoly
 from cuntzalg.morphisms import standard_endo, zeta
-from cuntzalg.fermions import (CarExpr, anticommutator, apply_endo,
+from cuntzalg.fermions import (MAX_MODE, CarExpr, anticommutator, apply_endo,
                                car_equal,
                                car_generator, car_generator_closed,
                                dual_automorphism, fermion_branch, mixture,
@@ -97,6 +97,26 @@ def test_vacuous_checks_are_refused():
         verify_car(0)
     with pytest.raises(ValueError, match="at least 1"):
         vacuum_check("fock", max_mode=-1)
+
+
+def test_modes_above_the_limit_are_refused():
+    # every mode the tests, demos and benchmark use stays allowed
+    assert MAX_MODE >= 12
+    too_big = MAX_MODE + 1
+    with pytest.raises(ValueError, match="above the limit"):
+        car_generator(too_big)
+    with pytest.raises(ValueError, match="above the limit"):
+        psi_map(a(30))
+    with pytest.raises(ValueError, match="above the limit"):
+        verify_car(too_big)
+    with pytest.raises(ValueError, match="above the limit"):
+        vacuum_check("iw", max_mode=too_big)
+    # b_k uses a_{2k+2} and b_{-k} uses a_{2k+1}
+    k = Fraction(too_big - 2, 2)
+    with pytest.raises(ValueError, match=f"mode {too_big} is above"):
+        verify_mixture_car([k])
+    with pytest.raises(ValueError, match=f"mode {too_big + 1} is above"):
+        verify_mixture_car([Fraction(1, 2), -(k + 1)])
 
 
 def test_fermion_branch():

@@ -111,6 +111,13 @@ def test_perm_from_cycles_rejects_repeated_entry():
         perm_from_cycles([[1, 2], [2, 3]], 2, 2)
 
 
+def test_perm_endo_rejects_degenerate_shapes():
+    with pytest.raises(ValueError, match="two isometries"):
+        PermEndo(1, 2, {(1, 1): (1, 1)})
+    with pytest.raises(ValueError, match="level must be at least 1"):
+        PermEndo(2, 0, {(): ()})
+
+
 def test_gauge_grade_preserved():
     m = standard_endo("1324")
     x = gen(1) * gen(2).adjoint()  # grade 0

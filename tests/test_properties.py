@@ -5,10 +5,11 @@ from fractions import Fraction
 
 from cuntzalg.scalars import ONE
 from cuntzalg.words import (all_words, canonical_cycle, is_primitive,
-                            minimal_rotation, primitive_split)
+                            make_ev_word, minimal_rotation, primitive_split)
 from cuntzalg.algebra import CuntzPoly
 from cuntzalg.morphisms import PermEndo
-from cuntzalg.reps import CycleRep, act_poly, branch
+from cuntzalg.reps import (ChainRep, CycleRep, _follow_orbits, act_poly,
+                           act_word, act_word_adj, branch)
 
 
 def random_perm_endo(rng, n, level):
@@ -132,3 +133,71 @@ def test_oracle_cross_check():
                       branch(CycleRep(2, word), endo).cycle_classes())
         slow = oracle_classes(word, endo)
         assert fast == slow, (endo.sigma, word)
+
+
+def search_predecessor(rep, endo):
+    """The predecessor map found by search: try s_W^* for the image W of
+    every source word i T and keep the one hit, asserting that exactly
+    one source word hits.  Up to N^l * l label actions per step."""
+    tails = list(all_words(rep.n, endo.level - 1))
+
+    def pred(label):
+        found = None
+        for i in range(1, rep.n + 1):
+            for tail in tails:
+                src = (i,) + tail
+                hit = act_word_adj(rep, endo.sigma[src], label)
+                if hit is None:
+                    continue
+                assert found is None, f"predecessor of {label} not unique"
+                s1, mid = hit
+                s2, out = act_word(rep, tail, mid)
+                sign = endo.signs[src] * (1 if (s1 * s2).is_one() else -1)
+                found = (i, sign, out)
+        assert found is not None, f"no predecessor for {label}"
+        return found
+
+    return pred
+
+
+def random_signed_perm_endo(rng, n, level):
+    words = list(all_words(n, level))
+    images = words[:]
+    rng.shuffle(images)
+    signs = {w: rng.choice((1, -1)) for w in words}
+    return PermEndo(n, level, dict(zip(words, images)), signs=signs)
+
+
+def component_key(comp):
+    return (comp.kind, comp.cycle_word, comp.sign, comp.cycle_labels,
+            comp.chain_word)
+
+
+def test_read_off_predecessor_matches_search():
+    """branch reads each predecessor off the label; the search over all
+    source words gives the same components in the same order."""
+    rng = random.Random(4417)
+    compared = 0
+    for n, level in ((2, 3), (3, 2), (2, 4), (3, 3)):
+        for _ in range(3):
+            endo = random_signed_perm_endo(rng, n, level)
+            reps = []
+            for length in (1, 2, 3):
+                word = tuple(rng.randint(1, n) for _ in range(length))
+                if is_primitive(word):
+                    reps += [CycleRep(n, word, Fraction(0)),
+                             CycleRep(n, word, Fraction(1, 2))]
+            for _ in range(2):
+                prefix = [rng.randint(1, n) for _ in range(rng.randint(0, 2))]
+                period = [rng.randint(1, n) for _ in range(rng.randint(1, 2))]
+                reps.append(ChainRep(make_ev_word(n, prefix, period)))
+            for rep in reps:
+                for bound in (level - 1, level):
+                    new = branch(rep, endo, seed_bound=bound)
+                    ref = _follow_orbits(rep, search_predecessor(rep, endo),
+                                         bound, 200000)
+                    assert ([component_key(c) for c in new.components] ==
+                            [component_key(c) for c in ref.components]), \
+                        (endo.sigma, endo.signs, rep, bound)
+                    compared += 1
+    assert compared >= 80

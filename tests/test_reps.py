@@ -42,6 +42,26 @@ def test_seed_bound_below_level_minus_one_is_rejected():
     assert labels(branch(rep, p1324, seed_bound=1)) == labels(branch(rep, p1324))
 
 
+def test_step_budget_is_an_input_error():
+    rep = CycleRep(2, (1,))
+    p1324 = standard_endo("1324")
+    # P(1) has 2^b seed labels at seed bound b: the empty word and the
+    # words of length 1..b ending in 2
+    with pytest.raises(ValueError, match=r"total of 10 predecessor steps "
+                       r"over 32 seed labels \(seed bound 5\)"):
+        branch(rep, p1324, seed_bound=5, max_steps=10)
+    assert labels(branch(rep, p1324, seed_bound=5)) == ["P(12)"]
+
+
+def test_head_is_the_only_letter_with_a_nonzero_adjoint():
+    chain = ChainRep(parse_ev_word("2(12)^inf", 2))
+    for rep in (CycleRep(2, (1, 1, 2)), CycleRep(3, (1, 3)), chain):
+        for label in rep.seed_labels(2):
+            hits = [i for i in range(1, rep.n + 1)
+                    if rep.gen_adj(i, label) is not None]
+            assert hits == [rep.head(label)]
+
+
 def test_power_components_split_into_phases():
     res = branch(CycleRep(2, (1, 2)), standard_endo("142"))
     classes = sorted(str(c) for c in res.cycle_classes())
