@@ -1,13 +1,14 @@
 """Classification engine for second-order permutative endomorphisms.
 
-The central device is the defining unitary u of an endomorphism psi
-(psi(s_i) = u s_i) and its cascade w_n = u lambda(u) ... lambda^{n-1}(u),
-which conjugates every grade-zero monomial of depth n:
+Everything here is read off the generator images of the maps involved.
+A morphism psi sends the matrix unit E_JK = s_J s_K^* (|J| = |K| = n) to
+psi(s_J) psi(s_K)^*, built from the word images the morphism caches, so
 
-    psi(s_J s_K^*) = w_n (s_J s_K^*) w_n^*      (|J| = |K| = n).
-
-This reduces both UHF-restriction equality and relative-commutant
-computations to small exact linear-algebra problems over Q(sqrt 2).
+* UHF-restriction equality compares psi_1(E) with psi_2(E) on a
+  generating set of the depth-n units, depth by depth;
+* relative commutants are small exact linear-algebra problems over
+  Q(sqrt 2) in the coordinates of those images;
+* conjugacy by a unitary u compares u psi_1(s_i) u^* with psi_2(s_i).
 """
 
 from __future__ import annotations
@@ -15,70 +16,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .scalars import MINUS_ONE, ONE, Scalar, ZERO
+from .scalars import ONE, Scalar, ZERO
 from .words import Word, all_words, render_word
-from .algebra import CuntzPoly, gauge_lift
-from .morphisms import Morphism, PermEndo, ad_unitary
+from .algebra import CuntzPoly
+from .morphisms import Morphism, PermEndo, _require_unitary
 from .reps import CycleRep, branch, gp_branch, uhf_branch
 
 
-def defining_unitary(endo: PermEndo) -> CuntzPoly:
-    """u with endo(s_i) = u s_i: the signed permutation of level-l units."""
-    terms: Dict[Tuple[Word, Word], Scalar] = {}
-    for src, dst in endo.sigma.items():
-        terms[(dst, src)] = ONE if endo.signs[src] == 1 else MINUS_ONE
-    return CuntzPoly(endo.n, terms)
+def _same(a: CuntzPoly, b: CuntzPoly) -> bool:
+    """a = b, trying the term maps before the semantic test."""
+    return a.terms == b.terms or (a - b).is_zero()
 
 
-_W_CACHE: Dict[Tuple, CuntzPoly] = {}
-
-
-def _endo_key(endo: PermEndo) -> Tuple:
-    return (endo.n, tuple(sorted(endo.sigma.items())),
-            tuple(sorted(endo.signs.items())))
-
-
-def cascade_unitary(endo: PermEndo, n: int) -> CuntzPoly:
-    """w_n = u lambda(u) ... lambda^{n-1}(u); conjugates depth-n monomials.
-
-    lambda(x) = sum_i s_i x s_i^* satisfies lambda(x) s_j = s_j x, which
-    gives psi(s_J s_K^*) = w_n s_J s_K^* w_n^* for |J| = |K| = n by
-    induction on n.
-    """
-    if n < 1:
-        raise ValueError("cascade depth starts at 1")
-    key = _endo_key(endo) + (n,)
-    cached = _W_CACHE.get(key)
-    if cached is not None:
-        return cached
-    if n == 1:
-        w = defining_unitary(endo)
-    else:
-        w = cascade_unitary(endo, n - 1) * _lifted_unitary(endo, n - 1)
-    _W_CACHE[key] = w
-    return w
-
-
-def _lifted_unitary(endo: PermEndo, j: int) -> CuntzPoly:
-    key = _endo_key(endo) + ("lift", j)
-    cached = _W_CACHE.get(key)
-    if cached is not None:
-        return cached
-    if j == 0:
-        out = defining_unitary(endo)
-    else:
-        out = gauge_lift(_lifted_unitary(endo, j - 1))
-    _W_CACHE[key] = out
-    return out
-
-
-def apply_to_unit(endo: PermEndo, j: Word, k: Word) -> CuntzPoly:
+def apply_to_unit(endo: Morphism, j: Word, k: Word) -> CuntzPoly:
     """Image of the matrix unit E_JK = s_J s_K^* under endo."""
     if len(j) != len(k):
         raise ValueError("matrix unit needs |J| = |K|")
-    w = cascade_unitary(endo, len(j))
-    e = CuntzPoly.matrix_unit(endo.n, j, k)
-    return w * e * w.adjoint()
+    return endo.word_image(j) * endo.word_image(k).adjoint()
 
 
 def unit_generators(n: int, depth: int) -> List[Tuple[Word, Word]]:
@@ -111,10 +65,19 @@ def uhf_restriction_equal(m1: PermEndo, m2: PermEndo,
     """Decide whether two endomorphisms agree on matrix units up to depth
     ``level``.
 
-    At depth n both maps act by conjugation with their cascade unitaries,
-    so they agree on all of M_{N^n} iff v = w_n(m2)^* w_n(m1) commutes
-    with a generating set of the depth-n units.  One failing generator
-    yields a concrete unit whose images differ.
+    At depth n the units E_{1^n,K} and their adjoints generate all of
+    M_{N^n}, and both maps are *-homomorphisms, so they agree on M_{N^n}
+    iff psi_1(E) = psi_2(E) for E = E_{1^n,K}, K in ``all_words`` order.
+    The images are read off the cached word images (see
+    :func:`apply_to_unit`), and term maps that already coincide need no
+    semantic test.  The adjoints need no test of their own:
+    psi(E^*) = psi(E)^*, so an adjoint E_{K,1^n} fails exactly when
+    E_{1^n,K} does, which comes first in :func:`unit_generators` order.
+    The first failing unit is the witness.  Equivalently, with the
+    cascade unitary w_n = u lambda(u) ... lambda^{n-1}(u) of psi
+    (psi(s_i) = u s_i), psi(E) = w_n E w_n^*, so v = w_n(m2)^* w_n(m1)
+    commutes with E iff the two images agree; the tests keep that
+    commutator test as the reference.
     """
     if level < 1:
         raise ValueError(f"certification level must be at least 1, "
@@ -122,11 +85,11 @@ def uhf_restriction_equal(m1: PermEndo, m2: PermEndo,
     if m1.n != m2.n:
         raise ValueError("rank mismatch")
     for n in range(1, level + 1):
-        v = cascade_unitary(m2, n).adjoint() * cascade_unitary(m1, n)
-        for (j, k) in unit_generators(m1.n, n):
-            e = CuntzPoly.matrix_unit(m1.n, j, k)
-            if not (v * e - e * v).is_zero():
-                return RestrictionVerdict(False, n, (j, k))
+        ones = (1,) * n
+        for k in all_words(m1.n, n):
+            if not _same(apply_to_unit(m1, ones, k),
+                         apply_to_unit(m2, ones, k)):
+                return RestrictionVerdict(False, n, (ones, k))
     return RestrictionVerdict(True, level)
 
 
@@ -272,8 +235,14 @@ def flip_unitary() -> CuntzPoly:
 
 
 def verify_conjugate(m1: Morphism, m2: Morphism, u: CuntzPoly) -> bool:
-    """True iff Ad u o m1 = m2 on the generators (u must be unitary)."""
-    return m1.then(ad_unitary(u)) == m2
+    """True iff Ad u o m1 = m2, i.e. u m1(s_i) u^* = m2(s_i) for every
+    generator (u must be unitary)."""
+    if m1.n != u.n:
+        raise ValueError("rank mismatch")
+    _require_unitary(u)
+    u_adj = u.adjoint()
+    return m1.n == m2.n and all(
+        _same(u * a * u_adj, b) for a, b in zip(m1.images, m2.images))
 
 
 def verify_intertwined(g: Morphism, m1: Morphism, m2: Morphism) -> bool:
@@ -282,36 +251,36 @@ def verify_intertwined(g: Morphism, m1: Morphism, m2: Morphism) -> bool:
     return m1.then(g) == g.then(m2)
 
 
-def o_fingerprint(endo: PermEndo) -> Tuple[str, str, str, str]:
-    """Branching fingerprint over the tests P(1), P(2), P(12), GP(+)."""
-    cells = []
-    for word in ((1,), (2,), (1, 2)):
-        res = branch(CycleRep(endo.n, word), endo)
-        cells.append(_multiset(c.describe() for c in res.components))
-    gp = gp_branch(endo)
-    if gp is None:
-        cells.append("not derivable")
-    else:
-        cells.append(_multiset(a.describe() for a in gp["+"]))
-    return tuple(cells)
+NOT_DERIVABLE = "---"
 
 
-def uhf_fingerprint(endo: PermEndo) -> Tuple[str, str, str, str]:
-    """Branching fingerprint over the tests P[1], P[2], P[12], GP[+]."""
-    cells = []
-    for word in ((1,), (2,), (1, 2)):
-        comps = uhf_branch(endo.n, word, endo)[1]
-        cells.append(_multiset(str(c) for c in comps))
-    gp = gp_branch(endo)
-    if gp is None:
-        cells.append("not derivable")
-    else:
-        cells.append(_multiset(a.describe(uhf=True) for a in gp["+"]))
-    return tuple(cells)
-
-
-def _multiset(items) -> str:
+def multiset(items) -> str:
+    """A direct sum of component labels: sorted, joined by " (+) "."""
     return " (+) ".join(sorted(items))
+
+
+def o_fingerprint(endo: PermEndo) -> Dict[str, str]:
+    """Branching cells over the tests P(1), P(2), P(12), GP(+)."""
+    out = {}
+    for name, word in (("P(1)", (1,)), ("P(2)", (2,)), ("P(12)", (1, 2))):
+        res = branch(CycleRep(endo.n, word), endo)
+        out[name] = multiset(c.describe() for c in res.components)
+    gp = gp_branch(endo)
+    out["GP(+)"] = (NOT_DERIVABLE if gp is None
+                    else multiset(a.describe() for a in gp["+"]))
+    return out
+
+
+def uhf_fingerprint(endo: PermEndo) -> Dict[str, str]:
+    """Branching cells over the tests P[1], P[2], P[12], GP[+]."""
+    out = {}
+    for name, word in (("P[1]", (1,)), ("P[2]", (2,)), ("P[12]", (1, 2))):
+        comps = uhf_branch(endo.n, word, endo)[1]
+        out[name] = multiset(str(c) for c in comps)
+    gp = gp_branch(endo)
+    out["GP[+]"] = (NOT_DERIVABLE if gp is None
+                    else multiset(a.describe(uhf=True) for a in gp["+"]))
+    return out
 
 
 def fingerprint(endo: PermEndo, tests: Sequence[str]) -> Dict[str, str]:
@@ -322,13 +291,11 @@ def fingerprint(endo: PermEndo, tests: Sequence[str]) -> Dict[str, str]:
     for name in tests:
         if name.startswith("P[") or name == "GP[+]":
             if uhf_cells is None:
-                uhf_cells = dict(zip(("P[1]", "P[2]", "P[12]", "GP[+]"),
-                                     uhf_fingerprint(endo)))
+                uhf_cells = uhf_fingerprint(endo)
             out[name] = uhf_cells[name]
         else:
             if o_cells is None:
-                o_cells = dict(zip(("P(1)", "P(2)", "P(12)", "GP(+)"),
-                                   o_fingerprint(endo)))
+                o_cells = o_fingerprint(endo)
             out[name] = o_cells[name]
     return out
 
@@ -392,7 +359,7 @@ def theorem14_counts(level: int = 5) -> Dict[str, int]:
     classes = {find(r) for r in reps}
 
     # every class representative must have a distinct fingerprint
-    prints = {r: uhf_fingerprint(endos[r]) for r in classes}
+    prints = {r: tuple(uhf_fingerprint(endos[r]).values()) for r in classes}
     if len(set(prints.values())) != len(prints):
         raise AssertionError("fingerprints fail to separate the classes")
 

@@ -104,12 +104,16 @@ def identity(n: int) -> Morphism:
                     name="id", check=False)
 
 
-def ad_unitary(u: CuntzPoly, name: str = "") -> Morphism:
-    """The inner automorphism x -> u x u^* of a unitary u."""
+def _require_unitary(u: CuntzPoly) -> None:
     one = CuntzPoly.one(u.n)
     if not ((u * u.adjoint() - one).is_zero() and
             (u.adjoint() * u - one).is_zero()):
         raise ValueError("Ad requires a unitary")
+
+
+def ad_unitary(u: CuntzPoly, name: str = "") -> Morphism:
+    """The inner automorphism x -> u x u^* of a unitary u."""
+    _require_unitary(u)
     images = [u * CuntzPoly.generator(u.n, i) * u.adjoint()
               for i in range(1, u.n + 1)]
     return Morphism(images, name=name or "Ad(u)", check=False)

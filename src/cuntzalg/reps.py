@@ -93,6 +93,10 @@ class CycleRep:
             return ONE, ((), p + 1)
         return None
 
+    def seed_count(self, bound: int) -> int:
+        """len(seed_labels(bound)): N^bound reduced words at each p."""
+        return self.k * self.n ** bound
+
     def seed_labels(self, bound: int) -> List[Label]:
         out = []
         for p in range(1, self.k + 1):
@@ -144,6 +148,11 @@ class ChainRep:
         if i == self._letter(m + 1):
             return ONE, ((), m + 1)
         return None
+
+    def seed_count(self, bound: int) -> int:
+        """len(seed_labels(bound)): N^bound reduced words at each m."""
+        offsets = len(self.ev.prefix) + len(self.ev.period) + 2 * bound + 1
+        return offsets * self.n ** bound
 
     def seed_labels(self, bound: int) -> List[Label]:
         lo = -bound
@@ -290,13 +299,18 @@ def branch(rep, endo: PermEndo, seed_bound: Optional[int] = None,
     2 * endo.level label actions a step) until each orbit closes into a
     cycle, merges into a known component, or (for chain base
     representations) exhibits an eventually periodic escape.  More than
-    max_steps predecessor steps, summed over all seeds, raise ValueError.
+    max_steps predecessor steps, summed over all seeds, raise ValueError;
+    so does a seed set larger than max_steps, before it is listed, and a
+    representation and endomorphism of different rank.
 
     The predecessor map strictly shortens word parts longer than
     endo.level - 1, so every recurrent label has a word part of length
     at most endo.level - 1; any seed_bound >= endo.level - 1 therefore
     reaches every component of a cycle base representation.
     """
+    if rep.n != endo.n:
+        raise ValueError(f"representation of O_{rep.n} cannot be composed "
+                         f"with an endomorphism of O_{endo.n}")
     level = endo.level
     if seed_bound is None:
         seed_bound = max(level - 1, 1)
@@ -316,6 +330,14 @@ def _follow_orbits(rep, pred, seed_bound: int,
         per = len(rep.ev.period)
         pre = len(rep.ev.prefix)
 
+    # every seed label costs a step or was walked by one, so a seed set
+    # larger than the budget is refused before it is listed; past bound
+    # 64 the count (at least 2^64) is not even formed
+    if seed_bound > 64:
+        raise _over_budget(max_steps, "more than 2^64", seed_bound)
+    count = rep.seed_count(seed_bound)
+    if count > max_steps:
+        raise _over_budget(max_steps, count, seed_bound)
     seeds = rep.seed_labels(seed_bound)
     memo: Dict[Label, int] = {}
     components: List[Component] = []
@@ -332,10 +354,7 @@ def _follow_orbits(rep, pred, seed_bound: int,
         while True:
             steps += 1
             if steps > max_steps:
-                raise ValueError(
-                    f"branch exceeded its total of {max_steps} predecessor "
-                    f"steps over {len(seeds)} seed labels (seed bound "
-                    f"{seed_bound}); lower the seed bound")
+                raise _over_budget(max_steps, count, seed_bound)
             current = path[-1]
             if is_chain_base:
                 w, m = current
@@ -380,6 +399,12 @@ def _follow_orbits(rep, pred, seed_bound: int,
             index[prev] = len(path)
             path.append(prev)
     return BranchResult(components)
+
+
+def _over_budget(max_steps: int, seeds, seed_bound: int) -> ValueError:
+    return ValueError(f"branch exceeded its total of {max_steps} predecessor "
+                      f"steps over {seeds} seed labels (seed bound "
+                      f"{seed_bound}); lower the seed bound")
 
 
 def decompose_power(word, l: int, n: Optional[int] = None) -> List[CycleClass]:
@@ -596,7 +621,10 @@ def parse_rep(text: str, n: int = 2):
         phase = Fraction(0)
         if ";" in body:
             body, qtext = body.split(";")
-            phase = Fraction(qtext)
+            try:
+                phase = Fraction(qtext)
+            except ZeroDivisionError:
+                raise ValueError(f"bad phase {qtext!r}") from None
         if "^inf" in body:
             return ("chain", parse_ev_word(body, n))
         return ("cycle", parse_word(body, n), phase)

@@ -27,8 +27,11 @@ from .scalars import MINUS_ONE, ONE
 from .words import parse_word
 from .algebra import CuntzPoly
 from .morphisms import PermEndo, standard_endo, nakanishi
-from .reps import CycleRep, branch, gp_branch, uhf_branch
+from .reps import CycleRep, branch, uhf_branch
 from .fermions import CarExpr, apply_endo, fermion_branch, psi_map
+from .classify import (commutant_witness, flip_unitary, multiset,
+                       o_fingerprint, theorem14_counts, uhf_fingerprint,
+                       verify_conjugate)
 
 
 def _img(n: int, text: str) -> CuntzPoly:
@@ -302,34 +305,7 @@ def _cell(report: TableReport, row: str, col: str,
     report.cells.append(CellReport(row, col, expected, computed))
 
 
-def _join(items) -> str:
-    return " (+) ".join(sorted(items))
-
-
-def _o_cells(endo) -> Dict[str, str]:
-    out = {}
-    for name, word in (("P(1)", (1,)), ("P(2)", (2,)), ("P(12)", (1, 2))):
-        res = branch(CycleRep(endo.n, word), endo)
-        out[name] = _join(c.describe() for c in res.components)
-    gp = gp_branch(endo)
-    out["GP(+)"] = "---" if gp is None else _join(a.describe()
-                                                  for a in gp["+"])
-    return out
-
-
-def _uhf_cells(endo) -> Dict[str, str]:
-    out = {}
-    for name, word in (("P[1]", (1,)), ("P[2]", (2,)), ("P[12]", (1, 2))):
-        comps = uhf_branch(endo.n, word, endo)[1]
-        out[name] = _join(str(c) for c in comps)
-    gp = gp_branch(endo)
-    out["GP[+]"] = "---" if gp is None else _join(a.describe(uhf=True)
-                                                  for a in gp["+"])
-    return out
-
-
 def verify_table1() -> TableReport:
-    from .classify import flip_unitary, verify_conjugate
     report = TableReport("table1")
     u = flip_unitary()
     endos = {name: standard_endo(name) for name, *_ in TABLE1}
@@ -348,18 +324,17 @@ def verify_table1() -> TableReport:
 def verify_table2() -> TableReport:
     report = TableReport("table2")
     for name, *cells in TABLE2:
-        computed = _o_cells(standard_endo(name))
+        computed = o_fingerprint(standard_endo(name))
         for col, want in zip(("P(1)", "P(2)", "P(12)", "GP(+)"), cells):
             _cell(report, name, col, want, computed[col])
     return report
 
 
 def verify_table3() -> TableReport:
-    from .classify import commutant_witness
     report = TableReport("table3")
     for name, *cells in TABLE3:
         endo = standard_endo(name)
-        computed = _uhf_cells(endo)
+        computed = uhf_fingerprint(endo)
         prop = cells[-1]
         for col, want in zip(("P[1]", "P[2]", "P[12]", "GP[+]"), cells):
             _cell(report, name, col, want, computed[col])
@@ -422,7 +397,7 @@ def verify_table8() -> TableReport:
                          ("IW", "iw")):
             want = cells[("fock", "fock*", "iw").index(rep)]
             _cell(report, name, col, want,
-                  _join(fermion_branch(rep, endo)))
+                  multiset(fermion_branch(rep, endo)))
     return report
 
 
@@ -433,16 +408,15 @@ def verify_nakanishi() -> TableReport:
         word = (1,) if name == "P(1)" else (1, 2)
         res = branch(CycleRep(3, word), rho)
         _cell(report, name, "O_3", want,
-              _join(c.describe() for c in res.components))
+              multiset(c.describe() for c in res.components))
     for name, want in NAKANISHI_UHF.items():
         word = {"P[1]": (1,), "P[12]": (1, 2), "P[21]": (2, 1)}[name]
         comps = uhf_branch(3, word, rho)[1]
-        _cell(report, name, "UHF_3", want, _join(str(c) for c in comps))
+        _cell(report, name, "UHF_3", want, multiset(str(c) for c in comps))
     return report
 
 
 def verify_theorem14(level: int = 5) -> TableReport:
-    from .classify import theorem14_counts
     report = TableReport("theorem14")
     counts = theorem14_counts(level)
     for key, want in THEOREM14.items():

@@ -1,6 +1,7 @@
 """Command-line front end: dispatch, exit codes, JSON determinism."""
 
 import json
+import time
 
 import pytest
 
@@ -198,6 +199,29 @@ def test_branch_step_budget_is_usage_error(capsys):
     assert err == ("error: branch exceeded its total of 200000 predecessor "
                    "steps over 262144 seed labels (seed bound 18); lower "
                    "the seed bound\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("branch", "--rep", "P(1;1/0)", "--endo", "psi:12"),
+    ("branch", "--rep", "P[12]", "--n", "3", "--endo", "psi:12"),
+    ("branch", "--rep", "2(12)^inf", "--n", "3", "--endo", "psi:12"),
+    ("branch", "--rep", "P(1)", "--endo", "nakanishi"),
+])
+def test_bad_branch_input_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_oversized_seed_set_is_refused_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "branch", "--rep", "P(1)", "--endo",
+                         "psi:1324", "--seed-bound", "30")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == ("error: branch exceeded its total of 200000 predecessor "
+                   "steps over 1073741824 seed labels (seed bound 30); "
+                   "lower the seed bound\n")
 
 
 @pytest.mark.parametrize("text, same_as", [

@@ -1,13 +1,15 @@
 """Randomized property suites and an independent branching oracle."""
 
+import itertools
 import random
 from fractions import Fraction
 
-from cuntzalg.scalars import ONE
+from cuntzalg import classify
+from cuntzalg.scalars import MINUS_ONE, ONE
 from cuntzalg.words import (all_words, canonical_cycle, is_primitive,
                             make_ev_word, minimal_rotation, primitive_split)
-from cuntzalg.algebra import CuntzPoly
-from cuntzalg.morphisms import PermEndo
+from cuntzalg.algebra import CuntzPoly, gauge_lift
+from cuntzalg.morphisms import PermEndo, standard_endo
 from cuntzalg.reps import (ChainRep, CycleRep, _follow_orbits, act_poly,
                            act_word, act_word_adj, branch)
 
@@ -201,3 +203,103 @@ def test_read_off_predecessor_matches_search():
                         (endo.sigma, endo.signs, rep, bound)
                     compared += 1
     assert compared >= 80
+
+
+# -- the cascade route to restriction equality, as a reference -----------
+
+_CASCADES = {}
+
+
+def cascade_unitary(endo, depth):
+    """w_depth = u lambda(u) ... lambda^{depth-1}(u), where psi(s_i) = u s_i
+    and lambda is the canonical shift; psi(E) = w E w^* for every
+    matrix unit E of that depth."""
+    key = (endo.n, tuple(sorted(endo.sigma.items())),
+           tuple(sorted(endo.signs.items())))
+    # ws[n] is w_n, and ws[0] the last lift lambda^{len(ws) - 2}(u)
+    ws = _CASCADES.get(key)
+    if ws is None:
+        lifted = CuntzPoly(endo.n, {
+            (dst, src): ONE if endo.signs[src] == 1 else MINUS_ONE
+            for src, dst in endo.sigma.items()})
+        ws = _CASCADES[key] = [lifted, lifted]
+    while len(ws) <= depth:
+        ws[0] = gauge_lift(ws[0])
+        ws.append(ws[-1] * ws[0])
+    return ws[depth]
+
+
+def cascade_restriction_equal(m1, m2, level):
+    """(equal, level, witness) by commuting v = w_n(m2)^* w_n(m1) with
+    every generator of the depth-n units, n = 1..level."""
+    for n in range(1, level + 1):
+        v = cascade_unitary(m2, n).adjoint() * cascade_unitary(m1, n)
+        for (j, k) in classify.unit_generators(m1.n, n):
+            e = CuntzPoly.matrix_unit(m1.n, j, k)
+            if not (v * e - e * v).is_zero():
+                return (False, n, (j, k))
+    return (True, level, None)
+
+
+def cascade_apply_to_unit(endo, j, k):
+    w = cascade_unitary(endo, len(j))
+    return w * CuntzPoly.matrix_unit(endo.n, j, k) * w.adjoint()
+
+
+def negated(endo):
+    """The same sigma with every sign flipped: psi'(s_i) = -psi(s_i),
+    which agrees with psi on the gauge-invariant subalgebra."""
+    return PermEndo(endo.n, endo.level, endo.sigma,
+                    signs={w: -e for w, e in endo.signs.items()})
+
+
+def raised(endo):
+    """endo written as a permutation of words one letter longer."""
+    sigma, signs = {}, {}
+    for src, dst in endo.sigma.items():
+        for i in range(1, endo.n + 1):
+            sigma[src + (i,)] = dst + (i,)
+            signs[src + (i,)] = endo.signs[src]
+    return PermEndo(endo.n, endo.level + 1, sigma, signs=signs)
+
+
+def test_word_images_match_cascades():
+    """uhf_restriction_equal compares generator images; the cascade
+    commutator test gives the same verdict, level and witness."""
+    def same_verdict(m1, m2, level):
+        v = classify.uhf_restriction_equal(m1, m2, level)
+        assert ((v.equal, v.level, v.witness) ==
+                cascade_restriction_equal(m1, m2, level)), \
+            (m1.sigma, m1.signs, m2.sigma, m2.signs, level)
+        return v.equal
+
+    sigmas = [standard_endo(name) for name in classify.ALL_SIGMA]
+    assert sum(same_verdict(a, b, 4)
+               for a, b in itertools.combinations(sigmas, 2)) == 4
+
+    rng = random.Random(5150)
+    equal = 0
+    for n, level, depth in ((2, 2, 4), (2, 3, 3), (3, 2, 2)):
+        for _ in range(6):
+            m1 = random_signed_perm_endo(rng, n, level)
+            m2 = random_signed_perm_endo(rng, n, level)
+            same_verdict(m1, m2, depth)
+            equal += same_verdict(m1, negated(m1), depth)
+    for _ in range(6):
+        m2 = random_signed_perm_endo(rng, 2, 2)
+        m3 = random_signed_perm_endo(rng, 2, 3)
+        same_verdict(m2, m3, 3)
+        same_verdict(m3, m2, 3)
+        equal += same_verdict(m2, raised(m2), 3)
+        equal += same_verdict(negated(raised(m2)), m2, 3)
+    assert equal == 30
+
+
+def test_commutant_witness_without_cascades(monkeypatch):
+    """commutant_witness gives the same witness, printed, whether the
+    unit images come from word images or from cascade conjugation."""
+    endos = [standard_endo(name) for name in classify.ALL_SIGMA]
+    fast = [str(classify.commutant_witness(m, 1)) for m in endos]
+    monkeypatch.setattr(classify, "apply_to_unit", cascade_apply_to_unit)
+    assert [str(classify.commutant_witness(m, 1)) for m in endos] == fast
+    assert fast.count("None") < len(fast)

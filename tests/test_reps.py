@@ -53,6 +53,37 @@ def test_step_budget_is_an_input_error():
     assert labels(branch(rep, p1324, seed_bound=5)) == ["P(12)"]
 
 
+def test_seed_count_matches_seed_labels():
+    chain = ChainRep(parse_ev_word("2(12)^inf", 2))
+    for rep in (CycleRep(2, (1, 1, 2)), CycleRep(3, (1, 3)), chain):
+        for bound in range(4):
+            assert rep.seed_count(bound) == len(rep.seed_labels(bound))
+
+
+def test_oversized_seed_set_is_refused_before_listing(monkeypatch):
+    def unlisted(self, bound):
+        raise AssertionError("seed labels listed")
+    monkeypatch.setattr(CycleRep, "seed_labels", unlisted)
+    p1324 = standard_endo("1324")
+    with pytest.raises(ValueError, match=r"total of 200000 predecessor steps "
+                       r"over 1073741824 seed labels \(seed bound 30\)"):
+        branch(CycleRep(2, (1,)), p1324, seed_bound=30)
+    with pytest.raises(ValueError, match=r"over more than 2\^64 seed labels "
+                       r"\(seed bound 65\)"):
+        branch(CycleRep(2, (1,)), p1324, seed_bound=65)
+
+
+def test_step_budget_counts_every_step_of_the_walk():
+    # 10 seed labels, but the escape to the chain component takes 14 steps
+    chain = ChainRep(parse_ev_word("2(12)^inf", 2))
+    p1324 = standard_endo("1324")
+    with pytest.raises(ValueError, match=r"total of 13 predecessor steps "
+                       r"over 10 seed labels \(seed bound 1\)"):
+        branch(chain, p1324, seed_bound=1, max_steps=13)
+    assert (labels(branch(chain, p1324, seed_bound=1, max_steps=14)) ==
+            labels(branch(chain, p1324, seed_bound=1)))
+
+
 def test_head_is_the_only_letter_with_a_nonzero_adjoint():
     chain = ChainRep(parse_ev_word("2(12)^inf", 2))
     for rep in (CycleRep(2, (1, 1, 2)), CycleRep(3, (1, 3)), chain):
