@@ -10,7 +10,8 @@ finite sum of monomials s_J s_K^* with multi-indices J, K (Cuntz words).
 Reduction collapses any full sibling block {(J+(i), K+(i)) : i} carrying
 a common coefficient into (J, K).  Two reduced expansions can still name
 the same element (the second relation lets a term fan out), so equality
-pads both sides to a common adjoint depth per grade before comparing.
+pads both sides to a common adjoint depth per grade before comparing,
+unless the two term maps already coincide.
 
 Construction.  The public constructor ``CuntzPoly(n, terms)`` checks every
 letter and drops or merges zero coefficients.  Term maps built by the
@@ -42,7 +43,7 @@ from bisect import bisect_left
 from operator import itemgetter
 from typing import Dict, Iterable, Iterator, List, Mapping, Tuple
 
-from .scalars import ONE, Scalar, ZERO
+from .scalars import ONE, Scalar
 from .words import Word, all_words, check_word
 
 Key = Tuple[Word, Word]
@@ -282,7 +283,7 @@ class CuntzPoly:
         if not isinstance(other, CuntzPoly):
             return NotImplemented
         self._check_same(other)
-        return (self - other).is_zero()
+        return self.terms == other.terms or (self - other).is_zero()
 
     def __hash__(self):
         raise TypeError("CuntzPoly is unhashable; equality is semantic")
@@ -291,9 +292,6 @@ class CuntzPoly:
         return self == CuntzPoly.one(self.n)
 
     # -- inspection --------------------------------------------------------
-
-    def coefficient(self, j: Word, k: Word) -> Scalar:
-        return self.terms.get((tuple(j), tuple(k)), ZERO)
 
     def support(self):
         return sorted(self.terms, key=lambda key: (len(key[0]), len(key[1]), key))
@@ -369,9 +367,3 @@ def gauge_lift(x: CuntzPoly) -> CuntzPoly:
         s = CuntzPoly.generator(x.n, i)
         out = out + s * x * s.adjoint()
     return out
-
-
-def embed_word(x: CuntzPoly, j: Word) -> CuntzPoly:
-    """s_J x s_J^* for a word J."""
-    s = CuntzPoly.monomial(x.n, j, ())
-    return s * x * s.adjoint()

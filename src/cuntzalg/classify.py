@@ -23,11 +23,6 @@ from .morphisms import Morphism, PermEndo, _require_unitary
 from .reps import CycleRep, branch, gp_branch, uhf_branch
 
 
-def _same(a: CuntzPoly, b: CuntzPoly) -> bool:
-    """a = b, trying the term maps before the semantic test."""
-    return a.terms == b.terms or (a - b).is_zero()
-
-
 def apply_to_unit(endo: Morphism, j: Word, k: Word) -> CuntzPoly:
     """Image of the matrix unit E_JK = s_J s_K^* under endo."""
     if len(j) != len(k):
@@ -87,8 +82,7 @@ def uhf_restriction_equal(m1: PermEndo, m2: PermEndo,
     for n in range(1, level + 1):
         ones = (1,) * n
         for k in all_words(m1.n, n):
-            if not _same(apply_to_unit(m1, ones, k),
-                         apply_to_unit(m2, ones, k)):
+            if not apply_to_unit(m1, ones, k) == apply_to_unit(m2, ones, k):
                 return RestrictionVerdict(False, n, (ones, k))
     return RestrictionVerdict(True, level)
 
@@ -163,38 +157,27 @@ def commutant_witness(endo: PermEndo, level: int = 1) -> Optional[CuntzPoly]:
     n = endo.n
     basis_units = [(j, k) for j in all_words(n, level)
                    for k in all_words(n, level)]
-    col = {unit: idx for idx, unit in enumerate(basis_units)}
+    units = [CuntzPoly.matrix_unit(n, j, k) for (j, k) in basis_units]
     depth = level + endo.level  # images of depth-<=level units live here
     rows: List[List[Scalar]] = []
     for g_depth in range(1, level + 1):
         for (gj, gk) in unit_generators(n, g_depth):
-            image = poly_to_matrix(apply_to_unit(endo, gj, gk).reduce(), depth)
-            # commutator [x, image] in depth-`depth` coordinates, one row
-            # per matrix entry of the commutator
+            g = apply_to_unit(endo, gj, gk)
+            # one row per matrix entry of the commutators [u, g]
             entry_rows: Dict[Tuple[Word, Word], List[Scalar]] = {}
-            for (uj, uk), c in col.items():
-                for w in all_words(n, depth - level):
-                    row_j, row_k = uj + w, uk + w
-                    # x E_{row_j,row_k}: (x*image) entries
-                    for (aj, ak), a in image.items():
-                        if ak == row_j:
-                            key = (aj, row_k)
-                            entry_rows.setdefault(key, [ZERO] * len(col))
-                            entry_rows[key][c] = entry_rows[key][c] - a
-                        if row_k == aj:
-                            key = (row_j, ak)
-                            entry_rows.setdefault(key, [ZERO] * len(col))
-                            entry_rows[key][c] = entry_rows[key][c] + a
-            rows.extend(r for r in entry_rows.values()
-                        if any(not x.is_zero() for x in r))
-    basis = nullspace(rows, len(col))
+            for c, u in enumerate(units):
+                for key, a in poly_to_matrix(u * g - g * u, depth).items():
+                    entry_rows.setdefault(key, [ZERO] * len(units))[c] = a
+            rows.extend(entry_rows.values())
+    basis = nullspace(rows, len(units))
     if len(basis) < 2:
         return None
     identity = [ONE if j == k else ZERO for (j, k) in basis_units]
     for vec in basis:
         if not _proportional(vec, identity):
-            witness = CuntzPoly(n, {unit: vec[c] for unit, c in col.items()
-                                    if not vec[c].is_zero()})
+            witness = CuntzPoly(n, {unit: x for unit, x
+                                    in zip(basis_units, vec)
+                                    if not x.is_zero()})
             _check_witness(endo, witness, level)
             return witness
     raise AssertionError("nullspace of dimension >= 2 without a witness")
@@ -219,7 +202,7 @@ def _check_witness(endo: PermEndo, x: CuntzPoly, level: int) -> None:
     for g_depth in range(1, level + 1):
         for (gj, gk) in unit_generators(endo.n, g_depth):
             image = apply_to_unit(endo, gj, gk)
-            if not (x * image - image * x).is_zero():
+            if not x * image == image * x:
                 raise AssertionError("claimed witness fails to commute")
     if len(x.reduce().terms) == 1 and ((), ()) in x.reduce().terms:
         raise AssertionError("claimed witness is scalar")
@@ -242,13 +225,7 @@ def verify_conjugate(m1: Morphism, m2: Morphism, u: CuntzPoly) -> bool:
     _require_unitary(u)
     u_adj = u.adjoint()
     return m1.n == m2.n and all(
-        _same(u * a * u_adj, b) for a, b in zip(m1.images, m2.images))
-
-
-def verify_intertwined(g: Morphism, m1: Morphism, m2: Morphism) -> bool:
-    """True iff g o m1 = m2 o g on the generators; for invertible g this
-    is the conjugacy m2 = g m1 g^{-1} without forming the inverse."""
-    return m1.then(g) == g.then(m2)
+        u * a * u_adj == b for a, b in zip(m1.images, m2.images))
 
 
 NOT_DERIVABLE = "---"
@@ -388,36 +365,3 @@ def theorem14_counts(level: int = 5) -> Dict[str, int]:
         "reducible": red,
     }
 
-
-def irreducibility_evidence() -> Dict[str, List[str]]:
-    """Machine-checked evidence that the four non-automorphism
-    irreducible classes really are irreducible on UHF_2.
-
-    psi_13 satisfies the direct criterion (P[12] and P[12] o psi_13 =
-    P[1] both irreducible); the other three are carried to psi_13 by
-    automorphisms that preserve the gauge-invariant subalgebra.
-    """
-    from .morphisms import compose, flip, rotation, standard_endo
-    out: Dict[str, List[str]] = {}
-    p13 = standard_endo("13")
-    res = uhf_branch(2, (1, 2), p13)
-    if [str(c) for c in res[1]] != ["P[1]"]:
-        raise AssertionError("P[12] o psi_13 is not P[1]")
-    out["13"] = ["P[12] o psi_13 = P[1]; both irreducible"]
-
-    alpha = flip()
-    if not alpha.then(p13) == standard_endo("24"):
-        raise AssertionError("psi_24 != psi_13 o alpha")
-    out["24"] = ["psi_24 = psi_13 o alpha; composition with an "
-                 "automorphism preserves the commutant"]
-
-    g12 = compose(rotation(), alpha)
-    if not verify_intertwined(g12, p13, standard_endo("12")):
-        raise AssertionError("psi_12 is not conjugate to psi_13")
-    out["12"] = ["psi_12 = g psi_13 g^{-1} with g = phi_rot o alpha"]
-
-    g34 = compose(alpha, rotation(), alpha)
-    if not verify_intertwined(g34, p13, standard_endo("34")):
-        raise AssertionError("psi_34 is not conjugate to psi_13")
-    out["34"] = ["psi_34 = g psi_13 g^{-1} with g = alpha o phi_rot o alpha"]
-    return out

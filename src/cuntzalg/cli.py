@@ -54,15 +54,27 @@ def _term_dump(poly: CuntzPoly) -> List[List[str]]:
 
 
 def _print_poly(poly: CuntzPoly, as_json: bool) -> None:
-    poly = poly.reduce()
     if as_json:
         _emit_json({"n": poly.n, "terms": _term_dump(poly)})
     else:
         print(poly)
 
 
-def _component_json(text: str) -> Dict[str, str]:
-    return {"label": text}
+def _print_components(labels: List[str], as_json: bool, **extra) -> None:
+    """A direct sum of component labels, in the given order."""
+    if as_json:
+        _emit_json({"components": [{"label": s} for s in labels], **extra})
+    else:
+        print(" (+) ".join(labels))
+
+
+def _print_check(ok: bool, as_json: bool, **payload) -> int:
+    """The verdict of a check, with its exit code."""
+    if as_json:
+        _emit_json({**payload, "ok": ok})
+    else:
+        print("pass" if ok else "FAIL")
+    return 0 if ok else 1
 
 
 def cmd_normal(args) -> int:
@@ -116,13 +128,8 @@ def cmd_branch(args) -> int:
         word, phase = rest
         if phase:
             raise ValueError("phased cycles are already irreducible")
-        root, power = primitive_split(word)
-        classes = decompose_power(root, power, args.n)
-        labels = sorted(str(c) for c in classes)
-        if args.json:
-            _emit_json({"components": [_component_json(s) for s in labels]})
-        else:
-            print(" (+) ".join(labels))
+        classes = decompose_power(*primitive_split(word))
+        _print_components(sorted(str(c) for c in classes), args.json)
         return 0
     endo = _require_perm_endo(args.endo)
     if kind == "cycle":
@@ -139,13 +146,8 @@ def cmd_branch(args) -> int:
         labels = sorted(str(c) for c in comps[1])
     else:
         raise ValueError(f"cannot branch representation kind {kind!r}")
-    if args.json:
-        payload = {"components": [_component_json(s) for s in labels]}
-        if args.seed_bound is not None:
-            payload["seed_bound"] = args.seed_bound
-        _emit_json(payload)
-    else:
-        print(" (+) ".join(labels))
+    extra = {} if args.seed_bound is None else {"seed_bound": args.seed_bound}
+    _print_components(labels, args.json, **extra)
     return 0
 
 
@@ -161,12 +163,8 @@ def _gp_report(endo_name: Optional[str], sign: str, is_uhf: bool,
         else:
             print("not derivable")
         return 0
-    labels = sorted(a.describe(uhf=is_uhf) for a in table[sign])
-    if as_json:
-        _emit_json({"derivable": True,
-                    "components": [_component_json(s) for s in labels]})
-    else:
-        print(" (+) ".join(labels))
+    _print_components(sorted(a.describe(uhf=is_uhf) for a in table[sign]),
+                      as_json, derivable=True)
     return 0
 
 
@@ -176,13 +174,13 @@ def cmd_restrict(args) -> int:
         word, phase = rest
         if phase:
             raise ValueError("restriction of phased cycles is not supported")
-        labels = [str(c) for c in restrict_cycle_to_uhf(args.n, word)]
-        if args.json:
-            _emit_json({"components": [_component_json(s) for s in labels]})
-        else:
-            print(" (+) ".join(labels))
+        comps = restrict_cycle_to_uhf(args.n, word)
+        _print_components([str(c) for c in comps], args.json)
         return 0
     if kind == "chain":
+        if args.eta_min > args.eta_max:
+            raise ValueError(f"empty shift range: --eta-min {args.eta_min} "
+                             f"is above --eta-max {args.eta_max}")
         family = restrict_chain_to_uhf(rest[0])
         etas = list(range(args.eta_min, args.eta_max + 1))
         shifts = [str(ev) for ev in family.shifts(etas)]
@@ -205,12 +203,8 @@ def cmd_gp(args) -> int:
 
 def cmd_car(args) -> int:
     if args.check_modes is not None:
-        ok = verify_car(args.check_modes)
-        if args.json:
-            _emit_json({"modes": args.check_modes, "ok": ok})
-        else:
-            print("pass" if ok else "FAIL")
-        return 0 if ok else 1
+        return _print_check(verify_car(args.check_modes), args.json,
+                            modes=args.check_modes)
     if args.expr is None:
         raise ValueError("give an expression or --check-modes")
     value = parse_expr(args.expr, 2)
@@ -235,12 +229,8 @@ def cmd_mixture(args) -> int:
         while cur <= bound:
             ks.extend((cur, -cur))
             cur += step
-        ok = verify_mixture_car(ks)
-        if args.json:
-            _emit_json({"indices": [str(x) for x in ks], "ok": ok})
-        else:
-            print("pass" if ok else "FAIL")
-        return 0 if ok else 1
+        return _print_check(verify_mixture_car(ks), args.json,
+                            indices=[str(x) for x in ks])
     b = mixture(k)
     if args.json:
         _emit_json({"index": str(k), "car": str(b),
@@ -251,12 +241,8 @@ def cmd_mixture(args) -> int:
 
 
 def cmd_vacuum(args) -> int:
-    ok = vacuum_check(args.rep, args.max_mode)
-    if args.json:
-        _emit_json({"rep": args.rep, "max_mode": args.max_mode, "ok": ok})
-    else:
-        print("pass" if ok else "FAIL")
-    return 0 if ok else 1
+    return _print_check(vacuum_check(args.rep, args.max_mode), args.json,
+                        rep=args.rep, max_mode=args.max_mode)
 
 
 def _report_json(report: TableReport) -> Dict:
@@ -273,12 +259,8 @@ def _report_json(report: TableReport) -> Dict:
 
 def cmd_verify(args) -> int:
     names = sorted(VERIFIERS) if args.which == "all" else [args.which]
-    reports: List[TableReport] = []
-    for name in names:
-        if name == "theorem14" and args.level is not None:
-            reports.append(verify_theorem14(args.level))
-        else:
-            reports.append(classify_table(name))
+    reports = [verify_theorem14(args.level) if name == "theorem14"
+               else classify_table(name) for name in names]
     ok = all(r.ok for r in reports)
     if args.json:
         _emit_json({"ok": ok, "reports": [_report_json(r) for r in reports]})
@@ -289,12 +271,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    level = args.level if args.level is not None else 5
-    counts = theorem14_counts(level)
+    counts = theorem14_counts(args.level)
     if args.json:
-        _emit_json({"level": level, "counts": counts})
+        _emit_json({"level": args.level, "counts": counts})
     else:
-        print(f"certified to level {level}")
+        print(f"certified to level {args.level}")
         for key in sorted(counts):
             print(f"  {key}: {counts[key]}")
     return 0
@@ -388,14 +369,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="recompute a reference table")
     p.add_argument("which", choices=sorted(VERIFIERS) + ["all"])
-    p.add_argument("--level", type=int, default=None,
-                   help="certification level for theorem14")
+    p.add_argument("--level", type=int, default=5,
+                   help="certification level for theorem14 (default 5)")
     common(p, n=False)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("classify",
                        help="recompute the classification counts")
-    p.add_argument("--level", type=int, default=None)
+    p.add_argument("--level", type=int, default=5,
+                   help="certification level (default 5)")
     common(p, n=False)
     p.set_defaults(func=cmd_classify)
 
@@ -415,6 +397,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             argv = ["mixture"] + flags + ["--"] + positional
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "n", 2) < 2:
+            raise ValueError("need at least two isometries")
         return args.func(args)
     except (ExprError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

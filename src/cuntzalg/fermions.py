@@ -13,15 +13,14 @@ generators; all equality questions are delegated to the O_2 image.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .scalars import MINUS_ONE, ONE, Scalar, ZERO
-from .words import Word, all_words
+from .words import Word, all_words, render_word
 from .algebra import CuntzPoly
 from .morphisms import Morphism, zeta
-from .reps import CycleRep, UhfChainFamily, UhfCycle, act_poly, uhf_branch
+from .reps import CycleRep, act_poly, uhf_branch
 
 # a formal word in the fermion generators: ((n, dagger), ...)
 CarWord = Tuple[Tuple[int, bool], ...]
@@ -140,11 +139,9 @@ def car_generator(n: int) -> CuntzPoly:
 def car_generator_closed(n: int) -> CuntzPoly:
     """Closed form a_n = sum_J (-1)^{#2(J)} s_{J,1} s_{J,2}^* over binary
     words J of length n-1; used as a cross-check on the recursion."""
-    out = CuntzPoly.zero(2)
-    for j in all_words(2, n - 1):
-        sign = ONE if sum(x - 1 for x in j) % 2 == 0 else MINUS_ONE
-        out = out + CuntzPoly.matrix_unit(2, j + (1,), j + (2,)).scale(sign)
-    return out
+    return CuntzPoly._from_valid(2, {
+        (j + (1,), j + (2,)): MINUS_ONE if j.count(2) % 2 else ONE
+        for j in all_words(2, n - 1)})
 
 
 def psi_map(x: CarExpr) -> CuntzPoly:
@@ -168,25 +165,31 @@ def anticommutator(x: CarExpr, y: CarExpr) -> CarExpr:
     return x * y + y * x
 
 
+def _satisfies_car(gens: Dict[object, CarExpr]) -> bool:
+    """The canonical anticommutation relations {x, y} = 0 and
+    {x, y^*} = delta_xy 1 in O_2, over every pair of the labelled
+    generators (each unordered pair once)."""
+    items = list(gens.items())
+    one, zero = CuntzPoly.one(2), CuntzPoly.zero(2)
+    for i, (k, x) in enumerate(items):
+        for l, y in items[i:]:
+            if not psi_map(anticommutator(x, y)) == zero:
+                return False
+            want = one if k == l else zero
+            if not psi_map(anticommutator(x, y.adjoint())) == want:
+                return False
+    return True
+
+
 def verify_car(modes: int) -> bool:
     """Check the canonical anticommutation relations for a_1 .. a_modes,
     and the closed form of each generator against the recursion."""
     if modes < 1:
         raise ValueError(f"number of modes must be at least 1, got {modes}")
     _check_mode(modes)
-    for n in range(1, modes + 1):
-        if not car_generator(n) == car_generator_closed(n):
-            return False
-    for m in range(1, modes + 1):
-        am = CarExpr.generator(m)
-        for n in range(m, modes + 1):
-            an = CarExpr.generator(n)
-            if not psi_map(anticommutator(am, an)).is_zero():
-                return False
-            want = CuntzPoly.one(2) if m == n else CuntzPoly.zero(2)
-            if not psi_map(anticommutator(am, an.adjoint())) == want:
-                return False
-    return True
+    gens = {n: CarExpr.generator(n) for n in range(1, modes + 1)}
+    return (all(car_generator(n) == car_generator_closed(n) for n in gens)
+            and _satisfies_car(gens))
 
 
 def dual_automorphism(x: CarExpr) -> CarExpr:
@@ -246,47 +249,35 @@ def mixture(k: Fraction) -> CarExpr:
 
 def verify_mixture_car(indices: Iterable[Fraction]) -> bool:
     """Anticommutation relations for the mixture family on the given
-    half-integer index set."""
-    idx = [_check_half_integer(k) for k in indices]
-    bs = {k: mixture(k) for k in idx}
+    half-integer index set (a repeated index is checked once)."""
+    bs = {k: mixture(k) for k in map(_check_half_integer, indices)}
     _check_mode(max((n for b in bs.values() for w in b.terms for n, _ in w),
                     default=1))
-    for i, k in enumerate(idx):
-        for l in idx[i:]:
-            if not psi_map(anticommutator(bs[k], bs[l])).is_zero():
-                return False
-            want = CuntzPoly.one(2) if k == l else CuntzPoly.zero(2)
-            if not psi_map(anticommutator(bs[k], bs[l].adjoint())) == want:
-                return False
-    return True
+    return _satisfies_car(bs)
 
 
 # -- vacua in the four standard fermion representations --------------------
 
-FERMION_REPS = {"fock": (1,), "fock*": (2,), "iw": (1, 2), "iw*": (2, 1)}
+# name -> (display name, cycle word of O_2 whose base point is the
+# vacuum, whether a_n^* rather than a_n annihilates the vacuum for odd
+# and for even n).  Fock* is realised on the cycle on 2; the vacuum of
+# IW*, the base point of P(21), is the vector s_2 Omega of P(12).
+FERMION_REPS: Dict[str, Tuple[str, Word, Tuple[bool, bool]]] = {
+    "fock": ("Fock", (1,), (False, False)),
+    "fock*": ("Fock*", (2,), (True, True)),
+    "iw": ("IW", (1, 2), (False, True)),
+    "iw*": ("IW*", (2, 1), (True, False)),
+}
 
-RENAME = {"P[1]": "Fock", "P[2]": "Fock*", "P[12]": "IW", "P[21]": "IW*"}
+RENAME = {f"P[{render_word(word)}]": shown
+          for shown, word, _ in FERMION_REPS.values()}
 
 
-def _rep_and_vacuum(name: str):
-    """The cyclic O_2 representation carrying the named fermion
-    representation, together with the label of its vacuum vector.
-
-    Fock and the infinite wedge (IW) use the base point of the cycle on
-    1 resp. 12; their duals live inside the same spaces: Fock* is
-    realised on the cycle on 2, while IW* sits inside the 12-cycle with
-    the rotated base point as vacuum.
-    """
-    key = name.lower().rstrip()
-    if key == "fock":
-        return CycleRep(2, (1,)), ((), 1)
-    if key == "fock*":
-        return CycleRep(2, (2,)), ((), 1)
-    if key == "iw":
-        return CycleRep(2, (1, 2)), ((), 1)
-    if key == "iw*":
-        return CycleRep(2, (1, 2)), ((), 2)
-    raise ValueError(f"unknown fermion representation {name!r}")
+def _fermion_rep(name: str) -> Tuple[str, Word, Tuple[bool, bool]]:
+    try:
+        return FERMION_REPS[name.lower().rstrip()]
+    except KeyError:
+        raise ValueError(f"unknown fermion representation {name!r}") from None
 
 
 def _act(rep, x: CarExpr, vec):
@@ -316,13 +307,13 @@ def vacuum_check(name: str, max_mode: int = 7) -> bool:
     if max_mode < 1:
         raise ValueError(f"max mode must be at least 1, got {max_mode}")
     _check_mode(max_mode)
-    rep, label = _rep_and_vacuum(name)
-    omega = {label: ONE}
-    key = name.lower().rstrip()
-    if key == "fock":
-        for n in range(1, max_mode + 1):
-            if _act(rep, CarExpr.generator(n), omega):
-                return False
+    shown, word, dagger = _fermion_rep(name)
+    rep = CycleRep(2, word)
+    omega = {rep.vacuum(): ONE}
+    if any(_act(rep, CarExpr.generator(n, dagger[1 - n % 2]), omega)
+           for n in range(1, max_mode + 1)):
+        return False
+    if shown == "Fock":
         half = Fraction(1, 2)
         k = half
         while 2 * k + 2 <= max_mode:
@@ -344,27 +335,14 @@ def vacuum_check(name: str, max_mode: int = 7) -> bool:
             if not all(checks):
                 return False
             k += 1
-        return True
-    if key == "fock*":
-        return not any(_act(rep, CarExpr.generator(n).adjoint(), omega)
-                       for n in range(1, max_mode + 1))
-    if key == "iw":
-        kill = [CarExpr.generator(n) if n % 2 else
-                CarExpr.generator(n).adjoint()
-                for n in range(1, max_mode + 1)]
-    else:  # iw*
-        kill = [CarExpr.generator(n).adjoint() if n % 2 else
-                CarExpr.generator(n)
-                for n in range(1, max_mode + 1)]
-    return not any(_act(rep, x, omega) for x in kill)
+    return True
 
 
 def fermion_branch(name: str, endo) -> List[str]:
     """Branching of a named fermion representation under an
     endomorphism, with components renamed to fermion conventions
     (Fock, Fock*, IW, IW*); other cycles keep their P[...] names."""
-    word = FERMION_REPS[name.lower().rstrip()]
-    comps = uhf_branch(2, word, endo)[1]
+    comps = uhf_branch(2, _fermion_rep(name)[1], endo)[1]
     out = []
     for c in comps:
         label = str(c)

@@ -2,7 +2,10 @@
 
 A :class:`Morphism` is determined by the images of the generators; the
 constructor verifies that the images again satisfy the Cuntz relations,
-so every constructed object really is a unital *-endomorphism.
+so every constructed object really is a unital *-endomorphism.  Images
+built inside the library that satisfy them by construction (composites,
+inner automorphisms, the named maps, permutative maps) are wrapped by
+``Morphism._from_valid`` without a second check.
 
 :class:`PermEndo` is the permutative case psi_sigma(s_i) = u_sigma s_i
 where sigma permutes the words of a fixed length l (optionally with
@@ -16,7 +19,7 @@ from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from .scalars import MINUS_ONE, ONE, Scalar, INV_SQRT2
 from .words import Word, all_words, check_word
-from .algebra import CuntzPoly, gauge_lift
+from .algebra import CuntzPoly
 
 
 class Morphism:
@@ -24,31 +27,40 @@ class Morphism:
 
     __slots__ = ("n", "images", "name", "_word_cache")
 
-    def __init__(self, images: Sequence[CuntzPoly], name: str = "",
-                 check: bool = True):
+    def __init__(self, images: Sequence[CuntzPoly], name: str = ""):
         if not images:
             raise ValueError("need at least one generator image")
         n = images[0].n
         if len(images) != n:
             raise ValueError(f"expected {n} generator images, got {len(images)}")
-        if check:
-            one = CuntzPoly.one(n)
-            total = CuntzPoly.zero(n)
-            for a, ta in enumerate(images):
-                for b, tb in enumerate(images):
-                    prod = ta.adjoint() * tb
-                    want = one if a == b else CuntzPoly.zero(n)
-                    if not (prod - want).is_zero():
-                        raise ValueError(
-                            f"images violate t_{a+1}^* t_{b+1} = "
-                            f"{'1' if a == b else '0'}")
-                total = total + ta * ta.adjoint()
-            if not (total - one).is_zero():
-                raise ValueError("images violate sum_i t_i t_i^* = 1")
-        self.n = n
+        one = CuntzPoly.one(n)
+        total = CuntzPoly.zero(n)
+        for a, ta in enumerate(images):
+            for b, tb in enumerate(images):
+                want = one if a == b else CuntzPoly.zero(n)
+                if not ta.adjoint() * tb == want:
+                    raise ValueError(
+                        f"images violate t_{a+1}^* t_{b+1} = "
+                        f"{'1' if a == b else '0'}")
+            total = total + ta * ta.adjoint()
+        if not total == one:
+            raise ValueError("images violate sum_i t_i t_i^* = 1")
+        self._adopt(images, name)
+
+    @classmethod
+    def _from_valid(cls, images: Sequence[CuntzPoly],
+                    name: str = "") -> "Morphism":
+        """Wrap generator images built inside the library, unchecked:
+        they are known to satisfy the Cuntz relations."""
+        m = object.__new__(cls)
+        m._adopt(images, name)
+        return m
+
+    def _adopt(self, images: Sequence[CuntzPoly], name: str) -> None:
+        self.n = images[0].n
         self.images = list(images)
         self.name = name
-        self._word_cache: Dict[Word, CuntzPoly] = {(): CuntzPoly.one(n)}
+        self._word_cache: Dict[Word, CuntzPoly] = {(): CuntzPoly.one(self.n)}
 
     def word_image(self, j: Word) -> CuntzPoly:
         """Image of s_J, cached per morphism."""
@@ -73,13 +85,13 @@ class Morphism:
             raise ValueError("rank mismatch")
         images = [other(img) for img in self.images]
         name = f"{other.name}.{self.name}" if self.name and other.name else ""
-        return Morphism(images, name=name, check=False)
+        return Morphism._from_valid(images, name)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Morphism):
             return NotImplemented
         return self.n == other.n and all(
-            (a - b).is_zero() for a, b in zip(self.images, other.images))
+            a == b for a, b in zip(self.images, other.images))
 
     def __hash__(self):
         raise TypeError("Morphism is unhashable; equality is semantic")
@@ -100,14 +112,13 @@ def compose(first: Morphism, *rest: Morphism) -> Morphism:
 
 
 def identity(n: int) -> Morphism:
-    return Morphism([CuntzPoly.generator(n, i) for i in range(1, n + 1)],
-                    name="id", check=False)
+    return Morphism._from_valid(
+        [CuntzPoly.generator(n, i) for i in range(1, n + 1)], "id")
 
 
 def _require_unitary(u: CuntzPoly) -> None:
     one = CuntzPoly.one(u.n)
-    if not ((u * u.adjoint() - one).is_zero() and
-            (u.adjoint() * u - one).is_zero()):
+    if not (u * u.adjoint() == one and u.adjoint() * u == one):
         raise ValueError("Ad requires a unitary")
 
 
@@ -116,7 +127,7 @@ def ad_unitary(u: CuntzPoly, name: str = "") -> Morphism:
     _require_unitary(u)
     images = [u * CuntzPoly.generator(u.n, i) * u.adjoint()
               for i in range(1, u.n + 1)]
-    return Morphism(images, name=name or "Ad(u)", check=False)
+    return Morphism._from_valid(images, name or "Ad(u)")
 
 
 # -- named endomorphisms of O_2 ----------------------------------------
@@ -124,8 +135,8 @@ def ad_unitary(u: CuntzPoly, name: str = "") -> Morphism:
 
 def flip() -> Morphism:
     """alpha: s_1 <-> s_2."""
-    return Morphism([CuntzPoly.generator(2, 2), CuntzPoly.generator(2, 1)],
-                    name="alpha", check=False)
+    return Morphism._from_valid(
+        [CuntzPoly.generator(2, 2), CuntzPoly.generator(2, 1)], "alpha")
 
 
 def gauge_flip(j: int) -> Morphism:
@@ -136,29 +147,29 @@ def gauge_flip(j: int) -> Morphism:
     for i in (1, 2):
         s = CuntzPoly.generator(2, i)
         images.append(-s if i == j else s)
-    return Morphism(images, name=f"beta{j}", check=False)
+    return Morphism._from_valid(images, f"beta{j}")
 
 
 def total_gauge_flip() -> Morphism:
     """theta = beta_1 beta_2: s_i -> -s_i."""
-    return Morphism([-CuntzPoly.generator(2, 1), -CuntzPoly.generator(2, 2)],
-                    name="theta", check=False)
+    return Morphism._from_valid(
+        [-CuntzPoly.generator(2, 1), -CuntzPoly.generator(2, 2)], "theta")
 
 
 def hadamard() -> Morphism:
     """phi: s_1 -> (s_1+s_2)/r2, s_2 -> (s_1-s_2)/r2; an involution."""
     s1 = CuntzPoly.generator(2, 1)
     s2 = CuntzPoly.generator(2, 2)
-    return Morphism([(s1 + s2).scale(INV_SQRT2), (s1 - s2).scale(INV_SQRT2)],
-                    name="phi", check=False)
+    return Morphism._from_valid(
+        [(s1 + s2).scale(INV_SQRT2), (s1 - s2).scale(INV_SQRT2)], "phi")
 
 
 def rotation() -> Morphism:
     """phi_rot: s_1 -> (s_1+s_2)/r2, s_2 -> (-s_1+s_2)/r2 (order 8)."""
     s1 = CuntzPoly.generator(2, 1)
     s2 = CuntzPoly.generator(2, 2)
-    return Morphism([(s1 + s2).scale(INV_SQRT2), (s2 - s1).scale(INV_SQRT2)],
-                    name="phi_rot", check=False)
+    return Morphism._from_valid(
+        [(s1 + s2).scale(INV_SQRT2), (s2 - s1).scale(INV_SQRT2)], "phi_rot")
 
 
 def zeta(x: CuntzPoly) -> CuntzPoly:
@@ -215,22 +226,14 @@ class PermEndo(Morphism):
                 terms[(table[src], tail)] = coeff
             # every image word was checked above, tails come from all_words
             images.append(CuntzPoly._from_valid(n, terms))
-        super().__init__(images, name=name, check=False)
+        self._adopt(images, name)
         self.level = level
         self.sigma = table
         self.signs = eps
 
 
-def word_number(word: Word, n: int) -> int:
-    """1-based lexicographic index of a word among words of its length."""
-    idx = 0
-    for letter in word:
-        idx = idx * n + (letter - 1)
-    return idx + 1
-
-
 def number_word(idx: int, n: int, length: int) -> Word:
-    """Inverse of :func:`word_number` at fixed length."""
+    """The word of the given length with 1-based lexicographic index idx."""
     idx -= 1
     out = []
     for _ in range(length):
@@ -275,17 +278,21 @@ def parse_cycles(text: str) -> List[List[int]]:
     text = text.strip()
     if text in ("", "id"):
         return []
+    bad = f"bad cycle notation: {text!r}"
+    bodies = [text]
     if "(" in text:
-        cycles = []
+        bodies = []
         rest = text
         while rest:
-            if not rest.startswith("("):
-                raise ValueError(f"bad cycle notation: {text!r}")
-            close = rest.index(")")
-            cycles.append([int(c) for c in rest[1:close]])
+            close = rest.find(")")
+            if not rest.startswith("(") or close < 0:
+                raise ValueError(bad)
+            bodies.append(rest[1:close])
             rest = rest[close + 1:]
-        return cycles
-    return [[int(c) for c in text]]
+    try:
+        return [[int(c) for c in body] for body in bodies]
+    except ValueError:
+        raise ValueError(bad) from None
 
 
 def standard_endo(spec: str, n: int = 2, level: int = 2) -> PermEndo:

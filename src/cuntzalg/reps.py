@@ -248,17 +248,6 @@ class BranchResult:
         return " (+) ".join(comp.describe() for comp in self.components)
 
 
-def _phased_classes(word: Word, sign: int) -> List[CycleClass]:
-    """Split a possibly imprimitive cycle word with sign into phased cycles.
-
-    t_W v = sign * v with W = root^m yields eigenvalues that are the m-th
-    roots of sign, i.e. phases (q0 + j)/m where sign = e^(2 pi i q0).
-    """
-    root, mult = primitive_split(word)
-    q0 = Fraction(1, 2) if sign < 0 else Fraction(0)
-    return [canonical_cycle(root, (q0 + j) / mult) for j in range(mult)]
-
-
 def _predecessor(rep, endo: PermEndo):
     """The predecessor map of rep o endo: label -> (letter, sign, label).
 
@@ -389,7 +378,7 @@ def _follow_orbits(rep, pred, seed_bound: int,
                 comp_id = len(components)
                 components.append(Component(
                     "cycle",
-                    classes=_phased_classes(word, sign),
+                    classes=decompose_power(*primitive_split(word), sign),
                     cycle_word=word,
                     sign=sign,
                     cycle_labels=path[at:]))
@@ -407,12 +396,14 @@ def _over_budget(max_steps: int, seeds, seed_bound: int) -> ValueError:
                       f"{seed_bound}); lower the seed bound")
 
 
-def decompose_power(word, l: int, n: Optional[int] = None) -> List[CycleClass]:
-    """P(J^l) = direct sum over n = 1..l of P(J; (n-1)/l)."""
+def decompose_power(word, l: int, sign: int = 1) -> List[CycleClass]:
+    """P(J^l; q0) = direct sum over j = 0..l-1 of P(J; (q0 + j)/l), with
+    q0 = 1/2 for sign -1 and 0 for sign +1: t_{J^l} v = sign * v splits
+    into the l-th roots of sign.  J must be primitive (give the root and
+    the power separately); ``canonical_cycle`` refuses a periodic J."""
     word = tuple(word)
-    if not is_primitive(word):
-        raise ValueError("give the primitive root and the power separately")
-    return [canonical_cycle(word, Fraction(j, l)) for j in range(l)]
+    q0 = Fraction(1, 2) if sign < 0 else Fraction(0)
+    return [canonical_cycle(word, (q0 + j) / l) for j in range(l)]
 
 
 # -- restriction to the gauge-invariant subalgebra -----------------------
@@ -608,12 +599,12 @@ def gp_branch(m: Morphism) -> Optional[Dict[str, List[GpAtom]]]:
 def parse_rep(text: str, n: int = 2):
     """Resolve "P(12)", "P[12]", "P(12;1/2)", "2(12)^inf", "GP(+)",
     "fock", "iw*" to a representation description."""
+    from .fermions import FERMION_REPS
     from .words import parse_ev_word, parse_word
     text = text.strip()
-    lowered = text.lower()
-    renames = {"fock": "P[1]", "fock*": "P[2]", "iw": "P[12]", "iw*": "P[21]"}
-    if lowered in renames:
-        text = renames[lowered]
+    rep = FERMION_REPS.get(text.lower())
+    if rep is not None:
+        return ("uhf", check_word(rep[1], n))
     if text in ("GP(+)", "GP(-)", "GP[+]", "GP[-]"):
         return ("gp", text[3], text[2] == "[")
     if text.startswith("P(") and text.endswith(")"):

@@ -40,21 +40,6 @@ class Scalar:
         self._b = root2.numerator * (d // root2.denominator)
         self._d = d
 
-    # -- constructors -------------------------------------------------
-
-    @staticmethod
-    def of(value: RationalLike) -> "Scalar":
-        return Scalar(value, 0)
-
-    @staticmethod
-    def sqrt2() -> "Scalar":
-        return Scalar(0, 1)
-
-    @staticmethod
-    def inv_sqrt2() -> "Scalar":
-        """1/sqrt(2) = sqrt(2)/2."""
-        return Scalar(0, Fraction(1, 2))
-
     # -- rational parts --------------------------------------------------
 
     @property
@@ -165,9 +150,6 @@ class Scalar:
 
     # -- rendering -------------------------------------------------------
 
-    def __float__(self) -> float:
-        return self._a / self._d + self._b / self._d * 2 ** 0.5
-
     def __repr__(self) -> str:
         return f"Scalar({self.rat!r}, {self.root2!r})"
 
@@ -220,5 +202,5 @@ def _reduced(a: int, b: int, d: int) -> Scalar:
 ZERO = Scalar(0)
 ONE = Scalar(1)
 MINUS_ONE = Scalar(-1)
-SQRT2 = Scalar.sqrt2()
-INV_SQRT2 = Scalar.inv_sqrt2()
+SQRT2 = Scalar(0, 1)
+INV_SQRT2 = Scalar(0, Fraction(1, 2))  # 1/sqrt(2) = sqrt(2)/2

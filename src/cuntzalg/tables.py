@@ -26,9 +26,10 @@ from typing import Callable, Dict, List, Optional, Tuple
 from .scalars import MINUS_ONE, ONE
 from .words import parse_word
 from .algebra import CuntzPoly
-from .morphisms import PermEndo, standard_endo, nakanishi
+from .morphisms import standard_endo, nakanishi
 from .reps import CycleRep, branch, uhf_branch
-from .fermions import CarExpr, apply_endo, fermion_branch, psi_map
+from .fermions import (FERMION_REPS, CarExpr, apply_endo, fermion_branch,
+                       psi_map)
 from .classify import (commutant_witness, flip_unitary, multiset,
                        o_fingerprint, theorem14_counts, uhf_fingerprint,
                        verify_conjugate)
@@ -393,10 +394,8 @@ def verify_table8() -> TableReport:
     report = TableReport("table8")
     for name, *cells in TABLE8:
         endo = standard_endo(name)
-        for col, rep in (("Fock", "fock"), ("Fock*", "fock*"),
-                         ("IW", "iw")):
-            want = cells[("fock", "fock*", "iw").index(rep)]
-            _cell(report, name, col, want,
+        for rep, want in zip(("fock", "fock*", "iw"), cells):
+            _cell(report, name, FERMION_REPS[rep][0], want,
                   multiset(fermion_branch(rep, endo)))
     return report
 

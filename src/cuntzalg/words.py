@@ -9,7 +9,6 @@ possible.  Rotation classes of finite words with a phase label are
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence, Tuple
@@ -142,9 +141,6 @@ class EvWord:
             return self.prefix[pos - 1]
         return self.period[(pos - len(self.prefix) - 1) % len(self.period)]
 
-    def letters(self, count: int) -> Word:
-        return tuple(self.letter(i) for i in range(1, count + 1))
-
     def __str__(self) -> str:
         pre = render_word(self.prefix) if self.prefix else ""
         return f"{pre}({render_word(self.period)})^inf"
@@ -177,21 +173,6 @@ def shift(k: EvWord, eta: int) -> EvWord:
     start = span + 1
     new_period = tuple(k.letter(start + eta + i) for i in range(per))
     return make_ev_word(k.n, new_prefix, new_period)
-
-
-def tail_equal(k1: EvWord, k2: EvWord) -> bool:
-    """Positional eventual agreement: letters coincide from some point on.
-
-    This is agreement at aligned absolute positions, not rotation of the
-    periodic tails; decided on one lcm window beyond both prefixes.
-    """
-    start = max(len(k1.prefix), len(k2.prefix)) + 1
-    window = math.lcm(len(k1.period), len(k2.period))
-    return all(k1.letter(p) == k2.letter(p) for p in range(start, start + window))
-
-
-def word_power(word: Word, m: int) -> Word:
-    return word * m
 
 
 # -- text forms ---------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cuntzalg.scalars import INV_SQRT2, MINUS_ONE, ONE, SQRT2, ZERO, Scalar
-from cuntzalg.algebra import CuntzPoly, embed_word, gauge_lift
+from cuntzalg.algebra import CuntzPoly, gauge_lift
 
 
 def gen(i, n=2):
@@ -84,11 +84,6 @@ def test_gauge_lift():
     lifted = gauge_lift(x)
     for j in (1, 2):
         assert lifted * gen(j) == gen(j) * x
-
-
-def test_embed_word():
-    x = gen(2) * gen(2).adjoint()
-    assert embed_word(x, (1,)) == CuntzPoly.matrix_unit(2, (1, 2), (1, 2))
 
 
 def test_mixed_rank_rejected():

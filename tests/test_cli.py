@@ -253,3 +253,28 @@ def test_formal_fermion_words_need_no_embedding(capsys):
     # printing a30 or b_{61/2} as a formal word builds no a_n in O_2
     assert run(capsys, "normal", "a30") == (0, "a30\n", "")
     assert run(capsys, "mixture", "61/2") == (0, "a1a1'a63' + a1'a1a63\n", "")
+
+
+@pytest.mark.parametrize("argv", [
+    ("branch", "--rep", "P(1)", "--n", "1"),
+    ("restrict", "--rep", "P(1)", "--n", "1"),
+    ("normal", "s1", "--n", "0"),
+    ("eq", "1", "1", "--n", "-1"),
+])
+def test_rank_below_two_is_usage_error(capsys, argv):
+    assert run(capsys, *argv) == (2, "", "error: need at least two "
+                                         "isometries\n")
+
+
+@pytest.mark.parametrize("cycles", ["(12", "1a", "12)"])
+def test_bad_cycle_notation_names_the_input(capsys, cycles):
+    code, out, err = run(capsys, "apply", "s1", "--endo", f"psi:{cycles}")
+    assert (code, out) == (2, "")
+    assert err == f"error: bad cycle notation: {cycles!r}\n"
+
+
+def test_empty_shift_range_is_usage_error(capsys):
+    code, out, err = run(capsys, "restrict", "--rep", "2(12)^inf",
+                         "--eta-min", "3", "--eta-max", "-3")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: empty shift range") and err.count("\n") == 1

@@ -96,6 +96,17 @@ def argvs(draw):
     return argv
 
 
+def last_rank(argv):
+    """The value argparse reads for --n (its last occurrence), or None."""
+    at = max((i for i, tok in enumerate(argv) if tok == "--n"), default=None)
+    if at is None or at + 1 == len(argv):
+        return None
+    try:
+        return int(argv[at + 1])
+    except ValueError:
+        return None
+
+
 def exit_code(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -112,3 +123,6 @@ def test_cli_exits_cleanly(argv):
     assert code in (0, 1, 2), (argv, code)
     assert code != 1 or argv[0] in CHECKS, (argv, err)
     assert "Traceback" not in err
+    rank = last_rank(argv)
+    if rank is not None and rank < 2 and "--help" not in argv:
+        assert code == 2, (argv, code)

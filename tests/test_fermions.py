@@ -6,8 +6,8 @@ import pytest
 
 from cuntzalg.algebra import CuntzPoly
 from cuntzalg.morphisms import standard_endo, zeta
-from cuntzalg.fermions import (MAX_MODE, CarExpr, anticommutator, apply_endo,
-                               car_equal,
+from cuntzalg.fermions import (MAX_MODE, CarExpr, _satisfies_car,
+                               anticommutator, apply_endo, car_equal,
                                car_generator, car_generator_closed,
                                dual_automorphism, fermion_branch, mixture,
                                psi_map, vacuum_check, verify_car,
@@ -85,11 +85,20 @@ def test_mixture_rejects_integers():
 def test_mixture_car():
     ks = [Fraction(s, 2) for s in (-7, -5, -3, -1, 1, 3, 5, 7)]
     assert verify_mixture_car(ks)
+    # a repeated index is one generator, not two
+    assert verify_mixture_car([Fraction(1, 2), Fraction(1, 2)])
+
+
+def test_car_checker_rejects_a_repeated_generator():
+    # {a_1, a_1^*} = 1, but two distinct labels demand 0
+    assert not _satisfies_car({1: a(1), 2: a(1)})
+    assert _satisfies_car({1: a(1), 2: a(2)})
 
 
 def test_vacuum_checks():
-    for name in ("fock", "fock*", "iw", "iw*"):
-        assert vacuum_check(name, max_mode=7)
+    for max_mode in range(1, 10):
+        for name in ("fock", "fock*", "iw", "iw*"):
+            assert vacuum_check(name, max_mode=max_mode), (name, max_mode)
 
 
 def test_vacuous_checks_are_refused():

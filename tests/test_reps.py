@@ -134,6 +134,9 @@ def test_decompose_power():
     classes = decompose_power((1, 2), 3)
     assert sorted(str(c) for c in classes) == \
         ["P(12)", "P(12;1/3)", "P(12;2/3)"]
+    # t_{J^l} v = -v: the l-th roots of -1
+    classes = decompose_power((1,), 2, sign=-1)
+    assert [str(c) for c in classes] == ["P(1;1/4)", "P(1;3/4)"]
     with pytest.raises(ValueError):
         decompose_power((1, 1), 2)
 

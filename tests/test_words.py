@@ -4,10 +4,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cuntzalg.words import (all_words, canonical_cycle, check_word,
-                            is_primitive, make_ev_word, minimal_rotation,
+                            is_primitive, minimal_rotation,
                             parse_ev_word, parse_word, primitive_split,
-                            render_word, rotations, shift, smallest_period,
-                            tail_equal, word_power)
+                            render_word, rotations, shift, smallest_period)
 
 
 def test_parse_render_roundtrip():
@@ -53,20 +52,8 @@ def test_ev_word_shift():
     assert str(shift(k, -2)) == "1(12)^inf"
 
 
-def test_tail_equal():
-    # agreement at aligned absolute positions from some point on
-    a = make_ev_word(2, (2, 2), (1, 2))
-    b = make_ev_word(2, (1,), (2, 1))
-    assert tail_equal(a, b)
-    c = make_ev_word(2, (), (1, 1))
-    assert not tail_equal(a, c)
-    d = make_ev_word(2, (), (2, 1))
-    assert not tail_equal(a, d)
-
-
-def test_word_power_and_all_words():
-    assert word_power((1, 2), 3) == (1, 2, 1, 2, 1, 2)
-    assert sorted(all_words(2, 2)) == [(1, 1), (1, 2), (2, 1), (2, 2)]
+def test_all_words():
+    assert list(all_words(2, 2)) == [(1, 1), (1, 2), (2, 1), (2, 2)]
 
 
 words = st.lists(st.integers(1, 2), min_size=1, max_size=8).map(tuple)
@@ -80,5 +67,5 @@ def test_minimal_rotation_is_a_rotation(w):
 @given(words)
 def test_primitive_split_reconstructs(w):
     root, mult = primitive_split(w)
-    assert word_power(root, mult) == w
+    assert root * mult == w
     assert is_primitive(root)
