@@ -110,7 +110,9 @@ class CarExpr:
         return f"CarExpr({str(self)})"
 
 
-_GEN_CACHE: Dict[int, CuntzPoly] = {}
+# the O_2 image of each letter (n, dagger) of a CarWord, built once, so
+# that the product index of a_n and of a_n^* is built once as well
+_GEN_CACHE: Dict[Tuple[int, bool], CuntzPoly] = {}
 
 # a_n has 2^(n-1) terms in O_2, 32768 at the limit; higher modes are
 # refused before any a_n is built, rather than exhausting memory
@@ -118,6 +120,8 @@ MAX_MODE = 16
 
 
 def _check_mode(n: int) -> None:
+    if n < 1:
+        raise ValueError("fermion modes are numbered from 1")
     if n > MAX_MODE:
         raise ValueError(f"fermion mode {n} is above the limit of "
                          f"{MAX_MODE}: a_n has 2^(n-1) terms in O_2")
@@ -125,33 +129,49 @@ def _check_mode(n: int) -> None:
 
 def car_generator(n: int) -> CuntzPoly:
     """The n-th annihilator as an element of O_2 (recursive embedding)."""
-    if n < 1:
-        raise ValueError("fermion modes are numbered from 1")
     _check_mode(n)
-    if n not in _GEN_CACHE:
-        if n == 1:
-            _GEN_CACHE[n] = CuntzPoly.matrix_unit(2, (1,), (2,))
-        else:
-            _GEN_CACHE[n] = zeta(car_generator(n - 1))
-    return _GEN_CACHE[n]
+    gen = _GEN_CACHE.get((n, False))
+    if gen is None:
+        gen = (CuntzPoly.matrix_unit(2, (1,), (2,)) if n == 1
+               else zeta(car_generator(n - 1)))
+        _GEN_CACHE[(n, False)] = gen
+    return gen
+
+
+def _letter(n: int, dagger: bool) -> CuntzPoly:
+    """The image of the letter a_n (dagger false) or a_n^* in O_2."""
+    image = _GEN_CACHE.get((n, dagger))
+    if image is None:
+        image = car_generator(n)
+        if dagger:
+            image = image.adjoint()
+            _GEN_CACHE[(n, True)] = image
+    return image
 
 
 def car_generator_closed(n: int) -> CuntzPoly:
     """Closed form a_n = sum_J (-1)^{#2(J)} s_{J,1} s_{J,2}^* over binary
     words J of length n-1; used as a cross-check on the recursion."""
+    _check_mode(n)
     return CuntzPoly._from_valid(2, {
         (j + (1,), j + (2,)): MINUS_ONE if j.count(2) % 2 else ONE
         for j in all_words(2, n - 1)})
 
 
 def psi_map(x: CarExpr) -> CuntzPoly:
-    """The defining *-embedding of the fermion algebra into O_2."""
+    """The defining *-embedding of the fermion algebra into O_2.
+
+    A word maps to the product of its letters' images, starting from
+    the first letter (1 * g has the same terms, in the same order, as g);
+    the empty word maps to 1."""
     out = CuntzPoly.zero(2)
     for word, coeff in x.terms.items():
-        prod = CuntzPoly.one(2)
-        for (n, dagger) in word:
-            g = car_generator(n)
-            prod = prod * (g.adjoint() if dagger else g)
+        if not word:
+            prod = CuntzPoly.one(2)
+        else:
+            prod = _letter(*word[0])
+            for letter in word[1:]:
+                prod = prod * _letter(*letter)
         out = out + prod.scale(coeff)
     return out
 
@@ -168,15 +188,23 @@ def anticommutator(x: CarExpr, y: CarExpr) -> CarExpr:
 def _satisfies_car(gens: Dict[object, CarExpr]) -> bool:
     """The canonical anticommutation relations {x, y} = 0 and
     {x, y^*} = delta_xy 1 in O_2, over every pair of the labelled
-    generators (each unordered pair once)."""
-    items = list(gens.items())
+    generators (each unordered pair once).
+
+    psi_map is a *-homomorphism, so with X = psi_map(x) and
+    Y = psi_map(y) the image of {x, y} is XY + YX and that of {x, y^*}
+    is XY^* + Y^*X: the relations are checked on these products of
+    images, with each generator embedded, and its adjoint formed, once."""
+    images = []
+    for label, x in gens.items():
+        image = psi_map(x)
+        images.append((label, image, image.adjoint()))
     one, zero = CuntzPoly.one(2), CuntzPoly.zero(2)
-    for i, (k, x) in enumerate(items):
-        for l, y in items[i:]:
-            if not psi_map(anticommutator(x, y)) == zero:
+    for i, (k, x, _) in enumerate(images):
+        for l, y, y_star in images[i:]:
+            if not x * y + y * x == zero:
                 return False
             want = one if k == l else zero
-            if not psi_map(anticommutator(x, y.adjoint())) == want:
+            if not x * y_star + y_star * x == want:
                 return False
     return True
 
@@ -280,10 +308,6 @@ def _fermion_rep(name: str) -> Tuple[str, Word, Tuple[bool, bool]]:
         raise ValueError(f"unknown fermion representation {name!r}") from None
 
 
-def _act(rep, x: CarExpr, vec):
-    return act_poly(rep, psi_map(x), vec)
-
-
 def vacuum_check(name: str, max_mode: int = 7) -> bool:
     """Verify the defining vacuum equations of the named fermion
     representation, exactly, in the labelled orthonormal basis.
@@ -310,27 +334,28 @@ def vacuum_check(name: str, max_mode: int = 7) -> bool:
     shown, word, dagger = _fermion_rep(name)
     rep = CycleRep(2, word)
     omega = {rep.vacuum(): ONE}
-    if any(_act(rep, CarExpr.generator(n, dagger[1 - n % 2]), omega)
+    if any(act_poly(rep, _letter(n, dagger[1 - n % 2]), omega)
            for n in range(1, max_mode + 1)):
         return False
     if shown == "Fock":
+        star = act_poly(rep, _letter(1, True), omega)
         half = Fraction(1, 2)
         k = half
         while 2 * k + 2 <= max_mode:
             sgn = ONE if int(k - half) % 2 == 0 else MINUS_ONE
-            b_k, b_mk = mixture(k), mixture(-k)
-            ahi = CarExpr.generator(int(2 * k + 2)).adjoint().scale(sgn)
-            alo = CarExpr.generator(int(2 * k + 1)).adjoint().scale(sgn)
-            star = _act(rep, CarExpr.generator(1).adjoint(), omega)
+            b_k, b_mk = psi_map(mixture(k)), psi_map(mixture(-k))
+            b_k_star, b_mk_star = b_k.adjoint(), b_mk.adjoint()
+            ahi = _letter(int(2 * k + 2), True).scale(sgn)
+            alo = _letter(int(2 * k + 1), True).scale(sgn)
             checks = [
-                _act(rep, b_k, omega) == _act(rep, ahi, omega),
-                _act(rep, b_mk.adjoint(), omega) == _act(rep, alo, omega),
-                not _act(rep, b_k.adjoint(), omega),
-                not _act(rep, b_mk, omega),
-                _act(rep, b_mk, star) == _act(rep, -alo, star),
-                _act(rep, b_k.adjoint(), star) == _act(rep, ahi, star),
-                not _act(rep, b_k, star),
-                not _act(rep, b_mk.adjoint(), star),
+                act_poly(rep, b_k, omega) == act_poly(rep, ahi, omega),
+                act_poly(rep, b_mk_star, omega) == act_poly(rep, alo, omega),
+                not act_poly(rep, b_k_star, omega),
+                not act_poly(rep, b_mk, omega),
+                act_poly(rep, b_mk, star) == act_poly(rep, -alo, star),
+                act_poly(rep, b_k_star, star) == act_poly(rep, ahi, star),
+                not act_poly(rep, b_k, star),
+                not act_poly(rep, b_mk_star, star),
             ]
             if not all(checks):
                 return False

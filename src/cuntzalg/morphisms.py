@@ -285,7 +285,8 @@ def parse_cycles(text: str) -> List[List[int]]:
         rest = text
         while rest:
             close = rest.find(")")
-            if not rest.startswith("(") or close < 0:
+            # each cycle is "(", a nonempty body, ")"
+            if not rest.startswith("(") or close < 2:
                 raise ValueError(bad)
             bodies.append(rest[1:close])
             rest = rest[close + 1:]

@@ -214,6 +214,9 @@ def parse_ev_word(text: str, n: int) -> EvWord:
 
 
 def all_words(n: int, length: int) -> Iterator[Word]:
+    """Every word of the given length over 1..n, in lexicographic order."""
+    if length < 0:
+        raise ValueError(f"word length must be at least 0, got {length}")
     if length == 0:
         yield ()
         return

@@ -266,7 +266,7 @@ def test_rank_below_two_is_usage_error(capsys, argv):
                                          "isometries\n")
 
 
-@pytest.mark.parametrize("cycles", ["(12", "1a", "12)"])
+@pytest.mark.parametrize("cycles", ["(12", "1a", "12)", "()", "(12)()"])
 def test_bad_cycle_notation_names_the_input(capsys, cycles):
     code, out, err = run(capsys, "apply", "s1", "--endo", f"psi:{cycles}")
     assert (code, out) == (2, "")

@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from cuntzalg import fermions
 from cuntzalg.algebra import CuntzPoly
 from cuntzalg.morphisms import standard_endo, zeta
+from cuntzalg.scalars import Scalar
 from cuntzalg.fermions import (MAX_MODE, CarExpr, _satisfies_car,
                                anticommutator, apply_endo, car_equal,
                                car_generator, car_generator_closed,
@@ -31,6 +33,89 @@ def test_recursion_matches_closed_form():
 
 def test_car_relations():
     assert verify_car(6)
+
+
+@pytest.fixture
+def cold_cache(monkeypatch):
+    """An empty cache of letter images, as in a fresh interpreter."""
+    monkeypatch.setattr(fermions, "_GEN_CACHE", {})
+
+
+@pytest.mark.parametrize("order", [(True, False), (False, True)],
+                         ids=["daggered-first", "plain-first"])
+def test_letters_on_a_cold_cache(cold_cache, order):
+    # every letter keeps its own image, whichever is embedded first
+    for dagger in order:
+        for n in range(1, 7):
+            want = car_generator_closed(n)
+            if dagger:
+                want = want.adjoint()
+            assert psi_map(a(n, dagger)) == want, (n, dagger)
+
+
+def reference_car(gens):
+    """The relations embedded word by word: psi_map of each formal
+    anticommutator, over the same unordered pairs as _satisfies_car."""
+    items = list(gens.items())
+    one, zero = CuntzPoly.one(2), CuntzPoly.zero(2)
+    for i, (k, x) in enumerate(items):
+        for l, y in items[i:]:
+            if not psi_map(anticommutator(x, y)) == zero:
+                return False
+            want = one if k == l else zero
+            if not psi_map(anticommutator(x, y.adjoint())) == want:
+                return False
+    return True
+
+
+def mixture_set(bound):
+    ks = [Fraction(s, 2) for s in range(1, int(2 * bound) + 1, 2)]
+    return {k: mixture(k) for k in ks + [-k for k in ks]}
+
+
+CAR_SETS = (
+    [pytest.param({n: a(n) for n in range(1, m + 1)}, True, id=f"modes-{m}")
+     for m in range(1, 8)]
+    + [pytest.param(mixture_set(Fraction(b, 2)), True, id=f"mixture-{b}/2")
+       for b in (1, 3, 5)]
+    + [pytest.param({1: a(1), 2: a(1)}, False, id="repeated"),
+       # a_2^* is the annihilator of the particle-hole flipped mode 2
+       pytest.param({1: a(1), 2: a(2, True)}, True, id="a1-a2*"),
+       pytest.param({1: a(1).scale(Scalar(2))}, False, id="2a1"),
+       pytest.param({1: a(1) + a(2)}, False, id="a1+a2")])
+
+
+@pytest.mark.parametrize("gens,verdict", CAR_SETS)
+def test_car_checker_matches_the_word_by_word_reference(gens, verdict):
+    assert reference_car(gens) is verdict
+    assert _satisfies_car(gens) is verdict
+
+
+def test_car_check_product_count(cold_cache, monkeypatch):
+    # verify_car(M) builds a_1 .. a_M (zeta makes four products per
+    # step; the closed form makes none) and then forms, per unordered
+    # pair {m, n} of the M(M+1)/2, the four products a_m a_n, a_n a_m,
+    # a_m a_n^* and a_n^* a_m of images embedded once.  Embedding each
+    # formal anticommutator word by word, as reference_car does, takes
+    # about eight per pair.
+    products = 0
+    mul = CuntzPoly.__mul__
+
+    def counting_mul(x, y):
+        nonlocal products
+        products += 1
+        return mul(x, y)
+
+    monkeypatch.setattr(CuntzPoly, "__mul__", counting_mul)
+    modes = 6
+    for n in range(1, modes + 1):
+        assert car_generator(n) == car_generator_closed(n)
+    building = products
+    monkeypatch.setattr(fermions, "_GEN_CACHE", {})
+    products = 0
+    assert verify_car(modes)
+    pairs = modes * (modes + 1) // 2
+    assert products <= 4 * pairs + building, (products, building)
 
 
 def test_anticommutators_explicit():
@@ -101,6 +186,14 @@ def test_vacuum_checks():
             assert vacuum_check(name, max_mode=max_mode), (name, max_mode)
 
 
+def test_modes_below_one_are_refused():
+    for mode in (0, -1):
+        with pytest.raises(ValueError, match="numbered from 1"):
+            car_generator(mode)
+        with pytest.raises(ValueError, match="numbered from 1"):
+            car_generator_closed(mode)
+
+
 def test_vacuous_checks_are_refused():
     with pytest.raises(ValueError, match="at least 1"):
         verify_car(0)
@@ -114,6 +207,8 @@ def test_modes_above_the_limit_are_refused():
     too_big = MAX_MODE + 1
     with pytest.raises(ValueError, match="above the limit"):
         car_generator(too_big)
+    with pytest.raises(ValueError, match="above the limit"):
+        car_generator_closed(too_big)
     with pytest.raises(ValueError, match="above the limit"):
         psi_map(a(30))
     with pytest.raises(ValueError, match="above the limit"):

@@ -7,14 +7,19 @@ outputs were recorded before the indexed product replaced the all-pairs
 loop, and must not move.
 """
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from cuntzalg.cli import main
 
-GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "perfbench" / "golden.json"
 
 
 def golden_jobs():
@@ -73,3 +78,17 @@ def test_pinned_normal_form(capsys, args, expected):
     code = main(["normal", *args, "--json"])
     assert code == 0
     assert capsys.readouterr().out == expected + "\n"
+
+
+def test_verify_all_in_a_fresh_interpreter():
+    # in a new process every cache starts empty, as on a first CLI call;
+    # in process, earlier tests have already filled them
+    src = str(ROOT / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=src if not path else src + os.pathsep + path)
+    done = subprocess.run(
+        [sys.executable, "-m", "cuntzalg.cli", "verify", "all", "--json"],
+        env=env, capture_output=True, check=True)
+    assert hashlib.md5(done.stdout).hexdigest() == \
+        "ca60c9ea8b65d49116c10eab0bd493d6"

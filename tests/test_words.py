@@ -54,6 +54,12 @@ def test_ev_word_shift():
 
 def test_all_words():
     assert list(all_words(2, 2)) == [(1, 1), (1, 2), (2, 1), (2, 2)]
+    assert list(all_words(3, 0)) == [()]
+
+
+def test_all_words_refuses_a_negative_length():
+    with pytest.raises(ValueError, match="at least 0, got -1"):
+        list(all_words(2, -1))
 
 
 words = st.lists(st.integers(1, 2), min_size=1, max_size=8).map(tuple)
