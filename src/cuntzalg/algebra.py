@@ -228,29 +228,41 @@ class CuntzPoly:
         Replaces {(J+(i), K+(i)): c for all i} by {(J, K): c}, repeating
         until no block contracts.  The result has no contractible block,
         which is the canonical expansion used for printing.
+
+        The greedy order contracts, each time, the block of the first term
+        (in term order) whose block is full; the parent (J, K) keeps its
+        place if present and is appended otherwise.  That order needs no
+        rescan from the first term after a contraction: only the block of
+        the parent just written can have become full, since a contraction
+        removes the other keys it touches.  So the terms already scanned
+        stay uncontractible, except that block.  If it is full and one of
+        its members was already scanned, it is the first full block, and
+        it is contracted at once, and the same test is repeated for its
+        parent; otherwise the scan resumes.  The result, term order
+        included, is that of rescanning after every contraction.
         """
         data = dict(self.terms)
-        changed = True
-        while changed:
-            changed = False
-            # group candidate blocks by truncated key
-            for (j, k), coeff in list(data.items()):
-                if not j or not k or j[-1] != k[-1]:
-                    continue
-                parent = (j[:-1], k[:-1])
-                block = [(j[:-1] + (i,), k[:-1] + (i,)) for i in range(1, self.n + 1)]
-                if all(data.get(key) == coeff for key in block):
-                    for key in block:
-                        del data[key]
-                    acc = data.get(parent)
-                    total = coeff if acc is None else acc + coeff
-                    if total.is_zero():
-                        data.pop(parent, None)
-                    else:
-                        data[parent] = total
-                    changed = True
+        n = self.n
+        order = list(data)  # scan order: the terms, then keys added later
+        where = None  # key -> its place in order, from the first contraction
+        for pos, key in enumerate(order):
+            if where is not None and where.get(key) != pos:
+                continue  # deleted, or deleted and appended again
+            j, k = key
+            if not j or not k or j[-1] != k[-1]:
+                continue
+            block = _full_block(data, key, n)
+            if block is None:
+                continue
+            if where is None:
+                where = {key: p for p, key in enumerate(order)}
+            parent = _contract(data, order, where, block)
+            while parent is not None:
+                block = _full_block(data, parent, n)
+                if block is None or min(where[b] for b in block) > pos:
                     break
-        return CuntzPoly._from_valid(self.n, data)
+                parent = _contract(data, order, where, block)
+        return CuntzPoly._from_valid(n, data)
 
     def _padded(self) -> Dict[Key, Scalar]:
         """Expand each term so that, within every grade d = |J| - |K|, all
@@ -355,6 +367,51 @@ def _partners(keys: List[Key], side: int, w: Word) -> Iterator[int]:
     while lo < end and keys[lo][side][:cut] == w:
         yield lo
         lo += 1
+
+
+def _full_block(data: Dict[Key, Scalar], key: Key,
+                n: int) -> List[Key] | None:
+    """The sibling block {(J+(i), K+(i)) : i} of key = (J+(x), K+(x)),
+    if every member carries key's coefficient; otherwise None."""
+    j, k = key
+    coeff = data[key]
+    stem_j, stem_k = j[:-1], k[:-1]
+    block = []
+    for i in range(1, n + 1):
+        sibling = (stem_j + (i,), stem_k + (i,))
+        if data.get(sibling) != coeff:
+            return None
+        block.append(sibling)
+    return block
+
+
+def _contract(data: Dict[Key, Scalar], order: List[Key],
+              where: Dict[Key, int], block: List[Key]) -> Key | None:
+    """Replace a full block by its parent (J, K) in ``data``, with a new
+    parent appended to the scan ``order``.  Returns the parent if it
+    survives and has a sibling block of its own."""
+    coeff = data[block[0]]
+    for key in block:
+        del data[key]
+        del where[key]
+    j, k = block[0]
+    parent = (j[:-1], k[:-1])
+    acc = data.get(parent)
+    if acc is None:
+        data[parent] = coeff
+        where[parent] = len(order)
+        order.append(parent)
+    else:
+        coeff = acc + coeff
+        if coeff.is_zero():
+            del data[parent]
+            del where[parent]
+            return None
+        data[parent] = coeff
+    j, k = parent
+    if not j or not k or j[-1] != k[-1]:
+        return None
+    return parent
 
 
 def gauge_lift(x: CuntzPoly) -> CuntzPoly:

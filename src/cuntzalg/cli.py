@@ -42,6 +42,12 @@ from .classify import theorem14_counts
 from .exprs import ExprError, as_cuntz, parse_expr
 
 
+# a shift eta < 0 is printed with |eta| padding letters, so the output
+# grows with the square of the range: +-1000 takes about 0.2 s and
+# 0.5 MB, +-10^4 about 18 s and 50 MB
+MAX_SHIFT = 1000
+
+
 def _emit_json(payload) -> None:
     print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
 
@@ -181,6 +187,9 @@ def cmd_restrict(args) -> int:
         if args.eta_min > args.eta_max:
             raise ValueError(f"empty shift range: --eta-min {args.eta_min} "
                              f"is above --eta-max {args.eta_max}")
+        if max(-args.eta_min, args.eta_max) > MAX_SHIFT:
+            raise ValueError(f"shift range {args.eta_min}..{args.eta_max} "
+                             f"goes beyond the limit |eta| <= {MAX_SHIFT}")
         family = restrict_chain_to_uhf(rest[0])
         etas = list(range(args.eta_min, args.eta_max + 1))
         shifts = [str(ev) for ev in family.shifts(etas)]

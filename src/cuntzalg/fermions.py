@@ -185,39 +185,63 @@ def anticommutator(x: CarExpr, y: CarExpr) -> CarExpr:
     return x * y + y * x
 
 
-def _satisfies_car(gens: Dict[object, CarExpr]) -> bool:
+def _satisfies_car(gens: Dict[object, CarExpr],
+                   pairs: Optional[Iterable[Tuple[object, object]]] = None
+                   ) -> bool:
     """The canonical anticommutation relations {x, y} = 0 and
-    {x, y^*} = delta_xy 1 in O_2, over every pair of the labelled
-    generators (each unordered pair once).
+    {x, y^*} = delta_xy 1 in O_2, over the given pairs (x, y) of labels,
+    by default every unordered pair of the labelled generators.
 
     psi_map is a *-homomorphism, so with X = psi_map(x) and
     Y = psi_map(y) the image of {x, y} is XY + YX and that of {x, y^*}
     is XY^* + Y^*X: the relations are checked on these products of
-    images, with each generator embedded, and its adjoint formed, once."""
-    images = []
+    images, with each generator embedded, and its adjoint formed, once.
+    The pair (y, x) gives the same relations as (x, y), the second one
+    as its adjoint, so one of the two suffices."""
+    images = {}
     for label, x in gens.items():
         image = psi_map(x)
-        images.append((label, image, image.adjoint()))
+        images[label] = (image, image.adjoint())
+    if pairs is None:
+        labels = list(gens)
+        pairs = [(k, l) for i, k in enumerate(labels) for l in labels[i:]]
     one, zero = CuntzPoly.one(2), CuntzPoly.zero(2)
-    for i, (k, x, _) in enumerate(images):
-        for l, y, y_star in images[i:]:
-            if not x * y + y * x == zero:
-                return False
-            want = one if k == l else zero
-            if not x * y_star + y_star * x == want:
-                return False
+    for k, l in pairs:
+        x = images[k][0]
+        y, y_star = images[l]
+        if not x * y + y * x == zero:
+            return False
+        want = one if k == l else zero
+        if not x * y_star + y_star * x == want:
+            return False
     return True
 
 
 def verify_car(modes: int) -> bool:
-    """Check the canonical anticommutation relations for a_1 .. a_modes,
-    and the closed form of each generator against the recursion."""
+    """Check the canonical anticommutation relations for a_1 .. a_modes.
+
+    a_n is built by the recursion a_n = zeta(a_{n-1}) (see
+    :func:`car_generator`), and its closed form cross-checks that
+    build.  Then the relations with a_1 suffice (the lambda lemma).
+    Let u = s_1 s_1^* - s_2 s_2^* and lambda(x) = sum_i s_i x s_i^*.
+    Then zeta(x) = u lambda(x) = lambda(x) u, u^2 = 1 and
+    zeta(y)^* = zeta(y^*), so zeta(x) zeta(y) = lambda(xy) and
+
+        {a_{m+1}, a_{n+1}^(*)} = lambda({a_m, a_n^(*)}).
+
+    lambda is a unital, injective *-endomorphism, so for m <= n the
+    relation on {a_m, a_n^(*)} = lambda^(m-1)({a_1, a_k^(*)}), with
+    k = n - m + 1, holds iff the one on {a_1, a_k^(*)} does; and
+    {a_n, a_m} = {a_m, a_n}, {a_n, a_m^*} = {a_m, a_n^*}^*.  So the
+    2 * modes relations {a_1, a_k} = 0 and {a_1, a_k^*} = delta_1k 1,
+    k = 1 .. modes, imply all of them.
+    """
     if modes < 1:
         raise ValueError(f"number of modes must be at least 1, got {modes}")
     _check_mode(modes)
     gens = {n: CarExpr.generator(n) for n in range(1, modes + 1)}
     return (all(car_generator(n) == car_generator_closed(n) for n in gens)
-            and _satisfies_car(gens))
+            and _satisfies_car(gens, [(1, k) for k in gens]))
 
 
 def dual_automorphism(x: CarExpr) -> CarExpr:

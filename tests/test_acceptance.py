@@ -1,4 +1,4 @@
-"""Acceptance gate: twelve end-to-end criteria, one pass/fail line each.
+"""Acceptance gate: thirteen end-to-end criteria, one pass/fail line each.
 
 Run with ``pytest -s tests/test_acceptance.py`` to see the per-criterion
 lines; each check also enforces a wall-clock budget.
@@ -11,7 +11,9 @@ from cuntzalg.morphisms import standard_endo
 from cuntzalg.reps import (decompose_power, gp_branch, restrict_chain_to_uhf,
                            restrict_cycle_to_uhf)
 from cuntzalg.words import all_words, is_primitive, minimal_rotation, parse_ev_word
-from cuntzalg.fermions import (vacuum_check, verify_car, verify_mixture_car)
+from cuntzalg import fermions
+from cuntzalg.fermions import (MAX_MODE, vacuum_check, verify_car,
+                               verify_mixture_car)
 from cuntzalg.classify import theorem14_counts, uhf_restriction_equal
 from cuntzalg.tables import classify_table, verify_theorem14
 
@@ -135,6 +137,21 @@ def test_criterion_11_property_suites():
 def test_criterion_12_oracle():
     check(12, "independent brute-force branching oracle agreement",
           60.0, test_properties.test_oracle_cross_check)
+
+
+def test_criterion_13_mode_limit(monkeypatch):
+    # both checks start from an empty cache of letter images, as a fresh
+    # `car --check-modes 16` or `mixture 11/2 --check` does
+    def relations():
+        monkeypatch.setattr(fermions, "_GEN_CACHE", {})
+        assert verify_car(MAX_MODE)
+
+    def mixtures():
+        monkeypatch.setattr(fermions, "_GEN_CACHE", {})
+        ks = [Fraction(s, 2) for s in range(1, 12, 2)]
+        assert verify_mixture_car(ks + [-k for k in ks])
+    check(13, "anticommutation relations at the mode limit", 5.0, relations)
+    check(13, "mixture relations up to 11/2", 5.0, mixtures)
 
 
 def _assert_table(name):

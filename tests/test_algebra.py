@@ -1,5 +1,6 @@
 """Polynomials in the Cuntz algebra: relations, normal forms, equality."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from cuntzalg.scalars import INV_SQRT2, MINUS_ONE, ONE, SQRT2, ZERO, Scalar
 from cuntzalg.algebra import CuntzPoly, gauge_lift
+from cuntzalg.words import all_words
 
 
 def gen(i, n=2):
@@ -236,3 +238,78 @@ def test_internal_results_are_valid(pair, c):
     for result in (a + b, a - b, a * b, b * a, -a, a.scale(c), a.adjoint(),
                    (a * b).reduce(), (a + b).reduce()):
         assert_valid_terms(result)
+
+
+# -- reduce against the rescanning reference ------------------------------
+
+
+def rescanning_reduce(p):
+    """The greedy contraction with a rescan from the first term after
+    every contraction; reduce must give the same term map, in order."""
+    data = dict(p.terms)
+    changed = True
+    while changed:
+        changed = False
+        for (j, k), coeff in list(data.items()):
+            if not j or not k or j[-1] != k[-1]:
+                continue
+            parent = (j[:-1], k[:-1])
+            block = [(j[:-1] + (i,), k[:-1] + (i,)) for i in range(1, p.n + 1)]
+            if all(data.get(key) == coeff for key in block):
+                for key in block:
+                    del data[key]
+                acc = data.get(parent)
+                total = coeff if acc is None else acc + coeff
+                if total.is_zero():
+                    data.pop(parent, None)
+                else:
+                    data[parent] = total
+                changed = True
+                break
+    return data
+
+
+BLOCK_COEFFS = [ONE, MINUS_ONE, Scalar(2), INV_SQRT2]
+
+
+def block_heavy_poly(rng, n):
+    """Random terms, shuffled, among full sibling trees: a tree of depth d
+    under (J, K) nests blocks d deep, a tree may have one leaf dropped or
+    changed, and the root (J, K) may be present already, with the
+    opposite coefficient (so that the contraction cancels it) or not."""
+    def word(longest):
+        return tuple(rng.randint(1, n) for _ in range(rng.randint(0, longest)))
+
+    data = {}
+    for _ in range(rng.randint(0, 6)):
+        data[(word(3), word(3))] = rng.choice(BLOCK_COEFFS)
+    for _ in range(rng.randint(1, 4)):
+        j, k, c = word(2), word(2), rng.choice(BLOCK_COEFFS)
+        leaves = [(j + w, k + w) for w in all_words(n, rng.randint(1, 3))]
+        for key in leaves:
+            data[key] = c
+        damage = rng.random()
+        if damage < 0.2:
+            del data[rng.choice(leaves)]
+        elif damage < 0.4:
+            data[rng.choice(leaves)] = c * Scalar(3)
+        root = rng.random()
+        if root < 0.3:
+            data[(j, k)] = -c
+        elif root < 0.5:
+            data[(j, k)] = rng.choice(BLOCK_COEFFS)
+    items = list(data.items())
+    rng.shuffle(items)
+    return CuntzPoly(n, dict(items))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_reduce_matches_the_rescanning_reference(n):
+    rng = random.Random(8000 + n)
+    contracted = 0
+    for _ in range(1500):
+        p = block_heavy_poly(rng, n)
+        want = list(rescanning_reduce(p).items())
+        assert list(p.reduce().terms.items()) == want, p.terms
+        contracted += len(want) < len(p.terms)
+    assert contracted > 1000

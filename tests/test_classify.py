@@ -4,8 +4,8 @@ import pytest
 
 from cuntzalg.algebra import CuntzPoly
 from cuntzalg.morphisms import flip, standard_endo
-from cuntzalg.classify import (ALL_SIGMA, commutant_witness, fingerprint,
-                               flip_unitary,
+from cuntzalg.classify import (ALL_SIGMA, MAX_LEVEL, commutant_witness,
+                               fingerprint, flip_unitary,
                                theorem14_counts, uhf_restriction_equal,
                                verify_conjugate)
 
@@ -93,3 +93,11 @@ def test_depth_zero_certificate_is_refused():
         uhf_restriction_equal(standard_endo("14"), standard_endo("23"), 0)
     with pytest.raises(ValueError, match="at least 1"):
         theorem14_counts(level=0)
+
+
+def test_levels_above_the_limit_are_refused():
+    with pytest.raises(ValueError, match="above the limit of 14"):
+        uhf_restriction_equal(standard_endo("14"), standard_endo("1243"),
+                              MAX_LEVEL + 1)
+    with pytest.raises(ValueError, match="above the limit of 14"):
+        theorem14_counts(level=100)

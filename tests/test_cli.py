@@ -179,6 +179,9 @@ def test_repeated_cycle_entry_is_usage_error(capsys):
     ("verify", "theorem14", "--level", "0"),
     ("vacuum", "fock", "--max-mode", "-1"),
     ("car", "--check-modes", "0"),
+    ("classify", "--level", "15"),
+    ("classify", "--level", "100"),
+    ("verify", "theorem14", "--level", "30"),
 ])
 def test_out_of_range_option_is_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -278,3 +281,20 @@ def test_empty_shift_range_is_usage_error(capsys):
                          "--eta-min", "3", "--eta-max", "-3")
     assert (code, out) == (2, "")
     assert err.startswith("error: empty shift range") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("bounds", [("--eta-max", "100000000"),
+                                    ("--eta-min", "-1001"),
+                                    ("--eta-min", "1001", "--eta-max", "1002")])
+def test_shift_range_beyond_the_limit_is_usage_error(capsys, bounds):
+    code, out, err = run(capsys, "restrict", "--rep", "(12)^inf", *bounds)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: shift range") and err.count("\n") == 1
+    assert "limit |eta| <= 1000" in err
+
+
+def test_shift_range_at_the_limit(capsys):
+    code, out, _ = run(capsys, "restrict", "--rep", "(12)^inf",
+                       "--eta-min", "-1000", "--eta-max", "-1000")
+    assert code == 0
+    assert out.splitlines()[1] == f"  eta=-1000: P[{'1' * 1000}(12)^inf]"

@@ -93,11 +93,10 @@ def test_car_checker_matches_the_word_by_word_reference(gens, verdict):
 
 def test_car_check_product_count(cold_cache, monkeypatch):
     # verify_car(M) builds a_1 .. a_M (zeta makes four products per
-    # step; the closed form makes none) and then forms, per unordered
-    # pair {m, n} of the M(M+1)/2, the four products a_m a_n, a_n a_m,
-    # a_m a_n^* and a_n^* a_m of images embedded once.  Embedding each
-    # formal anticommutator word by word, as reference_car does, takes
-    # about eight per pair.
+    # step; the closed form makes none) and then forms, for each of the
+    # M pairs (1, k), the four products a_1 a_k, a_k a_1, a_1 a_k^* and
+    # a_k^* a_1 of images embedded once.  Checking every unordered pair
+    # takes four products for each of the M(M+1)/2.
     products = 0
     mul = CuntzPoly.__mul__
 
@@ -114,8 +113,29 @@ def test_car_check_product_count(cold_cache, monkeypatch):
     monkeypatch.setattr(fermions, "_GEN_CACHE", {})
     products = 0
     assert verify_car(modes)
-    pairs = modes * (modes + 1) // 2
-    assert products <= 4 * pairs + building, (products, building)
+    assert products <= 4 * modes + building, (products, building)
+
+
+def all_pairs_verdict(modes):
+    return _satisfies_car({n: a(n) for n in range(1, modes + 1)})
+
+
+@pytest.mark.parametrize("modes", range(1, 11))
+def test_verify_car_agrees_with_all_pairs(modes):
+    assert verify_car(modes) is all_pairs_verdict(modes) is True
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_verify_car_rejects_a_wrong_cached_generator(cold_cache, k):
+    # a_{k-1} in the place of a_k; for k >= 3 it still satisfies every
+    # relation with a_1, so the closed form is what catches it
+    modes = 6
+    fermions._GEN_CACHE[(k, False)] = car_generator(k - 1)
+    assert all_pairs_verdict(modes) is False
+    assert verify_car(modes) is False
+    with_a1 = _satisfies_car({n: a(n) for n in range(1, modes + 1)},
+                             [(1, n) for n in range(1, modes + 1)])
+    assert with_a1 is (k > 2)
 
 
 def test_anticommutators_explicit():
