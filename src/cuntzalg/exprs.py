@@ -29,6 +29,11 @@ from .fermions import CarExpr, mixture, psi_map
 
 Value = Union[Scalar, CuntzPoly, CarExpr]
 
+# deepest parenthesis nesting accepted: each level is four frames of the
+# recursive descent, so this stays far from the interpreter's recursion
+# limit
+MAX_NESTING = 100
+
 
 class ExprError(ValueError):
     """Syntax or type error, carrying the source position."""
@@ -59,6 +64,7 @@ class _Parser:
         self.text = text
         self.n = n
         self.pos = 0
+        self.depth = 0
 
     def error(self, message: str) -> ExprError:
         return ExprError(message, self.pos)
@@ -140,11 +146,16 @@ class _Parser:
     def atom(self) -> Value:
         c = self.peek()
         if c == "(":
+            if self.depth == MAX_NESTING:
+                raise self.error(f"parentheses nested deeper than "
+                                 f"{MAX_NESTING}")
+            self.depth += 1
             self.pos += 1
             value = self.expr()
             if self.peek() != ")":
                 raise self.error("expected ')'")
             self.pos += 1
+            self.depth -= 1
             return value
         if c == "r":
             if self.text[self.pos:self.pos + 2] != "r2":

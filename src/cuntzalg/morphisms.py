@@ -63,11 +63,21 @@ class Morphism:
         self._word_cache: Dict[Word, CuntzPoly] = {(): CuntzPoly.one(self.n)}
 
     def word_image(self, j: Word) -> CuntzPoly:
-        """Image of s_J, cached per morphism."""
-        cached = self._word_cache.get(j)
+        """Image of s_J, cached per morphism.
+
+        Starts from the longest cached prefix of J (the empty word is
+        always cached) and multiplies the remaining letters on one at a
+        time, caching every prefix on the way, so no call recurses."""
+        cache = self._word_cache
+        cached = cache.get(j)
         if cached is None:
-            cached = self.word_image(j[:-1]) * self.images[j[-1] - 1]
-            self._word_cache[j] = cached
+            start = len(j) - 1
+            while j[:start] not in cache:
+                start -= 1
+            cached = cache[j[:start]]
+            for end in range(start + 1, len(j) + 1):
+                cached = cached * self.images[j[end - 1] - 1]
+                cache[j[:end]] = cached
         return cached
 
     def __call__(self, x: CuntzPoly) -> CuntzPoly:

@@ -23,6 +23,13 @@ word W of length l with s_W^* label != 0 is read off the label letter by
 letter, and the predecessor under a level-l psi_sigma comes from the
 source word sigma^-1(W).  A predecessor step costs about 2 l label
 actions, with no search over the N^l words.
+
+Phases are restricted to 0 and 1/2, so every label action carries a
+sign in {1, -1}, and the label layer (``gen``/``gen_adj``, the word
+actions and the predecessor map) keeps it as a plain int.  The one place
+where a label sign meets a :class:`~cuntzalg.scalars.Scalar` is
+:func:`act_poly`, which negates the product of coefficient and amplitude
+when the two signs of a term differ.
 """
 
 from __future__ import annotations
@@ -31,20 +38,22 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .scalars import MINUS_ONE, ONE, Scalar
+from .scalars import Scalar
 from .words import (CycleClass, EvWord, Word, all_words, canonical_cycle,
                     check_word, is_primitive, make_ev_word, primitive_split,
                     render_word, rotations)
 from .morphisms import Morphism, PermEndo
 
 Label = Tuple[Word, int]
-Hit = Optional[Tuple[Scalar, Label]]
+# a label action: (sign, label) with the sign an int in {1, -1}, or None
+# for zero; act_poly is where such signs meet Scalar coefficients
+Hit = Optional[Tuple[int, Label]]
 
 
 class CycleRep:
     """The cycle representation P(J; q) on labels (w, p), p in 1..|J|."""
 
-    __slots__ = ("n", "word", "phase", "k")
+    __slots__ = ("n", "word", "phase", "k", "wrap")
 
     def __init__(self, n: int, word, phase: Fraction = Fraction(0)):
         word = check_word(word, n)
@@ -57,24 +66,23 @@ class CycleRep:
         self.word = word
         self.phase = q
         self.k = len(word)
-
-    def _wrap_scalar(self) -> Scalar:
-        return MINUS_ONE if self.phase else ONE
+        # the sign s_J picks up when it closes the cycle: e^(2 pi i q)
+        self.wrap = -1 if q else 1
 
     def _prev_letter(self, p: int) -> int:
         """The letter carrying e_p back one step: s_{l(p)} e_p = e_{p-1}."""
         return self.word[p - 2] if p >= 2 else self.word[self.k - 1]
 
     def gen(self, i: int, label: Label) -> Hit:
-        """Apply s_i to a reduced label; returns (scalar, label) or None."""
+        """Apply s_i to a reduced label; returns (sign, label)."""
         w, p = label
         if w:
-            return ONE, ((i,) + w, p)
+            return 1, ((i,) + w, p)
         if i == self._prev_letter(p):
             if p == 1:
-                return self._wrap_scalar(), ((), self.k)
-            return ONE, ((), p - 1)
-        return ONE, ((i,), p)
+                return self.wrap, ((), self.k)
+            return 1, ((), p - 1)
+        return 1, ((i,), p)
 
     def head(self, label: Label) -> int:
         """The unique letter i with s_i^* label != 0."""
@@ -85,12 +93,12 @@ class CycleRep:
         w, p = label
         if w:
             if i == w[0]:
-                return ONE, (w[1:], p)
+                return 1, (w[1:], p)
             return None
         if i == self.word[p - 1]:
             if p == self.k:
-                return self._wrap_scalar(), ((), 1)
-            return ONE, ((), p + 1)
+                return self.wrap, ((), 1)
+            return 1, ((), p + 1)
         return None
 
     def seed_count(self, bound: int) -> int:
@@ -129,10 +137,10 @@ class ChainRep:
     def gen(self, i: int, label: Label) -> Hit:
         w, m = label
         if w:
-            return ONE, ((i,) + w, m)
+            return 1, ((i,) + w, m)
         if i == self._letter(m):
-            return ONE, ((), m - 1)
-        return ONE, ((i,), m)
+            return 1, ((), m - 1)
+        return 1, ((i,), m)
 
     def head(self, label: Label) -> int:
         """The unique letter i with s_i^* label != 0."""
@@ -143,10 +151,10 @@ class ChainRep:
         w, m = label
         if w:
             if i == w[0]:
-                return ONE, (w[1:], m)
+                return 1, (w[1:], m)
             return None
         if i == self._letter(m + 1):
-            return ONE, ((), m + 1)
+            return 1, ((), m + 1)
         return None
 
     def seed_count(self, bound: int) -> int:
@@ -171,27 +179,30 @@ class ChainRep:
 
 def act_word_adj(rep, word: Word, label: Label) -> Hit:
     """Apply s_word^* (first letter of word acts first)."""
-    sign = ONE
+    sign = 1
     for letter in word:
         hit = rep.gen_adj(letter, label)
         if hit is None:
             return None
         s, label = hit
-        sign = sign * s
+        sign *= s
     return sign, label
 
 
-def act_word(rep, word: Word, label: Label) -> Tuple[Scalar, Label]:
+def act_word(rep, word: Word, label: Label) -> Tuple[int, Label]:
     """Apply s_word (last letter of word acts first)."""
-    sign = ONE
+    sign = 1
     for letter in reversed(word):
         s, label = rep.gen(letter, label)
-        sign = sign * s
+        sign *= s
     return sign, label
 
 
 def act_poly(rep, poly, vec: Dict[Label, Scalar]) -> Dict[Label, Scalar]:
-    """Apply a Cuntz polynomial to a finite linear combination of labels."""
+    """Apply a Cuntz polynomial to a finite linear combination of labels.
+
+    The int signs of the two word actions of a term are folded in by
+    negating coeff * amp when they differ."""
     out: Dict[Label, Scalar] = {}
     for (j, k), coeff in poly.terms.items():
         for label, amp in vec.items():
@@ -200,7 +211,9 @@ def act_poly(rep, poly, vec: Dict[Label, Scalar]) -> Dict[Label, Scalar]:
                 continue
             s1, mid = hit
             s2, final = act_word(rep, j, mid)
-            total = coeff * amp * s1 * s2
+            total = coeff * amp
+            if s1 != s2:
+                total = -total
             acc = out.get(final)
             total = total if acc is None else acc + total
             if total.is_zero():
@@ -265,16 +278,16 @@ def _predecessor(rep, endo: PermEndo):
 
     def pred(label: Label) -> Tuple[int, int, Label]:
         read = []
-        s1 = ONE
+        s1 = 1
         mid = label
         for _ in range(level):
             letter = head(mid)
             s, mid = gen_adj(letter, mid)
             read.append(letter)
-            s1 = s1 * s
+            s1 *= s
         src = source[tuple(read)]
         s2, out = act_word(rep, src[1:], mid)
-        return src[0], eps[src] * (1 if (s1 * s2).is_one() else -1), out
+        return src[0], eps[src] * s1 * s2, out
 
     return pred
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Iterator, Sequence, Tuple
 
 Word = Tuple[int, ...]
@@ -214,12 +215,9 @@ def parse_ev_word(text: str, n: int) -> EvWord:
 
 
 def all_words(n: int, length: int) -> Iterator[Word]:
-    """Every word of the given length over 1..n, in lexicographic order."""
+    """Every word of the given length over 1..n, in lexicographic order.
+
+    A negative length raises ValueError at the call."""
     if length < 0:
         raise ValueError(f"word length must be at least 0, got {length}")
-    if length == 0:
-        yield ()
-        return
-    for rest in all_words(n, length - 1):
-        for letter in range(1, n + 1):
-            yield rest + (letter,)
+    return product(range(1, n + 1), repeat=length)

@@ -298,3 +298,25 @@ def test_shift_range_at_the_limit(capsys):
                        "--eta-min", "-1000", "--eta-max", "-1000")
     assert code == 0
     assert out.splitlines()[1] == f"  eta=-1000: P[{'1' * 1000}(12)^inf]"
+
+
+def test_nesting_beyond_the_limit_is_usage_error(capsys):
+    deep = "(" * 260 + "s1" + ")" * 260
+    code, out, err = run(capsys, "normal", deep)
+    assert (code, out) == (2, "")
+    assert err == ("error: parentheses nested deeper than 100 "
+                   "(at position 100)\n")
+
+
+def test_nesting_at_the_limit(capsys):
+    assert run(capsys, "normal", "(" * 100 + "s1" + ")" * 100) == \
+        (0, "s1\n", "")
+
+
+def test_apply_to_a_long_word(capsys):
+    # psi_13(s_1) = s_12 s_2' + s_21 s_1'; the image of s_1^1200 is built
+    # one letter at a time, one product per letter
+    code, out, err = run(capsys, "apply", "s" + "1" * 1200, "--endo",
+                         "psi:13")
+    assert (code, err) == (0, "")
+    assert out == ("s" + "12" * 600 + "1s1' + s" + "21" * 600 + "2s2'\n")

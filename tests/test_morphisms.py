@@ -15,6 +15,20 @@ def gen(i, n=2):
     return CuntzPoly.generator(n, i)
 
 
+def test_word_image_multiplies_letter_by_letter():
+    endo = standard_endo("13")
+    word = (1, 2, 2, 1, 1)
+    want = CuntzPoly.one(2)
+    for letter in word:
+        want = want * endo.images[letter - 1]
+    assert list(endo.word_image(word).terms.items()) == \
+        list(want.terms.items())
+    assert all(word[:k] in endo._word_cache for k in range(len(word) + 1))
+    # a word far longer than the interpreter's recursion limit
+    long_word = (1, 2) * 1500
+    assert len(endo.word_image(long_word).terms) == 2
+
+
 def test_identity():
     e = identity(2)
     x = gen(1) * gen(2).adjoint()

@@ -154,7 +154,7 @@ def search_predecessor(rep, endo):
                 assert found is None, f"predecessor of {label} not unique"
                 s1, mid = hit
                 s2, out = act_word(rep, tail, mid)
-                sign = endo.signs[src] * (1 if (s1 * s2).is_one() else -1)
+                sign = endo.signs[src] * s1 * s2
                 found = (i, sign, out)
         assert found is not None, f"no predecessor for {label}"
         return found

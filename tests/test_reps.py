@@ -1,16 +1,17 @@
 """Permutative representations: branching, restriction, GP calculus."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from cuntzalg.scalars import ONE
-from cuntzalg.words import parse_ev_word
-from cuntzalg.morphisms import flip, hadamard, standard_endo
-from cuntzalg.reps import (ChainRep, CycleRep, act_poly, branch,
-                           decompose_power, gp_branch, parse_rep,
-                           restrict_chain_to_uhf, restrict_cycle_to_uhf,
-                           uhf_branch)
+from cuntzalg.scalars import ONE, Scalar
+from cuntzalg.words import all_words, parse_ev_word
+from cuntzalg.morphisms import PermEndo, flip, hadamard, standard_endo
+from cuntzalg.reps import (ChainRep, CycleRep, act_poly, act_word,
+                           act_word_adj, branch, decompose_power, gp_branch,
+                           parse_rep, restrict_chain_to_uhf,
+                           restrict_cycle_to_uhf, uhf_branch)
 
 
 def labels(result):
@@ -91,6 +92,62 @@ def test_head_is_the_only_letter_with_a_nonzero_adjoint():
             hits = [i for i in range(1, rep.n + 1)
                     if rep.gen_adj(i, label) is not None]
             assert hits == [rep.head(label)]
+
+
+def signed_endos(rng, n, level, count):
+    words = list(all_words(n, level))
+    for _ in range(count):
+        images = words[:]
+        rng.shuffle(images)
+        signs = {w: rng.choice((1, -1)) for w in words}
+        yield PermEndo(n, level, dict(zip(words, images)), signs=signs)
+
+
+def test_branch_makes_no_scalar_products(monkeypatch):
+    # label signs are ints: branch and uhf_branch never multiply Scalars
+    rng = random.Random(90210)
+    cases = []
+    for n, level in ((2, 3), (3, 2)):
+        for endo in signed_endos(rng, n, level, 4):
+            cases.append((endo, [CycleRep(n, (1, 2)),
+                                 CycleRep(n, (1, 2), Fraction(1, 2)),
+                                 CycleRep(n, (2,), Fraction(1, 2)),
+                                 ChainRep(parse_ev_word("2(12)^inf", n))]))
+    products = 0
+    mul = Scalar.__mul__
+
+    def counting_mul(x, y):
+        nonlocal products
+        products += 1
+        return mul(x, y)
+
+    monkeypatch.setattr(Scalar, "__mul__", counting_mul)
+    components = 0
+    for endo, reps in cases:
+        for rep in reps:
+            components += len(branch(rep, endo).components)
+        components += len(uhf_branch(endo.n, (1, 2), endo))
+    assert components > 0
+    assert products == 0
+
+
+def test_label_signs_are_ints():
+    chain = ChainRep(parse_ev_word("2(12)^inf", 2))
+    reps = [CycleRep(2, (1, 1, 2)), CycleRep(2, (1, 1, 2), Fraction(1, 2)),
+            CycleRep(3, (1, 3), Fraction(1, 2)), chain]
+    signs = set()
+    for rep in reps:
+        for label in rep.seed_labels(2):
+            hits = [rep.gen(i, label) for i in range(1, rep.n + 1)]
+            hits += [rep.gen_adj(i, label) for i in range(1, rep.n + 1)]
+            for word in all_words(rep.n, 3):
+                hits += [act_word(rep, word, label),
+                         act_word_adj(rep, word, label)]
+            for hit in hits:
+                if hit is not None:
+                    assert type(hit[0]) is int, (rep, label, hit)
+                    signs.add(hit[0])
+    assert signs == {1, -1}
 
 
 def test_power_components_split_into_phases():

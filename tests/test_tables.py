@@ -2,6 +2,7 @@
 
 import pytest
 
+from cuntzalg import tables
 from cuntzalg.tables import VERIFIERS, classify_table, verify_theorem14
 
 
@@ -27,3 +28,14 @@ def test_report_formatting():
     text = str(report)
     assert "table4" in text
     assert all(cell.ok for cell in report.cells)
+
+
+def test_table3_automorphism_status_is_derived(monkeypatch):
+    # psi_13 is no involution, so a reference row that calls it an
+    # automorphism must fail its property cell; the fingerprint cells of
+    # the row are the true ones and still pass
+    row = next(r for r in tables.TABLE3 if r[0] == "13")
+    monkeypatch.setattr(tables, "TABLE3", [row[:-1] + ("out.aut",)])
+    report = tables.verify_table3()
+    assert [c.ok for c in report.cells] == [True] * 4 + [False]
+    assert report.cells[-1].computed == "not.involutive"

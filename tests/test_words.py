@@ -59,7 +59,21 @@ def test_all_words():
 
 def test_all_words_refuses_a_negative_length():
     with pytest.raises(ValueError, match="at least 0, got -1"):
-        list(all_words(2, -1))
+        all_words(2, -1)
+
+
+def recursive_words(n, length):
+    """Lexicographic words by recursion on the length."""
+    if length == 0:
+        return [()]
+    return [rest + (letter,) for rest in recursive_words(n, length - 1)
+            for letter in range(1, n + 1)]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_all_words_matches_the_recursive_reference(n):
+    for length in range(6):
+        assert list(all_words(n, length)) == recursive_words(n, length)
 
 
 words = st.lists(st.integers(1, 2), min_size=1, max_size=8).map(tuple)
