@@ -234,7 +234,13 @@ def verify_conjugate(m1: Morphism, m2: Morphism, u: CuntzPoly) -> bool:
     if m1.n != u.n:
         raise ValueError("rank mismatch")
     _require_unitary(u)
-    u_adj = u.adjoint()
+    return _conjugates(m1, m2, u, u.adjoint())
+
+
+def _conjugates(m1: Morphism, m2: Morphism, u: CuntzPoly,
+                u_adj: CuntzPoly) -> bool:
+    """verify_conjugate, unchecked: u is a unitary of m1's rank and u_adj
+    its adjoint, so a caller comparing many pairs proves that once."""
     return m1.n == m2.n and all(
         u * a * u_adj == b for a, b in zip(m1.images, m2.images))
 
@@ -333,6 +339,8 @@ def theorem14_counts(level: int = 5) -> Dict[str, int]:
     # unitary equivalence classes among the restrictions: merge the
     # Table-1 conjugate pairs (the conjugator lies in UHF_2)
     u = flip_unitary()
+    _require_unitary(u)
+    u_adj = u.adjoint()
     parent = {r: r for r in reps}
 
     def find(x: str) -> str:
@@ -342,7 +350,7 @@ def theorem14_counts(level: int = 5) -> Dict[str, int]:
 
     for a in reps:
         for b in reps:
-            if a < b and verify_conjugate(endos[a], endos[b], u):
+            if a < b and _conjugates(endos[a], endos[b], u, u_adj):
                 parent[find(b)] = find(a)
     classes = {find(r) for r in reps}
 

@@ -18,7 +18,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from .scalars import MINUS_ONE, ONE, Scalar, ZERO
 from .words import Word, all_words, render_word
-from .algebra import CuntzPoly
+from .algebra import CuntzPoly, _sum_scaled
 from .morphisms import Morphism, zeta
 from .reps import CycleRep, act_poly, uhf_branch
 
@@ -164,16 +164,18 @@ def psi_map(x: CarExpr) -> CuntzPoly:
     A word maps to the product of its letters' images, starting from
     the first letter (1 * g has the same terms, in the same order, as g);
     the empty word maps to 1."""
-    out = CuntzPoly.zero(2)
-    for word, coeff in x.terms.items():
-        if not word:
-            prod = CuntzPoly.one(2)
-        else:
-            prod = _letter(*word[0])
-            for letter in word[1:]:
-                prod = prod * _letter(*letter)
-        out = out + prod.scale(coeff)
-    return out
+    return _sum_scaled(2, ((_word_image(word), coeff)
+                           for word, coeff in x.terms.items()))
+
+
+def _word_image(word: CarWord) -> CuntzPoly:
+    """The product of the images of the letters of a word, in O_2."""
+    if not word:
+        return CuntzPoly.one(2)
+    prod = _letter(*word[0])
+    for letter in word[1:]:
+        prod = prod * _letter(*letter)
+    return prod
 
 
 def car_equal(x: CarExpr, y: CarExpr) -> bool:

@@ -18,8 +18,14 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from .scalars import MINUS_ONE, ONE, Scalar, INV_SQRT2
-from .words import Word, all_words, check_word
-from .algebra import CuntzPoly
+from .words import Word, all_words, check_word, render_word
+from .algebra import CuntzPoly, _sum_scaled
+
+# the image of a word can double with each letter: phi(s_1^L) has 2^L
+# terms.  `apply s<15 ones> --endo phi` (32768 terms) answers in about
+# 1.2 s and 50 MB; each further letter doubles that, so a word whose
+# image passes this size is refused at that letter instead
+MAX_IMAGE_TERMS = 2 ** 15
 
 
 class Morphism:
@@ -67,7 +73,8 @@ class Morphism:
 
         Starts from the longest cached prefix of J (the empty word is
         always cached) and multiplies the remaining letters on one at a
-        time, caching every prefix on the way, so no call recurses."""
+        time, caching every prefix on the way, so no call recurses.  A
+        prefix image of more than MAX_IMAGE_TERMS terms is refused."""
         cache = self._word_cache
         cached = cache.get(j)
         if cached is None:
@@ -77,17 +84,21 @@ class Morphism:
             cached = cache[j[:start]]
             for end in range(start + 1, len(j) + 1):
                 cached = cached * self.images[j[end - 1] - 1]
+                if len(cached.terms) > MAX_IMAGE_TERMS:
+                    raise ValueError(
+                        f"the image of s{render_word(j)} under "
+                        f"{self.name or 'this morphism'} is above the limit "
+                        f"of {MAX_IMAGE_TERMS} terms (reached at letter {end})")
                 cache[j[:end]] = cached
         return cached
 
     def __call__(self, x: CuntzPoly) -> CuntzPoly:
         if x.n != self.n:
             raise ValueError("rank mismatch")
-        out = CuntzPoly.zero(self.n)
-        for (j, k), coeff in x.terms.items():
-            piece = self.word_image(j) * self.word_image(k).adjoint()
-            out = out + piece.scale(coeff)
-        return out
+        image = self.word_image
+        return _sum_scaled(self.n, (
+            (image(j) * image(k).adjoint(), coeff)
+            for (j, k), coeff in x.terms.items()))
 
     def then(self, other: "Morphism") -> "Morphism":
         """other o self: first apply self, then other."""

@@ -26,13 +26,13 @@ from typing import Callable, Dict, List, Optional, Tuple
 from .scalars import MINUS_ONE, ONE
 from .words import parse_word
 from .algebra import CuntzPoly
-from .morphisms import identity, standard_endo, nakanishi
+from .morphisms import _require_unitary, identity, standard_endo, nakanishi
 from .reps import CycleRep, branch, uhf_branch
 from .fermions import (FERMION_REPS, CarExpr, apply_endo, fermion_branch,
                        psi_map)
-from .classify import (commutant_witness, flip_unitary, multiset,
-                       o_fingerprint, theorem14_counts, uhf_fingerprint,
-                       verify_conjugate)
+from .classify import (_conjugates, commutant_witness, flip_unitary,
+                       multiset, o_fingerprint, theorem14_counts,
+                       uhf_fingerprint)
 
 
 def _img(n: int, text: str) -> CuntzPoly:
@@ -311,6 +311,8 @@ def _cell(report: TableReport, row: str, col: str,
 def verify_table1() -> TableReport:
     report = TableReport("table1")
     u = flip_unitary()
+    _require_unitary(u)
+    u_adj = u.adjoint()
     endos = {name: standard_endo(name) for name, *_ in TABLE1}
     for name, im1, im2, prop, partner in TABLE1:
         endo = endos[name]
@@ -319,7 +321,7 @@ def verify_table1() -> TableReport:
         _cell(report, name, "psi(s2)", str(_img(2, im2).reduce()),
               str(endo.images[1].reduce()))
         _cell(report, name, "Ad u", "conjugate",
-              "conjugate" if verify_conjugate(endo, endos[partner], u)
+              "conjugate" if _conjugates(endo, endos[partner], u, u_adj)
               else "not conjugate")
     return report
 

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cuntzalg.scalars import INV_SQRT2, MINUS_ONE, ONE, SQRT2, ZERO, Scalar
-from cuntzalg.algebra import CuntzPoly, gauge_lift
+from cuntzalg.algebra import (PAIR_WALK_MAX, CuntzPoly, _indexed_product,
+                              _walked_product, gauge_lift)
 from cuntzalg.words import all_words
 
 
@@ -120,7 +121,7 @@ def test_reduce_preserves_value(a):
     assert a.adjoint().adjoint() == a
 
 
-# -- the indexed product against the all-pairs loop ---------------------------
+# -- both product paths against the all-pairs loop ----------------------------
 
 
 def all_pairs_product(a, b):
@@ -172,8 +173,12 @@ def poly_pairs(left_terms=(0, 12), right_terms=(0, 12)):
 
 
 def assert_product_matches(a, b):
-    # the exact term map, in the order the all-pairs loop builds it
-    assert list((a * b).terms.items()) == list(all_pairs_product(a, b).items())
+    # the exact term map, in the order the all-pairs loop builds it, from
+    # the product and from each of its two paths, whatever the sizes
+    want = list(all_pairs_product(a, b).items())
+    assert list((a * b).terms.items()) == want
+    assert list(_walked_product(a, b).items()) == want
+    assert list(_indexed_product(a, b).items()) == want
 
 
 @settings(max_examples=150, deadline=None)
@@ -207,6 +212,49 @@ def test_repeated_products_match_all_pairs():
     for _ in range(2):
         assert_product_matches(gen(1).adjoint(), big)
         assert_product_matches(big, gen(2))
+
+
+def sized_poly(rng, n, size):
+    """A polynomial of exactly ``size`` terms whose words (length 0-3)
+    often extend one another."""
+    words = [w for length in range(4) for w in all_words(n, length)]
+    keys = rng.sample([(j, k) for j in words for k in words], size)
+    return CuntzPoly(n, {key: rng.choice(PRODUCT_COEFFS) for key in keys})
+
+
+def sizes_around_the_switch():
+    """Every factorisation a * b of PAIR_WALK_MAX - 1, PAIR_WALK_MAX and
+    PAIR_WALK_MAX + 1 term pairs."""
+    return [(a, pairs // a)
+            for pairs in (PAIR_WALK_MAX - 1, PAIR_WALK_MAX, PAIR_WALK_MAX + 1)
+            for a in range(1, pairs + 1) if pairs % a == 0]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("left,right", sizes_around_the_switch())
+def test_products_around_the_switch_match_all_pairs(n, left, right):
+    rng = random.Random(f"{n} {left} {right}")
+    for _ in range(3):
+        a, b = sized_poly(rng, n, left), sized_poly(rng, n, right)
+        assert_product_matches(a, b)
+        assert_product_matches(b, a)
+
+
+def test_product_path_is_chosen_by_size():
+    rng = random.Random(4)
+    # 8 x 8 and 1 x PAIR_WALK_MAX pairs: the pair walk, which builds no
+    # sorted index
+    for a, b in ((sized_poly(rng, 2, 8), sized_poly(rng, 2, 8)),
+                 (sized_poly(rng, 2, 1), sized_poly(rng, 2, PAIR_WALK_MAX))):
+        a * b
+        assert (a._by_j, a._by_k, b._by_j, b._by_k) == (None,) * 4
+    # one pair more: the index of the larger factor, on its J or K side
+    one, wide = sized_poly(rng, 2, 1), sized_poly(rng, 2, PAIR_WALK_MAX + 1)
+    one * wide
+    assert wide._by_j is not None and wide._by_k is None
+    wide * one
+    assert wide._by_k is not None
+    assert (one._by_j, one._by_k) == (None, None)
 
 
 # -- the construction boundary --------------------------------------------

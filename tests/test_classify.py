@@ -2,7 +2,9 @@
 
 import pytest
 
+from cuntzalg import classify, tables
 from cuntzalg.algebra import CuntzPoly
+from cuntzalg.scalars import Scalar
 from cuntzalg.morphisms import flip, standard_endo
 from cuntzalg.classify import (ALL_SIGMA, MAX_LEVEL, commutant_witness,
                                fingerprint, flip_unitary,
@@ -15,6 +17,32 @@ def test_flip_unitary_conjugations():
     assert verify_conjugate(standard_endo("12"), standard_endo("1324"), u)
     assert verify_conjugate(standard_endo("14"), standard_endo("14"), u)
     assert not verify_conjugate(standard_endo("12"), standard_endo("13"), u)
+
+
+@pytest.mark.parametrize("u", [
+    CuntzPoly.generator(2, 1),                          # an isometry only
+    CuntzPoly.matrix_unit(2, (1,), (2,)),               # a partial isometry
+    flip_unitary().scale(Scalar(2)),                    # twice a unitary
+], ids=["isometry", "partial-isometry", "scaled-unitary"])
+def test_conjugation_by_a_non_unitary_is_refused(u):
+    with pytest.raises(ValueError, match="unitary"):
+        verify_conjugate(standard_endo("12"), standard_endo("1324"), u)
+
+
+def test_theorem14_and_table1_prove_the_conjugator_once(monkeypatch):
+    proofs = []
+    check = classify._require_unitary
+
+    def counting_check(u):
+        proofs.append(u)
+        check(u)
+
+    monkeypatch.setattr(classify, "_require_unitary", counting_check)
+    monkeypatch.setattr(tables, "_require_unitary", counting_check)
+    theorem14_counts(level=5)
+    assert len(proofs) == 1
+    assert tables.verify_table1().ok
+    assert len(proofs) == 2
 
 
 def test_restriction_equalities():

@@ -320,3 +320,14 @@ def test_apply_to_a_long_word(capsys):
                          "psi:13")
     assert (code, err) == (0, "")
     assert out == ("s" + "12" * 600 + "1s1' + s" + "21" * 600 + "2s2'\n")
+
+
+def test_image_above_the_limit_is_refused_at_once(capsys):
+    # phi doubles the terms of the image with every letter; the image of
+    # s_1^30 would have 2^30, and the 16th letter already passes the limit
+    start = time.perf_counter()
+    code, out, err = run(capsys, "apply", "s" + "1" * 30, "--endo", "phi")
+    assert time.perf_counter() - start < 5.0
+    assert (code, out) == (2, "")
+    assert err == (f"error: the image of s{'1' * 30} under phi is above the "
+                   "limit of 32768 terms (reached at letter 16)\n")

@@ -1,5 +1,6 @@
 """The embedded fermion algebra: CAR relations, mixtures, vacua."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from cuntzalg import fermions
 from cuntzalg.algebra import CuntzPoly
 from cuntzalg.morphisms import standard_endo, zeta
-from cuntzalg.scalars import Scalar
+from cuntzalg.scalars import INV_SQRT2, MINUS_ONE, ONE, SQRT2, Scalar
 from cuntzalg.fermions import (MAX_MODE, CarExpr, _satisfies_car,
                                anticommutator, apply_endo, car_equal,
                                car_generator, car_generator_closed,
@@ -160,6 +161,54 @@ def test_dual_automorphism():
     for n in range(1, 4):
         x = anticommutator(d(a(n)), d(a(n, True)))
         assert car_equal(x, CarExpr.one())
+
+
+def repeated_sum_embedding(x):
+    """psi_map(x) summed with CuntzPoly.__add__, one word at a time."""
+    out = CuntzPoly.zero(2)
+    for word, coeff in x.terms.items():
+        prod = CuntzPoly.one(2)
+        if word:
+            prod = fermions._letter(*word[0])
+            for letter in word[1:]:
+                prod = prod * fermions._letter(*letter)
+        out = out + prod.scale(coeff)
+    return out
+
+
+def seeded_car_exprs(seed):
+    rng = random.Random(seed)
+    coeffs = [ONE, MINUS_ONE, SQRT2, INV_SQRT2, Scalar(Fraction(1, 2))]
+    letters = [(n, dagger) for n in range(1, 6) for dagger in (False, True)]
+    for size in (1, 4, 12):
+        yield CarExpr({tuple(rng.choice(letters)
+                             for _ in range(rng.randint(0, 3))):
+                       rng.choice(coeffs) for _ in range(size)})
+    # sums that cancel down to 1 and to 0 in O_2
+    yield anticommutator(a(2), a(2, True))
+    yield anticommutator(a(1), a(4)) + mixture(Fraction(1, 2))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_embedding_sums_into_one_term_map(monkeypatch, seed):
+    xs = list(seeded_car_exprs(seed))
+    # the same terms in the same order as the sum of the scaled words
+    for x in xs:
+        assert list(psi_map(x).terms.items()) == \
+            list(repeated_sum_embedding(x).terms.items())
+    # ... without a single CuntzPoly.__add__ once the letters are built
+    adds = 0
+    add = CuntzPoly.__add__
+
+    def counting_add(x, y):
+        nonlocal adds
+        adds += 1
+        return add(x, y)
+
+    monkeypatch.setattr(CuntzPoly, "__add__", counting_add)
+    for x in xs:
+        psi_map(x)
+    assert adds == 0
 
 
 def test_apply_endo():

@@ -80,6 +80,28 @@ def test_pinned_normal_form(capsys, args, expected):
     assert capsys.readouterr().out == expected + "\n"
 
 
+# md5 of the stdout of commands that sum many products into one image (a
+# fermion monomial under psi_13, a Hadamard image of 4096 terms) or embed
+# a mixed a/s expression, recorded before products of few terms took the
+# pair walk and images were summed into one term map
+PINNED_STDOUT = [
+    (["apply", "a12", "--endo", "psi:13"],
+     "e213c3fadba937e943bae173c4948100"),
+    (["apply", "s" + "1" * 12, "--endo", "phi"],
+     "bb1435aa7ae8d42883e6447f740e3716"),
+    (["normal", "(s1 + a2 a3') (s12' - r2 a1) + 1/2 a1' a2 - a3 a3'"],
+     "420c0394b4f8520b74416855f7f86857"),
+]
+
+
+@pytest.mark.parametrize("args,md5", PINNED_STDOUT,
+                         ids=[" ".join(args) for args, _ in PINNED_STDOUT])
+def test_pinned_stdout(capsys, args, md5):
+    code = main(args)
+    assert code == 0
+    assert hashlib.md5(capsys.readouterr().out.encode()).hexdigest() == md5
+
+
 def test_verify_all_in_a_fresh_interpreter():
     # in a new process every cache starts empty, as on a first CLI call;
     # in process, earlier tests have already filled them

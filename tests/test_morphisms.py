@@ -1,8 +1,11 @@
 """Endomorphisms of O_n: construction, named maps, composition."""
 
+import random
+
 import pytest
 
-from cuntzalg.scalars import INV_SQRT2
+from cuntzalg import morphisms
+from cuntzalg.scalars import INV_SQRT2, MINUS_ONE, ONE, SQRT2, Scalar
 from cuntzalg.algebra import CuntzPoly
 from cuntzalg.morphisms import (Morphism, PermEndo, ad_unitary, compose, flip,
                                 gauge_flip, hadamard, identity,
@@ -27,6 +30,60 @@ def test_word_image_multiplies_letter_by_letter():
     # a word far longer than the interpreter's recursion limit
     long_word = (1, 2) * 1500
     assert len(endo.word_image(long_word).terms) == 2
+
+
+def test_image_above_the_limit_is_refused(monkeypatch):
+    monkeypatch.setattr(morphisms, "MAX_IMAGE_TERMS", 8)
+    phi = hadamard()
+    assert len(phi.word_image((1, 1, 1)).terms) == 8
+    with pytest.raises(ValueError, match=r"^the image of s11112 under phi "
+                       r"is above the limit of 8 terms \(reached at letter 4\)$"):
+        phi.word_image((1, 1, 1, 1, 2))
+    # the prefixes within the limit stay cached, the refused one is not
+    assert (1, 1, 1) in phi._word_cache
+    assert (1, 1, 1, 1) not in phi._word_cache
+
+
+def repeated_sum_image(m, x):
+    """m(x) summed with CuntzPoly.__add__, one scaled piece at a time."""
+    out = CuntzPoly.zero(m.n)
+    for (j, k), coeff in x.terms.items():
+        piece = m.word_image(j) * m.word_image(k).adjoint()
+        out = out + piece.scale(coeff)
+    return out
+
+
+def seeded_poly(rng, n, size):
+    words = [()] + [(i,) for i in range(1, n + 1)] + [
+        (i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+    coeffs = [ONE, MINUS_ONE, SQRT2, INV_SQRT2, Scalar(2), Scalar(1, -1)]
+    return CuntzPoly(n, {(rng.choice(words), rng.choice(words)):
+                         rng.choice(coeffs) for _ in range(size)})
+
+
+@pytest.mark.parametrize("name", ["phi", "phi_rot", "psi:1324", "alpha.phi",
+                                  "theta.psi:13", "nakanishi"])
+def test_image_sums_into_one_term_map(monkeypatch, name):
+    m = lookup_morphism(name)
+    rng = random.Random(name)
+    xs = [seeded_poly(rng, m.n, size) for size in (1, 3, 8, 20)]
+    # the same terms in the same order as the sum of the scaled pieces
+    for x in xs:
+        assert list(m(x).terms.items()) == \
+            list(repeated_sum_image(m, x).terms.items())
+    # ... without a single CuntzPoly.__add__
+    adds = 0
+    add = CuntzPoly.__add__
+
+    def counting_add(x, y):
+        nonlocal adds
+        adds += 1
+        return add(x, y)
+
+    monkeypatch.setattr(CuntzPoly, "__add__", counting_add)
+    for x in xs:
+        m(x)
+    assert adds == 0
 
 
 def test_identity():
