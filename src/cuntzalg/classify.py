@@ -2,10 +2,17 @@
 
 Everything here is read off the generator images of the maps involved.
 A morphism psi sends the matrix unit E_JK = s_J s_K^* (|J| = |K| = n) to
-psi(s_J) psi(s_K)^*, built from the word images the morphism caches, so
+psi(s_J) psi(s_K)^*, so
 
 * UHF-restriction equality compares psi_1(E) with psi_2(E) on a
-  generating set of the depth-n units, depth by depth;
+  generating set of the depth-n units, depth by depth.  For a
+  permutative map of level l, psi(s_J) = sum_T eps_T s_{X_T} s_T^* with
+  T over the words of length l-1 (:meth:`PermEndo.word_map`), and
+  s_T^* s_T' is 1 for T = T' and 0 otherwise (|T| = |T'|), so
+
+      psi(E_JK) = sum_T eps_T eps'_T s_{X_T} s_{Y_T}^*,
+
+  a signed partial permutation of words: no polynomial product is made;
 * relative commutants are small exact linear-algebra problems over
   Q(sqrt 2) in the coordinates of those images;
 * conjugacy by a unitary u compares u psi_1(s_i) u^* with psi_2(s_i).
@@ -42,9 +49,10 @@ def unit_generators(n: int, depth: int) -> List[Tuple[Word, Word]]:
 
 
 # the depth-n check compares N^n matrix units, so each level multiplies
-# its time and memory by N: theorem14_counts (N = 2) takes about 1.3,
-# 2.7 and 5.2 s and 43, 73 and 134 MB at levels 11, 12 and 13; deeper
-# levels are refused before any unit is compared
+# its time and memory by N: theorem14_counts (N = 2) takes about 0.2,
+# 0.4, 0.9 and 1.8 s and 39, 62, 111 and 211 MB at levels 11 to 14 (the
+# cached word maps hold most of that memory); deeper levels are refused
+# before any unit is compared
 MAX_LEVEL = 14
 
 
@@ -62,25 +70,49 @@ class RestrictionVerdict:
                 f"(E_{{{render_word(j)},{render_word(k)}}})")
 
 
+def _unit_map(endo: PermEndo, j: Word, k: Word,
+              pads: Sequence[Word]) -> Dict[Word, Tuple[int, Word]]:
+    """psi(E_JK) as the dict Y -> (sign, X) of its terms sign s_X s_Y^*,
+    each term s_X s_Y^* written as sum_w s_{Xw} s_{Yw}^* over ``pads``."""
+    left, right = endo.word_map(j), endo.word_map(k)
+    out: Dict[Word, Tuple[int, Word]] = {}
+    for t, (e, x) in left.items():
+        f, y = right[t]
+        for w in pads:
+            out[y + w] = (e * f, x + w)
+    return out
+
+
 def uhf_restriction_equal(m1: PermEndo, m2: PermEndo,
                           level: int = 5) -> RestrictionVerdict:
-    """Decide whether two endomorphisms agree on matrix units up to depth
-    ``level``.
+    """Decide whether two permutative endomorphisms agree on matrix units
+    up to depth ``level``.
 
     At depth n the units E_{1^n,K} and their adjoints generate all of
     M_{N^n}, and both maps are *-homomorphisms, so they agree on M_{N^n}
     iff psi_1(E) = psi_2(E) for E = E_{1^n,K}, K in ``all_words`` order.
-    The images are read off the cached word images (see
-    :func:`apply_to_unit`), and term maps that already coincide need no
-    semantic test.  The adjoints need no test of their own:
-    psi(E^*) = psi(E)^*, so an adjoint E_{K,1^n} fails exactly when
-    E_{1^n,K} does, which comes first in :func:`unit_generators` order.
-    The first failing unit is the witness.  Equivalently, with the
-    cascade unitary w_n = u lambda(u) ... lambda^{n-1}(u) of psi
-    (psi(s_i) = u s_i), psi(E) = w_n E w_n^*, so v = w_n(m2)^* w_n(m1)
-    commutes with E iff the two images agree; the tests keep that
-    commutator test as the reference.
+    The adjoints need no test of their own: psi(E^*) = psi(E)^*, so an
+    adjoint E_{K,1^n} fails exactly when E_{1^n,K} does, which comes
+    first in :func:`unit_generators` order.  The first failing unit is
+    the witness.
+
+    Each image is compared as its unit map (see the module docstring):
+    psi(E_JK) = sum_T eps_T eps'_T s_{X_T} s_{Y_T}^*.  A map of level l
+    has right words of length |K| + l - 1; both maps are padded to the
+    right depth d = max(l_1, l_2) - 1 by s_X s_Y^* = sum_w s_{Xw} s_{Yw}^*,
+    w over the words of length d - (l - 1), so every right word has
+    length |K| + d.  The dict is keyed by the right word Y_T w, not by
+    the summation index T: distinct T give distinct Y_T, because
+    psi(s_K) is an isometry, and at a fixed right depth the units
+    s_X s_Y^* are linearly independent, so two images are equal in O_N
+    iff their dicts are equal.  Two maps whose sigmas differ can still
+    agree on the UHF algebra, with the same terms under other T.  The
+    tests keep two references: the products of :func:`apply_to_unit`
+    and the cascade commutator test.
     """
+    if not (isinstance(m1, PermEndo) and isinstance(m2, PermEndo)):
+        raise ValueError("restriction equality is decided for permutative "
+                         "endomorphisms only")
     if level < 1:
         raise ValueError(f"certification level must be at least 1, "
                          f"got {level}")
@@ -90,10 +122,14 @@ def uhf_restriction_equal(m1: PermEndo, m2: PermEndo,
                          f"by N")
     if m1.n != m2.n:
         raise ValueError("rank mismatch")
+    depth = max(m1.level, m2.level) - 1
+    pads1 = list(all_words(m1.n, depth - m1.level + 1))
+    pads2 = list(all_words(m2.n, depth - m2.level + 1))
     for n in range(1, level + 1):
         ones = (1,) * n
         for k in all_words(m1.n, n):
-            if not apply_to_unit(m1, ones, k) == apply_to_unit(m2, ones, k):
+            if (_unit_map(m1, ones, k, pads1)
+                    != _unit_map(m2, ones, k, pads2)):
                 return RestrictionVerdict(False, n, (ones, k))
     return RestrictionVerdict(True, level)
 

@@ -35,8 +35,8 @@ from .morphisms import PermEndo, lookup_morphism
 from .reps import (ChainRep, CycleRep, branch, decompose_power, gp_branch,
                    parse_rep, restrict_chain_to_uhf, restrict_cycle_to_uhf,
                    uhf_branch)
-from .fermions import (CarExpr, mixture, psi_map, vacuum_check, verify_car,
-                       verify_mixture_car)
+from .fermions import (CarExpr, _check_half_integer, mixture, psi_map,
+                       vacuum_check, verify_car, verify_mixture_car)
 from .tables import VERIFIERS, TableReport, classify_table, verify_theorem14
 from .classify import theorem14_counts
 from .exprs import ExprError, as_cuntz, parse_expr
@@ -230,6 +230,7 @@ def cmd_mixture(args) -> int:
         k = Fraction(args.index)
     except ZeroDivisionError:
         raise ValueError(f"bad mixture index {args.index!r}") from None
+    k = _check_half_integer(k)
     if args.check:
         step = Fraction(1)
         ks: List[Fraction] = []

@@ -287,8 +287,6 @@ def mixture(k: Fraction) -> CarExpr:
     relations.
     """
     k = _check_half_integer(k)
-    if k == 0:
-        raise ValueError("index 0 is not half-integral")
     a1 = CarExpr.generator(1)
     p = a1 * a1.adjoint()        # a_1 a_1^*
     q = a1.adjoint() * a1        # a_1^* a_1
@@ -305,6 +303,8 @@ def verify_mixture_car(indices: Iterable[Fraction]) -> bool:
     """Anticommutation relations for the mixture family on the given
     half-integer index set (a repeated index is checked once)."""
     bs = {k: mixture(k) for k in map(_check_half_integer, indices)}
+    if not bs:
+        raise ValueError("need at least one mixture index")
     _check_mode(max((n for b in bs.values() for w in b.terms for n, _ in w),
                     default=1))
     return _satisfies_car(bs)

@@ -27,6 +27,14 @@ from .algebra import CuntzPoly, _sum_scaled
 # image passes this size is refused at that letter instead
 MAX_IMAGE_TERMS = 2 ** 15
 
+# m(x) multiplies m(s_J) by m(s_K)^* for every term s_J s_K^* of x, and
+# the sum of the product sizes len(m(s_J))·len(m(s_K)) bounds its time
+# and memory: `apply a16 --endo psi:13` (131072 pairs) answers in about
+# 4 s, `apply "s<9 ones> s<9 ones>'" --endo phi` (262144 pairs, an image
+# of as many terms) in about 5 s and 130 MB; phi on a7 (1048576 pairs)
+# is refused before its first product
+MAX_IMAGE_PAIRS = 2 ** 18
+
 
 class Morphism:
     """A unital *-endomorphism of O_N, given by generator images."""
@@ -93,12 +101,27 @@ class Morphism:
         return cached
 
     def __call__(self, x: CuntzPoly) -> CuntzPoly:
+        """m(x) = sum of c m(s_J) m(s_K)^* over the terms c s_J s_K^* of x.
+
+        The product sizes len(m(s_J))·len(m(s_K)) are added up before
+        any product is made, and past MAX_IMAGE_PAIRS the call is
+        refused."""
         if x.n != self.n:
             raise ValueError("rank mismatch")
         image = self.word_image
-        return _sum_scaled(self.n, (
-            (image(j) * image(k).adjoint(), coeff)
-            for (j, k), coeff in x.terms.items()))
+        factors = []
+        pairs = 0
+        for (j, k), coeff in x.terms.items():
+            left, right = image(j), image(k)
+            pairs += len(left.terms) * len(right.terms)
+            if pairs > MAX_IMAGE_PAIRS:
+                raise ValueError(
+                    f"applying {self.name or 'this morphism'} to a "
+                    f"{len(x.terms)}-term polynomial needs more than "
+                    f"{MAX_IMAGE_PAIRS} term pairs")
+            factors.append((left, right, coeff))
+        return _sum_scaled(self.n, ((left * right.adjoint(), coeff)
+                                    for left, right, coeff in factors))
 
     def then(self, other: "Morphism") -> "Morphism":
         """other o self: first apply self, then other."""
@@ -213,7 +236,7 @@ class PermEndo(Morphism):
     images are psi(s_i) = sum_{|J'| = l-1} eps * s_{sigma(i J')} s_{J'}^*.
     """
 
-    __slots__ = ("level", "sigma", "signs")
+    __slots__ = ("level", "sigma", "signs", "_maps")
 
     def __init__(self, n: int, level: int, sigma: Mapping[Word, Word],
                  signs: Mapping[Word, int] | None = None, name: str = ""):
@@ -251,6 +274,37 @@ class PermEndo(Morphism):
         self.level = level
         self.sigma = table
         self.signs = eps
+        self._maps: Dict[Word, Dict[Word, Tuple[int, Word]]] = {}
+
+    def word_map(self, j: Word) -> Dict[Word, Tuple[int, Word]]:
+        """The signed word map of psi(s_J), cached per instance.
+
+        psi(s_J) = sum_T eps_T s_{X_T} s_T^*, T over the words of length
+        l-1, and the map is the dict T -> (eps_T, X_T), T in
+        ``all_words`` order.  The empty word maps T to (1, T).  Writing
+        X = X' X'' with |X'| = l-1, s_T'^* s_X = s_X'' if T' = X' and 0
+        otherwise, so psi(s_i) s_X = eps(i X') s_{sigma(i X') X''}: the
+        map of iJ is read off the map of J one letter at a time, starting
+        from the longest cached suffix of J.  The cache starts empty."""
+        maps = self._maps
+        if not maps:
+            maps[()] = {t: (1, t) for t in all_words(self.n, self.level - 1)}
+        found = maps.get(j)
+        if found is None:
+            start = 1
+            while j[start:] not in maps:
+                start += 1
+            found = maps[j[start:]]
+            cut = self.level - 1
+            sigma, signs = self.sigma, self.signs
+            for begin in range(start - 1, -1, -1):
+                letter = (j[begin],)
+                step = {}
+                for t, (e, x) in found.items():
+                    head = letter + x[:cut]
+                    step[t] = (signs[head] * e, sigma[head] + x[cut:])
+                found = maps[j[begin:]] = step
+        return found
 
 
 def number_word(idx: int, n: int, length: int) -> Word:

@@ -129,3 +129,11 @@ def test_levels_above_the_limit_are_refused():
                               MAX_LEVEL + 1)
     with pytest.raises(ValueError, match="above the limit of 14"):
         theorem14_counts(level=100)
+
+
+def test_restriction_equality_needs_permutative_maps():
+    # flip() is psi_(13)(24) written with general generator images
+    for m1, m2 in ((flip(), standard_endo("(13)(24)")),
+                   (standard_endo("12"), flip())):
+        with pytest.raises(ValueError, match="permutative endomorphisms"):
+            uhf_restriction_equal(m1, m2, 2)

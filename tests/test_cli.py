@@ -331,3 +331,29 @@ def test_image_above_the_limit_is_refused_at_once(capsys):
     assert (code, out) == (2, "")
     assert err == (f"error: the image of s{'1' * 30} under phi is above the "
                    "limit of 32768 terms (reached at letter 16)\n")
+
+
+@pytest.mark.parametrize("argv, shown", [
+    (("apply", "a12", "--endo", "phi"), "a 2048-term polynomial"),
+    (("gp", "--endo", ".".join(["psi:1324"] * 7)), "a 128-term polynomial"),
+])
+def test_image_product_above_the_limit_is_refused_at_once(capsys, argv, shown):
+    # the term pairs of every product m(s_J) m(s_K)^* are added up before
+    # the first product is made: a12 under phi would ask for 2048 products
+    # of up to 4096 x 4096 terms, the 7-fold composite for phi o m o phi
+    # (made by gp) for about 2^22 pairs
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 2.0
+    assert (code, out) == (2, "")
+    assert err == (f"error: applying phi to {shown} needs more than "
+                   "262144 term pairs\n")
+
+
+@pytest.mark.parametrize("index", ["0", "1/3", "5/4"])
+def test_mixture_check_refuses_a_bad_index(capsys, index):
+    # the index is checked before the range +-1/2 .. +-|K| is built, so
+    # no index gives a check over an empty or a different set
+    code, out, err = run(capsys, "mixture", index, "--check", "--json")
+    assert (code, out) == (2, "")
+    assert err == f"error: index must be a half-integer, got {index}\n"

@@ -268,6 +268,8 @@ def test_vacuous_checks_are_refused():
         verify_car(0)
     with pytest.raises(ValueError, match="at least 1"):
         vacuum_check("fock", max_mode=-1)
+    with pytest.raises(ValueError, match="at least one mixture index"):
+        verify_mixture_car([])
 
 
 def test_modes_above_the_limit_are_refused():

@@ -1,4 +1,5 @@
-"""Byte-identical CLI output: the benchmark's golden jobs and pinned normal forms.
+"""Byte-identical output: the benchmark's golden jobs, pinned normal forms
+and the demo scripts.
 
 ``reduce`` contracts sibling blocks greedily in term order and is not
 confluent, so a change to the order in which products emit their terms
@@ -102,15 +103,38 @@ def test_pinned_stdout(capsys, args, md5):
     assert hashlib.md5(capsys.readouterr().out.encode()).hexdigest() == md5
 
 
-def test_verify_all_in_a_fresh_interpreter():
-    # in a new process every cache starts empty, as on a first CLI call;
-    # in process, earlier tests have already filled them
+def fresh_run(*argv):
+    """stdout of a new interpreter with the repository's src/ on the
+    path: every cache starts empty, as on a first CLI call; in process,
+    earlier tests have already filled them."""
     src = str(ROOT / "src")
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ,
                PYTHONPATH=src if not path else src + os.pathsep + path)
-    done = subprocess.run(
-        [sys.executable, "-m", "cuntzalg.cli", "verify", "all", "--json"],
-        env=env, capture_output=True, check=True)
-    assert hashlib.md5(done.stdout).hexdigest() == \
-        "ca60c9ea8b65d49116c10eab0bd493d6"
+    return subprocess.run([sys.executable, *argv], env=env,
+                          capture_output=True, check=True).stdout
+
+
+def test_verify_all_in_a_fresh_interpreter():
+    out = fresh_run("-m", "cuntzalg.cli", "verify", "all", "--json")
+    assert hashlib.md5(out).hexdigest() == "ca60c9ea8b65d49116c10eab0bd493d6"
+
+
+# md5 of the stdout of every demo script, recorded before restriction
+# equality compared signed word maps instead of polynomial products
+PINNED_DEMOS = {
+    "branching_tour.py": "2f75d4d0c0e930163c21158ec13d98f3",
+    "classification_counts.py": "23fe53c44292c46d1a3a13aef1129be8",
+    "fermion_embedding.py": "4f41aa3b3dc90c84d428126eaaa5d9bf",
+}
+
+
+def test_every_demo_is_pinned():
+    assert sorted(p.name for p in (ROOT / "demos").glob("*.py")) == \
+        sorted(PINNED_DEMOS)
+
+
+@pytest.mark.parametrize("name,md5", sorted(PINNED_DEMOS.items()))
+def test_pinned_demo_stdout(name, md5):
+    out = fresh_run(str(ROOT / "demos" / name))
+    assert hashlib.md5(out).hexdigest() == md5

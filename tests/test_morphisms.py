@@ -7,6 +7,7 @@ import pytest
 from cuntzalg import morphisms
 from cuntzalg.scalars import INV_SQRT2, MINUS_ONE, ONE, SQRT2, Scalar
 from cuntzalg.algebra import CuntzPoly
+from cuntzalg.words import all_words
 from cuntzalg.morphisms import (Morphism, PermEndo, ad_unitary, compose, flip,
                                 gauge_flip, hadamard, identity,
                                 lookup_morphism, nakanishi, perm_from_cycles,
@@ -32,6 +33,26 @@ def test_word_image_multiplies_letter_by_letter():
     assert len(endo.word_image(long_word).terms) == 2
 
 
+@pytest.mark.parametrize("n,level", [(2, 1), (3, 1), (2, 2), (3, 2), (2, 3)])
+def test_word_map_matches_word_image(n, level):
+    # psi(s_J) = sum_T eps_T s_{X_T} s_T^* for every word J up to length 3
+    rng = random.Random(f"word-map:{n}:{level}")
+    words = list(all_words(n, level))
+    images = words[:]
+    rng.shuffle(images)
+    endo = PermEndo(n, level, dict(zip(words, images)),
+                    signs={w: rng.choice((1, -1)) for w in words})
+    assert endo._maps == {}
+    for length in (3, 0, 1, 2):
+        for j in all_words(n, length):
+            terms = endo.word_map(j)
+            assert list(terms) == list(all_words(n, level - 1))
+            assert endo.word_image(j) == CuntzPoly(n, {
+                (x, t): ONE if e == 1 else MINUS_ONE
+                for t, (e, x) in terms.items()})
+            assert endo.word_map(j) is terms
+
+
 def test_image_above_the_limit_is_refused(monkeypatch):
     monkeypatch.setattr(morphisms, "MAX_IMAGE_TERMS", 8)
     phi = hadamard()
@@ -42,6 +63,23 @@ def test_image_above_the_limit_is_refused(monkeypatch):
     # the prefixes within the limit stay cached, the refused one is not
     assert (1, 1, 1) in phi._word_cache
     assert (1, 1, 1, 1) not in phi._word_cache
+
+
+def test_image_pairs_above_the_limit_are_refused(monkeypatch):
+    # s_1^2 s_1^2' under phi asks for 4 x 4 pairs, s_1^3 s_1^2' for 8 x 4
+    phi = hadamard()
+    monkeypatch.setattr(morphisms, "MAX_IMAGE_PAIRS", 16)
+    unit = CuntzPoly.matrix_unit(2, (1, 1), (1, 1))
+    assert phi(unit) == phi.word_image((1, 1)) * phi.word_image((1, 1)).adjoint()
+    phi.word_image((1, 1, 1))
+    products = []
+    monkeypatch.setattr(CuntzPoly, "__mul__", lambda a, b: products.append(1))
+    for x in (CuntzPoly(2, {((1, 1, 1), (1, 1)): ONE}),
+              unit + CuntzPoly(2, {((1,), ()): ONE})):
+        with pytest.raises(ValueError, match=r"^applying phi to a \d-term "
+                           r"polynomial needs more than 16 term pairs$"):
+            phi(x)
+    assert products == []
 
 
 def repeated_sum_image(m, x):

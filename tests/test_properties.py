@@ -263,36 +263,81 @@ def raised(endo):
     return PermEndo(endo.n, endo.level + 1, sigma, signs=signs)
 
 
+def poly_restriction_equal(m1, m2, level):
+    """(equal, level, witness) by comparing the polynomials
+    psi(E_{1^n,K}) = psi(s_{1^n}) psi(s_K)^* of classify.apply_to_unit
+    with CuntzPoly's semantic equality, n = 1..level."""
+    for n in range(1, level + 1):
+        ones = (1,) * n
+        for k in all_words(m1.n, n):
+            if not (classify.apply_to_unit(m1, ones, k)
+                    == classify.apply_to_unit(m2, ones, k)):
+                return (False, n, (ones, k))
+    return (True, level, None)
+
+
 def test_word_images_match_cascades():
-    """uhf_restriction_equal compares generator images; the cascade
-    commutator test gives the same verdict, level and witness."""
+    """uhf_restriction_equal compares signed word maps; the polynomial
+    products of apply_to_unit and the cascade commutator test give the
+    same verdict, level and witness."""
     def same_verdict(m1, m2, level):
         v = classify.uhf_restriction_equal(m1, m2, level)
-        assert ((v.equal, v.level, v.witness) ==
-                cascade_restriction_equal(m1, m2, level)), \
-            (m1.sigma, m1.signs, m2.sigma, m2.signs, level)
+        got = (v.equal, v.level, v.witness)
+        assert got == poly_restriction_equal(m1, m2, level), \
+            ("products", m1.sigma, m1.signs, m2.sigma, m2.signs, level)
+        assert got == cascade_restriction_equal(m1, m2, level), \
+            ("cascades", m1.sigma, m1.signs, m2.sigma, m2.signs, level)
         return v.equal
 
     sigmas = [standard_endo(name) for name in classify.ALL_SIGMA]
     assert sum(same_verdict(a, b, 4)
                for a, b in itertools.combinations(sigmas, 2)) == 4
 
+    # equal counts only the pairs equal by construction: a map against
+    # its negation or its raised form
     rng = random.Random(5150)
     equal = 0
-    for n, level, depth in ((2, 2, 4), (2, 3, 3), (3, 2, 2)):
+    for n, level, depth in ((2, 1, 4), (3, 1, 3), (2, 2, 4), (2, 3, 3),
+                            (3, 2, 2)):
         for _ in range(6):
             m1 = random_signed_perm_endo(rng, n, level)
             m2 = random_signed_perm_endo(rng, n, level)
             same_verdict(m1, m2, depth)
             equal += same_verdict(m1, negated(m1), depth)
-    for _ in range(6):
-        m2 = random_signed_perm_endo(rng, 2, 2)
-        m3 = random_signed_perm_endo(rng, 2, 3)
-        same_verdict(m2, m3, 3)
-        same_verdict(m3, m2, 3)
-        equal += same_verdict(m2, raised(m2), 3)
-        equal += same_verdict(negated(raised(m2)), m2, 3)
-    assert equal == 30
+    for n, low, high, depth in ((2, 1, 2, 3), (2, 2, 3, 3), (3, 1, 2, 2),
+                                (3, 2, 3, 2)):
+        for _ in range(6):
+            m1 = random_signed_perm_endo(rng, n, low)
+            m2 = random_signed_perm_endo(rng, n, high)
+            same_verdict(m1, m2, depth)
+            same_verdict(m2, m1, depth)
+            equal += same_verdict(m1, raised(m1), depth)
+            equal += same_verdict(negated(raised(m1)), m1, depth)
+    assert equal == 5 * 6 + 4 * 6 * 2
+
+
+def test_restriction_equality_makes_no_products(monkeypatch):
+    """The word-map route builds no CuntzPoly product, also on fresh
+    maps whose caches are empty, at mixed levels and with signs."""
+    products = []
+    mul = CuntzPoly.__mul__
+
+    def counted(a, b):
+        products.append((a, b))
+        return mul(a, b)
+
+    monkeypatch.setattr(CuntzPoly, "__mul__", counted)
+    rng = random.Random(7071)
+    pairs = [(standard_endo(a), standard_endo(b))
+             for a, b in itertools.combinations(classify.ALL_SIGMA, 2)]
+    for n, level in ((2, 1), (2, 3), (3, 2)):
+        m = random_signed_perm_endo(rng, n, level)
+        pairs += [(m, negated(m)), (m, raised(m)),
+                  (m, random_signed_perm_endo(rng, n, level))]
+    verdicts = [classify.uhf_restriction_equal(a, b, 4).equal
+                for a, b in pairs]
+    assert products == []
+    assert verdicts.count(True) == 4 + 6
 
 
 def test_commutant_witness_without_cascades(monkeypatch):
