@@ -35,8 +35,8 @@ from .morphisms import PermEndo, lookup_morphism
 from .reps import (ChainRep, CycleRep, branch, decompose_power, gp_branch,
                    parse_rep, restrict_chain_to_uhf, restrict_cycle_to_uhf,
                    uhf_branch)
-from .fermions import (CarExpr, _check_half_integer, mixture, psi_map,
-                       vacuum_check, verify_car, verify_mixture_car)
+from .fermions import (CarExpr, _check_half_integer, _check_mode, mixture,
+                       psi_map, vacuum_check, verify_car, verify_mixture_car)
 from .tables import VERIFIERS, TableReport, classify_table, verify_theorem14
 from .classify import theorem14_counts
 from .exprs import ExprError, as_cuntz, parse_expr
@@ -232,6 +232,8 @@ def cmd_mixture(args) -> int:
         raise ValueError(f"bad mixture index {args.index!r}") from None
     k = _check_half_integer(k)
     if args.check:
+        # b_{+-|k|} use modes up to 2|k| + 2: refuse before listing them
+        _check_mode(int(2 * abs(k) + 2))
         step = Fraction(1)
         ks: List[Fraction] = []
         bound = abs(k)

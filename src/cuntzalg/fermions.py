@@ -8,7 +8,13 @@ anticommutation relations
     a_m a_n + a_n a_m = 0,      a_m a_n^* + a_n^* a_m = delta_{mn} 1
 
 hold exactly.  CarExpr is a thin free *-algebra layer over the fermion
-generators; all equality questions are delegated to the O_2 image.
+generators; equality questions are delegated to the O_2 image.
+
+Two checks need no O_2 image of their operators.  The vacuum equations
+act with fermion words on the labels of a permutative representation,
+a_n by the Jordan-Wigner string (:func:`act_letter`), and the
+anticommutation relations of the mixtures b_k follow from those of the
+a_n by a lemma on their shape (:func:`verify_mixture_car`).
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from .scalars import MINUS_ONE, ONE, Scalar, ZERO
 from .words import Word, all_words, render_word
 from .algebra import CuntzPoly, _sum_scaled
 from .morphisms import Morphism, zeta
-from .reps import CycleRep, act_poly, uhf_branch
+from .reps import CycleRep, Hit, Label, act_word, uhf_branch
 
 # a formal word in the fermion generators: ((n, dagger), ...)
 CarWord = Tuple[Tuple[int, bool], ...]
@@ -188,11 +194,9 @@ def anticommutator(x: CarExpr, y: CarExpr) -> CarExpr:
 
 
 def _satisfies_car(gens: Dict[object, CarExpr],
-                   pairs: Optional[Iterable[Tuple[object, object]]] = None
-                   ) -> bool:
+                   pairs: Iterable[Tuple[object, object]]) -> bool:
     """The canonical anticommutation relations {x, y} = 0 and
-    {x, y^*} = delta_xy 1 in O_2, over the given pairs (x, y) of labels,
-    by default every unordered pair of the labelled generators.
+    {x, y^*} = delta_xy 1 in O_2, over the given pairs (x, y) of labels.
 
     psi_map is a *-homomorphism, so with X = psi_map(x) and
     Y = psi_map(y) the image of {x, y} is XY + YX and that of {x, y^*}
@@ -204,9 +208,6 @@ def _satisfies_car(gens: Dict[object, CarExpr],
     for label, x in gens.items():
         image = psi_map(x)
         images[label] = (image, image.adjoint())
-    if pairs is None:
-        labels = list(gens)
-        pairs = [(k, l) for i, k in enumerate(labels) for l in labels[i:]]
     one, zero = CuntzPoly.one(2), CuntzPoly.zero(2)
     for k, l in pairs:
         x = images[k][0]
@@ -299,15 +300,55 @@ def mixture(k: Fraction) -> CarExpr:
     return (p * hi - q * hi.adjoint()).scale(sign)
 
 
+# the words p = a_1 a_1^* and q = a_1^* a_1 that every b_k starts with
+_P: CarWord = ((1, False), (1, True))
+_Q: CarWord = ((1, True), (1, False))
+
+
+def _mixture_mode(b: CarExpr) -> Optional[int]:
+    """The mode m of b = c p L + c' q L', with c, c' in {1, -1} and L, L'
+    the letters a_m or a_m^* of one mode m >= 2; None for any other
+    shape."""
+    words = sorted(b.terms)
+    if (len(words) != 2 or any(len(w) != 3 for w in words)
+            or any(c not in (ONE, MINUS_ONE) for c in b.terms.values())):
+        return None
+    (p_word, q_word), mode = words, words[0][2][0]
+    if (p_word[:2] != _P or q_word[:2] != _Q or q_word[2][0] != mode
+            or mode < 2):
+        return None
+    return mode
+
+
 def verify_mixture_car(indices: Iterable[Fraction]) -> bool:
     """Anticommutation relations for the mixture family on the given
-    half-integer index set (a repeated index is checked once)."""
+    half-integer index set (a repeated index is checked once).
+
+    They follow from those of a_1 .. a_M by a lemma, so no product of
+    O_2 images is formed here.  Put p = a_1 a_1^* and q = a_1^* a_1.
+    Each b_k is +-(pX + qY), where X and Y are +-a_m or +-a_m^* for one
+    mode m >= 2, and different indices use different modes.  The CAR of
+    a_1 .. a_M give p + q = {a_1, a_1^*} = 1, pq = 0 (as a_1^2 = 0), and
+    p commutes with every a_m, a_m^* for m >= 2 (a_1 and a_1^* each
+    anticommute with them).  Hence, for b = +-(pX + qY) and
+    b' = +-(pX' + qY'),
+
+        {b, b'} = +-(p{X, X'} + q{Y, Y'}),
+
+    and likewise {b, b'^*} with X'^*, Y'^*.  For different indices the
+    modes differ, so every anticommutator on the right is 0; for b' = b
+    they are {X, X} = 0 and {X, X^*} = 1, so {b, b} = 0 and
+    {b, b^*} = p + q = 1.  So the check is the shape of each b_k
+    (:func:`_mixture_mode`), distinct modes, and ``verify_car`` up to
+    the highest mode.
+    """
     bs = {k: mixture(k) for k in map(_check_half_integer, indices)}
     if not bs:
         raise ValueError("need at least one mixture index")
-    _check_mode(max((n for b in bs.values() for w in b.terms for n, _ in w),
-                    default=1))
-    return _satisfies_car(bs)
+    modes = [_mixture_mode(b) for b in bs.values()]
+    if None in modes or len(set(modes)) < len(modes):
+        return False
+    return verify_car(max(modes))
 
 
 # -- vacua in the four standard fermion representations --------------------
@@ -334,6 +375,60 @@ def _fermion_rep(name: str) -> Tuple[str, Word, Tuple[bool, bool]]:
         raise ValueError(f"unknown fermion representation {name!r}") from None
 
 
+def act_letter(rep, n: int, dagger: bool, label: Label) -> Hit:
+    """Apply a_n (dagger false) or a_n^* to one label of a permutative
+    representation of O_2, in O(n) label steps and with no O_2 image.
+
+    This is the Jordan-Wigner string.  a_n = u lambda(a_{n-1}) and
+    a_n^* = u lambda(a_{n-1}^*), with lambda(x) = s_1 x s_1^* +
+    s_2 x s_2^* and u = s_1 s_1^* - s_2 s_2^*.  A label e with head
+    letter i is s_i s_i^* e, so lambda(x) e = s_i x s_i^* e, and
+    u s_i = s_i for i = 1, -s_i for i = 2:
+
+        a_n e = (-1)^[i = 2] s_i a_{n-1} s_i^* e.
+
+    So the n - 1 head letters are peeled off with a sign -1 for each 2,
+    a_1 = s_1 s_2^* (a_1^* = s_2 s_1^*) acts, and the letters go back
+    on.
+    """
+    heads = []
+    sign = 1
+    for _ in range(n - 1):
+        i = rep.head(label)
+        s, label = rep.gen_adj(i, label)
+        sign *= s if i == 1 else -s
+        heads.append(i)
+    hit = rep.gen_adj(1 if dagger else 2, label)
+    if hit is None:
+        return None
+    s, label = act_word(rep, tuple(heads) + ((2 if dagger else 1),), hit[1])
+    return sign * hit[0] * s, label
+
+
+def act_car(rep, x: CarExpr, vec: Dict[Label, Scalar]) -> Dict[Label, Scalar]:
+    """Apply a fermion expression to a finite linear combination of
+    labels, word by word, the last letter of a word acting first."""
+    out: Dict[Label, Scalar] = {}
+    for word, coeff in x.terms.items():
+        for start, amp in vec.items():
+            sign, label = 1, start
+            for n, dagger in reversed(word):
+                hit = act_letter(rep, n, dagger, label)
+                if hit is None:
+                    break
+                s, label = hit
+                sign *= s
+            else:
+                total = coeff * amp if sign == 1 else -(coeff * amp)
+                acc = out.get(label)
+                total = total if acc is None else acc + total
+                if total.is_zero():
+                    out.pop(label, None)
+                else:
+                    out[label] = total
+    return out
+
+
 def vacuum_check(name: str, max_mode: int = 7) -> bool:
     """Verify the defining vacuum equations of the named fermion
     representation, exactly, in the labelled orthonormal basis.
@@ -353,35 +448,38 @@ def vacuum_check(name: str, max_mode: int = 7) -> bool:
 
     Fock*: a_n^* annihilates the vacuum.  IW: a_{2n-1} and a_{2n}^*
     annihilate it; IW*: a_{2n-1}^* and a_{2n} do.
+
+    Every operator acts on labels (:func:`act_car`), so no O_2 image is
+    built; modes above ``MAX_MODE`` are still refused.
     """
     if max_mode < 1:
         raise ValueError(f"max mode must be at least 1, got {max_mode}")
     _check_mode(max_mode)
     shown, word, dagger = _fermion_rep(name)
     rep = CycleRep(2, word)
-    omega = {rep.vacuum(): ONE}
-    if any(act_poly(rep, _letter(n, dagger[1 - n % 2]), omega)
+    if any(act_letter(rep, n, dagger[1 - n % 2], rep.vacuum())
            for n in range(1, max_mode + 1)):
         return False
     if shown == "Fock":
-        star = act_poly(rep, _letter(1, True), omega)
+        omega = {rep.vacuum(): ONE}
+        star = act_car(rep, CarExpr.generator(1, True), omega)
         half = Fraction(1, 2)
         k = half
         while 2 * k + 2 <= max_mode:
             sgn = ONE if int(k - half) % 2 == 0 else MINUS_ONE
-            b_k, b_mk = psi_map(mixture(k)), psi_map(mixture(-k))
+            b_k, b_mk = mixture(k), mixture(-k)
             b_k_star, b_mk_star = b_k.adjoint(), b_mk.adjoint()
-            ahi = _letter(int(2 * k + 2), True).scale(sgn)
-            alo = _letter(int(2 * k + 1), True).scale(sgn)
+            ahi = CarExpr.generator(int(2 * k + 2), True).scale(sgn)
+            alo = CarExpr.generator(int(2 * k + 1), True).scale(sgn)
             checks = [
-                act_poly(rep, b_k, omega) == act_poly(rep, ahi, omega),
-                act_poly(rep, b_mk_star, omega) == act_poly(rep, alo, omega),
-                not act_poly(rep, b_k_star, omega),
-                not act_poly(rep, b_mk, omega),
-                act_poly(rep, b_mk, star) == act_poly(rep, -alo, star),
-                act_poly(rep, b_k_star, star) == act_poly(rep, ahi, star),
-                not act_poly(rep, b_k, star),
-                not act_poly(rep, b_mk_star, star),
+                act_car(rep, b_k, omega) == act_car(rep, ahi, omega),
+                act_car(rep, b_mk_star, omega) == act_car(rep, alo, omega),
+                not act_car(rep, b_k_star, omega),
+                not act_car(rep, b_mk, omega),
+                act_car(rep, b_mk, star) == act_car(rep, -alo, star),
+                act_car(rep, b_k_star, star) == act_car(rep, ahi, star),
+                not act_car(rep, b_k, star),
+                not act_car(rep, b_mk_star, star),
             ]
             if not all(checks):
                 return False

@@ -140,18 +140,24 @@ def test_criterion_12_oracle():
 
 
 def test_criterion_13_mode_limit(monkeypatch):
-    # both checks start from an empty cache of letter images, as a fresh
-    # `car --check-modes 16` or `mixture 11/2 --check` does
+    # every check starts from an empty cache of letter images, as a fresh
+    # `car --check-modes 16`, `mixture 13/2 --check` or `vacuum` does
     def relations():
         monkeypatch.setattr(fermions, "_GEN_CACHE", {})
         assert verify_car(MAX_MODE)
 
-    def mixtures():
+    def mixtures(bound):
         monkeypatch.setattr(fermions, "_GEN_CACHE", {})
-        ks = [Fraction(s, 2) for s in range(1, 12, 2)]
+        ks = [Fraction(s, 2) for s in range(1, 2 * bound + 1, 2)]
         assert verify_mixture_car(ks + [-k for k in ks])
+
+    def fock_vacuum():
+        monkeypatch.setattr(fermions, "_GEN_CACHE", {})
+        assert vacuum_check("fock", MAX_MODE)
     check(13, "anticommutation relations at the mode limit", 5.0, relations)
-    check(13, "mixture relations up to 11/2", 5.0, mixtures)
+    check(13, "mixture relations up to 11/2", 5.0, lambda: mixtures(6))
+    check(13, "mixture relations up to 13/2", 5.0, lambda: mixtures(7))
+    check(13, "Fock vacuum equations at the mode limit", 5.0, fock_vacuum)
 
 
 def _assert_table(name):

@@ -252,6 +252,16 @@ def test_fermion_mode_above_limit_is_usage_error(capsys, argv):
     assert "above the limit of 16" in err
 
 
+def test_huge_mixture_check_is_refused_at_once(capsys):
+    # the top mode is refused before the indices +-1/2 .. +-K are listed
+    start = time.perf_counter()
+    code, out, err = run(capsys, "mixture", "2000001/2", "--check")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == ("error: fermion mode 2000003 is above the limit of 16: "
+                   "a_n has 2^(n-1) terms in O_2\n")
+
+
 def test_formal_fermion_words_need_no_embedding(capsys):
     # printing a30 or b_{61/2} as a formal word builds no a_n in O_2
     assert run(capsys, "normal", "a30") == (0, "a30\n", "")

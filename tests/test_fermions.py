@@ -9,12 +9,13 @@ from cuntzalg import fermions
 from cuntzalg.algebra import CuntzPoly
 from cuntzalg.morphisms import standard_endo, zeta
 from cuntzalg.scalars import INV_SQRT2, MINUS_ONE, ONE, SQRT2, Scalar
-from cuntzalg.fermions import (MAX_MODE, CarExpr, _satisfies_car,
-                               anticommutator, apply_endo, car_equal,
-                               car_generator, car_generator_closed,
-                               dual_automorphism, fermion_branch, mixture,
-                               psi_map, vacuum_check, verify_car,
-                               verify_mixture_car)
+from cuntzalg.fermions import (MAX_MODE, CarExpr, _letter, _satisfies_car,
+                               act_car, act_letter, anticommutator,
+                               apply_endo, car_equal, car_generator,
+                               car_generator_closed, dual_automorphism,
+                               fermion_branch, mixture, psi_map,
+                               vacuum_check, verify_car, verify_mixture_car)
+from cuntzalg.reps import CycleRep, act_poly
 
 
 def a(n, dagger=False):
@@ -54,9 +55,17 @@ def test_letters_on_a_cold_cache(cold_cache, order):
             assert psi_map(a(n, dagger)) == want, (n, dagger)
 
 
+def all_pairs_car(gens):
+    """The oracle: _satisfies_car over every unordered pair of the
+    labelled generators, a generator paired with itself included."""
+    labels = list(gens)
+    return _satisfies_car(gens, [(k, l) for i, k in enumerate(labels)
+                                 for l in labels[i:]])
+
+
 def reference_car(gens):
     """The relations embedded word by word: psi_map of each formal
-    anticommutator, over the same unordered pairs as _satisfies_car."""
+    anticommutator, over the same unordered pairs as all_pairs_car."""
     items = list(gens.items())
     one, zero = CuntzPoly.one(2), CuntzPoly.zero(2)
     for i, (k, x) in enumerate(items):
@@ -89,7 +98,7 @@ CAR_SETS = (
 @pytest.mark.parametrize("gens,verdict", CAR_SETS)
 def test_car_checker_matches_the_word_by_word_reference(gens, verdict):
     assert reference_car(gens) is verdict
-    assert _satisfies_car(gens) is verdict
+    assert all_pairs_car(gens) is verdict
 
 
 def test_car_check_product_count(cold_cache, monkeypatch):
@@ -118,7 +127,7 @@ def test_car_check_product_count(cold_cache, monkeypatch):
 
 
 def all_pairs_verdict(modes):
-    return _satisfies_car({n: a(n) for n in range(1, modes + 1)})
+    return all_pairs_car({n: a(n) for n in range(1, modes + 1)})
 
 
 @pytest.mark.parametrize("modes", range(1, 11))
@@ -243,16 +252,95 @@ def test_mixture_car():
     assert verify_mixture_car([Fraction(1, 2), Fraction(1, 2)])
 
 
+def all_pairs_mixture(indices):
+    """The oracle for verify_mixture_car: every pair of embedded b_k."""
+    return all_pairs_car({k: fermions.mixture(k) for k in indices})
+
+
+MIXTURE_INDEX_SETS = (
+    [pytest.param(list(mixture_set(Fraction(b, 2))), id=f"pm-{b}/2")
+     for b in (1, 3, 5, 7)]
+    + [pytest.param([Fraction(3, 2), Fraction(-1, 2), Fraction(3, 2)],
+                    id="repeated")])
+
+
+@pytest.mark.parametrize("indices", MIXTURE_INDEX_SETS)
+def test_mixture_lemma_agrees_with_all_pairs(indices):
+    assert verify_mixture_car(indices) is all_pairs_mixture(indices) is True
+
+
+P_WORD, Q_WORD = ((1, False), (1, True)), ((1, True), (1, False))
+
+
+def q_in_place_of_p(k):
+    # b_k with q = a_1^* a_1 in the place of p = a_1 a_1^*
+    return CarExpr({(Q_WORD + w[2:] if w[:2] == P_WORD else w): c
+                    for w, c in mixture(k).terms.items()})
+
+
+def shared_mode(k):
+    # b_{-k} on the mode 2|k| + 2 of b_{|k|}
+    if k > 0:
+        return mixture(k)
+    hi = a(int(2 * abs(k) + 2))
+    return CarExpr({P_WORD: ONE}) * hi - CarExpr({Q_WORD: ONE}) * hi.adjoint()
+
+
+def doubled(k):
+    return mixture(k).scale(Scalar(2))
+
+
+@pytest.mark.parametrize("bad", [q_in_place_of_p, shared_mode, doubled])
+def test_mixture_checkers_reject_bad_families(monkeypatch, bad):
+    indices = list(mixture_set(Fraction(3, 2)))
+    monkeypatch.setattr(fermions, "mixture", bad)
+    assert all_pairs_mixture(indices) is False
+    assert verify_mixture_car(indices) is False
+
+
 def test_car_checker_rejects_a_repeated_generator():
     # {a_1, a_1^*} = 1, but two distinct labels demand 0
-    assert not _satisfies_car({1: a(1), 2: a(1)})
-    assert _satisfies_car({1: a(1), 2: a(2)})
+    assert not all_pairs_car({1: a(1), 2: a(1)})
+    assert all_pairs_car({1: a(1), 2: a(2)})
 
 
 def test_vacuum_checks():
     for max_mode in range(1, 10):
         for name in ("fock", "fock*", "iw", "iw*"):
             assert vacuum_check(name, max_mode=max_mode), (name, max_mode)
+
+
+ORACLE_REPS = [pytest.param(word, phase, id=f"P({word})-q{phase}")
+               for word in ("1", "2", "12", "21", "112", "1222")
+               for phase in (Fraction(0), Fraction(1, 2))]
+
+
+@pytest.mark.parametrize("word,phase", ORACLE_REPS)
+def test_label_action_matches_the_embedded_letter(word, phase):
+    # the Jordan-Wigner string against act_poly of the O_2 image
+    rep = CycleRep(2, tuple(int(c) for c in word), phase)
+    for n in range(1, 11):
+        for dagger in (False, True):
+            image = _letter(n, dagger)
+            for label in rep.seed_labels(3):
+                hit = act_letter(rep, n, dagger, label)
+                want = act_poly(rep, image, {label: ONE})
+                got = {} if hit is None else {hit[1]: Scalar(hit[0])}
+                assert got == want, (n, dagger, label)
+
+
+def test_car_expressions_act_word_by_word():
+    rep = CycleRep(2, (1, 2), Fraction(1, 2))
+    vec = {label: Scalar(i + 1) for i, label in
+           enumerate(rep.seed_labels(2))}
+    for x in seeded_car_exprs(0):
+        assert act_car(rep, x, vec) == act_poly(rep, psi_map(x), vec), x
+
+
+def test_vacuum_check_builds_no_image(cold_cache):
+    for name in ("fock", "fock*", "iw", "iw*"):
+        assert vacuum_check(name, max_mode=MAX_MODE)
+    assert fermions._GEN_CACHE == {}
 
 
 def test_modes_below_one_are_refused():
