@@ -17,7 +17,7 @@ from .morphisms import (Morphism, PermEndo, ad_unitary, compose, flip,
                         nakanishi, perm_from_cycles, rotation,
                         standard_endo, total_gauge_flip, zeta)
 from .reps import (BranchResult, ChainRep, Component, CycleRep, UhfCycle,
-                   branch, decompose_power, gp_branch, parse_rep,
+                   branch, branching, decompose_power, gp_branch, parse_rep,
                    uhf_branch)
 from .fermions import (CarExpr, car_generator, dual_automorphism,
                        fermion_branch, mixture, psi_map, vacuum_check,

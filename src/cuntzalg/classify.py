@@ -26,8 +26,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .scalars import ONE, Scalar, ZERO
 from .words import Word, all_words, render_word
 from .algebra import CuntzPoly
-from .morphisms import Morphism, PermEndo, _require_unitary
-from .reps import CycleRep, branch, gp_branch, uhf_branch
+from .morphisms import Morphism, PermEndo, WordMap, _require_unitary
+# perfbench/selftest.py checks that its tracer wraps classify.branch
+from .reps import branch, branching  # noqa: F401
 
 
 def apply_to_unit(endo: Morphism, j: Word, k: Word) -> CuntzPoly:
@@ -50,9 +51,9 @@ def unit_generators(n: int, depth: int) -> List[Tuple[Word, Word]]:
 
 # the depth-n check compares N^n matrix units, so each level multiplies
 # its time and memory by N: theorem14_counts (N = 2) takes about 0.2,
-# 0.4, 0.9 and 1.8 s and 39, 62, 111 and 211 MB at levels 11 to 14 (the
-# cached word maps hold most of that memory); deeper levels are refused
-# before any unit is compared
+# 0.4, 0.8 and 1.7 s and 22, 26, 36 and 55 MB at levels 11 to 14 (the
+# word maps of two depths, held at once, hold most of that memory);
+# deeper levels are refused before any unit is compared
 MAX_LEVEL = 14
 
 
@@ -70,11 +71,11 @@ class RestrictionVerdict:
                 f"(E_{{{render_word(j)},{render_word(k)}}})")
 
 
-def _unit_map(endo: PermEndo, j: Word, k: Word,
+def _unit_map(left: WordMap, right: WordMap,
               pads: Sequence[Word]) -> Dict[Word, Tuple[int, Word]]:
-    """psi(E_JK) as the dict Y -> (sign, X) of its terms sign s_X s_Y^*,
-    each term s_X s_Y^* written as sum_w s_{Xw} s_{Yw}^* over ``pads``."""
-    left, right = endo.word_map(j), endo.word_map(k)
+    """psi(E_JK) from the word maps of psi(s_J) and psi(s_K), as the dict
+    Y -> (sign, X) of its terms sign s_X s_Y^*, each term s_X s_Y^*
+    written as sum_w s_{Xw} s_{Yw}^* over ``pads``."""
     out: Dict[Word, Tuple[int, Word]] = {}
     for t, (e, x) in left.items():
         f, y = right[t]
@@ -106,9 +107,11 @@ def uhf_restriction_equal(m1: PermEndo, m2: PermEndo,
     psi(s_K) is an isometry, and at a fixed right depth the units
     s_X s_Y^* are linearly independent, so two images are equal in O_N
     iff their dicts are equal.  Two maps whose sigmas differ can still
-    agree on the UHF algebra, with the same terms under other T.  The
-    tests keep two references: the products of :func:`apply_to_unit`
-    and the cascade commutator test.
+    agree on the UHF algebra, with the same terms under other T.  Only
+    the word maps of depths n - 1 and n are held: each map of depth n
+    extends one of depth n - 1 by a letter.  The tests keep two
+    references: the products of :func:`apply_to_unit` and the cascade
+    commutator test.
     """
     if not (isinstance(m1, PermEndo) and isinstance(m2, PermEndo)):
         raise ValueError("restriction equality is decided for permutative "
@@ -125,12 +128,18 @@ def uhf_restriction_equal(m1: PermEndo, m2: PermEndo,
     depth = max(m1.level, m2.level) - 1
     pads1 = list(all_words(m1.n, depth - m1.level + 1))
     pads2 = list(all_words(m2.n, depth - m2.level + 1))
+    prev1, prev2 = {(): m1.word_map(())}, {(): m2.word_map(())}
     for n in range(1, level + 1):
         ones = (1,) * n
-        for k in all_words(m1.n, n):
-            if (_unit_map(m1, ones, k, pads1)
-                    != _unit_map(m2, ones, k, pads2)):
+        maps1: Dict[Word, WordMap] = {}
+        maps2: Dict[Word, WordMap] = {}
+        for k in all_words(m1.n, n):  # 1^n first
+            maps1[k] = m1.extend_map(k[0], prev1[k[1:]])
+            maps2[k] = m2.extend_map(k[0], prev2[k[1:]])
+            if (_unit_map(maps1[ones], maps1[k], pads1)
+                    != _unit_map(maps2[ones], maps2[k], pads2)):
                 return RestrictionVerdict(False, n, (ones, k))
+        prev1, prev2 = maps1, maps2
     return RestrictionVerdict(True, level)
 
 
@@ -289,44 +298,17 @@ def multiset(items) -> str:
     return " (+) ".join(sorted(items))
 
 
-def o_fingerprint(endo: PermEndo) -> Dict[str, str]:
-    """Branching cells over the tests P(1), P(2), P(12), GP(+)."""
-    out = {}
-    for name, word in (("P(1)", (1,)), ("P(2)", (2,)), ("P(12)", (1, 2))):
-        res = branch(CycleRep(endo.n, word), endo)
-        out[name] = multiset(c.describe() for c in res.components)
-    gp = gp_branch(endo)
-    out["GP(+)"] = (NOT_DERIVABLE if gp is None
-                    else multiset(a.describe() for a in gp["+"]))
-    return out
-
-
-def uhf_fingerprint(endo: PermEndo) -> Dict[str, str]:
-    """Branching cells over the tests P[1], P[2], P[12], GP[+]."""
-    out = {}
-    for name, word in (("P[1]", (1,)), ("P[2]", (2,)), ("P[12]", (1, 2))):
-        comps = uhf_branch(endo.n, word, endo)[1]
-        out[name] = multiset(str(c) for c in comps)
-    gp = gp_branch(endo)
-    out["GP[+]"] = (NOT_DERIVABLE if gp is None
-                    else multiset(a.describe(uhf=True) for a in gp["+"]))
-    return out
+O_TESTS = ("P(1)", "P(2)", "P(12)", "GP(+)")
+UHF_TESTS = ("P[1]", "P[2]", "P[12]", "GP[+]")
 
 
 def fingerprint(endo: PermEndo, tests: Sequence[str]) -> Dict[str, str]:
-    """Fingerprint over named test representations (mixing levels is
-    allowed); see parse_rep for accepted names."""
+    """Branching cells over named test representations, e.g. O_TESTS or
+    UHF_TESTS (mixing levels is allowed); see parse_rep for the names."""
     out: Dict[str, str] = {}
-    o_cells = uhf_cells = None
     for name in tests:
-        if name.startswith("P[") or name == "GP[+]":
-            if uhf_cells is None:
-                uhf_cells = uhf_fingerprint(endo)
-            out[name] = uhf_cells[name]
-        else:
-            if o_cells is None:
-                o_cells = o_fingerprint(endo)
-            out[name] = o_cells[name]
+        labels = branching(endo, name)
+        out[name] = NOT_DERIVABLE if labels is None else multiset(labels)
     return out
 
 
@@ -391,7 +373,8 @@ def theorem14_counts(level: int = 5) -> Dict[str, int]:
     classes = {find(r) for r in reps}
 
     # every class representative must have a distinct fingerprint
-    prints = {r: tuple(uhf_fingerprint(endos[r]).values()) for r in classes}
+    prints = {r: tuple(fingerprint(endos[r], UHF_TESTS).values())
+              for r in classes}
     if len(set(prints.values())) != len(prints):
         raise AssertionError("fingerprints fail to separate the classes")
 

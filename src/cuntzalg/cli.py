@@ -32,11 +32,11 @@ from .scalars import Scalar
 from .words import primitive_split, render_word
 from .algebra import CuntzPoly
 from .morphisms import PermEndo, lookup_morphism
-from .reps import (ChainRep, CycleRep, branch, decompose_power, gp_branch,
-                   parse_rep, restrict_chain_to_uhf, restrict_cycle_to_uhf,
-                   uhf_branch)
-from .fermions import (CarExpr, _check_half_integer, _check_mode, mixture,
-                       psi_map, vacuum_check, verify_car, verify_mixture_car)
+from .reps import (branching, decompose_power, parse_rep,
+                   restrict_chain_to_uhf, restrict_cycle_to_uhf)
+from .fermions import (FERMION_REPS, CarExpr, _check_half_integer,
+                       _check_mode, mixture, psi_map, vacuum_check,
+                       verify_car, verify_mixture_car)
 from .tables import VERIFIERS, TableReport, classify_table, verify_theorem14
 from .classify import theorem14_counts
 from .exprs import ExprError, as_cuntz, parse_expr
@@ -126,8 +126,7 @@ def _require_perm_endo(name: str) -> PermEndo:
 def cmd_branch(args) -> int:
     kind, *rest = parse_rep(args.rep, args.n)
     if kind == "gp":
-        sign, is_uhf = rest
-        return _gp_report(args.endo, sign, is_uhf, args.json)
+        return _gp_report(args.endo, args.rep, args.json)
     if args.endo is None:
         if kind != "cycle":
             raise ValueError("--endo is required for this representation")
@@ -138,39 +137,26 @@ def cmd_branch(args) -> int:
         _print_components(sorted(str(c) for c in classes), args.json)
         return 0
     endo = _require_perm_endo(args.endo)
-    if kind == "cycle":
-        word, phase = rest
-        rep = CycleRep(args.n, word, phase)
-        result = branch(rep, endo, seed_bound=args.seed_bound)
-        labels = sorted(c.describe() for c in result.components)
-    elif kind == "chain":
-        rep = ChainRep(rest[0])
-        result = branch(rep, endo, seed_bound=args.seed_bound)
-        labels = sorted(c.describe() for c in result.components)
-    elif kind == "uhf":
-        comps = uhf_branch(args.n, rest[0], endo, seed_bound=args.seed_bound)
-        labels = sorted(str(c) for c in comps[1])
-    else:
-        raise ValueError(f"cannot branch representation kind {kind!r}")
+    if endo.n != args.n:
+        raise ValueError(f"representation of O_{args.n} cannot be composed "
+                         f"with an endomorphism of O_{endo.n}")
+    labels = branching(endo, args.rep, args.seed_bound)
     extra = {} if args.seed_bound is None else {"seed_bound": args.seed_bound}
     _print_components(labels, args.json, **extra)
     return 0
 
 
-def _gp_report(endo_name: Optional[str], sign: str, is_uhf: bool,
-               as_json: bool) -> int:
+def _gp_report(endo_name: Optional[str], rep: str, as_json: bool) -> int:
     if endo_name is None:
         raise ValueError("--endo is required for GP branching")
-    m = lookup_morphism(endo_name)
-    table = gp_branch(m)
-    if table is None:
+    labels = branching(lookup_morphism(endo_name), rep)
+    if labels is None:
         if as_json:
             _emit_json({"derivable": False})
         else:
             print("not derivable")
         return 0
-    _print_components(sorted(a.describe(uhf=is_uhf) for a in table[sign]),
-                      as_json, derivable=True)
+    _print_components(labels, as_json, derivable=True)
     return 0
 
 
@@ -207,7 +193,8 @@ def cmd_restrict(args) -> int:
 
 def cmd_gp(args) -> int:
     sign = "-" if args.minus else "+"
-    return _gp_report(args.endo, sign, args.uhf, args.json)
+    rep = f"GP[{sign}]" if args.uhf else f"GP({sign})"
+    return _gp_report(args.endo, rep, args.json)
 
 
 def cmd_car(args) -> int:
@@ -374,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("vacuum",
                        help="verify vacuum equations of a fermion rep")
-    p.add_argument("rep", choices=["fock", "fock*", "iw", "iw*"])
+    p.add_argument("rep", choices=list(FERMION_REPS))
     p.add_argument("--max-mode", type=int, default=7)
     common(p, n=False)
     p.set_defaults(func=cmd_vacuum)

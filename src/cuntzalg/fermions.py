@@ -26,7 +26,7 @@ from .scalars import MINUS_ONE, ONE, Scalar, ZERO
 from .words import Word, all_words, render_word
 from .algebra import CuntzPoly, _sum_scaled
 from .morphisms import Morphism, zeta
-from .reps import CycleRep, Hit, Label, act_word, uhf_branch
+from .reps import CycleRep, Hit, Label, act_word, branching
 
 # a formal word in the fermion generators: ((n, dagger), ...)
 CarWord = Tuple[Tuple[int, bool], ...]
@@ -491,9 +491,8 @@ def fermion_branch(name: str, endo) -> List[str]:
     """Branching of a named fermion representation under an
     endomorphism, with components renamed to fermion conventions
     (Fock, Fock*, IW, IW*); other cycles keep their P[...] names."""
-    comps = uhf_branch(2, _fermion_rep(name)[1], endo)[1]
-    out = []
-    for c in comps:
-        label = str(c)
-        out.append(RENAME.get(label, label))
-    return sorted(out)
+    _fermion_rep(name)  # refuses every other name parse_rep accepts
+    if endo.n != 2:
+        raise ValueError(f"representation of O_2 cannot be composed with "
+                         f"an endomorphism of O_{endo.n}")
+    return sorted(RENAME.get(c, c) for c in branching(endo, name))

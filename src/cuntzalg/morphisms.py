@@ -227,6 +227,9 @@ def zeta(x: CuntzPoly) -> CuntzPoly:
 
 # -- permutative endomorphisms -----------------------------------------
 
+# psi(s_J) = sum_T eps_T s_{X_T} s_T^* as the dict T -> (eps_T, X_T)
+WordMap = Dict[Word, Tuple[int, Word]]
+
 
 class PermEndo(Morphism):
     """psi_sigma for a (signed) permutation sigma of words of length l.
@@ -236,7 +239,7 @@ class PermEndo(Morphism):
     images are psi(s_i) = sum_{|J'| = l-1} eps * s_{sigma(i J')} s_{J'}^*.
     """
 
-    __slots__ = ("level", "sigma", "signs", "_maps")
+    __slots__ = ("level", "sigma", "signs")
 
     def __init__(self, n: int, level: int, sigma: Mapping[Word, Word],
                  signs: Mapping[Word, int] | None = None, name: str = ""):
@@ -274,37 +277,32 @@ class PermEndo(Morphism):
         self.level = level
         self.sigma = table
         self.signs = eps
-        self._maps: Dict[Word, Dict[Word, Tuple[int, Word]]] = {}
 
-    def word_map(self, j: Word) -> Dict[Word, Tuple[int, Word]]:
-        """The signed word map of psi(s_J), cached per instance.
+    def word_map(self, j: Word) -> WordMap:
+        """The signed word map of psi(s_J).
 
         psi(s_J) = sum_T eps_T s_{X_T} s_T^*, T over the words of length
         l-1, and the map is the dict T -> (eps_T, X_T), T in
-        ``all_words`` order.  The empty word maps T to (1, T).  Writing
-        X = X' X'' with |X'| = l-1, s_T'^* s_X = s_X'' if T' = X' and 0
-        otherwise, so psi(s_i) s_X = eps(i X') s_{sigma(i X') X''}: the
-        map of iJ is read off the map of J one letter at a time, starting
-        from the longest cached suffix of J.  The cache starts empty."""
-        maps = self._maps
-        if not maps:
-            maps[()] = {t: (1, t) for t in all_words(self.n, self.level - 1)}
-        found = maps.get(j)
-        if found is None:
-            start = 1
-            while j[start:] not in maps:
-                start += 1
-            found = maps[j[start:]]
-            cut = self.level - 1
-            sigma, signs = self.sigma, self.signs
-            for begin in range(start - 1, -1, -1):
-                letter = (j[begin],)
-                step = {}
-                for t, (e, x) in found.items():
-                    head = letter + x[:cut]
-                    step[t] = (signs[head] * e, sigma[head] + x[cut:])
-                found = maps[j[begin:]] = step
+        ``all_words`` order.  The empty word maps T to (1, T), and the
+        map of iJ is :meth:`extend_map` of the map of J, so the map is
+        read off J one letter at a time, last letter first."""
+        found = {t: (1, t) for t in all_words(self.n, self.level - 1)}
+        for letter in reversed(j):
+            found = self.extend_map(letter, found)
         return found
+
+    def extend_map(self, letter: int, found: WordMap) -> WordMap:
+        """The word map of s_i s_J from the word map ``found`` of s_J.
+
+        Writing X = X' X'' with |X'| = l-1, s_T'^* s_X = s_X'' if T' = X'
+        and 0 otherwise, so psi(s_i) s_X = eps(i X') s_{sigma(i X') X''}."""
+        cut = self.level - 1
+        sigma, signs = self.sigma, self.signs
+        step = {}
+        for t, (e, x) in found.items():
+            head = (letter,) + x[:cut]
+            step[t] = (signs[head] * e, sigma[head] + x[cut:])
+        return step
 
 
 def number_word(idx: int, n: int, length: int) -> Word:

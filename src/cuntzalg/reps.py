@@ -15,7 +15,8 @@ families are implemented:
 Composing such a representation with a permutative endomorphism again
 gives a permutative representation; :func:`branch` computes its
 decomposition into cycles and chains by following the unique-predecessor
-map backwards from a complete set of seed labels.
+map backwards from a complete set of seed labels.  :func:`branching`
+takes the representation by name instead and returns its sorted cells.
 
 Every label has exactly one first letter, :meth:`CycleRep.head` /
 :meth:`ChainRep.head`: the only i with s_i^* label != 0.  So the one
@@ -225,6 +226,9 @@ def act_poly(rep, poly, vec: Dict[Label, Scalar]) -> Dict[Label, Scalar]:
 
 # -- branching -----------------------------------------------------------
 
+# predecessor steps one branch call may take, summed over its seeds
+MAX_BRANCH_STEPS = 200000
+
 
 @dataclass
 class Component:
@@ -292,8 +296,8 @@ def _predecessor(rep, endo: PermEndo):
     return pred
 
 
-def branch(rep, endo: PermEndo, seed_bound: Optional[int] = None,
-           max_steps: int = 200000) -> BranchResult:
+def branch(rep, endo: PermEndo,
+           seed_bound: Optional[int] = None) -> BranchResult:
     """Decompose rep o endo into cycle and chain components.
 
     Seeds every reduced label with word part of length <= seed_bound and
@@ -301,9 +305,9 @@ def branch(rep, endo: PermEndo, seed_bound: Optional[int] = None,
     2 * endo.level label actions a step) until each orbit closes into a
     cycle, merges into a known component, or (for chain base
     representations) exhibits an eventually periodic escape.  More than
-    max_steps predecessor steps, summed over all seeds, raise ValueError;
-    so does a seed set larger than max_steps, before it is listed, and a
-    representation and endomorphism of different rank.
+    MAX_BRANCH_STEPS predecessor steps over all seeds raise ValueError;
+    so does a larger seed set, before it is listed, and a representation
+    and endomorphism of different rank.
 
     The predecessor map strictly shortens word parts longer than
     endo.level - 1, so every recurrent label has a word part of length
@@ -320,13 +324,13 @@ def branch(rep, endo: PermEndo, seed_bound: Optional[int] = None,
         raise ValueError(f"seed bound {seed_bound} is below the level "
                          f"minus one ({level - 1}) of the endomorphism, "
                          f"so components would be missed")
-    return _follow_orbits(rep, _predecessor(rep, endo), seed_bound, max_steps)
+    return _follow_orbits(rep, _predecessor(rep, endo), seed_bound)
 
 
-def _follow_orbits(rep, pred, seed_bound: int,
-                   max_steps: int) -> BranchResult:
+def _follow_orbits(rep, pred, seed_bound: int) -> BranchResult:
     """The components found by walking pred back from every seed label."""
     n = rep.n
+    budget = MAX_BRANCH_STEPS  # a local in the step loop, read per call
     is_chain_base = isinstance(rep, ChainRep)
     if is_chain_base:
         per = len(rep.ev.period)
@@ -336,10 +340,10 @@ def _follow_orbits(rep, pred, seed_bound: int,
     # larger than the budget is refused before it is listed; past bound
     # 64 the count (at least 2^64) is not even formed
     if seed_bound > 64:
-        raise _over_budget(max_steps, "more than 2^64", seed_bound)
+        raise _over_budget("more than 2^64", seed_bound)
     count = rep.seed_count(seed_bound)
-    if count > max_steps:
-        raise _over_budget(max_steps, count, seed_bound)
+    if count > budget:
+        raise _over_budget(count, seed_bound)
     seeds = rep.seed_labels(seed_bound)
     memo: Dict[Label, int] = {}
     components: List[Component] = []
@@ -355,8 +359,8 @@ def _follow_orbits(rep, pred, seed_bound: int,
         sigmap: Dict[Tuple, int] = {}
         while True:
             steps += 1
-            if steps > max_steps:
-                raise _over_budget(max_steps, count, seed_bound)
+            if steps > budget:
+                raise _over_budget(count, seed_bound)
             current = path[-1]
             if is_chain_base:
                 w, m = current
@@ -403,10 +407,10 @@ def _follow_orbits(rep, pred, seed_bound: int,
     return BranchResult(components)
 
 
-def _over_budget(max_steps: int, seeds, seed_bound: int) -> ValueError:
-    return ValueError(f"branch exceeded its total of {max_steps} predecessor "
-                      f"steps over {seeds} seed labels (seed bound "
-                      f"{seed_bound}); lower the seed bound")
+def _over_budget(seeds, seed_bound: int) -> ValueError:
+    return ValueError(f"branch exceeded its total of {MAX_BRANCH_STEPS} "
+                      f"predecessor steps over {seeds} seed labels (seed "
+                      f"bound {seed_bound}); lower the seed bound")
 
 
 def decompose_power(word, l: int, sign: int = 1) -> List[CycleClass]:
@@ -637,3 +641,32 @@ def parse_rep(text: str, n: int = 2):
     if text.endswith("^inf"):
         return ("chain", parse_ev_word(text, n))
     raise ValueError(f"unrecognized representation {text!r}")
+
+
+def branching(endo: Morphism, rep: str,
+              seed_bound: Optional[int] = None) -> Optional[List[str]]:
+    """The sorted component labels of the named representation composed
+    with endo, for any name :func:`parse_rep` accepts in endo's rank.
+
+    P(J), P(J;q) and chains branch by :func:`branch`, P[J] and the
+    fermion names by :func:`uhf_branch` (as P[...] cells), GP(+/-) and
+    GP[+/-] by :func:`gp_branch`, which returns None when the branching
+    is not derivable.  Only GP takes a general morphism, and it ignores
+    seed_bound.
+    """
+    kind, *rest = parse_rep(rep, endo.n)
+    if kind == "gp":
+        sign, uhf = rest
+        table = gp_branch(endo)
+        if table is None:
+            return None
+        return sorted(a.describe(uhf=uhf) for a in table[sign])
+    if not isinstance(endo, PermEndo):
+        raise ValueError(f"{rep} branches under permutative endomorphisms "
+                         f"only")
+    if kind == "uhf":
+        comps = uhf_branch(endo.n, rest[0], endo, seed_bound)[1]
+        return sorted(str(c) for c in comps)
+    base = CycleRep(endo.n, *rest) if kind == "cycle" else ChainRep(rest[0])
+    result = branch(base, endo, seed_bound)
+    return sorted(c.describe() for c in result.components)

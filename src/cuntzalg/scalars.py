@@ -63,9 +63,6 @@ class Scalar:
     def is_one(self) -> bool:
         return self._a == 1 and not self._b and self._d == 1
 
-    def is_rational(self) -> bool:
-        return not self._b
-
     # -- field operations ----------------------------------------------
 
     def __add__(self, other: "Scalar") -> "Scalar":
@@ -132,10 +129,6 @@ class Scalar:
     def conjugate(self) -> "Scalar":
         """Complex conjugate; the identity, since the field is real."""
         return self
-
-    def galois_conjugate(self) -> "Scalar":
-        """The field automorphism a + b*sqrt(2) -> a - b*sqrt(2)."""
-        return _make(self._a, -self._b, self._d)
 
     # -- comparison / hashing -------------------------------------------
 

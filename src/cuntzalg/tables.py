@@ -27,12 +27,11 @@ from .scalars import MINUS_ONE, ONE
 from .words import parse_word
 from .algebra import CuntzPoly
 from .morphisms import _require_unitary, identity, standard_endo, nakanishi
-from .reps import CycleRep, branch, uhf_branch
+from .reps import branching
 from .fermions import (FERMION_REPS, CarExpr, apply_endo, fermion_branch,
                        psi_map)
-from .classify import (_conjugates, commutant_witness, flip_unitary,
-                       multiset, o_fingerprint, theorem14_counts,
-                       uhf_fingerprint)
+from .classify import (O_TESTS, UHF_TESTS, _conjugates, commutant_witness,
+                       fingerprint, flip_unitary, multiset, theorem14_counts)
 
 
 def _img(n: int, text: str) -> CuntzPoly:
@@ -188,6 +187,9 @@ def _t6_132(n: int) -> CarExpr:
     return (_a(1, True) - _a(1)) * _a(n + 1)
 
 
+# the modes a_1..a_4 on which each formula is checked
+TABLE6_MODES = 4
+
 # sigma -> formula for the image of a_n, or None for "---"
 TABLE6: Dict[str, Optional[Callable[[int], CarExpr]]] = {
     "id": _t6_id, "(12)(34)": _t6_1234,
@@ -329,8 +331,8 @@ def verify_table1() -> TableReport:
 def verify_table2() -> TableReport:
     report = TableReport("table2")
     for name, *cells in TABLE2:
-        computed = o_fingerprint(standard_endo(name))
-        for col, want in zip(("P(1)", "P(2)", "P(12)", "GP(+)"), cells):
+        computed = fingerprint(standard_endo(name), O_TESTS)
+        for col, want in zip(O_TESTS, cells):
             _cell(report, name, col, want, computed[col])
     return report
 
@@ -339,9 +341,9 @@ def verify_table3() -> TableReport:
     report = TableReport("table3")
     for name, *cells in TABLE3:
         endo = standard_endo(name)
-        computed = uhf_fingerprint(endo)
+        computed = fingerprint(endo, UHF_TESTS)
         prop = cells[-1]
-        for col, want in zip(("P[1]", "P[2]", "P[12]", "GP[+]"), cells):
+        for col, want in zip(UHF_TESTS, cells):
             _cell(report, name, col, want, computed[col])
         if prop.endswith("aut"):
             # psi o psi = id on the generators makes psi an automorphism,
@@ -372,14 +374,14 @@ def verify_table4() -> TableReport:
     return report
 
 
-def verify_table6(modes: int = 4) -> TableReport:
+def verify_table6() -> TableReport:
     report = TableReport("table6")
     for name, formula in TABLE6.items():
         endo = standard_endo(name)
         if formula is None:
             _cell(report, name, "a_n", "---", "---")
             continue
-        for n in range(1, modes + 1):
+        for n in range(1, TABLE6_MODES + 1):
             got = apply_endo(endo, CarExpr.generator(n))
             want = psi_map(formula(n))
             _cell(report, name, f"a_{n}", "equal",
@@ -411,15 +413,9 @@ def verify_table8() -> TableReport:
 def verify_nakanishi() -> TableReport:
     report = TableReport("nakanishi")
     rho = nakanishi()
-    for name, want in NAKANISHI_O.items():
-        word = (1,) if name == "P(1)" else (1, 2)
-        res = branch(CycleRep(3, word), rho)
-        _cell(report, name, "O_3", want,
-              multiset(c.describe() for c in res.components))
-    for name, want in NAKANISHI_UHF.items():
-        word = {"P[1]": (1,), "P[12]": (1, 2), "P[21]": (2, 1)}[name]
-        comps = uhf_branch(3, word, rho)[1]
-        _cell(report, name, "UHF_3", want, multiset(str(c) for c in comps))
+    for column, cells in (("O_3", NAKANISHI_O), ("UHF_3", NAKANISHI_UHF)):
+        for name, want in cells.items():
+            _cell(report, name, column, want, multiset(branching(rho, name)))
     return report
 
 

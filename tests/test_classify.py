@@ -1,5 +1,7 @@
 """Classification machinery: conjugacy, restriction equality, commutants."""
 
+import hashlib
+
 import pytest
 
 from cuntzalg import classify, tables
@@ -137,3 +139,13 @@ def test_restriction_equality_needs_permutative_maps():
                    (standard_endo("12"), flip())):
         with pytest.raises(ValueError, match="permutative endomorphisms"):
             uhf_restriction_equal(m1, m2, 2)
+
+
+def test_level_6_verdicts_are_pinned():
+    # str() of the 576 ordered verdicts at level 6, recorded while the
+    # word maps were still cached per endomorphism
+    endos = [standard_endo(name) for name in ALL_SIGMA]
+    verdicts = "\n".join(str(uhf_restriction_equal(a, b, 6))
+                         for a in endos for b in endos)
+    assert hashlib.md5(verdicts.encode()).hexdigest() == \
+        "82370b8131e8bfbbd20b25fb32e83bc4"

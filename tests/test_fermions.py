@@ -7,7 +7,7 @@ import pytest
 
 from cuntzalg import fermions
 from cuntzalg.algebra import CuntzPoly
-from cuntzalg.morphisms import standard_endo, zeta
+from cuntzalg.morphisms import nakanishi, standard_endo, zeta
 from cuntzalg.scalars import INV_SQRT2, MINUS_ONE, ONE, SQRT2, Scalar
 from cuntzalg.fermions import (MAX_MODE, CarExpr, _letter, _satisfies_car,
                                act_car, act_letter, anticommutator,
@@ -387,3 +387,10 @@ def test_fermion_branch():
     assert fermion_branch("iw", standard_endo("14")) == ["IW", "IW"]
     assert fermion_branch("iw", standard_endo("23")) == ["IW*", "IW*"]
     assert fermion_branch("fock", standard_endo("13")) == ["Fock*"]
+
+
+def test_fermion_branch_refuses_other_names_and_ranks():
+    with pytest.raises(ValueError, match="unknown fermion representation"):
+        fermion_branch("P[1]", standard_endo("13"))
+    with pytest.raises(ValueError, match="endomorphism of O_3"):
+        fermion_branch("fock", nakanishi())

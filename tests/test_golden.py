@@ -17,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from cuntzalg.classify import ALL_SIGMA
 from cuntzalg.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -101,6 +102,29 @@ def test_pinned_stdout(capsys, args, md5):
     code = main(args)
     assert code == 0
     assert hashlib.md5(capsys.readouterr().out.encode()).hexdigest() == md5
+
+
+# md5 of the --json stdout of branch over 14 representation names and
+# of gp in its four forms, for each of the 24 sigmas, recorded while each
+# command rendered its own cells
+GRID_NAMES = ["P(1)", "P(2)", "P(12)", "GP(+)", "P[1]", "P[2]", "P[12]",
+              "GP[+]", "fock", "fock*", "iw", "iw*", "2(12)^inf", "P(1;1/2)"]
+
+
+def test_branch_and_gp_grid_is_pinned(capsys):
+    out = []
+    for sigma in ALL_SIGMA:
+        endo = f"psi:{sigma}"
+        for rep in GRID_NAMES:
+            assert main(["branch", "--rep", rep, "--endo", endo,
+                         "--json"]) == 0
+            out.append(capsys.readouterr().out)
+        for flags in ([], ["--minus"], ["--uhf"], ["--minus", "--uhf"]):
+            assert main(["gp", "--endo", endo, "--json", *flags]) == 0
+            out.append(capsys.readouterr().out)
+    text = "".join(out)
+    assert hashlib.md5(text.encode()).hexdigest() == \
+        "da27d3758625f7dbaa9d77d5cbbf50c6"
 
 
 def fresh_run(*argv):

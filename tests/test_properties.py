@@ -197,7 +197,7 @@ def test_read_off_predecessor_matches_search():
                 for bound in (level - 1, level):
                     new = branch(rep, endo, seed_bound=bound)
                     ref = _follow_orbits(rep, search_predecessor(rep, endo),
-                                         bound, 200000)
+                                         bound)
                     assert ([component_key(c) for c in new.components] ==
                             [component_key(c) for c in ref.components]), \
                         (endo.sigma, endo.signs, rep, bound)

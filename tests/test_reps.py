@@ -8,9 +8,10 @@ import pytest
 from cuntzalg.scalars import ONE, Scalar
 from cuntzalg.words import all_words, parse_ev_word
 from cuntzalg.morphisms import PermEndo, flip, hadamard, standard_endo
+from cuntzalg.classify import ALL_SIGMA
 from cuntzalg.reps import (ChainRep, CycleRep, act_poly, act_word,
-                           act_word_adj, branch, decompose_power, gp_branch,
-                           parse_rep, restrict_chain_to_uhf,
+                           act_word_adj, branch, branching, decompose_power,
+                           gp_branch, parse_rep, restrict_chain_to_uhf,
                            restrict_cycle_to_uhf, uhf_branch)
 
 
@@ -43,14 +44,16 @@ def test_seed_bound_below_level_minus_one_is_rejected():
     assert labels(branch(rep, p1324, seed_bound=1)) == labels(branch(rep, p1324))
 
 
-def test_step_budget_is_an_input_error():
+def test_step_budget_is_an_input_error(monkeypatch):
     rep = CycleRep(2, (1,))
     p1324 = standard_endo("1324")
     # P(1) has 2^b seed labels at seed bound b: the empty word and the
     # words of length 1..b ending in 2
+    monkeypatch.setattr("cuntzalg.reps.MAX_BRANCH_STEPS", 10)
     with pytest.raises(ValueError, match=r"total of 10 predecessor steps "
                        r"over 32 seed labels \(seed bound 5\)"):
-        branch(rep, p1324, seed_bound=5, max_steps=10)
+        branch(rep, p1324, seed_bound=5)
+    monkeypatch.undo()
     assert labels(branch(rep, p1324, seed_bound=5)) == ["P(12)"]
 
 
@@ -74,15 +77,17 @@ def test_oversized_seed_set_is_refused_before_listing(monkeypatch):
         branch(CycleRep(2, (1,)), p1324, seed_bound=65)
 
 
-def test_step_budget_counts_every_step_of_the_walk():
+def test_step_budget_counts_every_step_of_the_walk(monkeypatch):
     # 10 seed labels, but the escape to the chain component takes 14 steps
     chain = ChainRep(parse_ev_word("2(12)^inf", 2))
     p1324 = standard_endo("1324")
+    full = labels(branch(chain, p1324, seed_bound=1))
+    monkeypatch.setattr("cuntzalg.reps.MAX_BRANCH_STEPS", 13)
     with pytest.raises(ValueError, match=r"total of 13 predecessor steps "
                        r"over 10 seed labels \(seed bound 1\)"):
-        branch(chain, p1324, seed_bound=1, max_steps=13)
-    assert (labels(branch(chain, p1324, seed_bound=1, max_steps=14)) ==
-            labels(branch(chain, p1324, seed_bound=1)))
+        branch(chain, p1324, seed_bound=1)
+    monkeypatch.setattr("cuntzalg.reps.MAX_BRANCH_STEPS", 14)
+    assert labels(branch(chain, p1324, seed_bound=1)) == full
 
 
 def test_head_is_the_only_letter_with_a_nonzero_adjoint():
@@ -272,6 +277,51 @@ def test_branch_functoriality_spot_check():
                                second)
                 two_stage.extend(str(c) for c in inner.cycle_classes())
             assert fingerprint == sorted(two_stage)
+
+
+def gp_cells(sign, uhf):
+    def render(endo):
+        table = gp_branch(endo)
+        return (None if table is None
+                else sorted(a.describe(uhf=uhf) for a in table[sign]))
+    return render
+
+
+def cycle_cells(word, phase=Fraction(0)):
+    return lambda endo: labels(branch(CycleRep(2, word, phase), endo))
+
+
+def uhf_cells(word):
+    return lambda endo: uhf_labels(2, word, endo)
+
+
+# each name branching accepts, with its cells rendered straight from
+# branch, uhf_branch or gp_branch
+DIRECT_CELLS = {
+    "P(1)": cycle_cells((1,)), "P(2)": cycle_cells((2,)),
+    "P(12)": cycle_cells((1, 2)), "GP(+)": gp_cells("+", False),
+    "P[1]": uhf_cells((1,)), "P[2]": uhf_cells((2,)),
+    "P[12]": uhf_cells((1, 2)), "GP[+]": gp_cells("+", True),
+    "fock": uhf_cells((1,)), "fock*": uhf_cells((2,)),
+    "iw": uhf_cells((1, 2)), "iw*": uhf_cells((2, 1)),
+    "2(12)^inf": lambda endo: labels(
+        branch(ChainRep(parse_ev_word("2(12)^inf", 2)), endo)),
+    "P(1;1/2)": cycle_cells((1,), Fraction(1, 2)),
+}
+
+
+@pytest.mark.parametrize("sigma", ALL_SIGMA)
+def test_branching_matches_the_direct_render(sigma):
+    endo = standard_endo(sigma)
+    for name, direct in DIRECT_CELLS.items():
+        assert branching(endo, name) == direct(endo), name
+
+
+def test_branching_of_gp_takes_any_morphism():
+    assert branching(flip(), "GP(-)") == ["GP(-).theta"]
+    assert branching(hadamard(), "GP[+]") is None
+    with pytest.raises(ValueError, match="permutative endomorphisms only"):
+        branching(hadamard(), "P(1)")
 
 
 def test_parse_rep():
