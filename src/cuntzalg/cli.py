@@ -31,7 +31,7 @@ from typing import Dict, List, Optional
 from .scalars import Scalar
 from .words import primitive_split, render_word
 from .algebra import CuntzPoly
-from .morphisms import PermEndo, lookup_morphism
+from .morphisms import Morphism, PermEndo, lookup_morphism
 from .reps import (branching, decompose_power, parse_rep,
                    restrict_chain_to_uhf, restrict_cycle_to_uhf)
 from .fermions import (FERMION_REPS, CarExpr, _check_half_integer,
@@ -125,9 +125,9 @@ def _require_perm_endo(name: str) -> PermEndo:
 
 def cmd_branch(args) -> int:
     kind, *rest = parse_rep(args.rep, args.n)
-    if kind == "gp":
-        return _gp_report(args.endo, args.rep, args.json)
     if args.endo is None:
+        if kind == "gp":
+            raise ValueError("--endo is required for GP branching")
         if kind != "cycle":
             raise ValueError("--endo is required for this representation")
         word, phase = rest
@@ -136,20 +136,21 @@ def cmd_branch(args) -> int:
         classes = decompose_power(*primitive_split(word))
         _print_components(sorted(str(c) for c in classes), args.json)
         return 0
-    endo = _require_perm_endo(args.endo)
+    endo = (lookup_morphism(args.endo) if kind == "gp"
+            else _require_perm_endo(args.endo))
     if endo.n != args.n:
         raise ValueError(f"representation of O_{args.n} cannot be composed "
                          f"with an endomorphism of O_{endo.n}")
+    if kind == "gp":
+        return _gp_report(endo, args.rep, args.json)
     labels = branching(endo, args.rep, args.seed_bound)
     extra = {} if args.seed_bound is None else {"seed_bound": args.seed_bound}
     _print_components(labels, args.json, **extra)
     return 0
 
 
-def _gp_report(endo_name: Optional[str], rep: str, as_json: bool) -> int:
-    if endo_name is None:
-        raise ValueError("--endo is required for GP branching")
-    labels = branching(lookup_morphism(endo_name), rep)
+def _gp_report(endo: Morphism, rep: str, as_json: bool) -> int:
+    labels = branching(endo, rep)
     if labels is None:
         if as_json:
             _emit_json({"derivable": False})
@@ -194,7 +195,7 @@ def cmd_restrict(args) -> int:
 def cmd_gp(args) -> int:
     sign = "-" if args.minus else "+"
     rep = f"GP[{sign}]" if args.uhf else f"GP({sign})"
-    return _gp_report(args.endo, rep, args.json)
+    return _gp_report(lookup_morphism(args.endo), rep, args.json)
 
 
 def cmd_car(args) -> int:

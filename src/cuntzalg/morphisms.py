@@ -304,6 +304,27 @@ class PermEndo(Morphism):
             step[t] = (signs[head] * e, sigma[head] + x[cut:])
         return step
 
+    def is_involution(self) -> bool:
+        """psi o psi = id, decided on word maps with no CuntzPoly product.
+
+        psi(psi(s_i)) = sum_t eps(it) psi(s_sigma(it)) psi(s_t)^*, t over
+        the words of length l-1, and with the word maps T -> (e, X_T) of
+        sigma(it) and T -> (e', Y_T) of t each product is
+        sum_T e e' s_{X_T} s_{Y_T}^*.  The right words Y_T over all (t, T)
+        are the distinct words of length 2l-2 (the projections
+        psi(s_t s_T s_T^* s_t^*) sum to 1), so the sum is
+        s_i = sum_Y s_{iY} s_Y^* exactly when every sign product is 1 and
+        every X_T is i Y_T."""
+        right = {t: self.word_map(t)
+                 for t in all_words(self.n, self.level - 1)}
+        for src, image in self.sigma.items():
+            tail_map = right[src[1:]]
+            for t, (e, x) in self.word_map(image).items():
+                e2, y = tail_map[t]
+                if self.signs[src] * e * e2 != 1 or x != src[:1] + y:
+                    return False
+        return True
+
 
 def number_word(idx: int, n: int, length: int) -> Word:
     """The word of the given length with 1-based lexicographic index idx."""

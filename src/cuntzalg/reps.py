@@ -37,13 +37,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from .scalars import Scalar
 from .words import (CycleClass, EvWord, Word, all_words, canonical_cycle,
                     check_word, is_primitive, make_ev_word, primitive_split,
                     render_word, rotations)
-from .morphisms import Morphism, PermEndo
+from .morphisms import (Morphism, PermEndo, compose, hadamard, identity,
+                        split_direct_sum)
 
 Label = Tuple[Word, int]
 # a label action: (sign, label) with the sign an int in {1, -1}, or None
@@ -505,6 +506,12 @@ def uhf_branch(n: int, word, endo: PermEndo,
 
 # -- the quasi-free pair GP(+/-) -----------------------------------------
 
+# the Walsh twist of a level-l map is 2^l fast transforms of length 2^l,
+# l 4^l additions: `gp --endo` on psi_1324^8 (level 9) answers in about
+# 0.5 s and 42 MB, and each level about quadruples the time; a signed
+# permutative map above this level is refused
+MAX_TWIST_LEVEL = 9
+
 
 @dataclass(frozen=True)
 class GpAtom:
@@ -581,32 +588,191 @@ def gp_branch(m: Morphism) -> Optional[Dict[str, List[GpAtom]]]:
     whose phihat is signed permutative.  Anything else returns None
     ("not derivable"), even when an orbit search could in principle be
     pushed further.
+
+    A signed permutative m (a PermEndo, or a map :func:`as_signed_perm`
+    recognizes) is worked on signed word permutations and integers.  Its
+    twist is m(s_i) = u s_i -> phi(u) s_i with phi(u) = W P W / 2^l, P
+    the signed permutation matrix of u and W the +-1 Sylvester (Walsh)
+    matrix (:func:`_walsh_twist`); the involution test is
+    :meth:`~cuntzalg.morphisms.PermEndo.is_involution`.  Of the two
+    split frames, xi = (s_1, s_2) gives the first-letter corners
+    s_k^* m(x) s_k (:func:`_corners`), and xi' = (phi(s_1), phi(s_2))
+    gives the phihat of the xi corners of phihat(m), because
+    phi(s_k)^* m(x) phi(s_k) = phi(s_k^* phihat(m)(phi(x)) s_k); so every
+    part carries its twist into the recursion.  The CuntzPoly products
+    of :func:`gp_branch_poly` run for m that is not signed permutative
+    (phi, phi_rot), and for a signed permutative map whose twist is not
+    a signed permutation but splits in the frame xi (from level 3 on).
+    A signed permutative m above level MAX_TWIST_LEVEL is refused.
     """
-    from .morphisms import compose, hadamard, identity, split_direct_sum
     if m.n != 2:
-        raise ValueError("GP(+/-) live on O_2")
-    phi = hadamard()
-    twisted = compose(phi, m, phi)
+        raise ValueError(f"GP(+/-) live on O_2, but "
+                         f"{m.name or 'this morphism'} acts on O_{m.n}")
+    psi = m if isinstance(m, PermEndo) else as_signed_perm(m)
+    if psi is None:
+        return gp_branch_poly(m)
+    if psi.level > MAX_TWIST_LEVEL:
+        raise ValueError(f"the GP twist of {m.name or 'this morphism'} "
+                         f"needs the Walsh transform at level {psi.level}, "
+                         f"above the limit of {MAX_TWIST_LEVEL}")
+    return _gp_words(psi, _walsh_twist(psi))
+
+
+# the Walsh twist of a signed permutative map: a PermEndo, or, when it is
+# not a signed permutation, whether it splits in the frame xi
+Twist = Union[PermEndo, bool]
+
+
+def _gp_words(psi: PermEndo,
+              tau: Twist) -> Optional[Dict[str, List[GpAtom]]]:
+    """The GP rule on a signed permutative map psi and its twist
+    tau = phihat(psi), on words unless the frame xi' splits psi into maps
+    that are not signed permutative (then by :func:`gp_branch_poly`).
+
+    The xi' parts of psi are the phihat of the xi corners of tau, and
+    they are signed permutative when tau is: both psi and tau are signed
+    permutations exactly when sigma is affine over GF(2) on the bits of
+    the words with signs +-(-1)^(d.x), then tau is of that form too, and
+    so is a corner of such a map."""
+    if isinstance(tau, PermEndo) and (tau.level == 1 or tau.is_involution()):
+        return _gp_table(tau)
+    corners = _corners(psi)
+    if corners is not None:
+        return _joined([_gp_words(f, _walsh_twist(f)) for f in corners])
+    if not isinstance(tau, PermEndo):
+        return gp_branch_poly(psi) if tau else None
+    corners = _corners(tau)
+    if corners is not None:
+        return _joined([_gp_words(_walsh_twist(g), g) for g in corners])
+    return None
+
+
+def _joined(tables) -> Optional[Dict[str, List[GpAtom]]]:
+    """The GP table of a direct sum from the tables of its two parts."""
+    if None in tables:
+        return None
+    return {s: tables[0][s] + tables[1][s] for s in ("+", "-")}
+
+
+def _gp_table(twist: PermEndo) -> Dict[str, List[GpAtom]]:
+    """GP(+) and GP(-) o m read off P(1) and P(2) o phihat(m)."""
+    out: Dict[str, List[GpAtom]] = {}
+    for sign_name, i in (("+", 1), ("-", 2)):
+        result = branch(CycleRep(2, (i,)), twist)
+        out[sign_name] = [GpAtom(cls.representative, cls.phase)
+                          for cls in result.cycle_classes()]
+    return out
+
+
+def _walsh_twist(endo: PermEndo) -> Twist:
+    """phihat(endo) = phi o endo o phi, at its lowest level when it is a
+    signed permutation, else whether it splits in the frame xi.
+
+    endo(s_i) = u s_i with u = sum_J eps_J s_sigma(J) s_J^*, whose matrix
+    P on the words of length l is a signed permutation, and phi maps
+    s_J s_K^* to sum_{A,B} H[A,J] H[B,K] s_A s_B^* with the l-fold tensor
+    power H = W / 2^(l/2) of the Hadamard matrix, W[a, b] =
+    (-1)^popcount(a & b) on the lexicographic indices of the words.  So
+    phihat(endo)(s_i) = phi(u) s_i with phi(u) = W P W / 2^l.  Its columns
+    are unit vectors, so it is a signed permutation exactly when each
+    column of the integer matrix W P W has one nonzero entry.  Each
+    column is the fast Walsh transform of a signed column of W, l 2^l
+    additions.
+    """
+    level = endo.level
+    words = list(all_words(2, level))
+    index = {w: a for a, w in enumerate(words)}
+    moved = [(index[x], index[j], endo.signs[j])
+             for j, x in endo.sigma.items()]
+    sigma: Optional[Dict[Word, Word]] = {}
+    signs: Dict[Word, int] = {}
+    splits = level > 1
+    for c, b in enumerate(words):
+        column = [0] * len(words)
+        for r, j, e in moved:  # (P W)[sigma(J), c] = eps_J W[J, c]
+            column[r] = -e if bin(j & c).count("1") % 2 else e
+        _walsh_transform(column)
+        hits = [r for r, v in enumerate(column) if v]
+        splits = splits and all(words[r][0] == b[1] for r in hits)
+        if sigma is not None and len(hits) == 1:
+            sigma[b] = words[hits[0]]
+            signs[b] = 1 if column[hits[0]] > 0 else -1
+        else:
+            sigma = None
+            if not splits:
+                return False
+    if sigma is None:
+        return splits
+    return _lowest_level(level, sigma, signs)
+
+
+def _walsh_transform(v: List[int]) -> None:
+    """v <- W v in place, W the Sylvester matrix of size len(v) = 2^l."""
+    h = 1
+    while h < len(v):
+        for start in range(0, len(v), 2 * h):
+            for a in range(start, start + h):
+                v[a], v[a + h] = v[a] + v[a + h], v[a] - v[a + h]
+        h *= 2
+
+
+def _lowest_level(level: int, sigma: Dict[Word, Word],
+                  signs: Dict[Word, int]) -> PermEndo:
+    """The PermEndo of a signed permutation of the words of the given
+    length at the lowest level that gives the same map of O_2.
+
+    A level-l map is one of level l-1 when sigma(Ja) = sigma'(J) a with
+    eps(Ja) = eps'(J) for both letters a; this is the contraction that
+    :meth:`CuntzPoly.reduce` applies to its generator images, so the
+    level is the one :func:`as_signed_perm` finds."""
+    while level > 1:
+        short: Dict[Word, Word] = {}
+        short_signs: Dict[Word, int] = {}
+        for j, x in sigma.items():
+            head = j[:-1]
+            if (x[-1] != j[-1]
+                    or short.setdefault(head, x[:-1]) != x[:-1]
+                    or short_signs.setdefault(head, signs[j]) != signs[j]):
+                return PermEndo(2, level, sigma, signs=signs)
+        sigma, signs, level = short, short_signs, level - 1
+    return PermEndo(2, level, sigma, signs=signs)
+
+
+def _corners(endo: PermEndo) -> Optional[Tuple[PermEndo, PermEndo]]:
+    """The frame-xi split of endo: f_k(x) = s_k^* endo(x) s_k.
+
+    endo(s_i) = sum_t eps(it) s_sigma(it) s_t^* is block diagonal over
+    s_1 s_1^* and s_2 s_2^*, which the split needs, exactly when every
+    sigma(J) begins with the second letter of J (never at level 1); then
+    f_k is the level-(l-1) map iT -> sigma(ikT) less its first letter,
+    with the sign eps(ikT).  None when endo does not split."""
+    level = endo.level
+    if level == 1 or any(x[0] != j[1] for j, x in endo.sigma.items()):
+        return None
+    parts = []
+    for k in (1, 2):
+        sigma = {j[:1] + j[2:]: x[1:]
+                 for j, x in endo.sigma.items() if j[1] == k}
+        signs = {j[:1] + j[2:]: e
+                 for j, e in endo.signs.items() if j[1] == k}
+        parts.append(_lowest_level(level - 1, sigma, signs))
+    return parts[0], parts[1]
+
+
+def gp_branch_poly(m: Morphism) -> Optional[Dict[str, List[GpAtom]]]:
+    """:func:`gp_branch` by CuntzPoly products: phi o m o phi and m o m
+    composed, the twist recognized by :func:`as_signed_perm`, the frames
+    tried by :func:`~cuntzalg.morphisms.split_direct_sum`.  The reference
+    for the signed-word route, and its fallback."""
+    twisted = compose(hadamard(), m, hadamard())
     sp = as_signed_perm(twisted)
     if sp is not None and sp.level > 1 and not m.then(m) == identity(2):
         sp = None
     if sp is not None:
-        out: Dict[str, List[GpAtom]] = {}
-        for sign_name, i in (("+", 1), ("-", 2)):
-            atoms: List[GpAtom] = []
-            result = branch(CycleRep(2, (i,)), sp)
-            for cls in result.cycle_classes():
-                atoms.append(GpAtom(cls.representative, cls.phase))
-            out[sign_name] = atoms
-        return out
+        return _gp_table(sp)
     split = split_direct_sum(m)
     if split is not None:
-        _, (f1, f2) = split
-        r1 = gp_branch(f1)
-        r2 = gp_branch(f2)
-        if r1 is None or r2 is None:
-            return None
-        return {s: r1[s] + r2[s] for s in ("+", "-")}
+        return _joined([gp_branch_poly(f) for f in split[1]])
     return None
 
 

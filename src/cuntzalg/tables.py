@@ -26,7 +26,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from .scalars import MINUS_ONE, ONE
 from .words import parse_word
 from .algebra import CuntzPoly
-from .morphisms import _require_unitary, identity, standard_endo, nakanishi
+from .morphisms import _require_unitary, standard_endo, nakanishi
 from .reps import branching
 from .fermions import (FERMION_REPS, CarExpr, apply_endo, fermion_branch,
                        psi_map)
@@ -346,10 +346,10 @@ def verify_table3() -> TableReport:
         for col, want in zip(UHF_TESTS, cells):
             _cell(report, name, col, want, computed[col])
         if prop.endswith("aut"):
-            # psi o psi = id on the generators makes psi an automorphism,
+            # psi o psi = id (on word maps) makes psi an automorphism,
             # its own inverse; the inner/outer qualifier is imported from
             # the reference, not derived
-            involutive = endo.then(endo) == identity(2)
+            involutive = endo.is_involution()
             verdict = prop if involutive else "not.involutive"
         elif commutant_witness(endo, 1) is not None:
             verdict = "red.end"

@@ -345,19 +345,55 @@ def test_image_above_the_limit_is_refused_at_once(capsys):
 
 @pytest.mark.parametrize("argv, shown", [
     (("apply", "a12", "--endo", "phi"), "a 2048-term polynomial"),
-    (("gp", "--endo", ".".join(["psi:1324"] * 7)), "a 128-term polynomial"),
+    (("gp", "--endo", ".".join(["psi:1324"] * 6 + ["phi"])),
+     "a 128-term polynomial"),
 ])
 def test_image_product_above_the_limit_is_refused_at_once(capsys, argv, shown):
     # the term pairs of every product m(s_J) m(s_K)^* are added up before
     # the first product is made: a12 under phi would ask for 2048 products
-    # of up to 4096 x 4096 terms, the 7-fold composite for phi o m o phi
-    # (made by gp) for about 2^22 pairs
+    # of up to 4096 x 4096 terms, and gp, which composes phi o m o phi for
+    # a map m that is not signed permutative (here psi_1324^6 o phi), for
+    # about 2^20 pairs
     start = time.perf_counter()
     code, out, err = run(capsys, *argv)
     assert time.perf_counter() - start < 2.0
     assert (code, out) == (2, "")
     assert err == (f"error: applying phi to {shown} needs more than "
                    "262144 term pairs\n")
+
+
+def test_gp_of_a_long_signed_composite_makes_no_product(capsys):
+    # psi_1324^7 is signed permutative at level 8, so gp takes its Walsh
+    # twist on words instead of composing phi o m o phi by products
+    start = time.perf_counter()
+    code, out, err = run(capsys, "gp", "--endo", ".".join(["psi:1324"] * 7))
+    assert time.perf_counter() - start < 2.0
+    assert (code, out, err) == (0, "not derivable\n", "")
+
+
+def test_gp_twist_above_the_level_limit_is_refused_at_once(capsys):
+    name = ".".join(["psi:1324"] * 9)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "gp", "--endo", name)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == (f"error: the GP twist of {name} needs the Walsh "
+                   "transform at level 10, above the limit of 9\n")
+
+
+@pytest.mark.parametrize("rep", ["P(1)", "GP(+)", "GP[-]"])
+def test_branch_refuses_a_rank_mismatch_for_every_name(capsys, rep):
+    code, out, err = run(capsys, "branch", "--rep", rep, "--endo", "psi:14",
+                         "--n", "3")
+    assert (code, out) == (2, "")
+    assert err == ("error: representation of O_3 cannot be composed with "
+                   "an endomorphism of O_2\n")
+
+
+def test_gp_names_a_map_that_does_not_act_on_o2(capsys):
+    code, out, err = run(capsys, "gp", "--endo", "nakanishi")
+    assert (code, out) == (2, "")
+    assert err == "error: GP(+/-) live on O_2, but nakanishi acts on O_3\n"
 
 
 @pytest.mark.parametrize("index", ["0", "1/3", "5/4"])

@@ -1,5 +1,6 @@
 """Permutative representations: branching, restriction, GP calculus."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,11 +8,14 @@ import pytest
 
 from cuntzalg.scalars import ONE, Scalar
 from cuntzalg.words import all_words, parse_ev_word
-from cuntzalg.morphisms import PermEndo, flip, hadamard, standard_endo
+from cuntzalg.algebra import CuntzPoly
+from cuntzalg.morphisms import (PermEndo, compose, flip, hadamard, identity,
+                                lookup_morphism, standard_endo)
 from cuntzalg.classify import ALL_SIGMA
 from cuntzalg.reps import (ChainRep, CycleRep, act_poly, act_word,
-                           act_word_adj, branch, branching, decompose_power,
-                           gp_branch, parse_rep, restrict_chain_to_uhf,
+                           act_word_adj, as_signed_perm, branch, branching,
+                           decompose_power, gp_branch, gp_branch_poly,
+                           parse_rep, restrict_chain_to_uhf,
                            restrict_cycle_to_uhf, uhf_branch)
 
 
@@ -261,9 +265,112 @@ def test_gp_branch_not_derivable():
         assert gp_branch(standard_endo(name)) is None
 
 
+def signed_map(images, signs):
+    """The level-l map sending the k-th word of length l (lexicographic)
+    to the images[k]-th, with sign signs[k]; images and signs as strings
+    of digits and of + and -."""
+    words = list(all_words(2, len(images).bit_length() - 1))
+    return PermEndo(2, len(words[0]),
+                    {w: words[int(d) - 1] for w, d in zip(words, images)},
+                    {w: 1 if e == "+" else -1 for w, e in zip(words, signs)})
+
+
+def all_signed_maps(level):
+    words = list(all_words(2, level))
+    for images in itertools.permutations(range(1, len(words) + 1)):
+        for signs in itertools.product("+-", repeat=len(words)):
+            yield signed_map("".join(map(str, images)), "".join(signs))
+
+
+# the 8 + 384 signed permutative maps of O_2 of level 1 and 2
+SIGNED_MAPS = [m for level in (1, 2) for m in all_signed_maps(level)]
+
+# level-3 maps whose Walsh twist is not a signed permutation but splits in
+# the frame xi, so that gp_branch hands them to the CuntzPoly route
+SPLIT_NON_SIGNED_TWISTS = [("57132468", "-----+-+"), ("14582367", "+-+-----"),
+                           ("32765814", "----+-+-")]
+
+
+def level3_sample(seed):
+    """Seeded level-3 maps of O_2: random ones, frame-xi splits built from
+    two level-2 corners, their twists phi o m o phi (frame-xi' splits)
+    where those are signed permutative, involutions b o a o b of level-2
+    involutions a, b, and the maps of SPLIT_NON_SIGNED_TWISTS."""
+    rng = random.Random(seed)
+    words = list(all_words(2, 3))
+
+    def random_map(level):
+        images = list(range(1, 2 ** level + 1))
+        rng.shuffle(images)
+        return signed_map("".join(map(str, images)),
+                          "".join(rng.choice("+-") for _ in images))
+
+    out = [random_map(3) for _ in range(40)]
+    phi = hadamard()
+    for _ in range(20):
+        corners = random_map(2), random_map(2)
+        sigma, signs = {}, {}
+        for j in words:  # sigma(ikT) = k sigma_k(iT)
+            corner = corners[j[1] - 1]
+            sigma[j] = j[1:2] + corner.sigma[j[:1] + j[2:]]
+            signs[j] = corner.signs[j[:1] + j[2:]]
+        split = PermEndo(2, 3, sigma, signs)
+        out.append(split)
+        twisted = as_signed_perm(compose(phi, split, phi))
+        if twisted is not None:
+            out.append(twisted)
+    involutions = [m for m in SIGNED_MAPS
+                   if m.level == 2 and m.then(m) == identity(2)]
+    for _ in range(60):
+        a, b = rng.choice(involutions), rng.choice(involutions)
+        product = as_signed_perm(compose(b, a, b))
+        if product.level == 3:
+            out.append(product)
+    out.extend(signed_map(*m) for m in SPLIT_NON_SIGNED_TWISTS)
+    return out
+
+
+def test_involution_check_matches_the_composite():
+    level3 = level3_sample(14)
+    assert sum(m.level == 3 and m.is_involution() for m in level3) >= 5
+    for m in SIGNED_MAPS + level3:
+        assert m.is_involution() == (m.then(m) == identity(2)), m.sigma
+
+
+def test_gp_branch_on_words_matches_the_cuntzpoly_route():
+    # tables, atom order included
+    derivable = 0
+    for m in SIGNED_MAPS + level3_sample(14):
+        table = gp_branch(m)
+        assert table == gp_branch_poly(m), (m.sigma, m.signs)
+        derivable += table is not None
+    assert derivable > 100
+    for name in ("phi", "phi_rot", "alpha", "alpha.phi", "phi.psi:23.phi"):
+        m = lookup_morphism(name)
+        assert gp_branch(m) == gp_branch_poly(m), name
+
+
+def test_gp_branch_of_signed_maps_makes_no_cuntzpoly_product(monkeypatch):
+    products = []
+    mul = CuntzPoly.__mul__
+
+    def counted(self, other):
+        products.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(CuntzPoly, "__mul__", counted)
+    for name in ALL_SIGMA:
+        gp_branch(standard_endo(name))
+    assert products == []
+    for m in SIGNED_MAPS:
+        gp_branch(m)
+    assert products == []
+    gp_branch(signed_map(*SPLIT_NON_SIGNED_TWISTS[0]))
+    assert products != []
+
+
 def test_branch_functoriality_spot_check():
     # branching through a composition agrees with branching in two stages
-    from cuntzalg.reps import as_signed_perm
     p13, p24 = standard_endo("13"), standard_endo("24")
     for first, second in ((p13, p24), (p24, p13)):
         composite = as_signed_perm(second.then(first))
