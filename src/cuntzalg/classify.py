@@ -13,17 +13,19 @@ psi(s_J) psi(s_K)^*, so
       psi(E_JK) = sum_T eps_T eps'_T s_{X_T} s_{Y_T}^*,
 
   a signed partial permutation of words: no polynomial product is made;
-* relative commutants are small exact linear-algebra problems over
-  Q(sqrt 2) in the coordinates of those images;
+* relative commutants are read off the same unit maps: commuting with a
+  signed partial permutation ties the coordinates of x in pairs x_a =
+  +-x_b or sends one to 0, so the solutions are signed orbits of
+  coordinates, with no polynomial product and no elimination;
 * conjugacy by a unitary u compares u psi_1(s_i) u^* with psi_2(s_i).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .scalars import ONE, Scalar, ZERO
+from .scalars import MINUS_ONE, ONE
 from .words import Word, all_words, render_word
 from .algebra import CuntzPoly
 from .morphisms import Morphism, PermEndo, WordMap, _require_unitary
@@ -31,22 +33,8 @@ from .morphisms import Morphism, PermEndo, WordMap, _require_unitary
 from .reps import branch, branching  # noqa: F401
 
 
-def apply_to_unit(endo: Morphism, j: Word, k: Word) -> CuntzPoly:
-    """Image of the matrix unit E_JK = s_J s_K^* under endo."""
-    if len(j) != len(k):
-        raise ValueError("matrix unit needs |J| = |K|")
-    return endo.word_image(j) * endo.word_image(k).adjoint()
-
-
-def unit_generators(n: int, depth: int) -> List[Tuple[Word, Word]]:
-    """A generating set of the level-``depth`` matrix-unit algebra:
-    E_{1..1,K} for all K, together with their adjoints."""
-    ones = (1,) * depth
-    out = []
-    for k in all_words(n, depth):
-        out.append((ones, k))
-        out.append((k, ones))
-    return out
+# a matrix unit E_JK = s_J s_K^* as its pair of words (J, K)
+Unit = Tuple[Word, Word]
 
 
 # the depth-n check compares N^n matrix units, so each level multiplies
@@ -57,11 +45,22 @@ def unit_generators(n: int, depth: int) -> List[Tuple[Word, Word]]:
 MAX_LEVEL = 14
 
 
+def _check_level(level: int) -> None:
+    """Refuse a certification level outside 1..MAX_LEVEL."""
+    if level < 1:
+        raise ValueError(f"certification level must be at least 1, "
+                         f"got {level}")
+    if level > MAX_LEVEL:
+        raise ValueError(f"certification level {level} is above the limit "
+                         f"of {MAX_LEVEL}: each level multiplies the work "
+                         f"by N")
+
+
 @dataclass
 class RestrictionVerdict:
     equal: bool
     level: int
-    witness: Optional[Tuple[Word, Word]] = None
+    witness: Optional[Unit] = None
 
     def __str__(self) -> str:
         if self.equal:
@@ -93,9 +92,8 @@ def uhf_restriction_equal(m1: PermEndo, m2: PermEndo,
     M_{N^n}, and both maps are *-homomorphisms, so they agree on M_{N^n}
     iff psi_1(E) = psi_2(E) for E = E_{1^n,K}, K in ``all_words`` order.
     The adjoints need no test of their own: psi(E^*) = psi(E)^*, so an
-    adjoint E_{K,1^n} fails exactly when E_{1^n,K} does, which comes
-    first in :func:`unit_generators` order.  The first failing unit is
-    the witness.
+    adjoint E_{K,1^n} fails exactly when E_{1^n,K} does.  The first
+    failing unit is the witness.
 
     Each image is compared as its unit map (see the module docstring):
     psi(E_JK) = sum_T eps_T eps'_T s_{X_T} s_{Y_T}^*.  A map of level l
@@ -110,19 +108,13 @@ def uhf_restriction_equal(m1: PermEndo, m2: PermEndo,
     agree on the UHF algebra, with the same terms under other T.  Only
     the word maps of depths n - 1 and n are held: each map of depth n
     extends one of depth n - 1 by a letter.  The tests keep two
-    references: the products of :func:`apply_to_unit` and the cascade
+    references: the products psi(s_J) psi(s_K)^* and the cascade
     commutator test.
     """
     if not (isinstance(m1, PermEndo) and isinstance(m2, PermEndo)):
         raise ValueError("restriction equality is decided for permutative "
                          "endomorphisms only")
-    if level < 1:
-        raise ValueError(f"certification level must be at least 1, "
-                         f"got {level}")
-    if level > MAX_LEVEL:
-        raise ValueError(f"certification level {level} is above the limit "
-                         f"of {MAX_LEVEL}: each level multiplies the work "
-                         f"by N")
+    _check_level(level)
     if m1.n != m2.n:
         raise ValueError("rank mismatch")
     depth = max(m1.level, m2.level) - 1
@@ -143,125 +135,80 @@ def uhf_restriction_equal(m1: PermEndo, m2: PermEndo,
     return RestrictionVerdict(True, level)
 
 
-# -- exact linear algebra over Q(sqrt 2) ---------------------------------
-
-
-def nullspace(rows: List[List[Scalar]], width: int) -> List[List[Scalar]]:
-    """Basis of the right nullspace of the given matrix, by Gaussian
-    elimination over the exact scalar field."""
-    matrix = [list(r) for r in rows]
-    pivots: List[int] = []
-    r = 0
-    for c in range(width):
-        pivot = None
-        for i in range(r, len(matrix)):
-            if not matrix[i][c].is_zero():
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        matrix[r], matrix[pivot] = matrix[pivot], matrix[r]
-        inv = matrix[r][c].inverse()
-        matrix[r] = [x * inv for x in matrix[r]]
-        for i in range(len(matrix)):
-            if i != r and not matrix[i][c].is_zero():
-                f = matrix[i][c]
-                matrix[i] = [a - f * b for a, b in zip(matrix[i], matrix[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(matrix):
-            break
-    free = [c for c in range(width) if c not in pivots]
-    basis = []
-    for f in free:
-        vec = [ZERO] * width
-        vec[f] = ONE
-        for i, c in enumerate(pivots):
-            vec[c] = -matrix[i][f]
-        basis.append(vec)
-    return basis
-
-
-def poly_to_matrix(p: CuntzPoly, depth: int) -> Dict[Tuple[Word, Word], Scalar]:
-    """Coordinates of a grade-zero polynomial in the depth-``depth``
-    matrix units (every term is fanned out to that depth)."""
-    out: Dict[Tuple[Word, Word], Scalar] = {}
-    for (j, k), coeff in p.terms.items():
-        if len(j) != len(k):
-            raise ValueError("polynomial is not gauge invariant")
-        if len(j) > depth:
-            raise ValueError(f"term at depth {len(j)} exceeds {depth}")
-        for w in all_words(p.n, depth - len(j)):
-            key = (j + w, k + w)
-            acc = out.get(key)
-            total = coeff if acc is None else acc + coeff
-            if total.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = total
-    return out
-
-
 def commutant_witness(endo: PermEndo, level: int = 1) -> Optional[CuntzPoly]:
     """Search the relative commutant endo(UHF)' cap UHF at a given depth.
 
-    Solves [x, endo(g)] = 0 exactly for x in the span of the depth-level
-    matrix units, with g running over a generating set of units up to
-    that depth.  Returns a non-scalar witness when the solution space
-    has dimension >= 2 (the identity is always a solution), else None.
+    Solves [x, endo(g)] = 0 exactly for x = sum_{J,K} x_JK E_JK in the
+    span of the depth-``level`` matrix units, g over the generators
+    E_{1^L,K} and E_{K,1^L} of depth L = ``level``.  They suffice: a unit
+    of depth g < L is the sum of the depth-L units E_{Jw,Kw}, |w| = L - g.
+    Each image is a unit map (see the module docstring), a signed partial
+    permutation s_Y -> eps s_X of the words of depth D = L + l - 1, and x
+    acts there as x tensor 1.  So an entry of x endo(g) - endo(g) x is
+    eps x_a - eps' x_b or a single eps x_a, and the solutions are spanned
+    by the consistent signed orbits of the N^(2L) coordinates under
+    x_a = eps eps' x_b, found by a signed union-find; an orbit that meets
+    x_a = 0 or a sign conflict is 0.  The orbits have disjoint supports,
+    so the free columns of the reduced echelon form (J, K order) are
+    their last coordinates, and its nullspace basis is the orbits in
+    that order, each signed +1 at its last coordinate.  The identity is
+    always a solution, so it is the sum of the orbits on the diagonal; the
+    witness is the first orbit that is not the whole diagonal, or None
+    when there is none (the commutant is trivial at this depth).  This
+    is the first non-scalar vector of the exact nullspace of the
+    commutators [E, endo(g)], which the tests keep as a reference.
     """
-    n = endo.n
-    basis_units = [(j, k) for j in all_words(n, level)
-                   for k in all_words(n, level)]
-    units = [CuntzPoly.matrix_unit(n, j, k) for (j, k) in basis_units]
-    depth = level + endo.level  # images of depth-<=level units live here
-    rows: List[List[Scalar]] = []
-    for g_depth in range(1, level + 1):
-        for (gj, gk) in unit_generators(n, g_depth):
-            g = apply_to_unit(endo, gj, gk)
-            # one row per matrix entry of the commutators [u, g]
-            entry_rows: Dict[Tuple[Word, Word], List[Scalar]] = {}
-            for c, u in enumerate(units):
-                for key, a in poly_to_matrix(u * g - g * u, depth).items():
-                    entry_rows.setdefault(key, [ZERO] * len(units))[c] = a
-            rows.extend(entry_rows.values())
-    basis = nullspace(rows, len(units))
-    if len(basis) < 2:
-        return None
-    identity = [ONE if j == k else ZERO for (j, k) in basis_units]
-    for vec in basis:
-        if not _proportional(vec, identity):
-            witness = CuntzPoly(n, {unit: x for unit, x
-                                    in zip(basis_units, vec)
-                                    if not x.is_zero()})
-            _check_witness(endo, witness, level)
-            return witness
-    raise AssertionError("nullspace of dimension >= 2 without a witness")
+    if not isinstance(endo, PermEndo):
+        raise ValueError("relative commutants are computed for permutative "
+                         "endomorphisms only")
+    words = list(all_words(endo.n, level))
+    coords = [(j, k) for j in words for k in words]
+    up = {c: (1, c) for c in coords}  # x_c = sign * x_up; a root is its own up
+    zero: Set[Unit] = set()          # coordinates forced to 0
 
+    def find(c):
+        sign = 1
+        while up[c][1] != c:
+            e, c = up[c]
+            sign *= e
+        return sign, c
 
-def _proportional(v1: Sequence[Scalar], v2: Sequence[Scalar]) -> bool:
-    ratio = None
-    for a, b in zip(v1, v2):
-        if b.is_zero():
-            if not a.is_zero():
-                return False
+    ones_map = endo.word_map((1,) * level)
+    for k in words:
+        k_map = endo.word_map(k)
+        for left, right in ((ones_map, k_map), (k_map, ones_map)):
+            entries: Dict[Unit, List[Tuple[int, Unit]]] = {}
+            for y, (e, x) in _unit_map(left, right, [()]).items():
+                for w in words:
+                    # (x g)_{w x'', y} = e x_{w, x'} and
+                    # (g x)_{x, w y''} = e x_{y', w}, x = x' x'', y = y' y''
+                    entries.setdefault((w + x[level:], y), []).append(
+                        (e, (w, x[:level])))
+                    entries.setdefault((x, w + y[level:]), []).append(
+                        (-e, (y[:level], w)))
+            for terms in entries.values():
+                if len(terms) == 1:
+                    zero.add(terms[0][1])
+                    continue
+                (e1, a), (e2, b) = terms
+                s1, ra = find(a)
+                s2, rb = find(b)
+                sign = -e1 * e2 * s1 * s2  # x_ra = sign * x_rb
+                if ra != rb:
+                    up[ra] = (sign, rb)
+                elif sign == -1:
+                    zero.add(a)
+    orbits: Dict[Unit, List[Unit]] = {}
+    for c in coords:
+        orbits.setdefault(find(c)[1], []).append(c)
+    diagonal = [(j, j) for j in words]
+    for members in sorted(orbits.values(), key=lambda m: m[-1]):
+        if members == diagonal or not zero.isdisjoint(members):
             continue
-        r = a * b.inverse()
-        if ratio is None:
-            ratio = r
-        elif r != ratio:
-            return False
-    return True
-
-
-def _check_witness(endo: PermEndo, x: CuntzPoly, level: int) -> None:
-    for g_depth in range(1, level + 1):
-        for (gj, gk) in unit_generators(endo.n, g_depth):
-            image = apply_to_unit(endo, gj, gk)
-            if not x * image == image * x:
-                raise AssertionError("claimed witness fails to commute")
-    if len(x.reduce().terms) == 1 and ((), ()) in x.reduce().terms:
-        raise AssertionError("claimed witness is scalar")
+        last = find(members[-1])[0]
+        return CuntzPoly._from_valid(endo.n, {
+            c: ONE if find(c)[0] == last else MINUS_ONE for c in members})
+    return None
 
 
 # -- conjugacy and fingerprints ------------------------------------------

@@ -38,7 +38,7 @@ from .fermions import (FERMION_REPS, CarExpr, _check_half_integer,
                        _check_mode, mixture, psi_map, vacuum_check,
                        verify_car, verify_mixture_car)
 from .tables import VERIFIERS, TableReport, classify_table, verify_theorem14
-from .classify import theorem14_counts
+from .classify import _check_level, theorem14_counts
 from .exprs import ExprError, as_cuntz, parse_expr
 
 
@@ -258,6 +258,7 @@ def _report_json(report: TableReport) -> Dict:
 
 
 def cmd_verify(args) -> int:
+    _check_level(args.level)  # before any table, whichever is asked for
     names = sorted(VERIFIERS) if args.which == "all" else [args.which]
     reports = [verify_theorem14(args.level) if name == "theorem14"
                else classify_table(name) for name in names]

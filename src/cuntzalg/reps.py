@@ -794,10 +794,10 @@ def parse_rep(text: str, n: int = 2):
         body = text[2:-1]
         phase = Fraction(0)
         if ";" in body:
-            body, qtext = body.split(";")
+            body, _, qtext = body.partition(";")
             try:
                 phase = Fraction(qtext)
-            except ZeroDivisionError:
+            except (ValueError, ZeroDivisionError):
                 raise ValueError(f"bad phase {qtext!r}") from None
         if "^inf" in body:
             return ("chain", parse_ev_word(body, n))

@@ -189,14 +189,15 @@ def render_word(word: Word) -> str:
 
 
 def parse_word(text: str, n: int) -> Word:
-    """Parse "12", "1122", or the comma form "10,2,3"."""
+    """Parse "12", "1122", or the comma form "10,2,3"; other text is
+    refused by a ValueError that quotes it."""
     text = text.strip()
     if text in ("", "0"):
         return ()
-    if "," in text:
-        letters = [int(p) for p in text.split(",")]
-    else:
-        letters = [int(c) for c in text]
+    try:
+        letters = [int(p) for p in (text.split(",") if "," in text else text)]
+    except ValueError:
+        raise ValueError(f"bad word {text!r}") from None
     return check_word(letters, n)
 
 

@@ -76,7 +76,8 @@ def test_commutant_witnesses():
 
 
 # the printed commutant witness of every psi_sigma, the same at depth 1
-# and 2 (fully reduced nullspace basis, so row order cannot change it)
+# and 2 (the first signed orbit by last coordinate, signed +1 there: it
+# depends on the solution space alone, not on the order of the equations)
 DIAGONAL_WITNESS = {"14", "23", "123", "142", "134", "243", "1243", "1342"}
 FLIP_WITNESS = {"132", "124", "143", "234"}
 
@@ -139,6 +140,13 @@ def test_restriction_equality_needs_permutative_maps():
                    (standard_endo("12"), flip())):
         with pytest.raises(ValueError, match="permutative endomorphisms"):
             uhf_restriction_equal(m1, m2, 2)
+
+
+def test_commutant_witness_needs_a_permutative_map():
+    # flip() is psi_(13)(24) written with general generator images
+    assert commutant_witness(standard_endo("(13)(24)"), 1) is None
+    with pytest.raises(ValueError, match="permutative endomorphisms"):
+        commutant_witness(flip(), 1)
 
 
 def test_level_6_verdicts_are_pinned():

@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from cuntzalg import cli
 from cuntzalg.cli import main
 
 
@@ -182,11 +183,48 @@ def test_repeated_cycle_entry_is_usage_error(capsys):
     ("classify", "--level", "15"),
     ("classify", "--level", "100"),
     ("verify", "theorem14", "--level", "30"),
+    ("verify", "table3", "--level", "99"),
+    ("verify", "table1", "--level", "-5"),
+    ("verify", "all", "--level", "15"),
 ])
 def test_out_of_range_option_is_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+ABOVE = ("certification level {} is above the limit of 14: each level "
+         "multiplies the work by N")
+BELOW = "certification level must be at least 1, got {}"
+
+
+@pytest.mark.parametrize("target, level, message", [
+    ("all", "99", ABOVE), ("table1", "-5", BELOW),
+    ("nakanishi", "0", BELOW), ("theorem14", "15", ABOVE),
+])
+def test_verify_checks_the_level_before_any_table(capsys, monkeypatch,
+                                                  target, level, message):
+    """Every target refuses the level as theorem14 does, before it
+    computes a table."""
+    computed = []
+    monkeypatch.setattr(cli, "classify_table", computed.append)
+    monkeypatch.setattr(cli, "verify_theorem14", computed.append)
+    code, out, err = run(capsys, "verify", target, "--level", level)
+    assert (code, out, computed) == (2, "", [])
+    assert err == f"error: {message.format(level)}\n"
+
+
+@pytest.mark.parametrize("argv, text", [
+    (("branch", "--rep", "P(12;1;2)", "--endo", "psi:12"), "bad phase '1;2'"),
+    (("branch", "--rep", "P(1;x)", "--endo", "psi:12"), "bad phase 'x'"),
+    (("branch", "--rep", "P(a)", "--endo", "psi:12"), "bad word 'a'"),
+    (("branch", "--rep", "P[1a]", "--endo", "psi:12"), "bad word '1a'"),
+    (("branch", "--rep", "P(,)", "--endo", "psi:12"), "bad word ','"),
+    (("restrict", "--rep", "1a(2)^inf"), "bad word '1a'"),
+])
+def test_malformed_representation_names_its_text(capsys, argv, text):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {text}\n")
 
 
 def test_seed_bound_at_level_minus_one(capsys):

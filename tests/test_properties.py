@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 from cuntzalg import classify
-from cuntzalg.scalars import MINUS_ONE, ONE
+from cuntzalg.scalars import MINUS_ONE, ONE, ZERO
 from cuntzalg.words import (all_words, canonical_cycle, is_primitive,
                             make_ev_word, minimal_rotation, primitive_split)
 from cuntzalg.algebra import CuntzPoly, gauge_lift
@@ -205,6 +205,121 @@ def test_read_off_predecessor_matches_search():
     assert compared >= 80
 
 
+# -- polynomial references for unit images and relative commutants ------
+
+
+def unit_generators(n, depth):
+    """A generating set of the level-``depth`` matrix-unit algebra:
+    E_{1..1,K} for all K, together with their adjoints."""
+    ones = (1,) * depth
+    out = []
+    for k in all_words(n, depth):
+        out.append((ones, k))
+        out.append((k, ones))
+    return out
+
+
+def apply_to_unit(endo, j, k):
+    """psi(E_JK) = psi(s_J) psi(s_K)^* by CuntzPoly products."""
+    return endo.word_image(j) * endo.word_image(k).adjoint()
+
+
+def nullspace(rows, width):
+    """Basis of the right nullspace of the given matrix, by Gaussian
+    elimination over Q(sqrt 2): the fully reduced echelon basis, one
+    vector per free column, in column order."""
+    matrix = [list(r) for r in rows]
+    pivots = []
+    r = 0
+    for c in range(width):
+        pivot = None
+        for i in range(r, len(matrix)):
+            if not matrix[i][c].is_zero():
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        matrix[r], matrix[pivot] = matrix[pivot], matrix[r]
+        inv = matrix[r][c].inverse()
+        matrix[r] = [x * inv for x in matrix[r]]
+        for i in range(len(matrix)):
+            if i != r and not matrix[i][c].is_zero():
+                f = matrix[i][c]
+                matrix[i] = [a - f * b for a, b in zip(matrix[i], matrix[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(matrix):
+            break
+    basis = []
+    for f in (c for c in range(width) if c not in pivots):
+        vec = [ZERO] * width
+        vec[f] = ONE
+        for i, c in enumerate(pivots):
+            vec[c] = -matrix[i][f]
+        basis.append(vec)
+    return basis
+
+
+def poly_to_matrix(p, depth):
+    """Coordinates of a grade-zero polynomial in the depth-``depth``
+    matrix units (every term is fanned out to that depth)."""
+    out = {}
+    for (j, k), coeff in p.terms.items():
+        assert len(j) == len(k) <= depth
+        for w in all_words(p.n, depth - len(j)):
+            key = (j + w, k + w)
+            total = out.get(key, ZERO) + coeff
+            if total.is_zero():
+                out.pop(key, None)
+            else:
+                out[key] = total
+    return out
+
+
+def proportional(v1, v2):
+    ratio = None
+    for a, b in zip(v1, v2):
+        if b.is_zero():
+            if not a.is_zero():
+                return False
+            continue
+        r = a * b.inverse()
+        if ratio is None:
+            ratio = r
+        elif r != ratio:
+            return False
+    return True
+
+
+def poly_commutant_witness(endo, level, unit_image=apply_to_unit):
+    """The relative commutant by products and elimination: solve
+    [x, psi(g)] = 0 for x in the span of the depth-``level`` units, g over
+    the generators of every depth 1..level, with one row per matrix entry
+    of each commutator, and return the first nullspace basis vector that
+    is not proportional to the identity (None when the nullspace is the
+    scalars).  ``unit_image(endo, J, K)`` gives psi(E_JK)."""
+    n = endo.n
+    basis_units = [(j, k) for j in all_words(n, level)
+                   for k in all_words(n, level)]
+    units = [CuntzPoly.matrix_unit(n, j, k) for (j, k) in basis_units]
+    depth = level + endo.level  # images of depth-<=level units live here
+    rows = []
+    for g_depth in range(1, level + 1):
+        for (gj, gk) in unit_generators(n, g_depth):
+            g = unit_image(endo, gj, gk)
+            entry_rows = {}
+            for c, u in enumerate(units):
+                for key, a in poly_to_matrix(u * g - g * u, depth).items():
+                    entry_rows.setdefault(key, [ZERO] * len(units))[c] = a
+            rows.extend(entry_rows.values())
+    identity = [ONE if j == k else ZERO for (j, k) in basis_units]
+    for vec in nullspace(rows, len(units)):
+        if not proportional(vec, identity):
+            return CuntzPoly(n, {unit: x for unit, x in zip(basis_units, vec)
+                                 if not x.is_zero()})
+    return None
+
+
 # -- the cascade route to restriction equality, as a reference -----------
 
 _CASCADES = {}
@@ -234,7 +349,7 @@ def cascade_restriction_equal(m1, m2, level):
     every generator of the depth-n units, n = 1..level."""
     for n in range(1, level + 1):
         v = cascade_unitary(m2, n).adjoint() * cascade_unitary(m1, n)
-        for (j, k) in classify.unit_generators(m1.n, n):
+        for (j, k) in unit_generators(m1.n, n):
             e = CuntzPoly.matrix_unit(m1.n, j, k)
             if not (v * e - e * v).is_zero():
                 return (False, n, (j, k))
@@ -265,13 +380,12 @@ def raised(endo):
 
 def poly_restriction_equal(m1, m2, level):
     """(equal, level, witness) by comparing the polynomials
-    psi(E_{1^n,K}) = psi(s_{1^n}) psi(s_K)^* of classify.apply_to_unit
-    with CuntzPoly's semantic equality, n = 1..level."""
+    psi(E_{1^n,K}) = psi(s_{1^n}) psi(s_K)^* of apply_to_unit with
+    CuntzPoly's semantic equality, n = 1..level."""
     for n in range(1, level + 1):
         ones = (1,) * n
         for k in all_words(m1.n, n):
-            if not (classify.apply_to_unit(m1, ones, k)
-                    == classify.apply_to_unit(m2, ones, k)):
+            if not apply_to_unit(m1, ones, k) == apply_to_unit(m2, ones, k):
                 return (False, n, (ones, k))
     return (True, level, None)
 
@@ -340,11 +454,70 @@ def test_restriction_equality_makes_no_products(monkeypatch):
     assert verdicts.count(True) == 4 + 6
 
 
-def test_commutant_witness_without_cascades(monkeypatch):
-    """commutant_witness gives the same witness, printed, whether the
-    unit images come from word images or from cascade conjugation."""
+def test_commutant_witness_without_cascades():
+    """The polynomial reference fed with cascade conjugates w E w^* as its
+    unit images prints the witness of the word-map route."""
     endos = [standard_endo(name) for name in classify.ALL_SIGMA]
     fast = [str(classify.commutant_witness(m, 1)) for m in endos]
-    monkeypatch.setattr(classify, "apply_to_unit", cascade_apply_to_unit)
-    assert [str(classify.commutant_witness(m, 1)) for m in endos] == fast
+    assert [str(poly_commutant_witness(m, 1, cascade_apply_to_unit))
+            for m in endos] == fast
     assert fast.count("None") < len(fast)
+
+
+def commutant_cases():
+    """(endo, depth): the 24 sigmas and seeded signed maps of small rank
+    and level at depths 1 and 2; three-letter maps, whose depth-2
+    reference takes about a second each, once at depth 2."""
+    cases = [(standard_endo(name), depth) for name in classify.ALL_SIGMA
+             for depth in (1, 2)]
+    rng = random.Random(9161)
+    for n, level in ((2, 1), (3, 1), (2, 2), (2, 3), (3, 2)):
+        for i in range(6):
+            m = random_signed_perm_endo(rng, n, level)
+            cases.append((m, 1))
+            if n == 2 or i == 0:
+                cases.append((m, 2))
+    return cases
+
+
+def test_commutant_witness_matches_polynomial_reference():
+    """The signed orbits of the word-map route print the witness of the
+    Q(sqrt 2) nullspace: the same first reduced echelon vector."""
+    found = 0
+    for m, depth in commutant_cases():
+        fast = classify.commutant_witness(m, depth)
+        assert str(fast) == str(poly_commutant_witness(m, depth)), \
+            (m.sigma, m.signs, depth)
+        found += fast is not None
+    assert found == 38
+
+
+def test_commutant_witnesses_commute_by_products():
+    """Every witness is a non-scalar x with x psi(E) = psi(E) x for the
+    generators E of every depth up to its own, by CuntzPoly products."""
+    for m, depth in commutant_cases():
+        x = classify.commutant_witness(m, depth)
+        if x is None:
+            continue
+        for g_depth in range(1, depth + 1):
+            for (j, k) in unit_generators(m.n, g_depth):
+                image = apply_to_unit(m, j, k)
+                assert x * image == image * x, (m.sigma, m.signs, depth)
+        reduced = x.reduce()
+        assert reduced.terms and set(reduced.terms) != {((), ())}
+
+
+def test_commutant_witness_makes_no_products(monkeypatch):
+    """The word-map route builds no CuntzPoly product."""
+    products = []
+    mul = CuntzPoly.__mul__
+
+    def counted(a, b):
+        products.append((a, b))
+        return mul(a, b)
+
+    cases = commutant_cases()
+    monkeypatch.setattr(CuntzPoly, "__mul__", counted)
+    witnesses = [classify.commutant_witness(m, depth) for m, depth in cases]
+    assert products == []
+    assert witnesses.count(None) < len(witnesses)
