@@ -4,12 +4,13 @@ A :class:`Morphism` is determined by the images of the generators; the
 constructor verifies that the images again satisfy the Cuntz relations,
 so every constructed object really is a unital *-endomorphism.  Images
 built inside the library that satisfy them by construction (composites,
-inner automorphisms, the named maps, permutative maps) are wrapped by
+inner automorphisms, the named maps) are wrapped by
 ``Morphism._from_valid`` without a second check.
 
 :class:`PermEndo` is the permutative case psi_sigma(s_i) = u_sigma s_i
 where sigma permutes the words of a fixed length l (optionally with
-signs).  For N = 2, l = 2 the words are numbered 1..4 in lexicographic
+signs); it builds its generator images only when they are first read.
+For N = 2, l = 2 the words are numbered 1..4 in lexicographic
 order, so cycle names like "psi_1324" pick out a concrete permutation.
 """
 
@@ -74,24 +75,27 @@ class Morphism:
         self.n = images[0].n
         self.images = list(images)
         self.name = name
-        self._word_cache: Dict[Word, CuntzPoly] = {(): CuntzPoly.one(self.n)}
+        self._word_cache: Dict[Word, CuntzPoly] = {}
 
     def word_image(self, j: Word) -> CuntzPoly:
         """Image of s_J, cached per morphism.
 
-        Starts from the longest cached prefix of J (the empty word is
-        always cached) and multiplies the remaining letters on one at a
+        Starts from the longest cached prefix of J (the first miss caches
+        the empty word) and multiplies the remaining letters on one at a
         time, caching every prefix on the way, so no call recurses.  A
         prefix image of more than MAX_IMAGE_TERMS terms is refused."""
         cache = self._word_cache
         cached = cache.get(j)
         if cached is None:
-            start = len(j) - 1
+            if not cache:
+                cache[()] = CuntzPoly.one(self.n)
+            start = len(j)
             while j[:start] not in cache:
                 start -= 1
             cached = cache[j[:start]]
+            images = self.images
             for end in range(start + 1, len(j) + 1):
-                cached = cached * self.images[j[end - 1] - 1]
+                cached = cached * images[j[end - 1] - 1]
                 if len(cached.terms) > MAX_IMAGE_TERMS:
                     raise ValueError(
                         f"the image of s{render_word(j)} under "
@@ -237,9 +241,15 @@ class PermEndo(Morphism):
     sigma maps each word of length l to a word of the same length;
     signs optionally attach -1 to some source words.  The generator
     images are psi(s_i) = sum_{|J'| = l-1} eps * s_{sigma(i J')} s_{J'}^*.
+
+    Construction checks and keeps sigma and the signs only.  The images
+    are built on their first read (by ``images``, a word image, m(x),
+    composition, equality or an unnamed repr), so the word-map routes
+    (:meth:`word_map`, :meth:`is_involution`, branching, restriction
+    equality) never build a CuntzPoly.
     """
 
-    __slots__ = ("level", "sigma", "signs")
+    __slots__ = ("level", "sigma", "signs", "_images")
 
     def __init__(self, n: int, level: int, sigma: Mapping[Word, Word],
                  signs: Mapping[Word, int] | None = None, name: str = ""):
@@ -248,35 +258,50 @@ class PermEndo(Morphism):
         if level < 1:
             raise ValueError(f"level must be at least 1, got {level}")
         domain = list(all_words(n, level))
+        words = set(domain)
         table: Dict[Word, Word] = {}
         for j in domain:
             image = sigma.get(j)
             if image is None:
                 raise ValueError(f"sigma undefined on {j}")
-            table[j] = check_word(image, n)
-            if len(table[j]) != level:
+            image = tuple(image)
+            if image not in words:
+                check_word(image, n)  # names a letter outside 1..n
                 raise ValueError("sigma must preserve word length")
+            table[j] = image
         if len(set(table.values())) != len(domain):
             raise ValueError("sigma is not a bijection")
-        eps: Dict[Word, int] = {}
-        for j in domain:
-            e = 1 if signs is None else signs.get(j, 1)
-            if e not in (1, -1):
-                raise ValueError("signs must be +1 or -1")
-            eps[j] = e
-        images = []
-        for i in range(1, n + 1):
-            terms: Dict[Tuple[Word, Word], Scalar] = {}
-            for tail in all_words(n, level - 1):
-                src = (i,) + tail
-                coeff = ONE if eps[src] == 1 else MINUS_ONE
-                terms[(table[src], tail)] = coeff
-            # every image word was checked above, tails come from all_words
-            images.append(CuntzPoly._from_valid(n, terms))
-        self._adopt(images, name)
+        eps: Dict[Word, int] = dict.fromkeys(domain, 1)
+        if signs is not None:
+            for j in domain:
+                e = eps[j] = signs.get(j, 1)
+                if e not in (1, -1):
+                    raise ValueError("signs must be +1 or -1")
+        self.n = n
+        self.name = name
+        self._word_cache = {}
+        self._images = None
         self.level = level
         self.sigma = table
         self.signs = eps
+
+    @property
+    def images(self) -> List[CuntzPoly]:
+        """The generator images, built from sigma and the signs on the
+        first read."""
+        if self._images is None:
+            n, sigma, eps = self.n, self.sigma, self.signs
+            images = []
+            for i in range(1, n + 1):
+                terms: Dict[Tuple[Word, Word], Scalar] = {}
+                for tail in all_words(n, self.level - 1):
+                    src = (i,) + tail
+                    coeff = ONE if eps[src] == 1 else MINUS_ONE
+                    terms[(sigma[src], tail)] = coeff
+                # every image word was checked, tails come from all_words
+                images.append(CuntzPoly._from_valid(n, terms))
+            self._images = images
+        return self._images
 
     def word_map(self, j: Word) -> WordMap:
         """The signed word map of psi(s_J).

@@ -19,11 +19,14 @@ map backwards from a complete set of seed labels.  :func:`branching`
 takes the representation by name instead and returns its sorted cells.
 
 Every label has exactly one first letter, :meth:`CycleRep.head` /
-:meth:`ChainRep.head`: the only i with s_i^* label != 0.  So the one
-word W of length l with s_W^* label != 0 is read off the label letter by
-letter, and the predecessor under a level-l psi_sigma comes from the
-source word sigma^-1(W).  A predecessor step costs about 2 l label
-actions, with no search over the N^l words.
+:meth:`ChainRep.head`: the only i with s_i^* label != 0.  So exactly one
+word W of length l has s_W^* label != 0, and the predecessor under a
+level-l psi_sigma comes from the source word i T = sigma^-1(W).  A step
+reads W as the label's word part followed by a slice of the base word
+(``read``: the repeated cycle word J, or the letters of K), and pushes T
+back by walking the base word while T's last letters match it
+(``push``): a few slices and comparisons, with no letter-by-letter label
+action and no search over the N^l words.
 
 Phases are restricted to 0 and 1/2, so every label action carries a
 sign in {1, -1}, and the label layer (``gen``/``gen_adj``, the word
@@ -103,6 +106,27 @@ class CycleRep:
             return 1, ((), p + 1)
         return None
 
+    def read(self, p: int, r: int) -> Tuple[Word, int, int]:
+        """s_W^* e_p for the one word W of length r it does not kill:
+        (W, sign, p') with s_W^* e_p = sign e_p'.
+
+        W is J[p-1 : p-1+r] of the repeated cycle word J, and the sign is
+        wrap^(number of times the read passes the end of J)."""
+        wraps, at = divmod(p - 1 + r, self.k)
+        return ((self.word * (wraps + 1))[p - 1:p - 1 + r],
+                self.wrap ** wraps, at + 1)
+
+    def push(self, word: Word, q: int) -> Tuple[int, Label]:
+        """s_word e_q as (sign, label): the last letters of word that
+        walk J backwards from e_q are absorbed, the rest is the word part,
+        and the sign is wrap^(number of times the walk passes e_1)."""
+        cycle, k = self.word, self.k
+        t, at = len(word), q - 1
+        while t and word[t - 1] == cycle[(at - 1) % k]:
+            t -= 1
+            at -= 1
+        return self.wrap ** -(at // k), (word[:t], at % k + 1)
+
     def seed_count(self, bound: int) -> int:
         """len(seed_labels(bound)): N^bound reduced words at each p."""
         return self.k * self.n ** bound
@@ -158,6 +182,20 @@ class ChainRep:
         if i == self._letter(m + 1):
             return 1, ((), m + 1)
         return None
+
+    def read(self, m: int, r: int) -> Tuple[Word, int, int]:
+        """s_W^* e_m for the one word W of length r it does not kill:
+        (W, 1, m + r), W the letters K(m+1) .. K(m+r)."""
+        return tuple(map(self._letter, range(m + 1, m + r + 1))), 1, m + r
+
+    def push(self, word: Word, q: int) -> Tuple[int, Label]:
+        """s_word e_q as (1, label): the last letters of word that match
+        K(q), K(q-1), ... are absorbed, the rest is the word part."""
+        t = len(word)
+        while t and word[t - 1] == self._letter(q):
+            t -= 1
+            q -= 1
+        return 1, (word[:t], q)
 
     def seed_count(self, bound: int) -> int:
         """len(seed_labels(bound)): N^bound reduced words at each m."""
@@ -269,30 +307,32 @@ class BranchResult:
 def _predecessor(rep, endo: PermEndo):
     """The predecessor map of rep o endo: label -> (letter, sign, label).
 
-    For the label v it reads the first endo.level letters W of v (with
-    the sign of s_W^* v), takes the source word i T = sigma^-1(W) and
-    returns (i, sign, s_T s_W^* v): the one label u and letter i with
-    endo(s_i) u = +-v.  One call costs about 2 * endo.level label
-    actions.
+    For the label v = (w, p) it reads the first endo.level letters W: w
+    and, when w is shorter, the rest from the base vector by ``rep.read``.
+    With the source word i T = sigma^-1(W) it returns (i, sign,
+    s_T s_W^* v), the one label u and letter i with endo(s_i) u = +-v;
+    ``rep.push`` puts T onto a base vector.  A step indexes the base
+    word instead of acting letter by letter, and touches only sigma, the
+    signs and the label.
     """
     level = endo.level
     source = {image: src for src, image in endo.sigma.items()}
     eps = endo.signs
-    head = rep.head
-    gen_adj = rep.gen_adj
+    read, push = rep.read, rep.push
 
     def pred(label: Label) -> Tuple[int, int, Label]:
-        read = []
-        s1 = 1
-        mid = label
-        for _ in range(level):
-            letter = head(mid)
-            s, mid = gen_adj(letter, mid)
-            read.append(letter)
-            s1 *= s
-        src = source[tuple(read)]
-        s2, out = act_word(rep, src[1:], mid)
-        return src[0], eps[src] * s1 * s2, out
+        w, p = label
+        sign = 1
+        if len(w) < level:
+            tail, sign, p = read(p, level - len(w))
+            w += tail
+        src = source[w[:level]]
+        sign *= eps[src]
+        rest = w[level:]
+        if rest:
+            return src[0], sign, (src[1:] + rest, p)
+        s, out = push(src[1:], p)
+        return src[0], sign * s, out
 
     return pred
 
@@ -302,9 +342,9 @@ def branch(rep, endo: PermEndo,
     """Decompose rep o endo into cycle and chain components.
 
     Seeds every reduced label with word part of length <= seed_bound and
-    follows the unique predecessor map (:func:`_predecessor`, about
-    2 * endo.level label actions a step) until each orbit closes into a
-    cycle, merges into a known component, or (for chain base
+    follows the unique predecessor map (:func:`_predecessor`: each step
+    reads a word off the label and pushes one back) until each orbit
+    closes into a cycle, merges into a known component, or (for chain base
     representations) exhibits an eventually periodic escape.  More than
     MAX_BRANCH_STEPS predecessor steps over all seeds raise ValueError;
     so does a larger seed set, before it is listed, and a representation

@@ -188,17 +188,26 @@ def render_word(word: Word) -> str:
     return ",".join(str(l) for l in word)
 
 
+# the letters of the digit form: ASCII digits only
+_DIGITS = {str(d): d for d in range(10)}
+
+
 def parse_word(text: str, n: int) -> Word:
     """Parse "12", "1122", or the comma form "10,2,3"; other text is
-    refused by a ValueError that quotes it."""
+    refused by a ValueError that quotes it.  Letters are ASCII digits
+    only: no other Unicode digit, sign, space or underscore."""
     text = text.strip()
     if text in ("", "0"):
         return ()
-    try:
-        letters = [int(p) for p in (text.split(",") if "," in text else text)]
-    except ValueError:
-        raise ValueError(f"bad word {text!r}") from None
-    return check_word(letters, n)
+    if "," in text:
+        parts = text.split(",")
+        if all(p.isascii() and p.isdigit() for p in parts):
+            return check_word([int(p) for p in parts], n)
+    else:
+        letters = list(map(_DIGITS.get, text))
+        if None not in letters:
+            return check_word(letters, n)
+    raise ValueError(f"bad word {text!r}")
 
 
 def parse_ev_word(text: str, n: int) -> EvWord:

@@ -221,6 +221,14 @@ def test_verify_checks_the_level_before_any_table(capsys, monkeypatch,
     (("branch", "--rep", "P[1a]", "--endo", "psi:12"), "bad word '1a'"),
     (("branch", "--rep", "P(,)", "--endo", "psi:12"), "bad word ','"),
     (("restrict", "--rep", "1a(2)^inf"), "bad word '1a'"),
+    (("branch", "--rep", "P(\uff11)", "--endo", "psi:12"),
+     "bad word '\uff11'"),
+    (("branch", "--rep", "P[1,\u0662]", "--endo", "psi:12"),
+     "bad word '1,\u0662'"),
+    (("branch", "--rep", "P(1_0,2)", "--n", "3", "--endo", "nakanishi"),
+     "bad word '1_0,2'"),
+    (("branch", "--rep", "P(1, 2)", "--endo", "psi:12"), "bad word '1, 2'"),
+    (("normal", "s1 s\uff12'"), "bad word '\uff12'"),
 ])
 def test_malformed_representation_names_its_text(capsys, argv, text):
     code, out, err = run(capsys, *argv)

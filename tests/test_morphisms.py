@@ -1,5 +1,6 @@
 """Endomorphisms of O_n: construction, named maps, composition."""
 
+import itertools
 import random
 
 import pytest
@@ -275,3 +276,93 @@ def test_nakanishi():
     # and the map is proper: the image of s_1 has level-2 words
     assert all(len(j) == 2 and len(k) == 1
                for j, k in rho(gen(1, 3)).reduce().terms)
+
+
+def eager_images(endo):
+    """The generator images PermEndo once built at construction:
+    psi(s_i) = sum_T eps(iT) s_sigma(iT) s_T^*, T of length l-1."""
+    return [CuntzPoly(endo.n, {
+        (endo.sigma[(i,) + t], t): ONE if endo.signs[(i,) + t] == 1
+        else MINUS_ONE for t in all_words(endo.n, endo.level - 1)})
+        for i in range(1, endo.n + 1)]
+
+
+def perm_endo_cases():
+    """Fresh maps: the 24 sigmas of O_2 at level 2, all 392 signed maps
+    of levels 1 and 2, seeded level-3 maps and nakanishi."""
+    from cuntzalg.classify import ALL_SIGMA
+    cases = [standard_endo(name) for name in ALL_SIGMA]
+    for level in (1, 2):
+        words = list(all_words(2, level))
+        for perm in itertools.permutations(words):
+            for signs in itertools.product((1, -1), repeat=len(words)):
+                cases.append(PermEndo(2, level, dict(zip(words, perm)),
+                                      dict(zip(words, signs))))
+    rng = random.Random(3316)
+    for n in (2, 2, 3):
+        words = list(all_words(n, 3))
+        images = words[:]
+        rng.shuffle(images)
+        cases.append(PermEndo(n, 3, dict(zip(words, images)),
+                              {w: rng.choice((1, -1)) for w in words}))
+    cases.append(nakanishi())
+    assert len(cases) == 24 + 392 + 3 + 1
+    return cases
+
+
+def test_lazy_images_equal_the_eager_reference():
+    """images, repr, ==, then and word_image of a fresh PermEndo are those
+    of the Morphism wrapped around the eagerly built images."""
+    cases = perm_endo_cases()
+    partners = cases[1:] + cases[:1]
+    for endo, other in zip(cases, partners):
+        eager = Morphism._from_valid(eager_images(endo), endo.name)
+        assert repr(endo) == repr(eager)
+        assert [img.terms for img in endo.images] == \
+            [img.terms for img in eager.images]
+        assert endo == eager and eager == endo
+        if other.n == endo.n:
+            eager_other = Morphism._from_valid(eager_images(other))
+            assert endo.then(other).images == \
+                eager.then(eager_other).images
+        for word in ((), (1,), (2, 1), (1, 2, 2)):
+            assert endo.word_image(word).terms == eager.word_image(word).terms
+        for fresh in (endo, eager):
+            assert (1, 2, 2) in fresh._word_cache and () in fresh._word_cache
+
+
+def test_branching_a_fresh_perm_endo_builds_no_cuntz_poly(monkeypatch):
+    """Constructing a PermEndo and branching P(J), chains and P[J] under
+    it read sigma and the signs only: no CuntzPoly is made."""
+    from cuntzalg.reps import ChainRep, CycleRep, branch, uhf_branch
+    from cuntzalg.words import make_ev_word
+    made = []
+    init, from_valid = CuntzPoly.__init__, CuntzPoly._from_valid.__func__
+
+    def counted_init(self, *args, **kwargs):
+        made.append(args)
+        init(self, *args, **kwargs)
+
+    def counted_from_valid(cls, *args):
+        made.append(args)
+        return from_valid(cls, *args)
+
+    monkeypatch.setattr(CuntzPoly, "__init__", counted_init)
+    monkeypatch.setattr(CuntzPoly, "_from_valid",
+                        classmethod(counted_from_valid))
+    rng = random.Random(1664)
+    components = 0
+    for n, level in ((2, 1), (2, 3), (3, 2)):
+        words = list(all_words(n, level))
+        images = words[:]
+        rng.shuffle(images)
+        endo = PermEndo(n, level, dict(zip(words, images)),
+                        {w: rng.choice((1, -1)) for w in words})
+        components += len(branch(CycleRep(n, (1, 2)), endo).components)
+        components += len(branch(ChainRep(make_ev_word(n, (2,), (1,))),
+                                 endo).components)
+        components += len(uhf_branch(n, (2, 1, 1), endo)[1])
+    endo = standard_endo("1324")
+    components += len(branch(CycleRep(2, (1,)), endo).components)
+    assert made == [] and components > 10
+    assert len(endo.images) == 2 and made

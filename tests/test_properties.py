@@ -10,8 +10,8 @@ from cuntzalg.words import (all_words, canonical_cycle, is_primitive,
                             make_ev_word, minimal_rotation, primitive_split)
 from cuntzalg.algebra import CuntzPoly, gauge_lift
 from cuntzalg.morphisms import PermEndo, standard_endo
-from cuntzalg.reps import (ChainRep, CycleRep, _follow_orbits, act_poly,
-                           act_word, act_word_adj, branch)
+from cuntzalg.reps import (ChainRep, CycleRep, _follow_orbits, _predecessor,
+                           act_poly, act_word, act_word_adj, branch)
 
 
 def random_perm_endo(rng, n, level):
@@ -162,6 +162,27 @@ def search_predecessor(rep, endo):
     return pred
 
 
+def letter_predecessor(rep, endo):
+    """The predecessor map read letter by letter: W by l head letters and
+    adjoint letter actions, T put back by act_word.  About 3 l label
+    actions per step."""
+    level = endo.level
+    source = {image: src for src, image in endo.sigma.items()}
+
+    def pred(label):
+        read, s1, mid = [], 1, label
+        for _ in range(level):
+            letter = rep.head(mid)
+            s, mid = rep.gen_adj(letter, mid)
+            read.append(letter)
+            s1 *= s
+        src = source[tuple(read)]
+        s2, out = act_word(rep, src[1:], mid)
+        return src[0], endo.signs[src] * s1 * s2, out
+
+    return pred
+
+
 def random_signed_perm_endo(rng, n, level):
     words = list(all_words(n, level))
     images = words[:]
@@ -177,7 +198,8 @@ def component_key(comp):
 
 def test_read_off_predecessor_matches_search():
     """branch reads each predecessor off the label; the search over all
-    source words gives the same components in the same order."""
+    source words and the letter-by-letter reading give the same
+    components in the same order."""
     rng = random.Random(4417)
     compared = 0
     for n, level in ((2, 3), (3, 2), (2, 4), (3, 3)):
@@ -196,13 +218,63 @@ def test_read_off_predecessor_matches_search():
             for rep in reps:
                 for bound in (level - 1, level):
                     new = branch(rep, endo, seed_bound=bound)
-                    ref = _follow_orbits(rep, search_predecessor(rep, endo),
-                                         bound)
-                    assert ([component_key(c) for c in new.components] ==
-                            [component_key(c) for c in ref.components]), \
-                        (endo.sigma, endo.signs, rep, bound)
+                    for ref_pred in (search_predecessor,
+                                     letter_predecessor):
+                        ref = _follow_orbits(rep, ref_pred(rep, endo), bound)
+                        assert ([component_key(c) for c in new.components]
+                                == [component_key(c)
+                                    for c in ref.components]), \
+                            (endo.sigma, endo.signs, rep, bound)
                     compared += 1
     assert compared >= 80
+
+
+def predecessor_cases():
+    """(rep, endo) for N in {2, 3} and levels up to 5, unsigned and
+    signed: cycle bases at phases 0 and 1/2, shorter than the level (the
+    read passes the end of J more than once) and longer than it, and
+    chain bases with a prefix."""
+    rng = random.Random(1616)
+    cases = []
+    for n, level in ((2, 1), (2, 2), (2, 3), (2, 4), (2, 5),
+                     (3, 1), (3, 2), (3, 3)):
+        for make in (random_perm_endo, random_signed_perm_endo):
+            endo = make(rng, n, level)
+            words = [(n,), (1, n)]
+            while len(words) < 4:
+                word = tuple(rng.randint(1, n)
+                             for _ in range(level + len(words) - 1))
+                if is_primitive(word):
+                    words.append(word)
+            for word in words:
+                for phase in (Fraction(0), Fraction(1, 2)):
+                    cases.append((CycleRep(n, word, phase), endo))
+            for prefix, period in (((2, 1), (1, 2)), ((n, n, 1), (n,))):
+                ev = make_ev_word(n, prefix, period)
+                assert ev.prefix
+                cases.append((ChainRep(ev), endo))
+    return cases
+
+
+def test_predecessor_matches_letter_and_search_references():
+    """The read-and-push predecessor gives the letter, sign and label of
+    the letter-by-letter reference and of the search, on every seed
+    label up to the level (chain labels from m = -l on)."""
+    compared = wrapped = low = 0
+    for rep, endo in predecessor_cases():
+        fast = _predecessor(rep, endo)
+        letters = letter_predecessor(rep, endo)
+        search = search_predecessor(rep, endo)
+        for label in rep.seed_labels(endo.level):
+            want = letters(label)
+            assert fast(label) == want == search(label), \
+                (rep, endo.sigma, endo.signs, label)
+            compared += 1
+        if isinstance(rep, CycleRep):
+            wrapped += rep.k < endo.level - 1 and rep.phase > 0
+        else:
+            low += min(m for _, m in rep.seed_labels(endo.level)) < 0
+    assert (compared, wrapped, low) == (10204, 12, 32)
 
 
 # -- polynomial references for unit images and relative commutants ------

@@ -103,6 +103,33 @@ def test_head_is_the_only_letter_with_a_nonzero_adjoint():
             assert hits == [rep.head(label)]
 
 
+def test_read_and_push_match_the_letter_actions():
+    """read(p, r) is s_W^* on e_p for the word it reads, and push(T, q)
+    is s_T on e_q, signs included, also where they pass the end of a
+    twisted cycle word several times and at chain positions m <= 0."""
+    reps = [CycleRep(2, (1,), Fraction(1, 2)), CycleRep(2, (2, 1, 1)),
+            CycleRep(2, (1, 1, 2), Fraction(1, 2)),
+            CycleRep(3, (1, 3, 2, 2, 3, 1), Fraction(1, 2)),
+            ChainRep(parse_ev_word("2(12)^inf", 2)),
+            ChainRep(parse_ev_word("31(2)^inf", 3))]
+    signs = set()
+    for rep in reps:
+        spots = (range(1, rep.k + 1) if isinstance(rep, CycleRep)
+                 else range(-3, 6))
+        for p in spots:
+            for r in range(6):
+                word, sign, q = rep.read(p, r)
+                assert len(word) == r
+                assert act_word_adj(rep, word, ((), p)) == (sign, ((), q))
+                signs.add(sign)
+            for length in range(5):
+                for word in all_words(rep.n, length):
+                    got = rep.push(word, p)
+                    assert got == act_word(rep, word, ((), p))
+                    signs.add(got[0])
+    assert signs == {1, -1}
+
+
 def signed_endos(rng, n, level, count):
     words = list(all_words(n, level))
     for _ in range(count):
