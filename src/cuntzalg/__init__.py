@@ -11,17 +11,16 @@ from .scalars import Scalar, ZERO, ONE, MINUS_ONE, SQRT2, INV_SQRT2
 from .words import (CycleClass, EvWord, canonical_cycle, make_ev_word,
                     minimal_rotation, parse_ev_word, parse_word,
                     render_word, rotations)
-from .algebra import CuntzPoly, gauge_lift
-from .morphisms import (Morphism, PermEndo, ad_unitary, compose, flip,
-                        gauge_flip, hadamard, identity, lookup_morphism,
-                        nakanishi, perm_from_cycles, rotation,
-                        standard_endo, total_gauge_flip, zeta)
+from .algebra import CuntzPoly
+from .morphisms import (Morphism, PermEndo, compose, flip, gauge_flip,
+                        hadamard, identity, lookup_morphism, nakanishi,
+                        perm_from_cycles, rotation, standard_endo,
+                        total_gauge_flip, zeta)
 from .reps import (BranchResult, ChainRep, Component, CycleRep, UhfCycle,
                    branch, branching, decompose_power, gp_branch, parse_rep,
                    uhf_branch)
-from .fermions import (CarExpr, car_generator, dual_automorphism,
-                       fermion_branch, mixture, psi_map, vacuum_check,
-                       verify_car)
+from .fermions import (CarExpr, car_generator, fermion_branch, mixture,
+                       psi_map, vacuum_check, verify_car)
 from .classify import (commutant_witness, fingerprint, theorem14_counts,
                        uhf_restriction_equal, verify_conjugate)
 

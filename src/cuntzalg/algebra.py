@@ -486,14 +486,3 @@ def _contract(data: Dict[Key, Scalar], order: List[Key],
         return None
     return parent
 
-
-def gauge_lift(x: CuntzPoly) -> CuntzPoly:
-    """The canonical shift lambda(x) = sum_i s_i x s_i^*.
-
-    Satisfies lambda(x) s_j = s_j x, which drives word-image recursions.
-    """
-    out = CuntzPoly.zero(x.n)
-    for i in range(1, x.n + 1):
-        s = CuntzPoly.generator(x.n, i)
-        out = out + s * x * s.adjoint()
-    return out

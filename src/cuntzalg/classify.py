@@ -17,7 +17,10 @@ psi(s_J) psi(s_K)^*, so
   signed partial permutation ties the coordinates of x in pairs x_a =
   +-x_b or sends one to 0, so the solutions are signed orbits of
   coordinates, with no polynomial product and no elimination;
-* conjugacy by a unitary u compares u psi_1(s_i) u^* with psi_2(s_i).
+* conjugacy by u = s_1 s_2^* + s_2 s_1^* (Table 1) is decided on sigma:
+  Ad u is the PermEndo AD_FLIP, and Ad u o psi_1 = psi_2 iff
+  psi_1.then(AD_FLIP) == psi_2; :func:`verify_conjugate` keeps the
+  products u psi_1(s_i) u^* for any unitary u, as the reference.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from .scalars import MINUS_ONE, ONE
 from .words import Word, all_words, render_word
 from .algebra import CuntzPoly
-from .morphisms import Morphism, PermEndo, WordMap, _require_unitary
+from .morphisms import Morphism, PermEndo, WordMap
 # perfbench/selftest.py checks that its tracer wraps classify.branch
 from .reps import branch, branching  # noqa: F401
 
@@ -220,19 +223,20 @@ def flip_unitary() -> CuntzPoly:
             + CuntzPoly.matrix_unit(2, (2,), (1,)))
 
 
+# Ad u for u = flip_unitary(): u s_i = s_alpha(i), so u s_i u^* =
+# sum_t s_alpha(i) s_alpha(t) s_t^*, the map sigma(it) = alpha(i) alpha(t)
+AD_FLIP = PermEndo(2, 2, {(i, t): (3 - i, 3 - t)
+                          for i in (1, 2) for t in (1, 2)}, name="Ad(u)")
+
+
 def verify_conjugate(m1: Morphism, m2: Morphism, u: CuntzPoly) -> bool:
     """True iff Ad u o m1 = m2, i.e. u m1(s_i) u^* = m2(s_i) for every
-    generator (u must be unitary)."""
+    generator (u must be unitary), by CuntzPoly products."""
     if m1.n != u.n:
         raise ValueError("rank mismatch")
-    _require_unitary(u)
-    return _conjugates(m1, m2, u, u.adjoint())
-
-
-def _conjugates(m1: Morphism, m2: Morphism, u: CuntzPoly,
-                u_adj: CuntzPoly) -> bool:
-    """verify_conjugate, unchecked: u is a unitary of m1's rank and u_adj
-    its adjoint, so a caller comparing many pairs proves that once."""
+    one, u_adj = CuntzPoly.one(u.n), u.adjoint()
+    if not (u * u_adj == one and u_adj * u == one):
+        raise ValueError("Ad requires a unitary")
     return m1.n == m2.n and all(
         u * a * u_adj == b for a, b in zip(m1.images, m2.images))
 
@@ -302,10 +306,9 @@ def theorem14_counts(level: int = 5) -> Dict[str, int]:
     restrictions = len(reps)
 
     # unitary equivalence classes among the restrictions: merge the
-    # Table-1 conjugate pairs (the conjugator lies in UHF_2)
-    u = flip_unitary()
-    _require_unitary(u)
-    u_adj = u.adjoint()
+    # Table-1 conjugate pairs (the conjugator lies in UHF_2), each
+    # conjugate Ad u o psi composed once
+    conjugate = {r: endos[r].then(AD_FLIP) for r in reps}
     parent = {r: r for r in reps}
 
     def find(x: str) -> str:
@@ -315,7 +318,7 @@ def theorem14_counts(level: int = 5) -> Dict[str, int]:
 
     for a in reps:
         for b in reps:
-            if a < b and _conjugates(endos[a], endos[b], u, u_adj):
+            if a < b and conjugate[a] == endos[b]:
                 parent[find(b)] = find(a)
     classes = {find(r) for r in reps}
 

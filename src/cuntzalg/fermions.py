@@ -247,21 +247,6 @@ def verify_car(modes: int) -> bool:
             and _satisfies_car(gens, [(1, k) for k in gens]))
 
 
-def dual_automorphism(x: CarExpr) -> CarExpr:
-    """The linear *-preserving map a_n -> (-1)^{n-1} a_n^*; implements the
-    particle-hole flip of the fermion algebra."""
-    out = CarExpr.zero()
-    for word, coeff in x.terms.items():
-        term = CarExpr.from_scalar(coeff)
-        for (n, dagger) in word:
-            g = CarExpr.generator(n, not dagger)
-            if n % 2 == 0:
-                g = -g
-            term = term * g
-        out = out + term
-    return out
-
-
 def apply_endo(m: Morphism, x: CarExpr) -> CuntzPoly:
     """Image in O_2 of a fermion expression under an endomorphism of O_2."""
     return m(psi_map(x))

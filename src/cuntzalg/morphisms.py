@@ -4,14 +4,16 @@ A :class:`Morphism` is determined by the images of the generators; the
 constructor verifies that the images again satisfy the Cuntz relations,
 so every constructed object really is a unital *-endomorphism.  Images
 built inside the library that satisfy them by construction (composites,
-inner automorphisms, the named maps) are wrapped by
-``Morphism._from_valid`` without a second check.
+phi and phi_rot) are wrapped by ``Morphism._from_valid`` without a
+second check.
 
 :class:`PermEndo` is the permutative case psi_sigma(s_i) = u_sigma s_i
 where sigma permutes the words of a fixed length l (optionally with
 signs); it builds its generator images only when they are first read.
-For N = 2, l = 2 the words are numbered 1..4 in lexicographic
-order, so cycle names like "psi_1324" pick out a concrete permutation.
+The signed maps id, alpha, beta_j and theta are level-1 PermEndos, and
+PermEndos compose and compare on sigma.  For N = 2, l = 2 the words are
+numbered 1..4 in lexicographic order, so cycle names like "psi_1324"
+pick out a concrete permutation.
 """
 
 from __future__ import annotations
@@ -159,49 +161,29 @@ def compose(first: Morphism, *rest: Morphism) -> Morphism:
     return out
 
 
-def identity(n: int) -> Morphism:
-    return Morphism._from_valid(
-        [CuntzPoly.generator(n, i) for i in range(1, n + 1)], "id")
-
-
-def _require_unitary(u: CuntzPoly) -> None:
-    one = CuntzPoly.one(u.n)
-    if not (u * u.adjoint() == one and u.adjoint() * u == one):
-        raise ValueError("Ad requires a unitary")
-
-
-def ad_unitary(u: CuntzPoly, name: str = "") -> Morphism:
-    """The inner automorphism x -> u x u^* of a unitary u."""
-    _require_unitary(u)
-    images = [u * CuntzPoly.generator(u.n, i) * u.adjoint()
-              for i in range(1, u.n + 1)]
-    return Morphism._from_valid(images, name or "Ad(u)")
+def identity(n: int) -> "PermEndo":
+    return PermEndo(n, 1, {(i,): (i,) for i in range(1, n + 1)}, name="id")
 
 
 # -- named endomorphisms of O_2 ----------------------------------------
 
 
-def flip() -> Morphism:
+def flip() -> "PermEndo":
     """alpha: s_1 <-> s_2."""
-    return Morphism._from_valid(
-        [CuntzPoly.generator(2, 2), CuntzPoly.generator(2, 1)], "alpha")
+    return PermEndo(2, 1, {(1,): (2,), (2,): (1,)}, name="alpha")
 
 
-def gauge_flip(j: int) -> Morphism:
+def gauge_flip(j: int) -> "PermEndo":
     """beta_j: s_j -> -s_j, the other generator fixed."""
     if j not in (1, 2):
         raise ValueError("beta_j defined for j in {1, 2}")
-    images = []
-    for i in (1, 2):
-        s = CuntzPoly.generator(2, i)
-        images.append(-s if i == j else s)
-    return Morphism._from_valid(images, f"beta{j}")
+    return PermEndo(2, 1, {(1,): (1,), (2,): (2,)}, {(j,): -1}, f"beta{j}")
 
 
-def total_gauge_flip() -> Morphism:
+def total_gauge_flip() -> "PermEndo":
     """theta = beta_1 beta_2: s_i -> -s_i."""
-    return Morphism._from_valid(
-        [-CuntzPoly.generator(2, 1), -CuntzPoly.generator(2, 2)], "theta")
+    return PermEndo(2, 1, {(1,): (1,), (2,): (2,)}, {(1,): -1, (2,): -1},
+                    name="theta")
 
 
 def hadamard() -> Morphism:
@@ -244,9 +226,10 @@ class PermEndo(Morphism):
 
     Construction checks and keeps sigma and the signs only.  The images
     are built on their first read (by ``images``, a word image, m(x),
-    composition, equality or an unnamed repr), so the word-map routes
-    (:meth:`word_map`, :meth:`is_involution`, branching, restriction
-    equality) never build a CuntzPoly.
+    composition or equality with a map that is not a PermEndo, or an
+    unnamed repr), so the word-map routes (:meth:`word_map`,
+    :meth:`then` and ``==`` between PermEndos, :meth:`is_involution`,
+    branching, restriction equality) never build a CuntzPoly.
     """
 
     __slots__ = ("level", "sigma", "signs", "_images")
@@ -329,26 +312,86 @@ class PermEndo(Morphism):
             step[t] = (signs[head] * e, sigma[head] + x[cut:])
         return step
 
-    def is_involution(self) -> bool:
-        """psi o psi = id, decided on word maps with no CuntzPoly product.
+    def then(self, other: Morphism) -> Morphism:
+        """other o self; when other is a PermEndo of the same rank, the
+        PermEndo of :meth:`_composite_terms` at its lowest level.  A
+        composite whose word map would pass MAX_IMAGE_PAIRS words is
+        refused before it is built."""
+        if not isinstance(other, PermEndo) or other.n != self.n:
+            return super().then(other)
+        level = self.level + other.level - 1
+        name = f"{other.name}.{self.name}" if self.name and other.name else ""
+        if self.n ** level > MAX_IMAGE_PAIRS:
+            raise ValueError(f"the composite {name or 'of these maps'} has "
+                             f"level {level}, a word map of {self.n}^{level} "
+                             f"words above the limit of {MAX_IMAGE_PAIRS}")
+        sigma, signs = {}, {}
+        for j, x, e in self._composite_terms(other):
+            sigma[j], signs[j] = x, e
+        return _lowest_level(self.n, level, sigma, signs, name)
 
-        psi(psi(s_i)) = sum_t eps(it) psi(s_sigma(it)) psi(s_t)^*, t over
-        the words of length l-1, and with the word maps T -> (e, X_T) of
-        sigma(it) and T -> (e', Y_T) of t each product is
-        sum_T e e' s_{X_T} s_{Y_T}^*.  The right words Y_T over all (t, T)
-        are the distinct words of length 2l-2 (the projections
-        psi(s_t s_T s_T^* s_t^*) sum to 1), so the sum is
-        s_i = sum_Y s_{iY} s_Y^* exactly when every sign product is 1 and
-        every X_T is i Y_T."""
-        right = {t: self.word_map(t)
-                 for t in all_words(self.n, self.level - 1)}
+    def __eq__(self, other: object) -> bool:
+        """Two PermEndos compare sigma and the signs at the higher level,
+        where a level-l map reads Jw -> sigma(J) w with sign eps(J); any
+        other Morphism is compared on the generator images."""
+        if not isinstance(other, PermEndo):
+            return super().__eq__(other)
+        low, high = sorted((self, other), key=lambda m: m.level)
+        cut, sigma, signs = low.level, low.sigma, low.signs
+        return self.n == other.n and all(
+            sigma[j[:cut]] + j[cut:] == x and signs[j[:cut]] == high.signs[j]
+            for j, x in high.sigma.items())
+
+    __hash__ = Morphism.__hash__
+
+    def is_involution(self) -> bool:
+        """psi o psi = id: every term of psi o psi is s_J s_J^*."""
+        return all(e == 1 and x == j
+                   for j, x, e in self._composite_terms(self))
+
+    def _composite_terms(self, other: "PermEndo"):
+        """The terms (i Y_T, X_T, sign) of a o b, a = other and b = self.
+
+        For t of length l_b - 1, a(b(s_i)) = sum_t eps_b(it) a(s_sigma_b(it))
+        a(s_t)^*, and with the word maps T -> (e, X_T) of a(s_sigma_b(it))
+        and T -> (e', Y_T) of a(s_t) each product is sum_T e e' s_{X_T}
+        s_{Y_T}^*.  The words i Y_T over all (i, t, T) are those of length
+        l_a + l_b - 1 (the projections a(s_t s_T s_T^* s_t^*) sum to 1), so
+        a o b is sigma(i Y_T) = X_T with sign eps_b(it) e e'.  The maps of
+        a(s_t) are built once, and that of a(s_sigma_b(it)) is extended
+        from the map of its last l_b - 1 letters."""
+        n = self.n
+        right = {(): {t: (1, t) for t in all_words(n, other.level - 1)}}
+        for _ in range(self.level - 1):
+            right = {(a,) + j: other.extend_map(a, found)
+                     for a in range(1, n + 1) for j, found in right.items()}
         for src, image in self.sigma.items():
-            tail_map = right[src[1:]]
-            for t, (e, x) in self.word_map(image).items():
+            eps, head, tail_map = self.signs[src], src[:1], right[src[1:]]
+            found = other.extend_map(image[0], right[image[1:]])
+            for t, (e, x) in found.items():
                 e2, y = tail_map[t]
-                if self.signs[src] * e * e2 != 1 or x != src[:1] + y:
-                    return False
-        return True
+                yield head + y, x, eps * e * e2
+
+
+def _lowest_level(n: int, level: int, sigma: Dict[Word, Word],
+                  signs: Dict[Word, int], name: str = "") -> PermEndo:
+    """The PermEndo of a signed permutation of the words of the given
+    length at the lowest level that gives the same map of O_N.
+
+    A level-l map is one of level l-1 when sigma(Ja) = sigma'(J) a with
+    eps(Ja) = eps'(J) for every letter a; this is the contraction that
+    :meth:`CuntzPoly.reduce` applies to its generator images, so the
+    level is the one :func:`~cuntzalg.reps.as_signed_perm` finds."""
+    while level > 1:
+        short, short_signs = {}, {}
+        for j, x in sigma.items():
+            head = j[:-1]
+            if (x[-1] != j[-1]
+                    or short.setdefault(head, x[:-1]) != x[:-1]
+                    or short_signs.setdefault(head, signs[j]) != signs[j]):
+                return PermEndo(n, level, sigma, signs, name)
+        sigma, signs, level = short, short_signs, level - 1
+    return PermEndo(n, level, sigma, signs, name)
 
 
 def number_word(idx: int, n: int, length: int) -> Word:

@@ -43,11 +43,11 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple, Union
 
 from .scalars import Scalar
-from .words import (CycleClass, EvWord, Word, all_words, canonical_cycle,
-                    check_word, is_primitive, make_ev_word, primitive_split,
-                    render_word, rotations)
-from .morphisms import (Morphism, PermEndo, compose, hadamard, identity,
-                        split_direct_sum)
+from .words import (PHASE_0, PHASE_HALF, CycleClass, EvWord, Word,
+                    all_words, canonical_cycle, check_word, is_primitive,
+                    make_ev_word, primitive_split, render_word, rotations)
+from .morphisms import (Morphism, PermEndo, _lowest_level, compose,
+                        hadamard, identity, split_direct_sum)
 
 Label = Tuple[Word, int]
 # a label action: (sign, label) with the sign an int in {1, -1}, or None
@@ -60,12 +60,12 @@ class CycleRep:
 
     __slots__ = ("n", "word", "phase", "k", "wrap")
 
-    def __init__(self, n: int, word, phase: Fraction = Fraction(0)):
+    def __init__(self, n: int, word, phase: Fraction = PHASE_0):
         word = check_word(word, n)
         if not is_primitive(word):
             raise ValueError("cycle word must be primitive")
-        q = Fraction(phase) % 1
-        if q not in (Fraction(0), Fraction(1, 2)):
+        q = phase if phase in (PHASE_0, PHASE_HALF) else Fraction(phase) % 1
+        if q not in (PHASE_0, PHASE_HALF):
             raise ValueError("only phases 0 and 1/2 act over the real field")
         self.n = n
         self.word = word
@@ -460,8 +460,9 @@ def decompose_power(word, l: int, sign: int = 1) -> List[CycleClass]:
     into the l-th roots of sign.  J must be primitive (give the root and
     the power separately); ``canonical_cycle`` refuses a periodic J."""
     word = tuple(word)
-    q0 = Fraction(1, 2) if sign < 0 else Fraction(0)
-    return [canonical_cycle(word, (q0 + j) / l) for j in range(l)]
+    q0 = PHASE_HALF if sign < 0 else PHASE_0
+    phases = [q0] if l == 1 else [(q0 + j) / l for j in range(l)]
+    return [canonical_cycle(word, q) for q in phases]
 
 
 # -- restriction to the gauge-invariant subalgebra -----------------------
@@ -743,7 +744,7 @@ def _walsh_twist(endo: PermEndo) -> Twist:
                 return False
     if sigma is None:
         return splits
-    return _lowest_level(level, sigma, signs)
+    return _lowest_level(2, level, sigma, signs)
 
 
 def _walsh_transform(v: List[int]) -> None:
@@ -754,28 +755,6 @@ def _walsh_transform(v: List[int]) -> None:
             for a in range(start, start + h):
                 v[a], v[a + h] = v[a] + v[a + h], v[a] - v[a + h]
         h *= 2
-
-
-def _lowest_level(level: int, sigma: Dict[Word, Word],
-                  signs: Dict[Word, int]) -> PermEndo:
-    """The PermEndo of a signed permutation of the words of the given
-    length at the lowest level that gives the same map of O_2.
-
-    A level-l map is one of level l-1 when sigma(Ja) = sigma'(J) a with
-    eps(Ja) = eps'(J) for both letters a; this is the contraction that
-    :meth:`CuntzPoly.reduce` applies to its generator images, so the
-    level is the one :func:`as_signed_perm` finds."""
-    while level > 1:
-        short: Dict[Word, Word] = {}
-        short_signs: Dict[Word, int] = {}
-        for j, x in sigma.items():
-            head = j[:-1]
-            if (x[-1] != j[-1]
-                    or short.setdefault(head, x[:-1]) != x[:-1]
-                    or short_signs.setdefault(head, signs[j]) != signs[j]):
-                return PermEndo(2, level, sigma, signs=signs)
-        sigma, signs, level = short, short_signs, level - 1
-    return PermEndo(2, level, sigma, signs=signs)
 
 
 def _corners(endo: PermEndo) -> Optional[Tuple[PermEndo, PermEndo]]:
@@ -795,7 +774,7 @@ def _corners(endo: PermEndo) -> Optional[Tuple[PermEndo, PermEndo]]:
                  for j, x in endo.sigma.items() if j[1] == k}
         signs = {j[:1] + j[2:]: e
                  for j, e in endo.signs.items() if j[1] == k}
-        parts.append(_lowest_level(level - 1, sigma, signs))
+        parts.append(_lowest_level(2, level - 1, sigma, signs))
     return parts[0], parts[1]
 
 

@@ -26,12 +26,12 @@ from typing import Callable, Dict, List, Optional, Tuple
 from .scalars import MINUS_ONE, ONE
 from .words import parse_word
 from .algebra import CuntzPoly
-from .morphisms import _require_unitary, standard_endo, nakanishi
+from .morphisms import standard_endo, nakanishi
 from .reps import branching
 from .fermions import (FERMION_REPS, CarExpr, apply_endo, fermion_branch,
                        psi_map)
-from .classify import (O_TESTS, UHF_TESTS, _conjugates, commutant_witness,
-                       fingerprint, flip_unitary, multiset, theorem14_counts)
+from .classify import (AD_FLIP, O_TESTS, UHF_TESTS, commutant_witness,
+                       fingerprint, multiset, theorem14_counts)
 
 
 def _img(n: int, text: str) -> CuntzPoly:
@@ -312,9 +312,6 @@ def _cell(report: TableReport, row: str, col: str,
 
 def verify_table1() -> TableReport:
     report = TableReport("table1")
-    u = flip_unitary()
-    _require_unitary(u)
-    u_adj = u.adjoint()
     endos = {name: standard_endo(name) for name, *_ in TABLE1}
     for name, im1, im2, prop, partner in TABLE1:
         endo = endos[name]
@@ -323,7 +320,7 @@ def verify_table1() -> TableReport:
         _cell(report, name, "psi(s2)", str(_img(2, im2).reduce()),
               str(endo.images[1].reduce()))
         _cell(report, name, "Ad u", "conjugate",
-              "conjugate" if _conjugates(endo, endos[partner], u, u_adj)
+              "conjugate" if endo.then(AD_FLIP) == endos[partner]
               else "not conjugate")
     return report
 

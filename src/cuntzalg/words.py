@@ -16,6 +16,9 @@ from typing import Iterator, Sequence, Tuple
 
 Word = Tuple[int, ...]
 
+# the two phases that act over the real field, built once
+PHASE_0, PHASE_HALF = Fraction(0), Fraction(1, 2)
+
 
 def check_word(word: Sequence[int], n: int) -> Word:
     word = tuple(word)
@@ -107,7 +110,7 @@ class CycleClass:
         return f"P({body})"
 
 
-def canonical_cycle(word: Word, phase: Fraction = Fraction(0)) -> CycleClass:
+def canonical_cycle(word: Word, phase: Fraction = PHASE_0) -> CycleClass:
     """Canonical rotation representative of a primitive word.
 
     Periodic input is rejected: split powers first (see
@@ -117,8 +120,9 @@ def canonical_cycle(word: Word, phase: Fraction = Fraction(0)) -> CycleClass:
         raise ValueError("empty word")
     if not is_primitive(word):
         raise ValueError(f"word {word} is periodic; split powers first")
-    q = Fraction(phase) % 1
-    return CycleClass(minimal_rotation(word), q)
+    if type(phase) is not Fraction or not 0 <= phase < 1:
+        phase = Fraction(phase) % 1
+    return CycleClass(minimal_rotation(word), phase)
 
 
 @dataclass(frozen=True)

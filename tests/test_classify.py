@@ -4,12 +4,12 @@ import hashlib
 
 import pytest
 
-from cuntzalg import classify, tables
+from cuntzalg import tables
 from cuntzalg.algebra import CuntzPoly
 from cuntzalg.scalars import Scalar
-from cuntzalg.morphisms import flip, standard_endo
-from cuntzalg.classify import (ALL_SIGMA, MAX_LEVEL, commutant_witness,
-                               fingerprint, flip_unitary,
+from cuntzalg.morphisms import flip, hadamard, standard_endo
+from cuntzalg.classify import (AD_FLIP, ALL_SIGMA, MAX_LEVEL,
+                               commutant_witness, fingerprint, flip_unitary,
                                theorem14_counts, uhf_restriction_equal,
                                verify_conjugate)
 
@@ -31,20 +31,41 @@ def test_conjugation_by_a_non_unitary_is_refused(u):
         verify_conjugate(standard_endo("12"), standard_endo("1324"), u)
 
 
-def test_theorem14_and_table1_prove_the_conjugator_once(monkeypatch):
-    proofs = []
-    check = classify._require_unitary
+def test_ad_flip_is_conjugation_by_the_flip_unitary():
+    u = flip_unitary()
+    for i in (1, 2):
+        s = CuntzPoly.generator(2, i)
+        assert AD_FLIP.images[i - 1] == u * s * u.adjoint()
 
-    def counting_check(u):
-        proofs.append(u)
-        check(u)
 
-    monkeypatch.setattr(classify, "_require_unitary", counting_check)
-    monkeypatch.setattr(tables, "_require_unitary", counting_check)
-    theorem14_counts(level=5)
-    assert len(proofs) == 1
+def test_conjugacy_on_sigma_matches_the_products():
+    # psi_1.then(AD_FLIP) == psi_2 decides Ad u o psi_1 = psi_2 on sigma
+    u = flip_unitary()
+    endos = [standard_endo(name) for name in ALL_SIGMA]
+    conjugates = 0
+    for m1 in endos:
+        on_sigma = m1.then(AD_FLIP)
+        for m2 in endos:
+            verdict = on_sigma == m2
+            assert verdict == verify_conjugate(m1, m2, u), (m1, m2)
+            conjugates += verdict
+    assert conjugates == len(endos)
+
+
+def test_theorem14_and_table1_make_no_cuntz_poly_product(monkeypatch):
+    products = []
+    mul = CuntzPoly.__mul__
+
+    def counted(self, other):
+        products.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(CuntzPoly, "__mul__", counted)
+    assert theorem14_counts(level=5) == {
+        "restrictions": 20, "classes": 12, "klein": 4, "irreducible": 4,
+        "reducible": 6}
     assert tables.verify_table1().ok
-    assert len(proofs) == 2
+    assert products == []
 
 
 def test_restriction_equalities():
@@ -135,18 +156,24 @@ def test_levels_above_the_limit_are_refused():
 
 
 def test_restriction_equality_needs_permutative_maps():
-    # flip() is psi_(13)(24) written with general generator images
-    for m1, m2 in ((flip(), standard_endo("(13)(24)")),
-                   (standard_endo("12"), flip())):
+    # phi's images are not signed word maps
+    for m1, m2 in ((hadamard(), standard_endo("(13)(24)")),
+                   (standard_endo("12"), hadamard())):
         with pytest.raises(ValueError, match="permutative endomorphisms"):
             uhf_restriction_equal(m1, m2, 2)
+    # flip() is psi_(13)(24) as a PermEndo of level 1
+    assert flip() == standard_endo("(13)(24)")
+    for m1, m2 in ((flip(), standard_endo("(13)(24)")),
+                   (standard_endo("(13)(24)"), flip())):
+        assert uhf_restriction_equal(m1, m2, 5).equal
 
 
 def test_commutant_witness_needs_a_permutative_map():
-    # flip() is psi_(13)(24) written with general generator images
-    assert commutant_witness(standard_endo("(13)(24)"), 1) is None
+    for level in (1, 2):
+        assert commutant_witness(standard_endo("(13)(24)"), level) is None
+        assert commutant_witness(flip(), level) is None
     with pytest.raises(ValueError, match="permutative endomorphisms"):
-        commutant_witness(flip(), 1)
+        commutant_witness(hadamard(), 1)
 
 
 def test_level_6_verdicts_are_pinned():

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from cuntzalg import cli
+from cuntzalg import cli, morphisms
 from cuntzalg.cli import main
 
 
@@ -425,6 +425,31 @@ def test_gp_twist_above_the_level_limit_is_refused_at_once(capsys):
     assert (code, out) == (2, "")
     assert err == (f"error: the GP twist of {name} needs the Walsh "
                    "transform at level 10, above the limit of 9\n")
+
+
+def test_composite_above_the_word_map_limit_is_refused(capsys, monkeypatch):
+    # each psi_1324 factor raises the level by one, and the composite is
+    # refused before its word map is built; at the real limit (2^18
+    # words) the 18th factor is refused, after about 6 s and 480 MB
+    monkeypatch.setattr(morphisms, "MAX_IMAGE_PAIRS", 2 ** 6)
+    code, out, err = run(capsys, "gp", "--endo", ".".join(["psi:1324"] * 9))
+    assert (code, out) == (2, "")
+    assert err == ("error: the composite " + ".".join(["psi_1324"] * 6)
+                   + " has level 7, a word map of 2^7 words above the limit "
+                   "of 64\n")
+    # five factors: 2^6 words, at the limit
+    code, out, err = run(capsys, "apply", "s1", "--endo",
+                         ".".join(["psi:1324"] * 5))
+    assert (code, err) == (0, "") and out
+
+
+@pytest.mark.parametrize("endo, shown", [("alpha", "P(2)"),
+                                         ("psi:13.alpha", "P(1)")])
+def test_branch_under_a_named_signed_map(capsys, endo, shown):
+    # alpha is a PermEndo of level 1, and psi_13 o alpha = psi_24 one of
+    # level 2
+    code, out, err = run(capsys, "branch", "--rep", "P(1)", "--endo", endo)
+    assert (code, out, err) == (0, f"{shown}\n", "")
 
 
 @pytest.mark.parametrize("rep", ["P(1)", "GP(+)", "GP[-]"])

@@ -12,9 +12,9 @@ from cuntzalg.scalars import INV_SQRT2, MINUS_ONE, ONE, SQRT2, Scalar
 from cuntzalg.fermions import (MAX_MODE, CarExpr, _letter, _satisfies_car,
                                act_car, act_letter, anticommutator,
                                apply_endo, car_equal, car_generator,
-                               car_generator_closed, dual_automorphism,
-                               fermion_branch, mixture, psi_map,
-                               vacuum_check, verify_car, verify_mixture_car)
+                               car_generator_closed, fermion_branch, mixture,
+                               psi_map, vacuum_check, verify_car,
+                               verify_mixture_car)
 from cuntzalg.reps import CycleRep, act_poly
 
 
@@ -159,17 +159,6 @@ def test_number_operators_commute():
     n1 = a(1, True) * a(1)
     n2 = a(2, True) * a(2)
     assert car_equal(n1 * n2, n2 * n1)
-
-
-def test_dual_automorphism():
-    d = dual_automorphism
-    assert car_equal(d(a(1)), a(1, True))
-    assert car_equal(d(a(2)), -a(2, True))
-    assert car_equal(d(a(3)), a(3, True))
-    # images again satisfy the anticommutation relations
-    for n in range(1, 4):
-        x = anticommutator(d(a(n)), d(a(n, True)))
-        assert car_equal(x, CarExpr.one())
 
 
 def repeated_sum_embedding(x):

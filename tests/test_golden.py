@@ -9,6 +9,7 @@ loop, and must not move.
 """
 
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -162,3 +163,28 @@ def test_every_demo_is_pinned():
 def test_pinned_demo_stdout(name, md5):
     out = fresh_run(str(ROOT / "demos" / name))
     assert hashlib.md5(out).hexdigest() == md5
+
+
+def test_the_benchmark_tracer_finds_every_name_it_patches():
+    """perfbench/tracing.py wraps library entry points by name, among them
+    Morphism.then and __eq__, PermEndo.__init__, Scalar.inverse and
+    classify.branch; installing it fails, or leaves a name unwrapped,
+    when a refactor removes one."""
+    import cuntzalg.cli  # noqa: F401  loads every layer the tracer wraps
+    from cuntzalg import classify, morphisms, reps, scalars
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    originals = (morphisms.Morphism.then, scalars.Scalar.inverse, reps.branch)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        wrapped = (morphisms.Morphism.then, scalars.Scalar.inverse,
+                   classify.branch)
+        assert [w.__wrapped__ for w in wrapped] == list(originals)
+        assert classify.branch is reps.branch
+    finally:
+        tracer.uninstall()
+    assert (morphisms.Morphism.then, scalars.Scalar.inverse,
+            classify.branch) == originals

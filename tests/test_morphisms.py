@@ -9,11 +9,10 @@ from cuntzalg import morphisms
 from cuntzalg.scalars import INV_SQRT2, MINUS_ONE, ONE, SQRT2, Scalar
 from cuntzalg.algebra import CuntzPoly
 from cuntzalg.words import all_words
-from cuntzalg.morphisms import (Morphism, PermEndo, ad_unitary, compose, flip,
-                                gauge_flip, hadamard, identity,
-                                lookup_morphism, nakanishi, perm_from_cycles,
-                                rotation, standard_endo, total_gauge_flip,
-                                zeta)
+from cuntzalg.morphisms import (Morphism, PermEndo, compose, flip, gauge_flip,
+                                hadamard, identity, lookup_morphism,
+                                nakanishi, perm_from_cycles, rotation,
+                                standard_endo, total_gauge_flip, zeta)
 
 
 def gen(i, n=2):
@@ -260,15 +259,6 @@ def test_lookup_morphism():
         lookup_morphism("nosuch")
 
 
-def test_ad_unitary():
-    u = (CuntzPoly.matrix_unit(2, (1,), (2,))
-         + CuntzPoly.matrix_unit(2, (2,), (1,)))
-    ad = ad_unitary(u)
-    assert ad(gen(1)) == u * gen(1) * u.adjoint()
-    with pytest.raises(ValueError):
-        ad_unitary(gen(1))
-
-
 def test_nakanishi():
     rho = nakanishi()
     assert rho.n == 3
@@ -329,6 +319,96 @@ def test_lazy_images_equal_the_eager_reference():
             assert endo.word_image(word).terms == eager.word_image(word).terms
         for fresh in (endo, eager):
             assert (1, 2, 2) in fresh._word_cache and () in fresh._word_cache
+
+
+def random_signed_endo(rng, n, level):
+    words = list(all_words(n, level))
+    images = words[:]
+    rng.shuffle(images)
+    return PermEndo(n, level, dict(zip(words, images)),
+                    {w: rng.choice((1, -1)) for w in words})
+
+
+def composition_cases():
+    """(first, second) pairs: the 576 pairs of the 24 sigmas, each named
+    signed map before and after each sigma, and seeded signed maps of
+    (N, l) in {(2,1), (2,2), (2,3), (3,1), (3,2)}, every pair of levels."""
+    from cuntzalg.classify import ALL_SIGMA
+    sigmas = [standard_endo(name) for name in ALL_SIGMA]
+    named = [lookup_morphism(name)
+             for name in ("id", "alpha", "beta1", "beta2", "theta")]
+    pairs = [(a, b) for a in sigmas for b in sigmas]
+    pairs += [p for a in named for b in sigmas for p in ((a, b), (b, a))]
+    rng = random.Random(1717)
+    for n, levels in ((2, (1, 2, 3)), (3, (1, 2))):
+        for l1, l2 in itertools.product(levels, repeat=2):
+            pairs += [(random_signed_endo(rng, n, l1),
+                       random_signed_endo(rng, n, l2)) for _ in range(4)]
+    return pairs
+
+
+def test_composition_on_sigma_matches_the_products():
+    """PermEndo.then is Morphism.then on the eager images, at the lowest
+    level, which is the level as_signed_perm reads off the products (so
+    the GP twist limit refuses the same composites)."""
+    from cuntzalg.reps import as_signed_perm
+    lowered = 0
+    for first, second in composition_cases():
+        composite = first.then(second)
+        assert isinstance(composite, PermEndo)
+        reference = Morphism._from_valid(eager_images(first)).then(
+            Morphism._from_valid(eager_images(second)))
+        assert composite == reference and reference == composite
+        read = as_signed_perm(reference)
+        assert (composite.level, composite.sigma, composite.signs) == \
+            (read.level, read.sigma, read.signs)
+        lowered += composite.level < first.level + second.level - 1
+    assert lowered > 100
+
+
+def test_equality_on_sigma_matches_the_images():
+    """== between PermEndos, on sigma and the signs at the higher level,
+    is the comparison of the eager images, also across levels."""
+    from test_properties import negated, raised
+    words = [(1,), (2,)]
+    cases = [PermEndo(2, 1, dict(zip(words, perm)), dict(zip(words, signs)))
+             for perm in itertools.permutations(words)
+             for signs in itertools.product((1, -1), repeat=2)]
+    cases += [raised(m) for m in cases] + [raised(raised(m)) for m in cases]
+    rng = random.Random(1718)
+    cases += [random_signed_endo(rng, 2, 2) for _ in range(6)]
+    cases += [negated(m) for m in cases[-3:]]
+    equal = 0
+    for a in cases:
+        eager = Morphism._from_valid(eager_images(a))
+        for b in cases:
+            want = eager == Morphism._from_valid(eager_images(b))
+            assert (a == b) == want, (a.sigma, a.signs, b.sigma, b.signs)
+            equal += want
+    assert equal >= 3 * 3 * 8 + 9
+
+
+def test_named_signed_maps_compose_to_perm_endos():
+    for name in ("id", "alpha", "beta1", "beta2", "theta"):
+        m = lookup_morphism(name)
+        assert isinstance(m, PermEndo) and m.level == 1
+    m = lookup_morphism("alpha.psi:13.beta1.theta.psi:1324")
+    assert isinstance(m, PermEndo) and m.name == \
+        "alpha.psi:13.beta1.theta.psi:1324"
+    assert not isinstance(lookup_morphism("alpha.phi"), PermEndo)
+    # alpha twice is the identity at level 1
+    assert lookup_morphism("alpha.alpha").sigma == identity(2).sigma
+
+
+def test_composite_above_the_word_map_limit_is_refused(monkeypatch):
+    monkeypatch.setattr(morphisms, "MAX_IMAGE_PAIRS", 16)
+    a, b = standard_endo("1324"), standard_endo("12")
+    composite = a.then(b).then(a)  # 2^4 words: at the limit
+    assert composite.level == 4
+    with pytest.raises(ValueError, match=r"^the composite psi_13\.psi_1324"
+                       r"\.psi_12\.psi_1324 has level 5, a word map of 2\^5 "
+                       r"words above the limit of 16$"):
+        composite.then(standard_endo("13"))
 
 
 def test_branching_a_fresh_perm_endo_builds_no_cuntz_poly(monkeypatch):

@@ -8,7 +8,7 @@ from cuntzalg import classify
 from cuntzalg.scalars import MINUS_ONE, ONE, ZERO
 from cuntzalg.words import (all_words, canonical_cycle, is_primitive,
                             make_ev_word, minimal_rotation, primitive_split)
-from cuntzalg.algebra import CuntzPoly, gauge_lift
+from cuntzalg.algebra import CuntzPoly
 from cuntzalg.morphisms import PermEndo, standard_endo
 from cuntzalg.reps import (ChainRep, CycleRep, _follow_orbits, _predecessor,
                            act_poly, act_word, act_word_adj, branch)
@@ -395,6 +395,15 @@ def poly_commutant_witness(endo, level, unit_image=apply_to_unit):
 # -- the cascade route to restriction equality, as a reference -----------
 
 _CASCADES = {}
+
+
+def gauge_lift(x):
+    """The canonical shift lambda(x) = sum_i s_i x s_i^*."""
+    out = CuntzPoly.zero(x.n)
+    for i in range(1, x.n + 1):
+        s = CuntzPoly.generator(x.n, i)
+        out = out + s * x * s.adjoint()
+    return out
 
 
 def cascade_unitary(endo, depth):
