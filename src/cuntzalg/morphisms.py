@@ -11,7 +11,9 @@ second check.
 where sigma permutes the words of a fixed length l (optionally with
 signs); it builds its generator images only when they are first read.
 The signed maps id, alpha, beta_j and theta are level-1 PermEndos, and
-PermEndos compose and compare on sigma.  For N = 2, l = 2 the words are
+PermEndos compose and compare on sigma.  A sigma built inside the
+library (a composite, a GP twist) is wrapped by ``PermEndo._from_valid``
+without the checks of the constructor.  For N = 2, l = 2 the words are
 numbered 1..4 in lexicographic order, so cycle names like "psi_1324"
 pick out a concrete permutation.
 """
@@ -260,13 +262,27 @@ class PermEndo(Morphism):
                 e = eps[j] = signs.get(j, 1)
                 if e not in (1, -1):
                     raise ValueError("signs must be +1 or -1")
+        self._adopt_sigma(n, level, table, eps, name)
+
+    @classmethod
+    def _from_valid(cls, n: int, level: int, sigma: Dict[Word, Word],
+                    signs: Dict[Word, int], name: str = "") -> "PermEndo":
+        """Wrap a signed permutation built inside the library, unchecked:
+        sigma is known to be a bijection of the words of the given length
+        onto themselves, and signs to give +1 or -1 for each of them."""
+        m = object.__new__(cls)
+        m._adopt_sigma(n, level, sigma, signs, name)
+        return m
+
+    def _adopt_sigma(self, n: int, level: int, sigma: Dict[Word, Word],
+                     signs: Dict[Word, int], name: str) -> None:
         self.n = n
         self.name = name
         self._word_cache = {}
         self._images = None
         self.level = level
-        self.sigma = table
-        self.signs = eps
+        self.sigma = sigma
+        self.signs = signs
 
     @property
     def images(self) -> List[CuntzPoly]:
@@ -381,7 +397,9 @@ def _lowest_level(n: int, level: int, sigma: Dict[Word, Word],
     A level-l map is one of level l-1 when sigma(Ja) = sigma'(J) a with
     eps(Ja) = eps'(J) for every letter a; this is the contraction that
     :meth:`CuntzPoly.reduce` applies to its generator images, so the
-    level is the one :func:`~cuntzalg.reps.as_signed_perm` finds."""
+    level is the highest |J| of the reduced images.  sigma and the signs
+    are built inside the library and known to be valid, and so is each
+    contraction, so the PermEndo is built unchecked."""
     while level > 1:
         short, short_signs = {}, {}
         for j, x in sigma.items():
@@ -389,9 +407,9 @@ def _lowest_level(n: int, level: int, sigma: Dict[Word, Word],
             if (x[-1] != j[-1]
                     or short.setdefault(head, x[:-1]) != x[:-1]
                     or short_signs.setdefault(head, signs[j]) != signs[j]):
-                return PermEndo(n, level, sigma, signs, name)
+                return PermEndo._from_valid(n, level, sigma, signs, name)
         sigma, signs, level = short, short_signs, level - 1
-    return PermEndo(n, level, sigma, signs, name)
+    return PermEndo._from_valid(n, level, sigma, signs, name)
 
 
 def number_word(idx: int, n: int, length: int) -> Word:
@@ -502,45 +520,3 @@ def lookup_morphism(name: str) -> Morphism:
     if maker is None:
         raise ValueError(f"unknown morphism {name!r}")
     return maker()
-
-
-# -- direct-sum splitting ------------------------------------------------
-
-
-def _frames(n: int):
-    if n != 2:
-        return {}
-    s1 = CuntzPoly.generator(2, 1)
-    s2 = CuntzPoly.generator(2, 2)
-    return {
-        "xi": (s1, s2),
-        "xi'": ((s1 + s2).scale(INV_SQRT2), (s1 - s2).scale(INV_SQRT2)),
-    }
-
-
-def split_direct_sum(m: Morphism):
-    """Try to split a unital endomorphism of O_2 as a 2x2 block diagonal.
-
-    Searches a small family of isometry frames (z_1, z_2) with
-    z_1 z_1^* + z_2 z_2^* = 1 for which f_k(x) = z_k^* m(x) z_k are both
-    endomorphisms and z_1 f_1(x) z_1^* + z_2 f_2(x) z_2^* reproduces m.
-    Returns (frame_name, (f_1, f_2)) or None.
-    """
-    gens = [CuntzPoly.generator(m.n, i) for i in range(1, m.n + 1)]
-    for frame_name, (z1, z2) in _frames(m.n).items():
-        parts = []
-        ok = True
-        for z in (z1, z2):
-            try:
-                part = Morphism([z.adjoint() * m(g) * z for g in gens])
-            except ValueError:
-                ok = False
-                break
-            parts.append(part)
-        if not ok:
-            continue
-        f1, f2 = parts
-        if all((z1 * f1(g) * z1.adjoint() + z2 * f2(g) * z2.adjoint()
-                - m(g)).is_zero() for g in gens):
-            return frame_name, (f1, f2)
-    return None

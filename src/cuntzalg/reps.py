@@ -40,14 +40,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 from .scalars import Scalar
 from .words import (PHASE_0, PHASE_HALF, CycleClass, EvWord, Word,
                     all_words, canonical_cycle, check_word, is_primitive,
                     make_ev_word, primitive_split, render_word, rotations)
-from .morphisms import (Morphism, PermEndo, _lowest_level, compose,
-                        hadamard, identity, split_direct_sum)
+from .morphisms import Morphism, PermEndo
 
 Label = Tuple[Word, int]
 # a label action: (sign, label) with the sign an int in {1, -1}, or None
@@ -549,9 +548,15 @@ def uhf_branch(n: int, word, endo: PermEndo,
 
 # the Walsh twist of a level-l map is 2^l fast transforms of length 2^l,
 # l 4^l additions: `gp --endo` on psi_1324^8 (level 9) answers in about
-# 0.5 s and 42 MB, and each level about quadruples the time; a signed
-# permutative map above this level is refused
+# 0.5 s and 42 MB, and each level about quadruples the time; a map above
+# this level is refused
 MAX_TWIST_LEVEL = 9
+
+# the matrix of m = lambda_u, m(s_i) = u s_i with u in F^l, as (l, e,
+# columns): u = M / 2^e for an integer matrix M on the words of length l,
+# columns[b] the nonzero entries {a: M[a, b]} of column b, with a and b
+# the lexicographic indices of the words (so the last letter is bit 0)
+Unitary = Tuple[int, int, List[Dict[int, int]]]
 
 
 @dataclass(frozen=True)
@@ -579,45 +584,6 @@ class GpAtom:
         return f"{body}.phi"
 
 
-def as_signed_perm(m: Morphism) -> Optional[PermEndo]:
-    """Recognize a morphism of the form x -> u x u^* s for a signed
-    permutation matrix u over monomials, i.e. images
-    m(s_i) = sum_tail eps * s_sigma(i tail) s_tail^*; returns the
-    corresponding PermEndo or None."""
-    n = m.n
-    level = 0
-    reduced = [img.reduce() for img in m.images]
-    for img in reduced:
-        for (j, k) in img.terms:
-            if len(j) - len(k) != 1:
-                return None
-            level = max(level, len(j))
-    if level == 0:
-        return None
-    sigma: Dict[Word, Word] = {}
-    signs: Dict[Word, int] = {}
-    for i, img in enumerate(reduced, start=1):
-        for (j, k), coeff in img.terms.items():
-            if coeff.is_one():
-                sgn = 1
-            elif (-coeff).is_one():
-                sgn = -1
-            else:
-                return None
-            for pad in all_words(n, level - 1 - len(k)):
-                src = (i,) + k + pad
-                if src in sigma:
-                    return None
-                sigma[src] = j + pad
-                signs[src] = sgn
-    if len(sigma) != n ** level or len(set(sigma.values())) != len(sigma):
-        return None
-    try:
-        return PermEndo(n, level, sigma, signs=signs)
-    except ValueError:
-        return None
-
-
 def gp_branch(m: Morphism) -> Optional[Dict[str, List[GpAtom]]]:
     """Branching of GP(+) and GP(-) under a unital endomorphism of O_2.
 
@@ -630,61 +596,51 @@ def gp_branch(m: Morphism) -> Optional[Dict[str, List[GpAtom]]]:
     ("not derivable"), even when an orbit search could in principle be
     pushed further.
 
-    A signed permutative m (a PermEndo, or a map :func:`as_signed_perm`
-    recognizes) is worked on signed word permutations and integers.  Its
-    twist is m(s_i) = u s_i -> phi(u) s_i with phi(u) = W P W / 2^l, P
-    the signed permutation matrix of u and W the +-1 Sylvester (Walsh)
-    matrix (:func:`_walsh_twist`); the involution test is
-    :meth:`~cuntzalg.morphisms.PermEndo.is_involution`.  Of the two
-    split frames, xi = (s_1, s_2) gives the first-letter corners
-    s_k^* m(x) s_k (:func:`_corners`), and xi' = (phi(s_1), phi(s_2))
-    gives the phihat of the xi corners of phihat(m), because
-    phi(s_k)^* m(x) phi(s_k) = phi(s_k^* phihat(m)(phi(x)) s_k); so every
-    part carries its twist into the recursion.  The CuntzPoly products
-    of :func:`gp_branch_poly` run for m that is not signed permutative
-    (phi, phi_rot), and for a signed permutative map whose twist is not
-    a signed permutation but splits in the frame xi (from level 3 on).
-    A signed permutative m above level MAX_TWIST_LEVEL is refused.
+    There is one route, on the matrix u of m = lambda_u (:func:`_unitary`):
+
+    * the twist is phihat(m)(s_i) = phi(u) s_i with phi(u) = W u W / 2^l,
+      W the +-1 Sylvester (Walsh) matrix (:func:`_twist`);
+    * a twist with one entry in each column is a signed permutation, a
+      PermEndo; its table is read off P(1) and P(2) when it has level 1
+      or m o m = id (:meth:`~cuntzalg.morphisms.PermEndo.is_involution`);
+    * the frame xi = (s_1, s_2) splits m into the corners
+      s_k^* m(x) s_k exactly when u[A, B] != 0 only where A_1 = B_2
+      (:func:`_corners`);
+    * the frame xi' = (phi(s_1), phi(s_2)) splits m into the phihat of
+      the xi corners of phihat(m), because phi(s_k)^* m(x) phi(s_k) =
+      phi(s_k^* phihat(m)(phi(x)) s_k); so every part carries its twist
+      into the recursion.
+
+    The rational-entry rule: the twist and the corners are Q-linear in u,
+    and every leaf that answers is a signed permutation, so a derivable u
+    is a rational, dyadic gluing of +-1 matrices.  A map whose u has an
+    entry with a sqrt(2) part or a denominator that is not a power of
+    two, or that is not in F^l at all, is therefore not derivable, and
+    no CuntzPoly product is made for any map.  A map above level
+    MAX_TWIST_LEVEL is refused.
     """
     if m.n != 2:
         raise ValueError(f"GP(+/-) live on O_2, but "
                          f"{m.name or 'this morphism'} acts on O_{m.n}")
-    psi = m if isinstance(m, PermEndo) else as_signed_perm(m)
-    if psi is None:
-        return gp_branch_poly(m)
-    if psi.level > MAX_TWIST_LEVEL:
-        raise ValueError(f"the GP twist of {m.name or 'this morphism'} "
-                         f"needs the Walsh transform at level {psi.level}, "
-                         f"above the limit of {MAX_TWIST_LEVEL}")
-    return _gp_words(psi, _walsh_twist(psi))
+    u = _unitary(m)
+    if u is None:
+        return None
+    return _gp_rule(u, _twist(u))
 
 
-# the Walsh twist of a signed permutative map: a PermEndo, or, when it is
-# not a signed permutation, whether it splits in the frame xi
-Twist = Union[PermEndo, bool]
-
-
-def _gp_words(psi: PermEndo,
-              tau: Twist) -> Optional[Dict[str, List[GpAtom]]]:
-    """The GP rule on a signed permutative map psi and its twist
-    tau = phihat(psi), on words unless the frame xi' splits psi into maps
-    that are not signed permutative (then by :func:`gp_branch_poly`).
-
-    The xi' parts of psi are the phihat of the xi corners of tau, and
-    they are signed permutative when tau is: both psi and tau are signed
-    permutations exactly when sigma is affine over GF(2) on the bits of
-    the words with signs +-(-1)^(d.x), then tau is of that form too, and
-    so is a corner of such a map."""
-    if isinstance(tau, PermEndo) and (tau.level == 1 or tau.is_involution()):
-        return _gp_table(tau)
-    corners = _corners(psi)
-    if corners is not None:
-        return _joined([_gp_words(f, _walsh_twist(f)) for f in corners])
-    if not isinstance(tau, PermEndo):
-        return gp_branch_poly(psi) if tau else None
-    corners = _corners(tau)
-    if corners is not None:
-        return _joined([_gp_words(_walsh_twist(g), g) for g in corners])
+def _gp_rule(u: Unitary,
+             tau: Unitary) -> Optional[Dict[str, List[GpAtom]]]:
+    """The GP rule on the matrix u of m and tau of phihat(m): a leaf, a
+    frame-xi split, a frame-xi' split, or None."""
+    leaf = _signed_perm(tau)
+    if leaf is not None and (leaf.level == 1 or leaf.is_involution()):
+        return _gp_table(leaf)
+    parts = _corners(u)
+    if parts is not None:
+        return _joined([_gp_rule(f, _twist(f)) for f in parts])
+    parts = _corners(tau)
+    if parts is not None:
+        return _joined([_gp_rule(_twist(g), g) for g in parts])
     return None
 
 
@@ -705,46 +661,103 @@ def _gp_table(twist: PermEndo) -> Dict[str, List[GpAtom]]:
     return out
 
 
-def _walsh_twist(endo: PermEndo) -> Twist:
-    """phihat(endo) = phi o endo o phi, at its lowest level when it is a
-    signed permutation, else whether it splits in the frame xi.
+def _unitary(m: Morphism) -> Optional[Unitary]:
+    """The matrix u of m(s_i) = u s_i at its lowest level, or None when u
+    is not a dyadic rational matrix in F^l (see :func:`gp_branch`).
 
-    endo(s_i) = u s_i with u = sum_J eps_J s_sigma(J) s_J^*, whose matrix
-    P on the words of length l is a signed permutation, and phi maps
-    s_J s_K^* to sum_{A,B} H[A,J] H[B,K] s_A s_B^* with the l-fold tensor
-    power H = W / 2^(l/2) of the Hadamard matrix, W[a, b] =
-    (-1)^popcount(a & b) on the lexicographic indices of the words.  So
-    phihat(endo)(s_i) = phi(u) s_i with phi(u) = W P W / 2^l.  Its columns
-    are unit vectors, so it is a signed permutation exactly when each
-    column of the integer matrix W P W has one nonzero entry.  Each
-    column is the fast Walsh transform of a signed column of W, l 2^l
-    additions.
-    """
-    level = endo.level
+    A PermEndo has u[sigma(J), J] = eps_J.  Otherwise every term
+    c s_J s_K^* of the reduced image of s_i must have |J| = |K| + 1, and
+    it adds c to u[JP, iKP] for every word P that pads it to the level
+    l, the longest J: reduced terms can overlap after padding, so the
+    entries are sums.  Above level MAX_TWIST_LEVEL the map is refused."""
+    if isinstance(m, PermEndo):
+        level, terms = m.level, None
+    else:
+        terms = []
+        for i, image in enumerate(m.images, start=1):
+            for (j, k), c in image.reduce().terms.items():
+                r = c.rat
+                if (len(j) != len(k) + 1 or c.root2
+                        or r.denominator & (r.denominator - 1)):
+                    return None
+                terms.append((j, (i,) + k, r))
+        level = max(len(j) for j, _, _ in terms)
+    if level > MAX_TWIST_LEVEL:
+        raise ValueError(f"the GP twist of {m.name or 'this morphism'} "
+                         f"needs the Walsh transform at level {level}, "
+                         f"above the limit of {MAX_TWIST_LEVEL}")
     words = list(all_words(2, level))
     index = {w: a for a, w in enumerate(words)}
-    moved = [(index[x], index[j], endo.signs[j])
-             for j, x in endo.sigma.items()]
-    sigma: Optional[Dict[Word, Word]] = {}
-    signs: Dict[Word, int] = {}
-    splits = level > 1
-    for c, b in enumerate(words):
-        column = [0] * len(words)
-        for r, j, e in moved:  # (P W)[sigma(J), c] = eps_J W[J, c]
-            column[r] = -e if bin(j & c).count("1") % 2 else e
+    columns: List[Dict[int, int]] = [{} for _ in words]
+    if terms is None:
+        for j, x in m.sigma.items():
+            columns[index[j]][index[x]] = m.signs[j]
+        return _lowest((level, 0, columns))
+    entries: Dict[Tuple[int, int], Fraction] = {}
+    for j, k, r in terms:
+        for pad in all_words(2, level - len(j)):
+            key = index[k + pad], index[j + pad]
+            entries[key] = entries.get(key, 0) + r
+    scale = max(r.denominator for r in entries.values())
+    for (b, a), r in entries.items():
+        if r:
+            columns[b][a] = int(r * scale)
+    return _lowest((level, scale.bit_length() - 1, columns))
+
+
+def _lowest(u: Unitary) -> Unitary:
+    """u at the lowest level: a level-l matrix is u' (x) 1 of level l-1
+    when each column B'a holds the entries of column B' of u' at the rows
+    A'a, the contraction of :func:`~cuntzalg.morphisms._lowest_level`."""
+    level, e, columns = u
+    while level > 1:
+        short = []
+        for b in range(0, len(columns), 2):
+            first, second = columns[b], columns[b + 1]
+            if len(first) != len(second) or any(
+                    a & 1 or second.get(a + 1) != v for a, v in first.items()):
+                return level, e, columns
+            short.append({a >> 1: v for a, v in first.items()})
+        level, columns = level - 1, short
+    return level, e, columns
+
+
+def _signed_perm(u: Unitary) -> Optional[PermEndo]:
+    """The PermEndo of u when each column holds one entry, which is then
+    +-2^e because u is unitary; None otherwise.  u is at its lowest
+    level, and so is the PermEndo."""
+    level, _, columns = u
+    if any(len(column) != 1 for column in columns):
+        return None
+    words = list(all_words(2, level))
+    sigma, signs = {}, {}
+    for b, column in zip(words, columns):
+        (a, v), = column.items()
+        sigma[b], signs[b] = words[a], 1 if v > 0 else -1
+    return PermEndo._from_valid(2, level, sigma, signs)
+
+
+def _twist(u: Unitary) -> Unitary:
+    """phi(u) = W u W / 2^l, the matrix of phihat(m) = phi o m o phi, at
+    its lowest level.
+
+    phi maps s_J s_K^* to sum_{A,B} H[A,J] H[B,K] s_A s_B^* with the
+    l-fold tensor power H = W / 2^(l/2) of the Hadamard matrix, W[a, b] =
+    (-1)^popcount(a & b), so phi(u) s_i = phihat(m)(s_i) with phi(u) =
+    W u W / 2^l: the integer matrix W M W over 2^(e+l).  Column c of
+    W M W is the fast Walsh transform of column c of M W, l 2^l additions
+    after one pass over the entries of M."""
+    level, e, columns = u
+    entries = [(a, b, v) for b, column in enumerate(columns)
+               for a, v in column.items()]
+    out = []
+    for c in range(len(columns)):
+        column = [0] * len(columns)
+        for a, b, v in entries:  # (M W)[a, c] = sum_b M[a, b] W[b, c]
+            column[a] += -v if (b & c).bit_count() & 1 else v
         _walsh_transform(column)
-        hits = [r for r, v in enumerate(column) if v]
-        splits = splits and all(words[r][0] == b[1] for r in hits)
-        if sigma is not None and len(hits) == 1:
-            sigma[b] = words[hits[0]]
-            signs[b] = 1 if column[hits[0]] > 0 else -1
-        else:
-            sigma = None
-            if not splits:
-                return False
-    if sigma is None:
-        return splits
-    return _lowest_level(2, level, sigma, signs)
+        out.append({a: v for a, v in enumerate(column) if v})
+    return _lowest((level, e + level, out))
 
 
 def _walsh_transform(v: List[int]) -> None:
@@ -757,42 +770,26 @@ def _walsh_transform(v: List[int]) -> None:
         h *= 2
 
 
-def _corners(endo: PermEndo) -> Optional[Tuple[PermEndo, PermEndo]]:
-    """The frame-xi split of endo: f_k(x) = s_k^* endo(x) s_k.
+def _corners(u: Unitary) -> Optional[Tuple[Unitary, Unitary]]:
+    """The frame-xi split of m = lambda_u: f_k(x) = s_k^* m(x) s_k.
 
-    endo(s_i) = sum_t eps(it) s_sigma(it) s_t^* is block diagonal over
-    s_1 s_1^* and s_2 s_2^*, which the split needs, exactly when every
-    sigma(J) begins with the second letter of J (never at level 1); then
-    f_k is the level-(l-1) map iT -> sigma(ikT) less its first letter,
-    with the sign eps(ikT).  None when endo does not split."""
-    level = endo.level
-    if level == 1 or any(x[0] != j[1] for j, x in endo.sigma.items()):
+    m(s_i) = sum_{A,T} u[A, iT] s_A s_T^* is block diagonal over s_1 s_1^*
+    and s_2 s_2^*, which the split needs, exactly when u[A, B] != 0 only
+    where A_1 = B_2 (never at level 1); then f_k is the level-(l-1)
+    matrix u_k[A', iT'] = u[kA', ikT'].  None when m does not split."""
+    level, e, columns = u
+    if level == 1:
         return None
-    parts = []
-    for k in (1, 2):
-        sigma = {j[:1] + j[2:]: x[1:]
-                 for j, x in endo.sigma.items() if j[1] == k}
-        signs = {j[:1] + j[2:]: e
-                 for j, e in endo.signs.items() if j[1] == k}
-        parts.append(_lowest_level(2, level - 1, sigma, signs))
-    return parts[0], parts[1]
-
-
-def gp_branch_poly(m: Morphism) -> Optional[Dict[str, List[GpAtom]]]:
-    """:func:`gp_branch` by CuntzPoly products: phi o m o phi and m o m
-    composed, the twist recognized by :func:`as_signed_perm`, the frames
-    tried by :func:`~cuntzalg.morphisms.split_direct_sum`.  The reference
-    for the signed-word route, and its fallback."""
-    twisted = compose(hadamard(), m, hadamard())
-    sp = as_signed_perm(twisted)
-    if sp is not None and sp.level > 1 and not m.then(m) == identity(2):
-        sp = None
-    if sp is not None:
-        return _gp_table(sp)
-    split = split_direct_sum(m)
-    if split is not None:
-        return _joined([gp_branch_poly(f) for f in split[1]])
-    return None
+    first, second = level - 1, level - 2  # bits of A_1 and of B_2
+    if any(a >> first != b >> second & 1
+           for b, column in enumerate(columns) for a in column):
+        return None
+    rest = (1 << first) - 1
+    return tuple(
+        _lowest((level - 1, e, [{a & rest: v for a, v in column.items()}
+                                for b, column in enumerate(columns)
+                                if b >> second & 1 == k]))
+        for k in (0, 1))
 
 
 # -- parsing of representation names --------------------------------------

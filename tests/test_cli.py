@@ -5,7 +5,8 @@ import time
 
 import pytest
 
-from cuntzalg import cli, morphisms
+from cuntzalg import cli, morphisms, reps
+from cuntzalg.algebra import CuntzPoly
 from cuntzalg.cli import main
 
 
@@ -287,7 +288,7 @@ def test_whitespace_before_digits(capsys, text, same_as):
     ("eq", "a30", "a30"),
     ("car", "a17"),
     ("car", "--check-modes", "40"),
-    ("vacuum", "fock", "--max-mode", "40"),
+    ("apply", "a17", "--endo", "alpha"),
     ("mixture", "61/2", "--json"),
     ("mixture", "61/2", "--check"),
 ])
@@ -296,6 +297,17 @@ def test_fermion_mode_above_limit_is_usage_error(capsys, argv):
     assert (code, out) == (2, "")
     assert err.startswith("error: fermion mode ") and err.count("\n") == 1
     assert "above the limit of 16" in err
+
+
+def test_vacuum_has_a_mode_limit_of_its_own(capsys):
+    # the vacuum equations act on labels and build no a_n, so they pass
+    # MAX_MODE (16) and stop at MAX_VACUUM_MODE (512)
+    assert run(capsys, "vacuum", "fock", "--max-mode", "40") == \
+        (0, "pass\n", "")
+    code, out, err = run(capsys, "vacuum", "iw", "--max-mode", "513")
+    assert (code, out) == (2, "")
+    assert err == ("error: max mode 513 is above the limit of 512 for the "
+                   "vacuum equations\n")
 
 
 def test_huge_mixture_check_is_refused_at_once(capsys):
@@ -391,15 +403,11 @@ def test_image_above_the_limit_is_refused_at_once(capsys):
 
 @pytest.mark.parametrize("argv, shown", [
     (("apply", "a12", "--endo", "phi"), "a 2048-term polynomial"),
-    (("gp", "--endo", ".".join(["psi:1324"] * 6 + ["phi"])),
-     "a 128-term polynomial"),
 ])
 def test_image_product_above_the_limit_is_refused_at_once(capsys, argv, shown):
     # the term pairs of every product m(s_J) m(s_K)^* are added up before
     # the first product is made: a12 under phi would ask for 2048 products
-    # of up to 4096 x 4096 terms, and gp, which composes phi o m o phi for
-    # a map m that is not signed permutative (here psi_1324^6 o phi), for
-    # about 2^20 pairs
+    # of up to 4096 x 4096 terms
     start = time.perf_counter()
     code, out, err = run(capsys, *argv)
     assert time.perf_counter() - start < 2.0
@@ -415,6 +423,35 @@ def test_gp_of_a_long_signed_composite_makes_no_product(capsys):
     code, out, err = run(capsys, "gp", "--endo", ".".join(["psi:1324"] * 7))
     assert time.perf_counter() - start < 2.0
     assert (code, out, err) == (0, "not derivable\n", "")
+
+
+@pytest.mark.parametrize("factors", [5, 6])
+def test_gp_of_a_phi_composite_makes_no_product(capsys, monkeypatch,
+                                                factors):
+    # psi_1324^k o phi has entries +-1/sqrt(2) in its matrix u, and a map
+    # GP can answer has a dyadic rational u, so gp reads "not derivable"
+    # off the images; no phi o m o phi is composed, so k = 6 is not
+    # refused by the term-pair limit of that product
+    products = []
+    inside = []
+    mul, gp = CuntzPoly.__mul__, reps.gp_branch
+
+    def counted(self, other):
+        products.extend(inside)
+        return mul(self, other)
+
+    def traced(m):
+        inside.append(m)
+        try:
+            return gp(m)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(CuntzPoly, "__mul__", counted)
+    monkeypatch.setattr(reps, "gp_branch", traced)
+    name = ".".join(["psi:1324"] * factors + ["phi"])
+    assert run(capsys, "gp", "--endo", name) == (0, "not derivable\n", "")
+    assert products == []
 
 
 def test_gp_twist_above_the_level_limit_is_refused_at_once(capsys):

@@ -9,9 +9,10 @@ from cuntzalg import fermions
 from cuntzalg.algebra import CuntzPoly
 from cuntzalg.morphisms import nakanishi, standard_endo, zeta
 from cuntzalg.scalars import INV_SQRT2, MINUS_ONE, ONE, SQRT2, Scalar
-from cuntzalg.fermions import (MAX_MODE, CarExpr, _letter, _satisfies_car,
-                               act_car, act_letter, anticommutator,
-                               apply_endo, car_equal, car_generator,
+from cuntzalg.fermions import (MAX_MODE, MAX_VACUUM_MODE, CarExpr, _letter,
+                               _satisfies_car, act_car, act_letter,
+                               anticommutator, apply_endo, car_equal,
+                               car_generator,
                                car_generator_closed, fermion_branch, mixture,
                                psi_map, vacuum_check, verify_car,
                                verify_mixture_car)
@@ -361,8 +362,9 @@ def test_modes_above_the_limit_are_refused():
         psi_map(a(30))
     with pytest.raises(ValueError, match="above the limit"):
         verify_car(too_big)
+    # vacuum_check builds no a_n, and has a limit of its own
     with pytest.raises(ValueError, match="above the limit"):
-        vacuum_check("iw", max_mode=too_big)
+        vacuum_check("iw", max_mode=MAX_VACUUM_MODE + 1)
     # b_k uses a_{2k+2} and b_{-k} uses a_{2k+1}
     k = Fraction(too_big - 2, 2)
     with pytest.raises(ValueError, match=f"mode {too_big} is above"):

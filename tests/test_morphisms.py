@@ -351,7 +351,7 @@ def test_composition_on_sigma_matches_the_products():
     """PermEndo.then is Morphism.then on the eager images, at the lowest
     level, which is the level as_signed_perm reads off the products (so
     the GP twist limit refuses the same composites)."""
-    from cuntzalg.reps import as_signed_perm
+    from test_properties import as_signed_perm
     lowered = 0
     for first, second in composition_cases():
         composite = first.then(second)

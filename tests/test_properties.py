@@ -5,13 +5,15 @@ import random
 from fractions import Fraction
 
 from cuntzalg import classify
-from cuntzalg.scalars import MINUS_ONE, ONE, ZERO
+from cuntzalg.scalars import INV_SQRT2, MINUS_ONE, ONE, ZERO
 from cuntzalg.words import (all_words, canonical_cycle, is_primitive,
                             make_ev_word, minimal_rotation, primitive_split)
 from cuntzalg.algebra import CuntzPoly
-from cuntzalg.morphisms import PermEndo, standard_endo
-from cuntzalg.reps import (ChainRep, CycleRep, _follow_orbits, _predecessor,
-                           act_poly, act_word, act_word_adj, branch)
+from cuntzalg.morphisms import (Morphism, PermEndo, compose, hadamard,
+                                identity, standard_endo)
+from cuntzalg.reps import (ChainRep, CycleRep, _follow_orbits, _gp_table,
+                           _joined, _predecessor, act_poly, act_word,
+                           act_word_adj, branch)
 
 
 def random_perm_endo(rng, n, level):
@@ -602,3 +604,170 @@ def test_commutant_witness_makes_no_products(monkeypatch):
     witnesses = [classify.commutant_witness(m, depth) for m, depth in cases]
     assert products == []
     assert witnesses.count(None) < len(witnesses)
+
+
+# -- GP(+/-) by CuntzPoly products: the reference for reps.gp_branch -------
+
+
+def signed_map(images, signs):
+    """The level-l map sending the k-th word of length l (lexicographic)
+    to the images[k]-th, with sign signs[k]; images and signs as strings
+    of digits and of + and -."""
+    words = list(all_words(2, len(images).bit_length() - 1))
+    return PermEndo(2, len(words[0]),
+                    {w: words[int(d) - 1] for w, d in zip(words, images)},
+                    {w: 1 if e == "+" else -1 for w, e in zip(words, signs)})
+
+
+def all_signed_maps(level):
+    words = list(all_words(2, level))
+    for images in itertools.permutations(range(1, len(words) + 1)):
+        for signs in itertools.product("+-", repeat=len(words)):
+            yield signed_map("".join(map(str, images)), "".join(signs))
+
+
+# the 8 + 384 signed permutative maps of O_2 of level 1 and 2
+SIGNED_MAPS = [m for level in (1, 2) for m in all_signed_maps(level)]
+
+# level-3 maps whose Walsh twist is not a signed permutation but splits in
+# the frame xi, so that the GP rule splits them in the frame xi' into
+# parts that are not signed permutative
+SPLIT_NON_SIGNED_TWISTS = [("57132468", "-----+-+"), ("14582367", "+-+-----"),
+                           ("32765814", "----+-+-")]
+
+
+def level3_sample(seed):
+    """Seeded level-3 maps of O_2: random ones, frame-xi splits built from
+    two level-2 corners, their twists phi o m o phi (frame-xi' splits)
+    where those are signed permutative, involutions b o a o b of level-2
+    involutions a, b, and the maps of SPLIT_NON_SIGNED_TWISTS."""
+    rng = random.Random(seed)
+    words = list(all_words(2, 3))
+
+    def random_map(level):
+        images = list(range(1, 2 ** level + 1))
+        rng.shuffle(images)
+        return signed_map("".join(map(str, images)),
+                          "".join(rng.choice("+-") for _ in images))
+
+    out = [random_map(3) for _ in range(40)]
+    phi = hadamard()
+    for _ in range(20):
+        corners = random_map(2), random_map(2)
+        sigma, signs = {}, {}
+        for j in words:  # sigma(ikT) = k sigma_k(iT)
+            corner = corners[j[1] - 1]
+            sigma[j] = j[1:2] + corner.sigma[j[:1] + j[2:]]
+            signs[j] = corner.signs[j[:1] + j[2:]]
+        split = PermEndo(2, 3, sigma, signs)
+        out.append(split)
+        twisted = as_signed_perm(compose(phi, split, phi))
+        if twisted is not None:
+            out.append(twisted)
+    involutions = [m for m in SIGNED_MAPS
+                   if m.level == 2 and m.then(m) == identity(2)]
+    for _ in range(60):
+        a, b = rng.choice(involutions), rng.choice(involutions)
+        product = as_signed_perm(compose(b, a, b))
+        if product.level == 3:
+            out.append(product)
+    out.extend(signed_map(*m) for m in SPLIT_NON_SIGNED_TWISTS)
+    return out
+
+
+def by_products(m):
+    """m as a general Morphism, so that composites and comparisons with
+    it run on CuntzPoly products."""
+    return Morphism._from_valid(m.images, m.name)
+
+
+def frames():
+    """The isometry frames (z_1, z_2) of O_2 that split_direct_sum tries:
+    xi = (s_1, s_2) and xi' = (phi(s_1), phi(s_2))."""
+    s1 = CuntzPoly.generator(2, 1)
+    s2 = CuntzPoly.generator(2, 2)
+    return {"xi": (s1, s2),
+            "xi'": ((s1 + s2).scale(INV_SQRT2), (s1 - s2).scale(INV_SQRT2))}
+
+
+def glued(frame, f1, f2):
+    """The endomorphism x -> z_1 f_1(x) z_1^* + z_2 f_2(x) z_2^* of O_2
+    for a frame (z_1, z_2), built from its images and checked."""
+    z1, z2 = frames()[frame]
+    images = [z1 * f1(g) * z1.adjoint() + z2 * f2(g) * z2.adjoint()
+              for g in (CuntzPoly.generator(2, 1), CuntzPoly.generator(2, 2))]
+    name = f"{frame}({f1.name},{f2.name})" if f1.name and f2.name else ""
+    return Morphism(images, name)
+
+
+def as_signed_perm(m):
+    """Recognize a morphism of the form x -> u x u^* s for a signed
+    permutation matrix u over monomials, i.e. images
+    m(s_i) = sum_tail eps * s_sigma(i tail) s_tail^*; returns the
+    corresponding PermEndo or None."""
+    n = m.n
+    level = 0
+    reduced = [img.reduce() for img in m.images]
+    for img in reduced:
+        for (j, k) in img.terms:
+            if len(j) - len(k) != 1:
+                return None
+            level = max(level, len(j))
+    if level == 0:
+        return None
+    sigma, signs = {}, {}
+    for i, img in enumerate(reduced, start=1):
+        for (j, k), coeff in img.terms.items():
+            if coeff.is_one():
+                sgn = 1
+            elif (-coeff).is_one():
+                sgn = -1
+            else:
+                return None
+            for pad in all_words(n, level - 1 - len(k)):
+                src = (i,) + k + pad
+                if src in sigma:
+                    return None
+                sigma[src] = j + pad
+                signs[src] = sgn
+    if len(sigma) != n ** level or len(set(sigma.values())) != len(sigma):
+        return None
+    try:
+        return PermEndo(n, level, sigma, signs=signs)
+    except ValueError:
+        return None
+
+
+def split_direct_sum(m):
+    """Try to split a unital endomorphism of O_2 as a 2x2 block diagonal:
+    the first frame (z_1, z_2) of :func:`frames` for which
+    f_k(x) = z_k^* m(x) z_k are both endomorphisms and
+    z_1 f_1(x) z_1^* + z_2 f_2(x) z_2^* reproduces m.  Returns
+    (frame_name, (f_1, f_2)) or None."""
+    gens = [CuntzPoly.generator(m.n, i) for i in range(1, m.n + 1)]
+    for frame_name, (z1, z2) in frames().items():
+        try:
+            f1, f2 = (Morphism([z.adjoint() * m(g) * z for g in gens])
+                      for z in (z1, z2))
+        except ValueError:
+            continue
+        if all((z1 * f1(g) * z1.adjoint() + z2 * f2(g) * z2.adjoint()
+                - m(g)).is_zero() for g in gens):
+            return frame_name, (f1, f2)
+    return None
+
+
+def gp_branch_poly(m):
+    """reps.gp_branch by CuntzPoly products: phi o m o phi and m o m
+    composed, the twist recognized by :func:`as_signed_perm`, the frames
+    tried by :func:`split_direct_sum`."""
+    twisted = compose(hadamard(), m, hadamard())
+    sp = as_signed_perm(twisted)
+    if sp is not None and sp.level > 1 and not m.then(m) == identity(2):
+        sp = None
+    if sp is not None:
+        return _gp_table(sp)
+    split = split_direct_sum(m)
+    if split is not None:
+        return _joined([gp_branch_poly(f) for f in split[1]])
+    return None

@@ -1,6 +1,6 @@
 """Permutative representations: branching, restriction, GP calculus."""
 
-import itertools
+import functools
 import random
 from fractions import Fraction
 
@@ -9,14 +9,17 @@ import pytest
 from cuntzalg.scalars import ONE, Scalar
 from cuntzalg.words import all_words, parse_ev_word
 from cuntzalg.algebra import CuntzPoly
-from cuntzalg.morphisms import (Morphism, PermEndo, compose, flip, hadamard,
-                                identity, lookup_morphism, standard_endo)
+from cuntzalg.morphisms import (Morphism, PermEndo, flip, hadamard, identity,
+                                lookup_morphism, standard_endo)
 from cuntzalg.classify import ALL_SIGMA
 from cuntzalg.reps import (ChainRep, CycleRep, act_poly, act_word,
-                           act_word_adj, as_signed_perm, branch, branching,
-                           decompose_power, gp_branch, gp_branch_poly,
-                           parse_rep, restrict_chain_to_uhf,
+                           act_word_adj, branch, branching, decompose_power,
+                           gp_branch, parse_rep, restrict_chain_to_uhf,
                            restrict_cycle_to_uhf, uhf_branch)
+
+from test_properties import (SIGNED_MAPS, SPLIT_NON_SIGNED_TWISTS,
+                             as_signed_perm, by_products, glued,
+                             gp_branch_poly, level3_sample, signed_map)
 
 
 def labels(result):
@@ -292,77 +295,6 @@ def test_gp_branch_not_derivable():
         assert gp_branch(standard_endo(name)) is None
 
 
-def signed_map(images, signs):
-    """The level-l map sending the k-th word of length l (lexicographic)
-    to the images[k]-th, with sign signs[k]; images and signs as strings
-    of digits and of + and -."""
-    words = list(all_words(2, len(images).bit_length() - 1))
-    return PermEndo(2, len(words[0]),
-                    {w: words[int(d) - 1] for w, d in zip(words, images)},
-                    {w: 1 if e == "+" else -1 for w, e in zip(words, signs)})
-
-
-def all_signed_maps(level):
-    words = list(all_words(2, level))
-    for images in itertools.permutations(range(1, len(words) + 1)):
-        for signs in itertools.product("+-", repeat=len(words)):
-            yield signed_map("".join(map(str, images)), "".join(signs))
-
-
-# the 8 + 384 signed permutative maps of O_2 of level 1 and 2
-SIGNED_MAPS = [m for level in (1, 2) for m in all_signed_maps(level)]
-
-# level-3 maps whose Walsh twist is not a signed permutation but splits in
-# the frame xi, so that gp_branch hands them to the CuntzPoly route
-SPLIT_NON_SIGNED_TWISTS = [("57132468", "-----+-+"), ("14582367", "+-+-----"),
-                           ("32765814", "----+-+-")]
-
-
-def level3_sample(seed):
-    """Seeded level-3 maps of O_2: random ones, frame-xi splits built from
-    two level-2 corners, their twists phi o m o phi (frame-xi' splits)
-    where those are signed permutative, involutions b o a o b of level-2
-    involutions a, b, and the maps of SPLIT_NON_SIGNED_TWISTS."""
-    rng = random.Random(seed)
-    words = list(all_words(2, 3))
-
-    def random_map(level):
-        images = list(range(1, 2 ** level + 1))
-        rng.shuffle(images)
-        return signed_map("".join(map(str, images)),
-                          "".join(rng.choice("+-") for _ in images))
-
-    out = [random_map(3) for _ in range(40)]
-    phi = hadamard()
-    for _ in range(20):
-        corners = random_map(2), random_map(2)
-        sigma, signs = {}, {}
-        for j in words:  # sigma(ikT) = k sigma_k(iT)
-            corner = corners[j[1] - 1]
-            sigma[j] = j[1:2] + corner.sigma[j[:1] + j[2:]]
-            signs[j] = corner.signs[j[:1] + j[2:]]
-        split = PermEndo(2, 3, sigma, signs)
-        out.append(split)
-        twisted = as_signed_perm(compose(phi, split, phi))
-        if twisted is not None:
-            out.append(twisted)
-    involutions = [m for m in SIGNED_MAPS
-                   if m.level == 2 and m.then(m) == identity(2)]
-    for _ in range(60):
-        a, b = rng.choice(involutions), rng.choice(involutions)
-        product = as_signed_perm(compose(b, a, b))
-        if product.level == 3:
-            out.append(product)
-    out.extend(signed_map(*m) for m in SPLIT_NON_SIGNED_TWISTS)
-    return out
-
-
-def by_products(m):
-    """m as a general Morphism, so that composites and comparisons with
-    it run on CuntzPoly products."""
-    return Morphism._from_valid(m.images, m.name)
-
-
 def test_involution_check_matches_the_composite():
     level3 = level3_sample(14)
     assert sum(m.level == 3 and m.is_involution() for m in level3) >= 5
@@ -370,6 +302,31 @@ def test_involution_check_matches_the_composite():
         eager = by_products(m)
         assert m.is_involution() == (eager.then(eager) == identity(2)), \
             m.sigma
+
+
+# phi composites whose matrix is rational, answered or not, and some
+# with entries +-1/sqrt(2)
+PHI_COMPOSITES = ("phi", "phi_rot", "alpha.phi", "phi.phi", "phi.alpha.phi",
+                  "phi_rot.phi_rot", "phi.psi:23.phi", "phi.psi:132.phi",
+                  "phi_rot.psi:13.phi_rot", "psi:1324.phi.psi:23",
+                  "phi.beta1.psi:1324.phi")
+
+# named maps that glued_maps glues in the frames xi and xi'
+GLUE_NAMES = ("id", "alpha", "beta1", "theta", "psi:13", "psi:132",
+              "phi.psi:23.phi")
+
+
+@functools.lru_cache(maxsize=None)
+def glued_maps():
+    """Maps built from images: each pair of GLUE_NAMES glued in the frames
+    xi and xi', and seeded pairs of those glued again."""
+    parts = [lookup_morphism(name) for name in GLUE_NAMES]
+    once = [glued(frame, a, b) for frame in ("xi", "xi'")
+            for a in parts for b in parts]
+    rng = random.Random(1818)
+    twice = [glued(rng.choice(("xi", "xi'")), rng.choice(once),
+                   rng.choice(once)) for _ in range(6)]
+    return once + twice
 
 
 def test_gp_branch_on_words_matches_the_cuntzpoly_route():
@@ -380,12 +337,24 @@ def test_gp_branch_on_words_matches_the_cuntzpoly_route():
         assert table == gp_branch_poly(by_products(m)), (m.sigma, m.signs)
         derivable += table is not None
     assert derivable > 100
-    for name in ("phi", "phi_rot", "alpha", "alpha.phi", "phi.psi:23.phi"):
+    for name in PHI_COMPOSITES:
         m = lookup_morphism(name)
         assert gp_branch(m) == gp_branch_poly(m), name
+    answered = {"xi": 0, "xi'": 0}
+    for m in glued_maps():
+        table = gp_branch(m)
+        assert table == gp_branch_poly(m), m.name
+        answered[m.name.partition("(")[0]] += table is not None
+    assert min(answered.values()) >= 20, answered
 
 
 def test_gp_branch_of_signed_maps_makes_no_cuntzpoly_product(monkeypatch):
+    # nor of any other map: the inputs are built first, and only the
+    # products inside gp_branch are counted
+    maps = [standard_endo(name) for name in ALL_SIGMA] + SIGNED_MAPS
+    maps += [signed_map(*m) for m in SPLIT_NON_SIGNED_TWISTS]
+    maps += [lookup_morphism(name) for name in PHI_COMPOSITES]
+    maps += glued_maps()
     products = []
     mul = CuntzPoly.__mul__
 
@@ -394,14 +363,27 @@ def test_gp_branch_of_signed_maps_makes_no_cuntzpoly_product(monkeypatch):
         return mul(self, other)
 
     monkeypatch.setattr(CuntzPoly, "__mul__", counted)
-    for name in ALL_SIGMA:
-        gp_branch(standard_endo(name))
+    answered = [gp_branch(m) is not None for m in maps]
     assert products == []
-    for m in SIGNED_MAPS:
-        gp_branch(m)
-    assert products == []
-    gp_branch(signed_map(*SPLIT_NON_SIGNED_TWISTS[0]))
-    assert products != []
+    assert sum(answered) > 150
+
+
+def test_gp_branch_of_an_irrational_or_non_dyadic_matrix_is_none():
+    # the twist and the corners are Q-linear, and every leaf that answers
+    # is a signed permutation, so a derivable u is dyadic rational: a map
+    # glued with phi or phi_rot keeps entries +-1/sqrt(2) and is not
+    # derivable, and neither is the rotation by the angle with cosine 3/5
+    phi, rot = hadamard(), lookup_morphism("phi_rot")
+    for name in GLUE_NAMES[:4]:
+        other = lookup_morphism(name)
+        for frame in ("xi", "xi'"):
+            for m in (glued(frame, phi, other), glued(frame, other, rot)):
+                assert gp_branch(m) is None
+                assert gp_branch_poly(m) is None, m.name
+    s1, s2 = CuntzPoly.generator(2, 1), CuntzPoly.generator(2, 2)
+    a, b = Scalar(Fraction(3, 5)), Scalar(Fraction(4, 5))
+    turn = Morphism([s1.scale(a) + s2.scale(b), s2.scale(a) - s1.scale(b)])
+    assert gp_branch(turn) is None and gp_branch_poly(turn) is None
 
 
 def test_branch_functoriality_spot_check():
