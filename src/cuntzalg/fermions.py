@@ -26,7 +26,7 @@ from .scalars import MINUS_ONE, ONE, Scalar, ZERO
 from .words import Word, all_words, render_word
 from .algebra import CuntzPoly, _sum_scaled
 from .morphisms import Morphism, zeta
-from .reps import CycleRep, Hit, Label, act_word, branching
+from .reps import CycleRep, Hit, Label, _put, _take, branching
 
 # a formal word in the fermion generators: ((n, dagger), ...)
 CarWord = Tuple[Tuple[int, bool], ...]
@@ -125,8 +125,8 @@ _GEN_CACHE: Dict[Tuple[int, bool], CuntzPoly] = {}
 MAX_MODE = 16
 
 # vacuum_check acts on labels and builds no a_n, so MAX_MODE does not
-# bound it: a Fock check to max mode M takes about 0.27 s at M = 256,
-# 1.3 s at 512 and 7.5 s at 1024 (the other vacua about 0.03 s at 512),
+# bound it: a Fock check to max mode M takes about 0.04 s at M = 256,
+# 0.1 s at 512 and 0.2 s at 1024 (the other vacua about 2 ms at 512),
 # and a higher max mode is refused
 MAX_VACUUM_MODE = 512
 
@@ -368,32 +368,30 @@ def _fermion_rep(name: str) -> Tuple[str, Word, Tuple[bool, bool]]:
 
 def act_letter(rep, n: int, dagger: bool, label: Label) -> Hit:
     """Apply a_n (dagger false) or a_n^* to one label of a permutative
-    representation of O_2, in O(n) label steps and with no O_2 image.
+    representation of O_2: read n letters, push n letters back.
 
     This is the Jordan-Wigner string.  a_n = u lambda(a_{n-1}) and
     a_n^* = u lambda(a_{n-1}^*), with lambda(x) = s_1 x s_1^* +
-    s_2 x s_2^* and u = s_1 s_1^* - s_2 s_2^*.  A label e with head
+    s_2 x s_2^* and u = s_1 s_1^* - s_2 s_2^*.  A label e with first
     letter i is s_i s_i^* e, so lambda(x) e = s_i x s_i^* e, and
     u s_i = s_i for i = 1, -s_i for i = 2:
 
         a_n e = (-1)^[i = 2] s_i a_{n-1} s_i^* e.
 
-    So the n - 1 head letters are peeled off with a sign -1 for each 2,
-    a_1 = s_1 s_2^* (a_1^* = s_2 s_1^*) acts, and the letters go back
-    on.
+    So the one word W of length n that s_W^* does not kill is taken off
+    the label (:func:`~cuntzalg.reps._take`); a_1 = s_1 s_2^* (a_1^* =
+    s_2 s_1^*) needs its last letter to be 2 (1), the sign flips once
+    for each 2 among its first n - 1 letters, and those letters go back
+    on followed by 1 (2) (:func:`~cuntzalg.reps._put`).
     """
-    heads = []
-    sign = 1
-    for _ in range(n - 1):
-        i = rep.head(label)
-        s, label = rep.gen_adj(i, label)
-        sign *= s if i == 1 else -s
-        heads.append(i)
-    hit = rep.gen_adj(1 if dagger else 2, label)
-    if hit is None:
+    word, sign, rest = _take(rep, label, n)
+    if word[-1] != (1 if dagger else 2):
         return None
-    s, label = act_word(rep, tuple(heads) + ((2 if dagger else 1),), hit[1])
-    return sign * hit[0] * s, label
+    heads = word[:-1]
+    if heads.count(2) % 2:
+        sign = -sign
+    s, out = _put(rep, heads + ((2 if dagger else 1),), rest)
+    return sign * s, out
 
 
 def act_car(rep, x: CarExpr, vec: Dict[Label, Scalar]) -> Dict[Label, Scalar]:

@@ -18,20 +18,22 @@ decomposition into cycles and chains by following the unique-predecessor
 map backwards from a complete set of seed labels.  :func:`branching`
 takes the representation by name instead and returns its sorted cells.
 
-Every label has exactly one first letter, :meth:`CycleRep.head` /
-:meth:`ChainRep.head`: the only i with s_i^* label != 0.  So exactly one
-word W of length l has s_W^* label != 0, and the predecessor under a
-level-l psi_sigma comes from the source word i T = sigma^-1(W).  A step
-reads W as the label's word part followed by a slice of the base word
-(``read``: the repeated cycle word J, or the letters of K), and pushes T
-back by walking the base word while T's last letters match it
-(``push``): a few slices and comparisons, with no letter-by-letter label
-action and no search over the N^l words.
+For each length r, s_W^* kills a label for every word W of length r
+but one.  Words act on labels in two steps, never letter by letter.
+:func:`_take` gives s_W^* for that one W: W is the label's word part
+followed by a slice of the base word (``read``: the repeated cycle word
+J, or the letters of K).  :func:`_put` gives s_T: it prepends T to a
+non-empty word part, or walks the base word back while T's last letters
+match it (``push``).  :func:`act_poly` and
+:func:`cuntzalg.fermions.act_letter` act through these two.  The
+predecessor under a level-l psi_sigma comes from the
+source word i T = sigma^-1(W) for |W| = l, and :func:`_predecessor` is
+the same two steps inlined, with no search over the N^l words.
 
 Phases are restricted to 0 and 1/2, so every label action carries a
-sign in {1, -1}, and the label layer (``gen``/``gen_adj``, the word
-actions and the predecessor map) keeps it as a plain int.  The one place
-where a label sign meets a :class:`~cuntzalg.scalars.Scalar` is
+sign in {1, -1}, and the label layer (``read``/``push``, the two steps
+and the predecessor map) keeps it as a plain int.  The one place where a
+label sign meets a :class:`~cuntzalg.scalars.Scalar` is
 :func:`act_poly`, which negates the product of coefficient and amplitude
 when the two signs of a term differ.
 """
@@ -49,8 +51,8 @@ from .words import (PHASE_0, PHASE_HALF, CycleClass, EvWord, Word,
 from .morphisms import Morphism, PermEndo
 
 Label = Tuple[Word, int]
-# a label action: (sign, label) with the sign an int in {1, -1}, or None
-# for zero; act_poly is where such signs meet Scalar coefficients
+# an operator on one label: (sign, label) with the sign an int in
+# {1, -1}, or None for zero
 Hit = Optional[Tuple[int, Label]]
 
 
@@ -76,34 +78,6 @@ class CycleRep:
     def _prev_letter(self, p: int) -> int:
         """The letter carrying e_p back one step: s_{l(p)} e_p = e_{p-1}."""
         return self.word[p - 2] if p >= 2 else self.word[self.k - 1]
-
-    def gen(self, i: int, label: Label) -> Hit:
-        """Apply s_i to a reduced label; returns (sign, label)."""
-        w, p = label
-        if w:
-            return 1, ((i,) + w, p)
-        if i == self._prev_letter(p):
-            if p == 1:
-                return self.wrap, ((), self.k)
-            return 1, ((), p - 1)
-        return 1, ((i,), p)
-
-    def head(self, label: Label) -> int:
-        """The unique letter i with s_i^* label != 0."""
-        w, p = label
-        return w[0] if w else self.word[p - 1]
-
-    def gen_adj(self, i: int, label: Label) -> Hit:
-        w, p = label
-        if w:
-            if i == w[0]:
-                return 1, (w[1:], p)
-            return None
-        if i == self.word[p - 1]:
-            if p == self.k:
-                return self.wrap, ((), 1)
-            return 1, ((), p + 1)
-        return None
 
     def read(self, p: int, r: int) -> Tuple[Word, int, int]:
         """s_W^* e_p for the one word W of length r it does not kill:
@@ -159,29 +133,6 @@ class ChainRep:
     def _letter(self, m: int) -> int:
         return self.ev.letter(m) if m >= 1 else 1
 
-    def gen(self, i: int, label: Label) -> Hit:
-        w, m = label
-        if w:
-            return 1, ((i,) + w, m)
-        if i == self._letter(m):
-            return 1, ((), m - 1)
-        return 1, ((i,), m)
-
-    def head(self, label: Label) -> int:
-        """The unique letter i with s_i^* label != 0."""
-        w, m = label
-        return w[0] if w else self._letter(m + 1)
-
-    def gen_adj(self, i: int, label: Label) -> Hit:
-        w, m = label
-        if w:
-            if i == w[0]:
-                return 1, (w[1:], m)
-            return None
-        if i == self._letter(m + 1):
-            return 1, ((), m + 1)
-        return None
-
     def read(self, m: int, r: int) -> Tuple[Word, int, int]:
         """s_W^* e_m for the one word W of length r it does not kill:
         (W, 1, m + r), W the letters K(m+1) .. K(m+r)."""
@@ -216,40 +167,40 @@ class ChainRep:
         return f"P({self.ev})"
 
 
-def act_word_adj(rep, word: Word, label: Label) -> Hit:
-    """Apply s_word^* (first letter of word acts first)."""
-    sign = 1
-    for letter in word:
-        hit = rep.gen_adj(letter, label)
-        if hit is None:
-            return None
-        s, label = hit
-        sign *= s
-    return sign, label
+def _take(rep, label: Label, r: int) -> Tuple[Word, int, Label]:
+    """s_W^* on label for the one word W of length r it does not kill:
+    (W, sign, rest) with s_W^* label = sign rest.  W comes from the word
+    part, and from ``rep.read`` where the word part is shorter than r."""
+    w, p = label
+    if len(w) >= r:
+        return w[:r], 1, (w[r:], p)
+    tail, sign, p = rep.read(p, r - len(w))
+    return w + tail, sign, ((), p)
 
 
-def act_word(rep, word: Word, label: Label) -> Tuple[int, Label]:
-    """Apply s_word (last letter of word acts first)."""
-    sign = 1
-    for letter in reversed(word):
-        s, label = rep.gen(letter, label)
-        sign *= s
-    return sign, label
+def _put(rep, word: Word, label: Label) -> Tuple[int, Label]:
+    """s_word on label as (sign, label): word is prepended to a non-empty
+    word part, and pushed onto the base vector by ``rep.push`` otherwise."""
+    w, p = label
+    if w:
+        return 1, (word + w, p)
+    return rep.push(word, p)
 
 
 def act_poly(rep, poly, vec: Dict[Label, Scalar]) -> Dict[Label, Scalar]:
     """Apply a Cuntz polynomial to a finite linear combination of labels.
 
-    The int signs of the two word actions of a term are folded in by
-    negating coeff * amp when they differ."""
+    A term s_J s_K^* takes |K| letters off a label (:func:`_take`),
+    keeps it when they are K, and puts J on (:func:`_put`); the int
+    signs of the two steps are folded in by negating coeff * amp when
+    they differ."""
     out: Dict[Label, Scalar] = {}
     for (j, k), coeff in poly.terms.items():
         for label, amp in vec.items():
-            hit = act_word_adj(rep, k, label)
-            if hit is None:
+            word, s1, mid = _take(rep, label, len(k))
+            if word != k:
                 continue
-            s1, mid = hit
-            s2, final = act_word(rep, j, mid)
+            s2, final = _put(rep, j, mid)
             total = coeff * amp
             if s1 != s2:
                 total = -total
@@ -306,13 +257,12 @@ class BranchResult:
 def _predecessor(rep, endo: PermEndo):
     """The predecessor map of rep o endo: label -> (letter, sign, label).
 
-    For the label v = (w, p) it reads the first endo.level letters W: w
-    and, when w is shorter, the rest from the base vector by ``rep.read``.
-    With the source word i T = sigma^-1(W) it returns (i, sign,
-    s_T s_W^* v), the one label u and letter i with endo(s_i) u = +-v;
-    ``rep.push`` puts T onto a base vector.  A step indexes the base
-    word instead of acting letter by letter, and touches only sigma, the
-    signs and the label.
+    For the label v it takes the first endo.level letters W off v
+    (:func:`_take`) and, with the source word i T = sigma^-1(W), puts T
+    back (:func:`_put`): it returns (i, sign, s_T s_W^* v), the one label
+    u and letter i with endo(s_i) u = +-v.  The two steps are inlined
+    here, in the hot loop of :func:`branch`, and a step touches only
+    sigma, the signs and the label.
     """
     level = endo.level
     source = {image: src for src, image in endo.sigma.items()}

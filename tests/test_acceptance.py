@@ -12,8 +12,8 @@ from cuntzalg.reps import (decompose_power, gp_branch, restrict_chain_to_uhf,
                            restrict_cycle_to_uhf)
 from cuntzalg.words import all_words, is_primitive, minimal_rotation, parse_ev_word
 from cuntzalg import fermions
-from cuntzalg.fermions import (MAX_MODE, vacuum_check, verify_car,
-                               verify_mixture_car)
+from cuntzalg.fermions import (MAX_MODE, MAX_VACUUM_MODE, vacuum_check,
+                               verify_car, verify_mixture_car)
 from cuntzalg.classify import theorem14_counts, uhf_restriction_equal
 from cuntzalg.tables import classify_table, verify_theorem14
 
@@ -158,6 +158,8 @@ def test_criterion_13_mode_limit(monkeypatch):
     check(13, "mixture relations up to 11/2", 5.0, lambda: mixtures(6))
     check(13, "mixture relations up to 13/2", 5.0, lambda: mixtures(7))
     check(13, "Fock vacuum equations at the mode limit", 5.0, fock_vacuum)
+    check(13, "Fock vacuum equations at the vacuum mode limit", 0.5,
+          lambda: vacuum_check("fock", MAX_VACUUM_MODE))
 
 
 def _assert_table(name):

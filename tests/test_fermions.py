@@ -16,7 +16,10 @@ from cuntzalg.fermions import (MAX_MODE, MAX_VACUUM_MODE, CarExpr, _letter,
                                car_generator_closed, fermion_branch, mixture,
                                psi_map, vacuum_check, verify_car,
                                verify_mixture_car)
-from cuntzalg.reps import CycleRep, act_poly
+from cuntzalg.reps import ChainRep, CycleRep, act_poly
+from cuntzalg.words import all_words, parse_ev_word
+
+from test_properties import letter_act_poly
 
 
 def a(n, dagger=False):
@@ -317,6 +320,40 @@ def test_label_action_matches_the_embedded_letter(word, phase):
                 want = act_poly(rep, image, {label: ONE})
                 got = {} if hit is None else {hit[1]: Scalar(hit[0])}
                 assert got == want, (n, dagger, label)
+
+
+def test_label_actions_match_the_letter_reference():
+    """act_letter and act_poly against act_poly applied letter by letter
+    (the reference shares no code with _take and _put): the O_2 images
+    of a_n and a_n^* up to mode 12 on a phased cycle and a chain, and
+    monomials s_J s_K^* of O_3 on a phased N = 3 cycle (a_n is an
+    element of O_2, so act_letter is not asked of it)."""
+    o2_reps = [CycleRep(2, (1, 1, 2), Fraction(1, 2)),
+               ChainRep(parse_ev_word("2(12)^inf", 2))]
+    compared = killed = 0
+    for n in range(1, 13):
+        for dagger in (False, True):
+            image = _letter(n, dagger)
+            for rep in o2_reps:
+                for label in rep.seed_labels(2):
+                    want = letter_act_poly(rep, image, {label: ONE})
+                    hit = act_letter(rep, n, dagger, label)
+                    got = {} if hit is None else {hit[1]: Scalar(hit[0])}
+                    assert got == want, (rep, n, dagger, label)
+                    assert act_poly(rep, image, {label: ONE}) == want
+                    compared += 1
+                    killed += hit is None
+    rep = CycleRep(3, (1, 3, 2), Fraction(1, 2))
+    words = [w for r in range(4) for w in all_words(3, r)]
+    vec = {label: Scalar(i + 1) for i, label in
+           enumerate(rep.seed_labels(2))}
+    for j in words:
+        for k in words:
+            unit = CuntzPoly.monomial(3, j, k)
+            assert act_poly(rep, unit, vec) == \
+                letter_act_poly(rep, unit, vec), (j, k)
+            compared += 1
+    assert 0 < killed < compared
 
 
 def test_car_expressions_act_word_by_word():

@@ -12,8 +12,7 @@ from cuntzalg.algebra import CuntzPoly
 from cuntzalg.morphisms import (Morphism, PermEndo, compose, hadamard,
                                 identity, standard_endo)
 from cuntzalg.reps import (ChainRep, CycleRep, _follow_orbits, _gp_table,
-                           _joined, _predecessor, act_poly, act_word,
-                           act_word_adj, branch)
+                           _joined, _predecessor, act_poly, branch)
 
 
 def random_perm_endo(rng, n, level):
@@ -139,6 +138,91 @@ def test_oracle_cross_check():
         assert fast == slow, (endo.sigma, word)
 
 
+# -- the letter-by-letter label actions: the reference for read/push -----
+
+
+def back_letter(rep, p):
+    """The letter l with s_l e_p = +-e_{p-1} on the base vectors."""
+    if isinstance(rep, CycleRep):
+        return rep.word[p - 2] if p >= 2 else rep.word[-1]
+    return rep.ev.letter(p) if p >= 1 else 1
+
+
+def next_letter(rep, p):
+    """The letter l with s_l^* e_p != 0: s_l e_{p+1} = +-e_p."""
+    if isinstance(rep, CycleRep):
+        return rep.word[p - 1]
+    return back_letter(rep, p + 1)
+
+
+def gen(rep, i, label):
+    """s_i on a reduced label as (sign, label); a cycle picks up its
+    twist where s_J closes it, from e_1 back to e_k."""
+    w, p = label
+    if w:
+        return 1, ((i,) + w, p)
+    if i != back_letter(rep, p):
+        return 1, ((i,), p)
+    if isinstance(rep, CycleRep) and p == 1:
+        return rep.wrap, ((), rep.k)
+    return 1, ((), p - 1)
+
+
+def head(rep, label):
+    """The unique letter i with s_i^* label != 0."""
+    w, p = label
+    return w[0] if w else next_letter(rep, p)
+
+
+def gen_adj(rep, i, label):
+    """s_i^* on a reduced label as (sign, label), or None for zero."""
+    w, p = label
+    if w:
+        return (1, (w[1:], p)) if i == w[0] else None
+    if i != next_letter(rep, p):
+        return None
+    if isinstance(rep, CycleRep) and p == rep.k:
+        return rep.wrap, ((), 1)
+    return 1, ((), p + 1)
+
+
+def act_word_adj(rep, word, label):
+    """s_word^* letter by letter (first letter of word acts first)."""
+    sign = 1
+    for letter in word:
+        hit = gen_adj(rep, letter, label)
+        if hit is None:
+            return None
+        s, label = hit
+        sign *= s
+    return sign, label
+
+
+def act_word(rep, word, label):
+    """s_word letter by letter (last letter of word acts first)."""
+    sign = 1
+    for letter in reversed(word):
+        s, label = gen(rep, letter, label)
+        sign *= s
+    return sign, label
+
+
+def letter_act_poly(rep, poly, vec):
+    """act_poly letter by letter: each term s_J s_K^* as act_word_adj of
+    K, then act_word of J."""
+    out = {}
+    for (j, k), coeff in poly.terms.items():
+        for label, amp in vec.items():
+            hit = act_word_adj(rep, k, label)
+            if hit is None:
+                continue
+            s1, mid = hit
+            s2, final = act_word(rep, j, mid)
+            total = coeff * amp * (ONE if s1 * s2 == 1 else MINUS_ONE)
+            out[final] = out.get(final, ZERO) + total
+    return {label: c for label, c in out.items() if not c.is_zero()}
+
+
 def search_predecessor(rep, endo):
     """The predecessor map found by search: try s_W^* for the image W of
     every source word i T and keep the one hit, asserting that exactly
@@ -174,8 +258,8 @@ def letter_predecessor(rep, endo):
     def pred(label):
         read, s1, mid = [], 1, label
         for _ in range(level):
-            letter = rep.head(mid)
-            s, mid = rep.gen_adj(letter, mid)
+            letter = head(rep, mid)
+            s, mid = gen_adj(rep, letter, mid)
             read.append(letter)
             s1 *= s
         src = source[tuple(read)]

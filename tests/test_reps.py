@@ -12,14 +12,16 @@ from cuntzalg.algebra import CuntzPoly
 from cuntzalg.morphisms import (Morphism, PermEndo, flip, hadamard, identity,
                                 lookup_morphism, standard_endo)
 from cuntzalg.classify import ALL_SIGMA
-from cuntzalg.reps import (ChainRep, CycleRep, act_poly, act_word,
-                           act_word_adj, branch, branching, decompose_power,
-                           gp_branch, parse_rep, restrict_chain_to_uhf,
-                           restrict_cycle_to_uhf, uhf_branch)
+from cuntzalg.fermions import act_letter
+from cuntzalg.reps import (ChainRep, CycleRep, _put, _take, act_poly, branch,
+                           branching, decompose_power, gp_branch, parse_rep,
+                           restrict_chain_to_uhf, restrict_cycle_to_uhf,
+                           uhf_branch)
 
 from test_properties import (SIGNED_MAPS, SPLIT_NON_SIGNED_TWISTS,
-                             as_signed_perm, by_products, glued,
-                             gp_branch_poly, level3_sample, signed_map)
+                             act_word, act_word_adj, as_signed_perm,
+                             by_products, gen_adj, glued, gp_branch_poly,
+                             head, level3_sample, signed_map)
 
 
 def labels(result):
@@ -102,8 +104,8 @@ def test_head_is_the_only_letter_with_a_nonzero_adjoint():
     for rep in (CycleRep(2, (1, 1, 2)), CycleRep(3, (1, 3)), chain):
         for label in rep.seed_labels(2):
             hits = [i for i in range(1, rep.n + 1)
-                    if rep.gen_adj(i, label) is not None]
-            assert hits == [rep.head(label)]
+                    if gen_adj(rep, i, label) is not None]
+            assert hits == [head(rep, label)]
 
 
 def test_read_and_push_match_the_letter_actions():
@@ -171,21 +173,29 @@ def test_branch_makes_no_scalar_products(monkeypatch):
 
 
 def test_label_signs_are_ints():
+    """_take, _put and act_letter return int signs, and act_poly turns
+    them into the unit Scalars +-1 on a monomial s_1 s_K^*."""
     chain = ChainRep(parse_ev_word("2(12)^inf", 2))
     reps = [CycleRep(2, (1, 1, 2)), CycleRep(2, (1, 1, 2), Fraction(1, 2)),
             CycleRep(3, (1, 3), Fraction(1, 2)), chain]
     signs = set()
     for rep in reps:
+        words = [w for r in range(4) for w in all_words(rep.n, r)]
         for label in rep.seed_labels(2):
-            hits = [rep.gen(i, label) for i in range(1, rep.n + 1)]
-            hits += [rep.gen_adj(i, label) for i in range(1, rep.n + 1)]
-            for word in all_words(rep.n, 3):
-                hits += [act_word(rep, word, label),
-                         act_word_adj(rep, word, label)]
-            for hit in hits:
-                if hit is not None:
-                    assert type(hit[0]) is int, (rep, label, hit)
-                    signs.add(hit[0])
+            found = [_take(rep, label, r)[1] for r in range(6)]
+            found += [_put(rep, word, label)[0] for word in words]
+            if rep.n == 2:
+                hits = [act_letter(rep, n, dagger, label)
+                        for n in range(1, 7) for dagger in (False, True)]
+                found += [hit[0] for hit in hits if hit is not None]
+            for sign in found:
+                assert type(sign) is int, (rep, label, sign)
+                signs.add(sign)
+            for k in words:
+                unit = CuntzPoly.monomial(rep.n, (1,), k)
+                for coeff in act_poly(rep, unit, {label: ONE}).values():
+                    assert coeff in (ONE, -ONE), (rep, label, k, coeff)
+                    signs.add(coeff.rat)
     assert signs == {1, -1}
 
 
