@@ -280,9 +280,6 @@ class CuntzPoly:
     def __hash__(self):
         raise TypeError("CuntzPoly is unhashable; equality is semantic")
 
-    def is_one(self) -> bool:
-        return self == CuntzPoly.one(self.n)
-
     # -- inspection --------------------------------------------------------
 
     def support(self):

@@ -143,9 +143,7 @@ def cmd_branch(args) -> int:
                          f"with an endomorphism of O_{endo.n}")
     if kind == "gp":
         return _gp_report(endo, args.rep, args.json)
-    labels = branching(endo, args.rep, args.seed_bound)
-    extra = {} if args.seed_bound is None else {"seed_bound": args.seed_bound}
-    _print_components(labels, args.json, **extra)
+    _print_components(branching(endo, args.rep), args.json)
     return 0
 
 
@@ -323,8 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rep", required=True,
                    help='e.g. "P(12)", "P[12]", "2(12)^inf", "GP(+)", "fock"')
     p.add_argument("--endo", help="permutative endomorphism")
-    p.add_argument("--seed-bound", type=int, default=None,
-                   help="override the orbit-search seed bound")
     common(p)
     p.set_defaults(func=cmd_branch)
 

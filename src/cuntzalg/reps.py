@@ -286,55 +286,63 @@ def _predecessor(rep, endo: PermEndo):
     return pred
 
 
-def branch(rep, endo: PermEndo,
-           seed_bound: Optional[int] = None) -> BranchResult:
+def branch(rep, endo: PermEndo) -> BranchResult:
     """Decompose rep o endo into cycle and chain components.
 
-    Seeds every reduced label with word part of length <= seed_bound and
-    follows the unique predecessor map (:func:`_predecessor`: each step
-    reads a word off the label and pushes one back) until each orbit
-    closes into a cycle, merges into a known component, or (for chain base
-    representations) exhibits an eventually periodic escape.  More than
-    MAX_BRANCH_STEPS predecessor steps over all seeds raise ValueError;
-    so does a larger seed set, before it is listed, and a representation
-    and endomorphism of different rank.
+    Seeds every reduced label with word part of length at most
+    max(l - 1, 1), l = endo.level, and follows the unique predecessor map
+    (:func:`_predecessor`) until each orbit closes into a cycle, merges
+    into a known component, or (on a chain base) escapes with an
+    eventually periodic tail.  More than MAX_BRANCH_STEPS predecessor
+    steps over all seeds raise ValueError; so does a larger seed set,
+    before it is listed, and a representation and endomorphism of
+    different rank.
 
-    The predecessor map strictly shortens word parts longer than
-    endo.level - 1, so every recurrent label has a word part of length
-    at most endo.level - 1; any seed_bound >= endo.level - 1 therefore
-    reaches every component of a cycle base representation.
+    These seeds reach every component.  A step strictly shortens a word
+    part longer than l - 1, so every recurrent label of a cycle base has
+    a word part of length at most l - 1.  On a chain base P(K) a step
+    raises the height m - |w| by one, and a label with |w| < l at height
+    h is fixed by its state, the first l - 1 letters of w K(m+1) ...;
+    the step maps the state by the letter K(h + l) alone.  From
+    h = |prefix| - l + 1 on, these maps of the N^(l-1) states repeat
+    every |period| heights, and the seeds hold every state at |period|
+    consecutive such heights.  A ray high enough up is on a cycle of the
+    maps over one period, so a seed a multiple of |period| below it
+    holds the state they carry onto the ray's, and its ray meets it.
     """
     if rep.n != endo.n:
         raise ValueError(f"representation of O_{rep.n} cannot be composed "
                          f"with an endomorphism of O_{endo.n}")
-    level = endo.level
-    if seed_bound is None:
-        seed_bound = max(level - 1, 1)
-    elif seed_bound < level - 1:
-        raise ValueError(f"seed bound {seed_bound} is below the level "
-                         f"minus one ({level - 1}) of the endomorphism, "
-                         f"so components would be missed")
-    return _follow_orbits(rep, _predecessor(rep, endo), seed_bound)
+    return _follow_orbits(rep, _predecessor(rep, endo),
+                          max(endo.level - 1, 1), endo.name)
 
 
-def _follow_orbits(rep, pred, seed_bound: int) -> BranchResult:
-    """The components found by walking pred back from every seed label."""
+def _follow_orbits(rep, pred, bound: int, name: str = "") -> BranchResult:
+    """The components found by walking pred back from every seed label;
+    name names pred's map in a refusal.
+
+    On a chain base a step raises the height m - |w| of the label (w, m)
+    by one, and from height |prefix| on it reads and pushes letters of
+    the period only.  From there the walk depends on the state
+    (w, (m - |prefix|) mod |period|) alone, and a state that comes back
+    after delta steps starts the ray's tail.  Two rays meet exactly when
+    their tails have the same delta and the same set of
+    (w, (m - |prefix|) mod delta) over one turn, so that pair is the key
+    of a chain component."""
     n = rep.n
     budget = MAX_BRANCH_STEPS  # a local in the step loop, read per call
     is_chain_base = isinstance(rep, ChainRep)
     if is_chain_base:
         per = len(rep.ev.period)
         pre = len(rep.ev.prefix)
+        tails: Dict[Tuple, int] = {}
 
     # every seed label costs a step or was walked by one, so a seed set
-    # larger than the budget is refused before it is listed; past bound
-    # 64 the count (at least 2^64) is not even formed
-    if seed_bound > 64:
-        raise _over_budget("more than 2^64", seed_bound)
-    count = rep.seed_count(seed_bound)
+    # larger than the budget is refused before it is listed
+    count = rep.seed_count(bound)
     if count > budget:
-        raise _over_budget(count, seed_bound)
-    seeds = rep.seed_labels(seed_bound)
+        raise _over_budget(rep, name, count)
+    seeds = rep.seed_labels(bound)
     memo: Dict[Label, int] = {}
     components: List[Component] = []
     steps = 0
@@ -346,28 +354,31 @@ def _follow_orbits(rep, pred, seed_bound: int) -> BranchResult:
         letters: List[int] = []
         signs: List[int] = []
         index = {seed: 0}
-        sigmap: Dict[Tuple, int] = {}
+        states: Dict[Tuple, int] = {}
         while True:
             steps += 1
             if steps > budget:
-                raise _over_budget(count, seed_bound)
+                raise _over_budget(rep, name, count)
             current = path[-1]
             if is_chain_base:
                 w, m = current
-                if m > pre:
-                    sig = (w, (m - pre) % per)
-                    at = sigmap.get(sig)
-                    if at is not None and current[1] > path[at][1]:
-                        # eventually periodic escape: a chain component
-                        ev = make_ev_word(n, letters[:at],
-                                          letters[at:len(path) - 1])
-                        comp_id = len(components)
-                        components.append(Component("chain", chain_word=ev))
+                if m - len(w) >= pre:
+                    at = states.setdefault((w, (m - pre) % per), len(path) - 1)
+                    if at < len(path) - 1:
+                        # eventually periodic escape: a chain component,
+                        # unless an earlier ray has the same tail
+                        delta = len(path) - 1 - at
+                        key = (delta, frozenset((v, (u - pre) % delta)
+                                                for v, u in path[at:]))
+                        comp_id = tails.get(key)
+                        if comp_id is None:
+                            comp_id = tails[key] = len(components)
+                            components.append(Component(
+                                "chain", chain_word=make_ev_word(
+                                    n, letters[:at], letters[at:])))
                         for lab in path:
                             memo[lab] = comp_id
                         break
-                    if at is None:
-                        sigmap[sig] = len(path) - 1
             i, sgn, prev = pred(current)
             letters.append(i)
             signs.append(sgn)
@@ -397,10 +408,10 @@ def _follow_orbits(rep, pred, seed_bound: int) -> BranchResult:
     return BranchResult(components)
 
 
-def _over_budget(seeds, seed_bound: int) -> ValueError:
-    return ValueError(f"branch exceeded its total of {MAX_BRANCH_STEPS} "
-                      f"predecessor steps over {seeds} seed labels (seed "
-                      f"bound {seed_bound}); lower the seed bound")
+def _over_budget(rep, name: str, seeds: int) -> ValueError:
+    return ValueError(f"branch of {rep} under {name or 'this map'} "
+                      f"exceeded its total of {MAX_BRANCH_STEPS} predecessor "
+                      f"steps over {seeds} seed labels")
 
 
 def decompose_power(word, l: int, sign: int = 1) -> List[CycleClass]:
@@ -467,8 +478,7 @@ def restrict_chain_to_uhf(ev: EvWord) -> UhfChainFamily:
     return UhfChainFamily(ev)
 
 
-def uhf_branch(n: int, word, endo: PermEndo,
-               seed_bound: Optional[int] = None) -> Dict[int, List[UhfCycle]]:
+def uhf_branch(n: int, word, endo: PermEndo) -> Dict[int, List[UhfCycle]]:
     """Branching of the gauge-invariant components of P(J) under endo.
 
     Returns, for each i = 1..|J|, the decomposition of P[sigma_i J] o endo
@@ -478,7 +488,7 @@ def uhf_branch(n: int, word, endo: PermEndo,
     """
     word = check_word(word, n)
     k = len(word)
-    result = branch(CycleRep(n, word), endo, seed_bound=seed_bound)
+    result = branch(CycleRep(n, word), endo)
     out: Dict[int, List[UhfCycle]] = {i: [] for i in range(1, k + 1)}
     for comp in result.components:
         if comp.kind != "cycle":
@@ -775,16 +785,14 @@ def parse_rep(text: str, n: int = 2):
     raise ValueError(f"unrecognized representation {text!r}")
 
 
-def branching(endo: Morphism, rep: str,
-              seed_bound: Optional[int] = None) -> Optional[List[str]]:
+def branching(endo: Morphism, rep: str) -> Optional[List[str]]:
     """The sorted component labels of the named representation composed
     with endo, for any name :func:`parse_rep` accepts in endo's rank.
 
     P(J), P(J;q) and chains branch by :func:`branch`, P[J] and the
     fermion names by :func:`uhf_branch` (as P[...] cells), GP(+/-) and
     GP[+/-] by :func:`gp_branch`, which returns None when the branching
-    is not derivable.  Only GP takes a general morphism, and it ignores
-    seed_bound.
+    is not derivable.  Only GP takes a general morphism.
     """
     kind, *rest = parse_rep(rep, endo.n)
     if kind == "gp":
@@ -797,8 +805,8 @@ def branching(endo: Morphism, rep: str,
         raise ValueError(f"{rep} branches under permutative endomorphisms "
                          f"only")
     if kind == "uhf":
-        comps = uhf_branch(endo.n, rest[0], endo, seed_bound)[1]
+        comps = uhf_branch(endo.n, rest[0], endo)[1]
         return sorted(str(c) for c in comps)
     base = CycleRep(endo.n, *rest) if kind == "cycle" else ChainRep(rest[0])
-    result = branch(base, endo, seed_bound)
+    result = branch(base, endo)
     return sorted(c.describe() for c in result.components)

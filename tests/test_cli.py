@@ -175,8 +175,8 @@ def test_repeated_cycle_entry_is_usage_error(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ("branch", "--rep", "P(12)", "--endo", "psi:142", "--seed-bound", "0"),
-    ("branch", "--rep", "P(12)", "--endo", "psi:142", "--seed-bound", "-1"),
+    ("branch", "--rep", "P(1" + "2" * 100000 + ")", "--endo", "psi:142"),
+    ("branch", "--rep", "2" * 99999 + "(1)^inf", "--endo", "psi:142"),
     ("classify", "--level", "0"),
     ("verify", "theorem14", "--level", "0"),
     ("vacuum", "fock", "--max-mode", "-1"),
@@ -237,18 +237,29 @@ def test_malformed_representation_names_its_text(capsys, argv, text):
 
 
 def test_seed_bound_at_level_minus_one(capsys):
+    """branch seeds at the level minus one of the map; the seed bound is
+    not an option."""
     code, out, _ = run(capsys, "branch", "--rep", "P(12)", "--endo",
-                       "psi:142", "--seed-bound", "1")
+                       "psi:142")
     assert (code, out.strip()) == (0, "P(11) (+) P(22)")
+    code, out, _ = run(capsys, "branch", "--rep", "P(12)", "--endo",
+                       "psi:142", "--json")
+    assert json.loads(out) == {"components": [{"label": "P(11)"},
+                                              {"label": "P(22)"}]}
+    with pytest.raises(SystemExit) as exc:
+        main(["branch", "--rep", "P(12)", "--endo", "psi:142",
+              "--seed-bound", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed-bound 1" in capsys.readouterr().err
 
 
-def test_branch_step_budget_is_usage_error(capsys):
+def test_branch_step_budget_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setattr(reps, "MAX_BRANCH_STEPS", 1)
     code, out, err = run(capsys, "branch", "--rep", "P(1)", "--endo",
-                         "psi:1324", "--seed-bound", "18")
+                         "psi:1324")
     assert (code, out) == (2, "")
-    assert err == ("error: branch exceeded its total of 200000 predecessor "
-                   "steps over 262144 seed labels (seed bound 18); lower "
-                   "the seed bound\n")
+    assert err == ("error: branch of P(1) under psi_1324 exceeded its total "
+                   "of 1 predecessor steps over 2 seed labels\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -264,14 +275,17 @@ def test_bad_branch_input_is_usage_error(capsys, argv):
 
 
 def test_oversized_seed_set_is_refused_at_once(capsys):
+    # a cycle word of 100001 letters has 200002 seed labels under a
+    # level-2 map
+    word = "1" + "2" * 100000
     start = time.perf_counter()
-    code, out, err = run(capsys, "branch", "--rep", "P(1)", "--endo",
-                         "psi:1324", "--seed-bound", "30")
+    code, out, err = run(capsys, "branch", "--rep", f"P({word})", "--endo",
+                         "psi:1324")
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (2, "")
-    assert err == ("error: branch exceeded its total of 200000 predecessor "
-                   "steps over 1073741824 seed labels (seed bound 30); "
-                   "lower the seed bound\n")
+    assert err == (f"error: branch of P({word}) under psi_1324 exceeded its "
+                   f"total of 200000 predecessor steps over 200002 seed "
+                   f"labels\n")
 
 
 @pytest.mark.parametrize("text, same_as", [

@@ -69,8 +69,7 @@ COMMANDS = [
     command("apply", [expressions], option("--endo", st.sampled_from(MAPS)),
             JSON, N),
     command("branch", [], option("--rep", st.sampled_from(REPS)),
-            option("--endo", st.sampled_from(MAPS)),
-            option("--seed-bound", small(-1, 4)), JSON, N),
+            option("--endo", st.sampled_from(MAPS)), JSON, N),
     command("restrict", [], option("--rep", st.sampled_from(REPS)),
             option("--eta-min", small(-3, 3)),
             option("--eta-max", small(-3, 3)), JSON, N),

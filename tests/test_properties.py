@@ -7,7 +7,8 @@ from fractions import Fraction
 from cuntzalg import classify
 from cuntzalg.scalars import INV_SQRT2, MINUS_ONE, ONE, ZERO
 from cuntzalg.words import (all_words, canonical_cycle, is_primitive,
-                            make_ev_word, minimal_rotation, primitive_split)
+                            make_ev_word, minimal_rotation, parse_ev_word,
+                            primitive_split)
 from cuntzalg.algebra import CuntzPoly
 from cuntzalg.morphisms import (Morphism, PermEndo, compose, hadamard,
                                 identity, standard_endo)
@@ -303,7 +304,11 @@ def test_read_off_predecessor_matches_search():
                 reps.append(ChainRep(make_ev_word(n, prefix, period)))
             for rep in reps:
                 for bound in (level - 1, level):
-                    new = branch(rep, endo, seed_bound=bound)
+                    new = _follow_orbits(rep, _predecessor(rep, endo), bound)
+                    if bound == level - 1:
+                        assert ([component_key(c) for c in new.components]
+                                == [component_key(c) for c in
+                                    branch(rep, endo).components])
                     for ref_pred in (search_predecessor,
                                      letter_predecessor):
                         ref = _follow_orbits(rep, ref_pred(rep, endo), bound)
@@ -361,6 +366,120 @@ def test_predecessor_matches_letter_and_search_references():
         else:
             low += min(m for _, m in rep.seed_labels(endo.level)) < 0
     assert (compared, wrapped, low) == (10204, 12, 32)
+
+
+def ray_merge_components(rep, pred, bound, window):
+    """Reference for the components of rep composed with pred's map:
+    (cycles, chains) counted over the seed labels of the given bound.
+
+    Walks pred back from every seed label until the ray closes into a
+    cycle or passes m = window, and joins two seeds when their rays share
+    a label.  No states, tails or keys: two rays are one chain component
+    exactly when they meet, and for the cases here they meet below the
+    window if at all."""
+    owner, parent, kinds = {}, [], []
+
+    def root(c):
+        while parent[c] != c:
+            c = parent[c]
+        return c
+
+    for seed in rep.seed_labels(bound):
+        if seed in owner:
+            continue
+        cid = len(parent)
+        parent.append(cid)
+        kinds.append(None)
+        path, label = [seed], seed
+        while True:
+            label = pred(label)[2]
+            if label in owner:
+                parent[cid] = root(owner[label])
+                break
+            if label in path:
+                kinds[cid] = "cycle"
+                break
+            if label[1] > window:
+                kinds[cid] = "chain"
+                break
+            path.append(label)
+        for label in path:
+            owner[label] = cid
+    found = [kinds[c] for c in {root(c) for c in range(len(parent))}]
+    return found.count("cycle"), found.count("chain")
+
+
+CHAIN_WORDS = ["(1)^inf", "(2)^inf", "(12)^inf", "1(2)^inf", "2(12)^inf",
+               "21(1)^inf", "(112)^inf", "12(122)^inf"]
+
+
+def chain_cases():
+    """(rep, endo): the 24 second-order maps on eight chains of O_2, and
+    random signed maps of (N, l) in (2, 3), (3, 2), (2, 4), (3, 3) on
+    random chains."""
+    cases = [(ChainRep(parse_ev_word(word, 2)), standard_endo(name))
+             for name in classify.ALL_SIGMA for word in CHAIN_WORDS]
+    rng = random.Random(2020)
+    for _ in range(300):
+        n, level = rng.choice(((2, 3), (3, 2), (2, 4), (3, 3)))
+        prefix = [rng.randint(1, n) for _ in range(rng.randint(0, 3))]
+        period = [rng.randint(1, n) for _ in range(rng.randint(1, 3))]
+        cases.append((ChainRep(make_ev_word(n, prefix, period)),
+                      random_signed_perm_endo(rng, n, level)))
+    return cases
+
+
+def test_chain_components_match_ray_merge_reference():
+    """One chain component per class of meeting rays.  The reference
+    seeds one word letter further and walks far past the seeds: rays
+    that meet do so before the map on the N^(l-1) states of a height
+    reaches its cycles, within N^(l-1) turns of the period."""
+    several = 0
+    for rep, endo in chain_cases():
+        level = endo.level
+        bound = max(level - 1, 1)
+        fast = branch(rep, endo).components
+        per = len(rep.ev.period)
+        window = (len(rep.ev.prefix) + per + bound + 3 * level
+                  + per * (rep.n ** (level - 1) + 2))
+        want = ray_merge_components(rep, _predecessor(rep, endo), bound + 1,
+                                    window)
+        have = tuple(sum(c.kind == kind for c in fast)
+                     for kind in ("cycle", "chain"))
+        assert have == want, (rep, endo.sigma, endo.signs)
+        several += want[1] > 1
+    assert several == 353
+
+
+def component_classes(result):
+    """The components up to equivalence: a cycle by its label, a chain
+    P(K) by the least rotation of its period, since P(K) and P(K') are
+    equivalent when K and K' agree from some letter on up to a shift,
+    and which K a component prints depends on the seed that reaches it
+    first."""
+    return sorted(("cycle", c.describe()) if c.kind == "cycle" else
+                  ("chain", minimal_rotation(c.chain_word.period))
+                  for c in result.components)
+
+
+def test_components_do_not_depend_on_the_seed_bound():
+    """Every bound from the level minus one on finds the same components,
+    on cycle and chain bases."""
+    cases = chain_cases()
+    rng = random.Random(2021)
+    for n, level in ((2, 1), (2, 2), (2, 3), (3, 2), (3, 3)):
+        for _ in range(4):
+            endo = random_signed_perm_endo(rng, n, level)
+            for word in ((1,), (1, n), (1, 1, n)):
+                for phase in (Fraction(0), Fraction(1, 2)):
+                    cases.append((CycleRep(n, word, phase), endo))
+    for rep, endo in cases:
+        level = endo.level
+        pred = _predecessor(rep, endo)
+        answers = [component_classes(_follow_orbits(rep, pred, bound))
+                   for bound in (level - 1, level, level + 1)]
+        assert answers[0] == answers[1] == answers[2], \
+            (rep, endo.sigma, endo.signs)
 
 
 # -- polynomial references for unit images and relative commutants ------

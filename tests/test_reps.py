@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from cuntzalg.scalars import ONE, Scalar
-from cuntzalg.words import all_words, parse_ev_word
+from cuntzalg.words import all_words, make_ev_word, parse_ev_word
 from cuntzalg.algebra import CuntzPoly
 from cuntzalg.morphisms import (Morphism, PermEndo, flip, hadamard, identity,
                                 lookup_morphism, standard_endo)
@@ -43,27 +43,31 @@ def test_branch_cycle_examples():
 
 
 def test_seed_bound_below_level_minus_one_is_rejected():
+    """The seed bound is no input: branch seeds at the level minus one of
+    the map, and no call takes a bound of its own."""
     p1324 = standard_endo("1324")
     rep = CycleRep(2, (1, 2))
-    for bound in (0, -1):
-        with pytest.raises(ValueError, match="seed bound"):
+    for bound in (0, 1, -1):
+        with pytest.raises(TypeError, match="seed_bound"):
             branch(rep, p1324, seed_bound=bound)
-        with pytest.raises(ValueError, match="seed bound"):
+        with pytest.raises(TypeError, match="seed_bound"):
             uhf_branch(2, (1, 2), p1324, seed_bound=bound)
-    assert labels(branch(rep, p1324, seed_bound=1)) == labels(branch(rep, p1324))
+        with pytest.raises(TypeError, match="seed_bound"):
+            branching(p1324, "P(12)", seed_bound=bound)
+    assert labels(branch(rep, p1324)) == ["P(1122)"]
 
 
 def test_step_budget_is_an_input_error(monkeypatch):
     rep = CycleRep(2, (1,))
     p1324 = standard_endo("1324")
-    # P(1) has 2^b seed labels at seed bound b: the empty word and the
-    # words of length 1..b ending in 2
-    monkeypatch.setattr("cuntzalg.reps.MAX_BRANCH_STEPS", 10)
-    with pytest.raises(ValueError, match=r"total of 10 predecessor steps "
-                       r"over 32 seed labels \(seed bound 5\)"):
-        branch(rep, p1324, seed_bound=5)
+    # P(1) has 2 seed labels under a level-2 map: () and (2,)
+    monkeypatch.setattr("cuntzalg.reps.MAX_BRANCH_STEPS", 1)
+    with pytest.raises(ValueError, match=r"^branch of P\(1\) under psi_1324 "
+                       r"exceeded its total of 1 predecessor steps over 2 "
+                       r"seed labels$"):
+        branch(rep, p1324)
     monkeypatch.undo()
-    assert labels(branch(rep, p1324, seed_bound=5)) == ["P(12)"]
+    assert labels(branch(rep, p1324)) == ["P(12)"]
 
 
 def test_seed_count_matches_seed_labels():
@@ -77,26 +81,52 @@ def test_oversized_seed_set_is_refused_before_listing(monkeypatch):
     def unlisted(self, bound):
         raise AssertionError("seed labels listed")
     monkeypatch.setattr(CycleRep, "seed_labels", unlisted)
+    monkeypatch.setattr(ChainRep, "seed_labels", unlisted)
     p1324 = standard_endo("1324")
-    with pytest.raises(ValueError, match=r"total of 200000 predecessor steps "
-                       r"over 1073741824 seed labels \(seed bound 30\)"):
-        branch(CycleRep(2, (1,)), p1324, seed_bound=30)
-    with pytest.raises(ValueError, match=r"over more than 2\^64 seed labels "
-                       r"\(seed bound 65\)"):
-        branch(CycleRep(2, (1,)), p1324, seed_bound=65)
+    # a cycle word of 100001 letters has 2 * 100001 seed labels under a
+    # level-2 map, and a chain with a prefix of 99999 letters has
+    # 2 * (99999 + 1 + 3)
+    with pytest.raises(ValueError, match=r"under psi_1324 exceeded its "
+                       r"total of 200000 predecessor steps over 200002 seed "
+                       r"labels$"):
+        branch(CycleRep(2, (1,) + (2,) * 100000), p1324)
+    with pytest.raises(ValueError, match=r"under psi_1324 exceeded its "
+                       r"total of 200000 predecessor steps over 200006 seed "
+                       r"labels$"):
+        branch(ChainRep(make_ev_word(2, (2,) * 99999, (1,))), p1324)
 
 
 def test_step_budget_counts_every_step_of_the_walk(monkeypatch):
-    # 10 seed labels, but the escape to the chain component takes 14 steps
+    # 10 seed labels, but the escape to the chain component takes 13 steps
     chain = ChainRep(parse_ev_word("2(12)^inf", 2))
     p1324 = standard_endo("1324")
-    full = labels(branch(chain, p1324, seed_bound=1))
+    full = labels(branch(chain, p1324))
+    monkeypatch.setattr("cuntzalg.reps.MAX_BRANCH_STEPS", 12)
+    with pytest.raises(ValueError, match=r"^branch of P\(\(21\)\^inf\) under "
+                       r"psi_1324 exceeded its total of 12 predecessor "
+                       r"steps over 10 seed labels$"):
+        branch(chain, p1324)
     monkeypatch.setattr("cuntzalg.reps.MAX_BRANCH_STEPS", 13)
-    with pytest.raises(ValueError, match=r"total of 13 predecessor steps "
-                       r"over 10 seed labels \(seed bound 1\)"):
-        branch(chain, p1324, seed_bound=1)
-    monkeypatch.setattr("cuntzalg.reps.MAX_BRANCH_STEPS", 14)
-    assert labels(branch(chain, p1324, seed_bound=1)) == full
+    assert labels(branch(chain, p1324)) == full
+
+
+@pytest.mark.parametrize("rep, sigma, want", [
+    ("(1)^inf", "id", ["P((1)^inf)"]),
+    ("2(12)^inf", "(12)(34)", ["P(1(12)^inf)"]),
+    ("2(12)^inf", "(14)(23)", ["P(2(21)^inf)"]),
+    ("2(12)^inf", "23", ["P((12)^inf)", "P((21)^inf)"]),
+    ("2(12)^inf", "123", ["P((12)^inf)", "P((12)^inf)"]),
+    ("2(12)^inf", "243", ["P((21)^inf)", "P((21)^inf)"]),
+    ("2(12)^inf", "1234", ["P(1(2)^inf)"]),
+    ("2(12)^inf", "1243", ["P((12)^inf)", "P((21)^inf)"]),
+    ("2(12)^inf", "1432", ["P(2(1)^inf)"]),
+])
+def test_chain_components_one_per_tail(rep, sigma, want):
+    """Rays that meet beyond the point where the first walk stopped are
+    one component: an automorphism (psi_id, psi_(12)(34), psi_(14)(23))
+    keeps the chain irreducible."""
+    endo = lookup_morphism(f"psi:{sigma}")
+    assert labels(branch(ChainRep(parse_ev_word(rep, 2)), endo)) == want
 
 
 def test_head_is_the_only_letter_with_a_nonzero_adjoint():
