@@ -46,8 +46,8 @@ from bisect import bisect_left
 from operator import itemgetter
 from typing import Dict, Iterable, Iterator, List, Mapping, Tuple
 
-from .scalars import ONE, Scalar
-from .words import Word, all_words, check_word
+from .scalars import MINUS_ONE, ONE, Scalar
+from .words import SignedMap, Word, all_words, check_word
 
 Key = Tuple[Word, Word]
 
@@ -93,6 +93,13 @@ class CuntzPoly:
         poly.terms = data
         poly._by_j = poly._by_k = None
         return poly
+
+    @classmethod
+    def _from_signed_map(cls, n: int, f: SignedMap) -> "CuntzPoly":
+        """sum eps s_X s_Y^* over the entries Y -> (eps, X) of a signed map
+        built inside the library, in its order, unchecked."""
+        return cls._from_valid(n, {(x, y): ONE if e == 1 else MINUS_ONE
+                                   for y, (e, x) in f.items()})
 
     # -- constructors ----------------------------------------------------
 

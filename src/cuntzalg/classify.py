@@ -1,26 +1,21 @@
 """Classification engine for second-order permutative endomorphisms.
 
-Everything here is read off the generator images of the maps involved.
-A morphism psi sends the matrix unit E_JK = s_J s_K^* (|J| = |K| = n) to
-psi(s_J) psi(s_K)^*, so
+Everything here is read off signed maps of words: a permutative psi of
+level l sends s_J to the map T -> (eps_T, X_T) of sum_T eps_T s_{X_T}
+s_T^*, |T| = l-1 (:meth:`PermEndo.word_map`), and E_JK = s_J s_K^* to
+psi(s_J) psi(s_K)^*, the :func:`times` of the map of J and the
+:func:`adjoint` of the map of K, with no polynomial product.  So
 
 * UHF-restriction equality compares psi_1(E) with psi_2(E) on a
-  generating set of the depth-n units, depth by depth.  For a
-  permutative map of level l, psi(s_J) = sum_T eps_T s_{X_T} s_T^* with
-  T over the words of length l-1 (:meth:`PermEndo.word_map`), and
-  s_T^* s_T' is 1 for T = T' and 0 otherwise (|T| = |T'|), so
-
-      psi(E_JK) = sum_T eps_T eps'_T s_{X_T} s_{Y_T}^*,
-
-  a signed partial permutation of words: no polynomial product is made;
-* relative commutants are read off the same unit maps: commuting with a
+  generating set of the depth-n units, depth by depth;
+* relative commutants are read off the same maps: commuting with a
   signed partial permutation ties the coordinates of x in pairs x_a =
   +-x_b or sends one to 0, so the solutions are signed orbits of
   coordinates, with no polynomial product and no elimination;
-* conjugacy by u = s_1 s_2^* + s_2 s_1^* (Table 1) is decided on sigma:
-  Ad u is the PermEndo AD_FLIP, and Ad u o psi_1 = psi_2 iff
-  psi_1.then(AD_FLIP) == psi_2; :func:`verify_conjugate` keeps the
-  products u psi_1(s_i) u^* for any unitary u, as the reference.
+* conjugacy by u = s_1 s_2^* + s_2 s_1^* (Table 1) is decided on the
+  maps u of PermEndos: Ad u is the PermEndo AD_FLIP, and Ad u o psi_1 =
+  psi_2 iff psi_1.then(AD_FLIP) == psi_2; :func:`verify_conjugate` keeps
+  the products u psi_1(s_i) u^* for any unitary u, as the reference.
 """
 
 from __future__ import annotations
@@ -29,9 +24,10 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .scalars import MINUS_ONE, ONE
-from .words import Word, all_words, render_word
+from .words import (SignedMap, Word, adjoint, all_words, pad, render_word,
+                    times)
 from .algebra import CuntzPoly
-from .morphisms import Morphism, PermEndo, WordMap
+from .morphisms import Morphism, PermEndo
 # perfbench/selftest.py checks that its tracer wraps classify.branch
 from .reps import branch, branching  # noqa: F401
 
@@ -73,19 +69,6 @@ class RestrictionVerdict:
                 f"(E_{{{render_word(j)},{render_word(k)}}})")
 
 
-def _unit_map(left: WordMap, right: WordMap,
-              pads: Sequence[Word]) -> Dict[Word, Tuple[int, Word]]:
-    """psi(E_JK) from the word maps of psi(s_J) and psi(s_K), as the dict
-    Y -> (sign, X) of its terms sign s_X s_Y^*, each term s_X s_Y^*
-    written as sum_w s_{Xw} s_{Yw}^* over ``pads``."""
-    out: Dict[Word, Tuple[int, Word]] = {}
-    for t, (e, x) in left.items():
-        f, y = right[t]
-        for w in pads:
-            out[y + w] = (e * f, x + w)
-    return out
-
-
 def uhf_restriction_equal(m1: PermEndo, m2: PermEndo,
                           level: int = 5) -> RestrictionVerdict:
     """Decide whether two permutative endomorphisms agree on matrix units
@@ -98,21 +81,13 @@ def uhf_restriction_equal(m1: PermEndo, m2: PermEndo,
     adjoint E_{K,1^n} fails exactly when E_{1^n,K} does.  The first
     failing unit is the witness.
 
-    Each image is compared as its unit map (see the module docstring):
-    psi(E_JK) = sum_T eps_T eps'_T s_{X_T} s_{Y_T}^*.  A map of level l
-    has right words of length |K| + l - 1; both maps are padded to the
-    right depth d = max(l_1, l_2) - 1 by s_X s_Y^* = sum_w s_{Xw} s_{Yw}^*,
-    w over the words of length d - (l - 1), so every right word has
-    length |K| + d.  The dict is keyed by the right word Y_T w, not by
-    the summation index T: distinct T give distinct Y_T, because
-    psi(s_K) is an isometry, and at a fixed right depth the units
-    s_X s_Y^* are linearly independent, so two images are equal in O_N
-    iff their dicts are equal.  Two maps whose sigmas differ can still
-    agree on the UHF algebra, with the same terms under other T.  Only
-    the word maps of depths n - 1 and n are held: each map of depth n
-    extends one of depth n - 1 by a letter.  The tests keep two
-    references: the products psi(s_J) psi(s_K)^* and the cascade
-    commutator test.
+    Each unit is compared through its adjoint psi(E_{K,1^n}), a signed map
+    (see the module docstring), the one of lower level padded to the
+    other's depth: at one depth the s_X s_Y^* are linearly independent,
+    so the images are equal iff their maps are.  Only the word maps of
+    depths n - 1 and n are held, each of depth n one letter on one of
+    depth n - 1.  The tests keep two references: the products
+    psi(s_J) psi(s_K)^* and the cascade commutator test.
     """
     if not (isinstance(m1, PermEndo) and isinstance(m2, PermEndo)):
         raise ValueError("restriction equality is decided for permutative "
@@ -120,19 +95,19 @@ def uhf_restriction_equal(m1: PermEndo, m2: PermEndo,
     _check_level(level)
     if m1.n != m2.n:
         raise ValueError("rank mismatch")
-    depth = max(m1.level, m2.level) - 1
-    pads1 = list(all_words(m1.n, depth - m1.level + 1))
-    pads2 = list(all_words(m2.n, depth - m2.level + 1))
+    pad1, pad2 = max(m2.level - m1.level, 0), max(m1.level - m2.level, 0)
     prev1, prev2 = {(): m1.word_map(())}, {(): m2.word_map(())}
     for n in range(1, level + 1):
         ones = (1,) * n
-        maps1: Dict[Word, WordMap] = {}
-        maps2: Dict[Word, WordMap] = {}
+        maps1: Dict[Word, SignedMap] = {}
+        maps2: Dict[Word, SignedMap] = {}
         for k in all_words(m1.n, n):  # 1^n first
             maps1[k] = m1.extend_map(k[0], prev1[k[1:]])
             maps2[k] = m2.extend_map(k[0], prev2[k[1:]])
-            if (_unit_map(maps1[ones], maps1[k], pads1)
-                    != _unit_map(maps2[ones], maps2[k], pads2)):
+            if k == ones:
+                back1, back2 = adjoint(maps1[k]), adjoint(maps2[k])
+            if (pad(times(maps1[k], back1), m1.n, pad1)
+                    != pad(times(maps2[k], back2), m1.n, pad2)):
                 return RestrictionVerdict(False, n, (ones, k))
         prev1, prev2 = maps1, maps2
     return RestrictionVerdict(True, level)
@@ -145,10 +120,10 @@ def commutant_witness(endo: PermEndo, level: int = 1) -> Optional[CuntzPoly]:
     span of the depth-``level`` matrix units, g over the generators
     E_{1^L,K} and E_{K,1^L} of depth L = ``level``.  They suffice: a unit
     of depth g < L is the sum of the depth-L units E_{Jw,Kw}, |w| = L - g.
-    Each image is a unit map (see the module docstring), a signed partial
-    permutation s_Y -> eps s_X of the words of depth D = L + l - 1, and x
-    acts there as x tensor 1.  So an entry of x endo(g) - endo(g) x is
-    eps x_a - eps' x_b or a single eps x_a, and the solutions are spanned
+    Each image is a signed map (see the module docstring), s_Y -> eps s_X
+    on the words of depth L + l - 1, and x acts there as x tensor 1.  So
+    an entry of x endo(g) - endo(g) x is eps x_a - eps' x_b or a single
+    eps x_a, and the solutions are spanned
     by the consistent signed orbits of the N^(2L) coordinates under
     x_a = eps eps' x_b, found by a signed union-find; an orbit that meets
     x_a = 0 or a sign conflict is 0.  The orbits have disjoint supports,
@@ -178,10 +153,10 @@ def commutant_witness(endo: PermEndo, level: int = 1) -> Optional[CuntzPoly]:
 
     ones_map = endo.word_map((1,) * level)
     for k in words:
-        k_map = endo.word_map(k)
-        for left, right in ((ones_map, k_map), (k_map, ones_map)):
+        unit = times(ones_map, adjoint(endo.word_map(k)))  # endo(E_{1^L,K})
+        for image in (unit, adjoint(unit)):
             entries: Dict[Unit, List[Tuple[int, Unit]]] = {}
-            for y, (e, x) in _unit_map(left, right, [()]).items():
+            for y, (e, x) in image.items():
                 for w in words:
                     # (x g)_{w x'', y} = e x_{w, x'} and
                     # (g x)_{x, w y''} = e x_{y', w}, x = x' x'', y = y' y''

@@ -163,10 +163,10 @@ def _letter(n: int, dagger: bool) -> CuntzPoly:
 
 def car_generator_closed(n: int) -> CuntzPoly:
     """Closed form a_n = sum_J (-1)^{#2(J)} s_{J,1} s_{J,2}^* over binary
-    words J of length n-1; used as a cross-check on the recursion."""
+    words J of length n-1, a signed map; a cross-check on the recursion."""
     _check_mode(n)
-    return CuntzPoly._from_valid(2, {
-        (j + (1,), j + (2,)): MINUS_ONE if j.count(2) % 2 else ONE
+    return CuntzPoly._from_signed_map(2, {
+        j + (2,): (-1 if j.count(2) % 2 else 1, j + (1,))
         for j in all_words(2, n - 1)})
 
 

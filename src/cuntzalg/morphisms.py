@@ -7,23 +7,22 @@ built inside the library that satisfy them by construction (composites,
 phi and phi_rot) are wrapped by ``Morphism._from_valid`` without a
 second check.
 
-:class:`PermEndo` is the permutative case psi_sigma(s_i) = u_sigma s_i
-where sigma permutes the words of a fixed length l (optionally with
-signs); it builds its generator images only when they are first read.
-The signed maps id, alpha, beta_j and theta are level-1 PermEndos, and
-PermEndos compose and compare on sigma.  A sigma built inside the
-library (a composite, a GP twist) is wrapped by ``PermEndo._from_valid``
-without the checks of the constructor.  For N = 2, l = 2 the words are
-numbered 1..4 in lexicographic order, so cycle names like "psi_1324"
-pick out a concrete permutation.
+:class:`PermEndo` is the permutative case psi(s_i) = u s_i for a signed
+permutation u of the words of a fixed length l, kept as a signed map of
+:mod:`cuntzalg.words`; the named signed maps id, alpha, beta_j and theta
+are level-1 PermEndos.  For N = 2, l = 2 the words are numbered 1..4 in
+lexicographic order, so cycle names like "psi_1324" pick out a concrete
+permutation.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+import functools
+from typing import Dict, Iterable, List, Mapping, Sequence
 
-from .scalars import MINUS_ONE, ONE, Scalar, INV_SQRT2
-from .words import Word, all_words, check_word, render_word
+from .scalars import INV_SQRT2
+from .words import (SignedMap, Word, all_words, check_word, lower, pad,
+                    render_word)
 from .algebra import CuntzPoly, _sum_scaled
 
 # the image of a word can double with each letter: phi(s_1^L) has 2^L
@@ -215,26 +214,19 @@ def zeta(x: CuntzPoly) -> CuntzPoly:
 
 # -- permutative endomorphisms -----------------------------------------
 
-# psi(s_J) = sum_T eps_T s_{X_T} s_T^* as the dict T -> (eps_T, X_T)
-WordMap = Dict[Word, Tuple[int, Word]]
-
 
 class PermEndo(Morphism):
-    """psi_sigma for a (signed) permutation sigma of words of length l.
+    """psi = lambda_u for a signed permutation u of the words of length l.
 
-    sigma maps each word of length l to a word of the same length;
-    signs optionally attach -1 to some source words.  The generator
-    images are psi(s_i) = sum_{|J'| = l-1} eps * s_{sigma(i J')} s_{J'}^*.
-
-    Construction checks and keeps sigma and the signs only.  The images
-    are built on their first read (by ``images``, a word image, m(x),
-    composition or equality with a map that is not a PermEndo, or an
-    unnamed repr), so the word-map routes (:meth:`word_map`,
-    :meth:`then` and ``==`` between PermEndos, :meth:`is_involution`,
-    branching, restriction equality) never build a CuntzPoly.
+    u is the signed map J -> (eps_J, sigma(J)), the unitary
+    sum_J eps_J s_sigma(J) s_J^*, and psi(s_i) = u s_i; ``sigma`` and
+    ``signs`` read its two parts.  Construction checks and keeps u only.
+    The images are built on their first read (a word image, m(x), or a
+    map that is not a PermEndo in ``then`` or ``==``), so the routes on u
+    never build a CuntzPoly.
     """
 
-    __slots__ = ("level", "sigma", "signs", "_images")
+    __slots__ = ("level", "u", "_images")
 
     def __init__(self, n: int, level: int, sigma: Mapping[Word, Word],
                  signs: Mapping[Word, int] | None = None, name: str = ""):
@@ -243,173 +235,142 @@ class PermEndo(Morphism):
         if level < 1:
             raise ValueError(f"level must be at least 1, got {level}")
         domain = list(all_words(n, level))
-        words = set(domain)
-        table: Dict[Word, Word] = {}
+        # u keeps every word once, as the domain's tuple, and none of sigma's
+        words = {w: w for w in domain}
+        images = []
         for j in domain:
             image = sigma.get(j)
             if image is None:
                 raise ValueError(f"sigma undefined on {j}")
-            image = tuple(image)
-            if image not in words:
+            word = words.get(tuple(image))
+            if word is None:
                 check_word(image, n)  # names a letter outside 1..n
                 raise ValueError("sigma must preserve word length")
-            table[j] = image
-        if len(set(table.values())) != len(domain):
+            images.append(word)
+        if len(set(images)) != len(domain):
             raise ValueError("sigma is not a bijection")
-        eps: Dict[Word, int] = dict.fromkeys(domain, 1)
-        if signs is not None:
-            for j in domain:
-                e = eps[j] = signs.get(j, 1)
-                if e not in (1, -1):
-                    raise ValueError("signs must be +1 or -1")
-        self._adopt_sigma(n, level, table, eps, name)
+        eps = ([1] * len(domain) if signs is None
+               else [signs.get(j, 1) for j in domain])
+        if not {1, -1}.issuperset(eps):
+            raise ValueError("signs must be +1 or -1")
+        self._adopt_map(n, dict(zip(domain, zip(eps, images))), name)
 
     @classmethod
-    def _from_valid(cls, n: int, level: int, sigma: Dict[Word, Word],
-                    signs: Dict[Word, int], name: str = "") -> "PermEndo":
-        """Wrap a signed permutation built inside the library, unchecked:
-        sigma is known to be a bijection of the words of the given length
-        onto themselves, and signs to give +1 or -1 for each of them."""
+    def _from_valid(cls, n: int, u: SignedMap, name: str = "") -> "PermEndo":
+        """Wrap a signed permutation u built inside the library, unchecked:
+        u sends the words of one length onto themselves, with signs +-1."""
         m = object.__new__(cls)
-        m._adopt_sigma(n, level, sigma, signs, name)
+        m._adopt_map(n, u, name)
         return m
 
-    def _adopt_sigma(self, n: int, level: int, sigma: Dict[Word, Word],
-                     signs: Dict[Word, int], name: str) -> None:
+    def _adopt_map(self, n: int, u: SignedMap, name: str) -> None:
         self.n = n
         self.name = name
         self._word_cache = {}
         self._images = None
-        self.level = level
-        self.sigma = sigma
-        self.signs = signs
+        self.level = len(next(iter(u)))
+        self.u = u
+
+    @property
+    def sigma(self) -> Dict[Word, Word]:
+        return {j: x for j, (_, x) in self.u.items()}
+
+    @property
+    def signs(self) -> Dict[Word, int]:
+        return {j: e for j, (e, _) in self.u.items()}
 
     @property
     def images(self) -> List[CuntzPoly]:
-        """The generator images, built from sigma and the signs on the
+        """The generator images psi(s_i) = sum_T u(iT) s_T^*, built on the
         first read."""
         if self._images is None:
-            n, sigma, eps = self.n, self.sigma, self.signs
-            images = []
-            for i in range(1, n + 1):
-                terms: Dict[Tuple[Word, Word], Scalar] = {}
-                for tail in all_words(n, self.level - 1):
-                    src = (i,) + tail
-                    coeff = ONE if eps[src] == 1 else MINUS_ONE
-                    terms[(sigma[src], tail)] = coeff
-                # every image word was checked, tails come from all_words
-                images.append(CuntzPoly._from_valid(n, terms))
-            self._images = images
+            u, tails = self.u, list(all_words(self.n, self.level - 1))
+            self._images = [CuntzPoly._from_signed_map(
+                self.n, {t: u[(i,) + t] for t in tails})
+                for i in range(1, self.n + 1)]
         return self._images
 
-    def word_map(self, j: Word) -> WordMap:
-        """The signed word map of psi(s_J).
+    def word_map(self, j: Word) -> SignedMap:
+        """The signed map of psi(s_J).
 
-        psi(s_J) = sum_T eps_T s_{X_T} s_T^*, T over the words of length
-        l-1, and the map is the dict T -> (eps_T, X_T), T in
-        ``all_words`` order.  The empty word maps T to (1, T), and the
-        map of iJ is :meth:`extend_map` of the map of J, so the map is
-        read off J one letter at a time, last letter first."""
+        psi(s_J) = sum_T eps_T s_{X_T} s_T^*, |T| = l-1, and the map is
+        T -> (eps_T, X_T), T in ``all_words`` order.  The empty word maps T
+        to (1, T), and the map of iJ is :meth:`extend_map` of the map of J:
+        the map is read off J one letter at a time, last letter first."""
         found = {t: (1, t) for t in all_words(self.n, self.level - 1)}
         for letter in reversed(j):
             found = self.extend_map(letter, found)
         return found
 
-    def extend_map(self, letter: int, found: WordMap) -> WordMap:
-        """The word map of s_i s_J from the word map ``found`` of s_J.
-
-        Writing X = X' X'' with |X'| = l-1, s_T'^* s_X = s_X'' if T' = X'
-        and 0 otherwise, so psi(s_i) s_X = eps(i X') s_{sigma(i X') X''}."""
-        cut = self.level - 1
-        sigma, signs = self.sigma, self.signs
+    def extend_map(self, letter: int, found: SignedMap) -> SignedMap:
+        """The word map of s_i s_J from the word map ``found`` of s_J: with
+        X = X' X'', |X'| = l-1, psi(s_i) s_X = u s_{i X'} s_X''."""
+        cut, u = self.level - 1, self.u
         step = {}
         for t, (e, x) in found.items():
-            head = (letter,) + x[:cut]
-            step[t] = (signs[head] * e, sigma[head] + x[cut:])
+            f, y = u[(letter,) + x[:cut]]
+            step[t] = (e * f, y + x[cut:])
         return step
 
     def then(self, other: Morphism) -> Morphism:
         """other o self; when other is a PermEndo of the same rank, the
-        PermEndo of :meth:`_composite_terms` at its lowest level.  A
-        composite whose word map would pass MAX_IMAGE_PAIRS words is
-        refused before it is built."""
+        PermEndo of a o b = lambda_w (a = other, b = self) at its lowest
+        level; one of more than MAX_IMAGE_PAIRS words is refused unbuilt.
+
+        (a o b)(s_i) = a(u_b) u_a s_i, so w = a(u_b) (u_a (x) 1) with
+        a(u_b) = sum_J eps_J a(s_sigma(J)) a(s_J)^*, |J| = l_b.  For J = iT,
+        a(s_J)^* (u_a (x) 1) = a(s_T)^* s_i^* u_a^* u_a = (s_i a(s_T))^*:
+        with the word maps T' -> (e, X) of a(s_sigma(J)) and T' -> (e', Y)
+        of a(s_T), w sends iY to (eps_J e e', X), in one pass."""
         if not isinstance(other, PermEndo) or other.n != self.n:
             return super().then(other)
-        level = self.level + other.level - 1
+        n, level = self.n, self.level + other.level - 1
         name = f"{other.name}.{self.name}" if self.name and other.name else ""
-        if self.n ** level > MAX_IMAGE_PAIRS:
+        if n ** level > MAX_IMAGE_PAIRS:
             raise ValueError(f"the composite {name or 'of these maps'} has "
-                             f"level {level}, a word map of {self.n}^{level} "
+                             f"level {level}, a word map of {n}^{level} "
                              f"words above the limit of {MAX_IMAGE_PAIRS}")
-        sigma, signs = {}, {}
-        for j, x, e in self._composite_terms(other):
-            sigma[j], signs[j] = x, e
-        return _lowest_level(self.n, level, sigma, signs, name)
+        right = {(): other.word_map(())}
+        for _ in range(self.level - 1):
+            right = {(a,) + t: other.extend_map(a, found)
+                     for a in range(1, n + 1) for t, found in right.items()}
+        w: SignedMap = {}
+        for j, (e, x) in self.u.items():
+            head, left = j[:1], other.extend_map(x[0], right[x[1:]])
+            for t, (f, y) in right[j[1:]].items():
+                g, z = left[t]
+                w[head + y] = (e * f * g, z)
+        w = lower(w, n)
+        if () in w:  # w = +-1, a map of level 1
+            w = pad(w, n, 1)
+        return PermEndo._from_valid(n, w, name)
 
     def __eq__(self, other: object) -> bool:
-        """Two PermEndos compare sigma and the signs at the higher level,
-        where a level-l map reads Jw -> sigma(J) w with sign eps(J); any
-        other Morphism is compared on the generator images."""
+        """Two PermEndos compare their maps u, the one of lower level
+        padded to the higher; any other Morphism is compared on the
+        generator images."""
         if not isinstance(other, PermEndo):
             return super().__eq__(other)
         low, high = sorted((self, other), key=lambda m: m.level)
-        cut, sigma, signs = low.level, low.sigma, low.signs
-        return self.n == other.n and all(
-            sigma[j[:cut]] + j[cut:] == x and signs[j[:cut]] == high.signs[j]
-            for j, x in high.sigma.items())
+        return (self.n == other.n
+                and pad(low.u, self.n, high.level - low.level) == high.u)
 
     __hash__ = Morphism.__hash__
 
     def is_involution(self) -> bool:
-        """psi o psi = id: every term of psi o psi is s_J s_J^*."""
-        return all(e == 1 and x == j
-                   for j, x, e in self._composite_terms(self))
+        """psi o psi = id without the composite: psi(psi(s_i)) = sum_T
+        eps_iT psi(s_sigma(iT)) psi(s_T)^*, and the psi(s_T), |T| = l-1, are
+        isometries with orthogonal ranges summing to 1, so it is s_i iff
+        psi(s_sigma(J)) = eps_J s_i psi(s_T) for every J = iT, compared one
+        J at a time on word maps cached by suffix."""
+        @functools.cache
+        def word_map(j: Word) -> SignedMap:
+            return (self.extend_map(j[0], word_map(j[1:])) if j
+                    else self.word_map(()))
 
-    def _composite_terms(self, other: "PermEndo"):
-        """The terms (i Y_T, X_T, sign) of a o b, a = other and b = self.
-
-        For t of length l_b - 1, a(b(s_i)) = sum_t eps_b(it) a(s_sigma_b(it))
-        a(s_t)^*, and with the word maps T -> (e, X_T) of a(s_sigma_b(it))
-        and T -> (e', Y_T) of a(s_t) each product is sum_T e e' s_{X_T}
-        s_{Y_T}^*.  The words i Y_T over all (i, t, T) are those of length
-        l_a + l_b - 1 (the projections a(s_t s_T s_T^* s_t^*) sum to 1), so
-        a o b is sigma(i Y_T) = X_T with sign eps_b(it) e e'.  The maps of
-        a(s_t) are built once, and that of a(s_sigma_b(it)) is extended
-        from the map of its last l_b - 1 letters."""
-        n = self.n
-        right = {(): {t: (1, t) for t in all_words(n, other.level - 1)}}
-        for _ in range(self.level - 1):
-            right = {(a,) + j: other.extend_map(a, found)
-                     for a in range(1, n + 1) for j, found in right.items()}
-        for src, image in self.sigma.items():
-            eps, head, tail_map = self.signs[src], src[:1], right[src[1:]]
-            found = other.extend_map(image[0], right[image[1:]])
-            for t, (e, x) in found.items():
-                e2, y = tail_map[t]
-                yield head + y, x, eps * e * e2
-
-
-def _lowest_level(n: int, level: int, sigma: Dict[Word, Word],
-                  signs: Dict[Word, int], name: str = "") -> PermEndo:
-    """The PermEndo of a signed permutation of the words of the given
-    length at the lowest level that gives the same map of O_N.
-
-    A level-l map is one of level l-1 when sigma(Ja) = sigma'(J) a with
-    eps(Ja) = eps'(J) for every letter a; this is the contraction that
-    :meth:`CuntzPoly.reduce` applies to its generator images, so the
-    level is the highest |J| of the reduced images.  sigma and the signs
-    are built inside the library and known to be valid, and so is each
-    contraction, so the PermEndo is built unchecked."""
-    while level > 1:
-        short, short_signs = {}, {}
-        for j, x in sigma.items():
-            head = j[:-1]
-            if (x[-1] != j[-1]
-                    or short.setdefault(head, x[:-1]) != x[:-1]
-                    or short_signs.setdefault(head, signs[j]) != signs[j]):
-                return PermEndo._from_valid(n, level, sigma, signs, name)
-        sigma, signs, level = short, short_signs, level - 1
-    return PermEndo._from_valid(n, level, sigma, signs, name)
+        return all(word_map(x) == {t: (e * f, j[:1] + y) for t, (f, y)
+                                   in word_map(j[1:]).items()}
+                   for j, (e, x) in self.u.items())
 
 
 def number_word(idx: int, n: int, length: int) -> Word:

@@ -40,14 +40,16 @@ when the two signs of a term differ.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .scalars import Scalar
 from .words import (PHASE_0, PHASE_HALF, CycleClass, EvWord, Word,
-                    all_words, canonical_cycle, check_word, is_primitive,
-                    make_ev_word, primitive_split, render_word, rotations)
+                    adjoint, all_words, canonical_cycle, check_word,
+                    is_primitive, make_ev_word, primitive_split,
+                    render_word, rotations)
 from .morphisms import Morphism, PermEndo
 
 Label = Tuple[Word, int]
@@ -258,15 +260,14 @@ def _predecessor(rep, endo: PermEndo):
     """The predecessor map of rep o endo: label -> (letter, sign, label).
 
     For the label v it takes the first endo.level letters W off v
-    (:func:`_take`) and, with the source word i T = sigma^-1(W), puts T
-    back (:func:`_put`): it returns (i, sign, s_T s_W^* v), the one label
-    u and letter i with endo(s_i) u = +-v.  The two steps are inlined
-    here, in the hot loop of :func:`branch`, and a step touches only
-    sigma, the signs and the label.
+    (:func:`_take`) and, with the source word i T = sigma^-1(W) read off
+    the adjoint of endo.u, puts T back (:func:`_put`): it returns
+    (i, sign, s_T s_W^* v), the one label u and letter i with
+    endo(s_i) u = +-v.  The two steps are inlined here, in the hot loop
+    of :func:`branch`, and a step touches only that map and the label.
     """
     level = endo.level
-    source = {image: src for src, image in endo.sigma.items()}
-    eps = endo.signs
+    source = adjoint(endo.u)
     read, push = rep.read, rep.push
 
     def pred(label: Label) -> Tuple[int, int, Label]:
@@ -275,8 +276,8 @@ def _predecessor(rep, endo: PermEndo):
         if len(w) < level:
             tail, sign, p = read(p, level - len(w))
             w += tail
-        src = source[w[:level]]
-        sign *= eps[src]
+        e, src = source[w[:level]]
+        sign *= e
         rest = w[level:]
         if rest:
             return src[0], sign, (src[1:] + rest, p)
@@ -409,7 +410,14 @@ def _follow_orbits(rep, pred, bound: int, name: str = "") -> BranchResult:
 
 
 def _over_budget(rep, name: str, seeds: int) -> ValueError:
-    return ValueError(f"branch of {rep} under {name or 'this map'} "
+    """The refusal of a branch past its budget, on one line: a word of more
+    than 24 letters in rep's name is cut to its first 12 and its length."""
+    def short(word: re.Match) -> str:
+        sep = "," if "," in word[0] else ""
+        letters = word[0].split(",") if sep else word[0]
+        return f"{sep.join(letters[:12])}...[{len(letters)} letters]"
+    text = re.sub(r"[0-9]{25,}|[0-9]+(,[0-9]+){24,}", short, str(rep))
+    return ValueError(f"branch of {text} under {name or 'this map'} "
                       f"exceeded its total of {MAX_BRANCH_STEPS} predecessor "
                       f"steps over {seeds} seed labels")
 
@@ -650,8 +658,8 @@ def _unitary(m: Morphism) -> Optional[Unitary]:
     index = {w: a for a, w in enumerate(words)}
     columns: List[Dict[int, int]] = [{} for _ in words]
     if terms is None:
-        for j, x in m.sigma.items():
-            columns[index[j]][index[x]] = m.signs[j]
+        for j, (e, x) in m.u.items():
+            columns[index[j]][index[x]] = e
         return _lowest((level, 0, columns))
     entries: Dict[Tuple[int, int], Fraction] = {}
     for j, k, r in terms:
@@ -668,7 +676,7 @@ def _unitary(m: Morphism) -> Optional[Unitary]:
 def _lowest(u: Unitary) -> Unitary:
     """u at the lowest level: a level-l matrix is u' (x) 1 of level l-1
     when each column B'a holds the entries of column B' of u' at the rows
-    A'a, the contraction of :func:`~cuntzalg.morphisms._lowest_level`."""
+    A'a (:func:`~cuntzalg.words.lower` for many entries to a column)."""
     level, e, columns = u
     while level > 1:
         short = []
@@ -690,11 +698,9 @@ def _signed_perm(u: Unitary) -> Optional[PermEndo]:
     if any(len(column) != 1 for column in columns):
         return None
     words = list(all_words(2, level))
-    sigma, signs = {}, {}
-    for b, column in zip(words, columns):
-        (a, v), = column.items()
-        sigma[b], signs[b] = words[a], 1 if v > 0 else -1
-    return PermEndo._from_valid(2, level, sigma, signs)
+    return PermEndo._from_valid(2, {
+        b: (1 if v > 0 else -1, words[a])
+        for b, column in zip(words, columns) for (a, v) in column.items()})
 
 
 def _twist(u: Unitary) -> Unitary:

@@ -8,11 +8,12 @@ point is used anywhere.
 A Scalar stores three Python ints (a, b, d) meaning (a + b*sqrt(2))/d,
 in canonical form: d >= 1 and gcd(a, b, d) = 1, with zero as (0, 0, 1).
 Equal values therefore have equal triples, so ``==`` and ``hash`` compare
-ints.  The field operations work on the ints directly and call ``gcd``
-only when the result may be reducible, that is when its denominator
-exceeds 1.  Most coefficients are the signs +-1, so the integer case
-d = 1 is the fast path.  Results are built by the unchecked ``_make``;
-only the public ``Scalar(rat, root2)`` coerces its arguments through
+ints.  The field operations, with ``inverse`` and ``/`` public API that
+the library itself never calls, work on the ints directly and call
+``gcd`` only when the result may be reducible (a denominator above 1).
+Most coefficients are the signs +-1, so the integer case d = 1 is the
+fast path.  Results are built by the unchecked ``_make``; only the
+public ``Scalar(rat, root2)`` coerces its arguments through
 :class:`fractions.Fraction`, and the read-only ``rat`` and ``root2`` give
 the two rational parts back as Fractions.
 """
@@ -59,9 +60,6 @@ class Scalar:
 
     def is_zero(self) -> bool:
         return not self._a and not self._b
-
-    def is_one(self) -> bool:
-        return self._a == 1 and not self._b and self._d == 1
 
     # -- field operations ----------------------------------------------
 

@@ -4,7 +4,8 @@ Finite words are plain tuples of ints.  Eventually periodic infinite
 words are :class:`EvWord` values (prefix + repeating period) kept in a
 canonical form: the period is primitive and the prefix is as short as
 possible.  Rotation classes of finite words with a phase label are
-:class:`CycleClass` values.
+:class:`CycleClass` values.  A signed partial bijection of words is a
+plain :data:`SignedMap` dict, with the functions below it.
 """
 
 from __future__ import annotations
@@ -12,9 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Iterator, Sequence, Tuple
+from typing import Dict, Iterator, Sequence, Tuple
 
 Word = Tuple[int, ...]
+
+# a signed partial map of words, Y -> (eps, X) with eps in {1, -1}, that
+# stands for sum eps s_X s_Y^*: a matrix with at most one +-1 entry in
+# each row and column
+SignedMap = Dict[Word, Tuple[int, Word]]
 
 # the two phases that act over the real field, built once
 PHASE_0, PHASE_HALF = Fraction(0), Fraction(1, 2)
@@ -235,3 +241,49 @@ def all_words(n: int, length: int) -> Iterator[Word]:
     if length < 0:
         raise ValueError(f"word length must be at least 0, got {length}")
     return product(range(1, n + 1), repeat=length)
+
+
+# -- signed maps ---------------------------------------------------------
+
+
+def pad(f: SignedMap, n: int, depth: int) -> SignedMap:
+    """f with ``depth`` more letters on each word: every term eps s_X s_Y^*
+    as sum_w eps s_{Xw} s_{Yw}^* over the words w of that length."""
+    if not depth:
+        return f
+    tails = list(all_words(n, depth))
+    return {y + w: (e, x + w) for y, (e, x) in f.items() for w in tails}
+
+
+def lower(f: SignedMap, n: int) -> SignedMap:
+    """The map with the shortest words that :func:`pad` takes back to f:
+    Ya -> (eps, Xa) for all n letters a contracts to Y -> (eps, X), as
+    :meth:`~cuntzalg.algebra.CuntzPoly.reduce` contracts a full block."""
+    while f:
+        short: SignedMap = {}
+        for y, (e, x) in f.items():
+            value = (e, x[:-1])
+            if (not y or not x or x[-1] != y[-1]
+                    or short.setdefault(y[:-1], value) != value):
+                return f
+        if len(short) * n != len(f):  # a sibling block is not full
+            return f
+        f = short
+    return f
+
+
+def adjoint(f: SignedMap) -> SignedMap:
+    """The map of the adjoint: X -> (eps, Y) for each Y -> (eps, X)."""
+    return {x: (e, y) for y, (e, x) in f.items()}
+
+
+def times(f: SignedMap, g: SignedMap) -> SignedMap:
+    """The map of the product f g: Y -> (eps' eps, X) where g sends Y to
+    (eps', Z) and f sends Z to (eps, X), and 0 for a Z outside f; the
+    words g sends to have the length of the keys of f (pad first)."""
+    out: SignedMap = {}
+    for y, (e, z) in g.items():
+        hit = f.get(z)
+        if hit is not None:
+            out[y] = (e * hit[0], hit[1])
+    return out

@@ -1,0 +1,34 @@
+"""Helpers that nothing calls are deleted, not kept for completeness."""
+
+import ast
+import re
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+LIBRARY = ROOT / "src" / "cuntzalg"
+
+
+def test_every_defined_name_is_used_outside_its_definitions():
+    """Each function, class and method defined in src/cuntzalg (dunders
+    aside) appears as a whole word in src/cuntzalg, demos/ or perfbench/
+    other than on the lines that define it."""
+    words, definitions = Counter(), Counter()
+    for folder in (LIBRARY, ROOT / "demos", ROOT / "perfbench"):
+        for path in sorted(folder.rglob("*.py")):
+            text = path.read_text()
+            words.update(re.findall(r"\w+", text))
+            definitions.update(re.findall(
+                r"^\s*(?:async\s+)?(?:def|class)\s+(\w+)", text, re.MULTILINE))
+    defined = {}
+    for path in sorted(LIBRARY.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef))
+                    and not re.fullmatch(r"__\w+__", node.name)):
+                defined.setdefault(node.name, []).append(
+                    f"{path.name}:{node.lineno}")
+    assert len(defined) > 200
+    unused = [(name, where) for name, where in sorted(defined.items())
+              if words[name] <= definitions[name]]
+    assert unused == []

@@ -921,9 +921,9 @@ def as_signed_perm(m):
     sigma, signs = {}, {}
     for i, img in enumerate(reduced, start=1):
         for (j, k), coeff in img.terms.items():
-            if coeff.is_one():
+            if coeff == ONE:
                 sgn = 1
-            elif (-coeff).is_one():
+            elif coeff == MINUS_ONE:
                 sgn = -1
             else:
                 return None

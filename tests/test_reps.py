@@ -96,6 +96,18 @@ def test_oversized_seed_set_is_refused_before_listing(monkeypatch):
         branch(ChainRep(make_ev_word(2, (2,) * 99999, (1,))), p1324)
 
 
+def test_budget_refusal_cuts_a_long_word_in_either_form(monkeypatch):
+    # the digit form is pinned through the CLI in test_cli; the comma form
+    # (a letter above 9) keeps its commas in the first 12 letters
+    monkeypatch.setattr("cuntzalg.reps.MAX_BRANCH_STEPS", 1)
+    for word, name in (((10,) + (2,) * 30, "2," * 11 + "2...[31 letters]"),
+                       ((10,) + (2,) * 23, "2," * 23 + "10")):
+        with pytest.raises(ValueError) as refusal:
+            branch(CycleRep(12, word), identity(12))
+        assert str(refusal.value).startswith(
+            f"branch of P({name}) under id exceeded its total of 1 ")
+
+
 def test_step_budget_counts_every_step_of_the_walk(monkeypatch):
     # 10 seed labels, but the escape to the chain component takes 13 steps
     chain = ChainRep(parse_ev_word("2(12)^inf", 2))
