@@ -204,12 +204,16 @@ def rotation() -> Morphism:
 
 
 def zeta(x: CuntzPoly) -> CuntzPoly:
-    """The twisted shift zeta(x) = s_1 x s_1^* - s_2 x s_2^* on O_2."""
+    """The twisted shift zeta(x) = s_1 x s_1^* - s_2 x s_2^* on O_2, as a
+    letter-prefix map: c s_J s_K^* gives c s_{1J} s_{1K}^* and
+    -c s_{2J} s_{2K}^*, in the products' order (every (1J, 1K) in the
+    order of x, then every (2J, 2K)), with no product made."""
     if x.n != 2:
         raise ValueError("zeta is defined on O_2")
-    s1 = CuntzPoly.generator(2, 1)
-    s2 = CuntzPoly.generator(2, 2)
-    return s1 * x * s1.adjoint() - s2 * x * s2.adjoint()
+    terms = x.terms.items()
+    data = {((1,) + j, (1,) + k): c for (j, k), c in terms}
+    data.update({((2,) + j, (2,) + k): -c for (j, k), c in terms})
+    return CuntzPoly._from_valid(2, data)
 
 
 # -- permutative endomorphisms -----------------------------------------
@@ -247,6 +251,13 @@ class PermEndo(Morphism):
                 check_word(image, n)  # names a letter outside 1..n
                 raise ValueError("sigma must preserve word length")
             images.append(word)
+        # every word of the domain has an entry, so any other names no word
+        if len(sigma) != len(domain):
+            raise ValueError(f"sigma has entries outside the words of "
+                             f"length {level}")
+        if signs is not None and not signs.keys() <= words.keys():
+            raise ValueError(f"signs name words outside the words of "
+                             f"length {level}")
         if len(set(images)) != len(domain):
             raise ValueError("sigma is not a bijection")
         eps = ([1] * len(domain) if signs is None

@@ -368,30 +368,32 @@ def verify_table4() -> TableReport:
     return report
 
 
-def verify_table6() -> TableReport:
-    report = TableReport("table6")
-    for name, formula in TABLE6.items():
-        endo = standard_endo(name)
-        if formula is None:
+def _verify_images(which: str,
+                   rows: Dict[str, Optional[List[CarExpr]]]) -> TableReport:
+    """One cell a_n per formula: psi_name(a_n) against the O_2 image of the
+    n-th formula of the row, n = 1, 2, ...; a row None is "---"."""
+    report = TableReport(which)
+    for name, formulas in rows.items():
+        if formulas is None:
             _cell(report, name, "a_n", "---", "---")
             continue
-        for n in range(1, TABLE6_MODES + 1):
-            got = apply_endo(endo, CarExpr.generator(n))
-            want = psi_map(formula(n))
-            _cell(report, name, f"a_{n}", "equal",
-                  "equal" if got == want else "different")
-    return report
-
-
-def verify_table7() -> TableReport:
-    report = TableReport("table7")
-    for name, formulas in _t7().items():
         endo = standard_endo(name)
         for n, rhs in enumerate(formulas, start=1):
             got = apply_endo(endo, CarExpr.generator(n))
             _cell(report, name, f"a_{n}", "equal",
                   "equal" if got == psi_map(rhs) else "different")
     return report
+
+
+def verify_table6() -> TableReport:
+    return _verify_images("table6", {
+        name: None if formula is None
+        else [formula(n) for n in range(1, TABLE6_MODES + 1)]
+        for name, formula in TABLE6.items()})
+
+
+def verify_table7() -> TableReport:
+    return _verify_images("table7", _t7())
 
 
 def verify_table8() -> TableReport:

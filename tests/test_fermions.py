@@ -10,15 +10,15 @@ from cuntzalg.algebra import CuntzPoly
 from cuntzalg.morphisms import nakanishi, standard_endo, zeta
 from cuntzalg.scalars import INV_SQRT2, MINUS_ONE, ONE, SQRT2, Scalar
 from cuntzalg.fermions import (MAX_MODE, MAX_VACUUM_MODE, CarExpr, _letter,
-                               _satisfies_car, act_car, act_letter,
-                               anticommutator, apply_endo, car_equal,
-                               car_generator,
+                               act_car, act_letter, anticommutator,
+                               apply_endo, car_equal, car_generator,
                                car_generator_closed, fermion_branch, mixture,
                                psi_map, vacuum_check, verify_car,
                                verify_mixture_car)
 from cuntzalg.reps import ChainRep, CycleRep, act_poly
 from cuntzalg.words import all_words, parse_ev_word
 
+from test_morphisms import random_o2
 from test_properties import letter_act_poly
 
 
@@ -57,6 +57,32 @@ def test_letters_on_a_cold_cache(cold_cache, order):
             if dagger:
                 want = want.adjoint()
             assert psi_map(a(n, dagger)) == want, (n, dagger)
+
+
+def _satisfies_car(gens, pairs):
+    """The canonical anticommutation relations {x, y} = 0 and
+    {x, y^*} = delta_xy 1 in O_2, over the given pairs (x, y) of labels.
+
+    psi_map is a *-homomorphism, so with X = psi_map(x) and
+    Y = psi_map(y) the image of {x, y} is XY + YX and that of {x, y^*}
+    is XY^* + Y^*X: the relations are checked on these products of
+    images, with each generator embedded, and its adjoint formed, once.
+    The pair (y, x) gives the same relations as (x, y), the second one
+    as its adjoint, so one of the two suffices."""
+    images = {}
+    for label, x in gens.items():
+        image = psi_map(x)
+        images[label] = (image, image.adjoint())
+    one, zero = CuntzPoly.one(2), CuntzPoly.zero(2)
+    for k, l in pairs:
+        x = images[k][0]
+        y, y_star = images[l]
+        if not x * y + y * x == zero:
+            return False
+        want = one if k == l else zero
+        if not x * y_star + y_star * x == want:
+            return False
+    return True
 
 
 def all_pairs_car(gens):
@@ -105,12 +131,11 @@ def test_car_checker_matches_the_word_by_word_reference(gens, verdict):
     assert all_pairs_car(gens) is verdict
 
 
-def test_car_check_product_count(cold_cache, monkeypatch):
-    # verify_car(M) builds a_1 .. a_M (zeta makes four products per
-    # step; the closed form makes none) and then forms, for each of the
-    # M pairs (1, k), the four products a_1 a_k, a_k a_1, a_1 a_k^* and
-    # a_k^* a_1 of images embedded once.  Checking every unordered pair
-    # takes four products for each of the M(M+1)/2.
+def test_car_check_product_count(monkeypatch):
+    # verify_car(M) builds a_1 .. a_M by zeta, a letter-prefix map, and
+    # checks them against the closed form, all without a product; then
+    # it forms the six products of its four constant-size hypotheses
+    # (a_1 a_1, a_1 a_1^*, a_1^* a_1, u u, a_1 u, u a_1), whatever M is
     products = 0
     mul = CuntzPoly.__mul__
 
@@ -120,14 +145,24 @@ def test_car_check_product_count(cold_cache, monkeypatch):
         return mul(x, y)
 
     monkeypatch.setattr(CuntzPoly, "__mul__", counting_mul)
-    modes = 6
-    for n in range(1, modes + 1):
-        assert car_generator(n) == car_generator_closed(n)
-    building = products
-    monkeypatch.setattr(fermions, "_GEN_CACHE", {})
-    products = 0
-    assert verify_car(modes)
-    assert products <= 4 * modes + building, (products, building)
+    counts = []
+    for modes in range(1, MAX_MODE + 1):
+        monkeypatch.setattr(fermions, "_GEN_CACHE", {})
+        products = 0
+        assert verify_car(modes)
+        counts.append(products)
+    assert len(set(counts)) == 1 and counts[0] <= 8, counts
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_a1_anticommutes_with_every_zeta_image(seed):
+    # the lemma behind verify_car: {a_1, zeta(y)} = {a_1, zeta(y)^*} = 0
+    # for every y, here by products on seeded random y
+    rng = random.Random(f"zeta-lemma:{seed}")
+    y = random_o2(rng, rng.randint(1, 10))
+    a1, zero = car_generator(1), CuntzPoly.zero(2)
+    for z in (zeta(y), zeta(y).adjoint()):
+        assert a1 * z + z * a1 == zero
 
 
 def all_pairs_verdict(modes):

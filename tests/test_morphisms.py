@@ -172,11 +172,27 @@ def test_rotation_order_eight():
     assert half(gen(2)) == -gen(1)
 
 
+def random_o2(rng, size):
+    """A seeded polynomial of O_2: words of 0-3 letters, some coefficients
+    with a sqrt2 part."""
+    def word():
+        return tuple(rng.choice((1, 2)) for _ in range(rng.randint(0, 3)))
+    return CuntzPoly(2, {(word(), word()): Scalar(rng.randint(-3, 3) or 1,
+                                                  rng.choice((0, 0, 1, -2)))
+                         for _ in range(size)})
+
+
 def test_zeta_recursion():
-    x = gen(1) * gen(2).adjoint()
-    expected = (gen(1) * x * gen(1).adjoint()
-                - gen(2) * x * gen(2).adjoint())
-    assert zeta(x) == expected
+    # the letter-prefix map has the terms of the product definition, and
+    # their order, on either side of PAIR_WALK_MAX
+    rng = random.Random("zeta")
+    cases = [gen(1) * gen(2).adjoint()]
+    cases += [random_o2(rng, rng.randint(0, 12) if i % 4 else 140)
+              for i in range(1, 20)]
+    for x in cases:
+        expected = (gen(1) * x * gen(1).adjoint()
+                    - gen(2) * x * gen(2).adjoint())
+        assert list(zeta(x).terms.items()) == list(expected.terms.items())
 
 
 def test_multiplicative_and_star():
@@ -223,6 +239,16 @@ def test_perm_endo_rejects_degenerate_shapes():
         PermEndo(1, 2, {(1, 1): (1, 1)})
     with pytest.raises(ValueError, match="level must be at least 1"):
         PermEndo(2, 0, {(): ()})
+
+
+def test_perm_endo_refuses_entries_outside_its_domain():
+    identity_sigma = {(1,): (1,), (2,): (2,)}
+    with pytest.raises(ValueError, match="sigma has entries outside"):
+        PermEndo(2, 1, {**identity_sigma, (1, 1): (2, 2)},
+                 signs={(1, 2): -1, (3,): -1})
+    for stray in ((1, 2), (3,), ()):
+        with pytest.raises(ValueError, match="signs name words outside"):
+            PermEndo(2, 1, identity_sigma, signs={(1,): -1, stray: -1})
 
 
 def test_gauge_grade_preserved():
