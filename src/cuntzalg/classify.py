@@ -20,12 +20,11 @@ psi(s_J) psi(s_K)^*, the :func:`times` of the map of J and the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .scalars import MINUS_ONE, ONE
-from .words import (SignedMap, Word, adjoint, all_words, pad, render_word,
-                    times)
+from .words import (Record, SignedMap, Word, adjoint, all_words, pad,
+                    render_word, times)
 from .algebra import CuntzPoly
 from .morphisms import Morphism, PermEndo
 # perfbench/selftest.py checks that its tracer wraps classify.branch
@@ -55,11 +54,14 @@ def _check_level(level: int) -> None:
                          f"by N")
 
 
-@dataclass
-class RestrictionVerdict:
-    equal: bool
-    level: int
-    witness: Optional[Unit] = None
+class RestrictionVerdict(Record):
+    __slots__ = ("equal", "level", "witness")
+
+    def __init__(self, equal: bool, level: int,
+                 witness: Optional[Unit] = None):
+        self.equal = equal
+        self.level = level
+        self.witness = witness
 
     def __str__(self) -> str:
         if self.equal:

@@ -1,16 +1,19 @@
 """Expression parser for the command-line front end.
 
 Grammar (whitespace between tokens is ignored; a digit run is one token,
-so it holds no spaces: "s1 2" is s_1 times 2, not s_12):
+so it holds no spaces: "s1 2" is s_1 times 2, not s_12; a digit is one
+of the ASCII characters 0-9, and any other character, a non-ASCII digit
+such as '٣' or '²' too, is refused where a digit may stand):
 
     expr    := ['-'] term (('+' | '-') term)*
     term    := factor (['*'] factor)*
     factor  := atom "'"*
     atom    := scalar | generator | unit | mixture | '(' expr ')'
-    scalar  := integer ['/' integer] | 'r2'
+    scalar  := digits ['/' digits] | 'r2'
     generator := 's' digits | 'a' digits      (s12 means s_1 s_2)
-    unit    := 'E[' word ',' word ']'
-    mixture := 'b[' fraction ']'
+    unit    := 'E[' digits ',' digits ']'
+    mixture := 'b[' fraction ']'              (ASCII text, read by Fraction)
+    digits  := ('0' | '1' | ... | '9')+
 
 Juxtaposition multiplies; a postfix apostrophe takes the adjoint.
 Expressions over s/E live in O_n, expressions over a/b in the fermion
@@ -28,6 +31,8 @@ from .algebra import CuntzPoly
 from .fermions import CarExpr, mixture, psi_map
 
 Value = Union[Scalar, CuntzPoly, CarExpr]
+
+DIGITS = "0123456789"
 
 # deepest parenthesis nesting accepted: each level is four frames of the
 # recursive descent, so this stays far from the interpreter's recursion
@@ -80,7 +85,7 @@ class _Parser:
     def take_digits(self) -> str:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos] in DIGITS:
             self.pos += 1
         if self.pos == start:
             raise self.error("expected digits")
@@ -162,7 +167,7 @@ class _Parser:
                 raise self.error("unknown identifier (did you mean r2?)")
             self.pos += 2
             return SQRT2
-        if c.isdigit():
+        if c and c in DIGITS:
             num = int(self.take_digits())
             if self.peek() == "/":
                 self.pos += 1
@@ -226,6 +231,8 @@ class _Parser:
         body = self.text[start:self.pos].strip()
         self.pos += 1
         try:
+            if not body.isascii():
+                raise ValueError
             k = Fraction(body)
         except (ValueError, ZeroDivisionError):
             raise ExprError(f"bad mixture index {body!r}", start) from None

@@ -41,12 +41,11 @@ when the two signs of a term differ.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .scalars import Scalar
-from .words import (PHASE_0, PHASE_HALF, CycleClass, EvWord, Word,
+from .words import (PHASE_0, PHASE_HALF, CycleClass, EvWord, Record, Word,
                     adjoint, all_words, canonical_cycle, check_word,
                     is_primitive, make_ev_word, primitive_split,
                     render_word, rotations)
@@ -221,16 +220,22 @@ def act_poly(rep, poly, vec: Dict[Label, Scalar]) -> Dict[Label, Scalar]:
 MAX_BRANCH_STEPS = 200000
 
 
-@dataclass
-class Component:
+class Component(Record):
     """One irreducible-type summand of a composed representation."""
 
-    kind: str                       # "cycle" or "chain"
-    classes: List[CycleClass] = field(default_factory=list)
-    cycle_word: Word = ()
-    sign: int = 1
-    cycle_labels: List[Label] = field(default_factory=list)
-    chain_word: Optional[EvWord] = None
+    __slots__ = ("kind", "classes", "cycle_word", "sign", "cycle_labels",
+                 "chain_word")
+
+    def __init__(self, kind: str, classes: Optional[List[CycleClass]] = None,
+                 cycle_word: Word = (), sign: int = 1,
+                 cycle_labels: Optional[List[Label]] = None,
+                 chain_word: Optional[EvWord] = None):
+        self.kind = kind                # "cycle" or "chain"
+        self.classes = [] if classes is None else classes
+        self.cycle_word = cycle_word
+        self.sign = sign
+        self.cycle_labels = [] if cycle_labels is None else cycle_labels
+        self.chain_word = chain_word
 
     def describe(self) -> str:
         if self.kind == "cycle":
@@ -241,9 +246,11 @@ class Component:
         return f"P({self.chain_word})"
 
 
-@dataclass
-class BranchResult:
-    components: List[Component]
+class BranchResult(Record):
+    __slots__ = ("components",)
+
+    def __init__(self, components: List[Component]):
+        self.components = components
 
     def cycle_classes(self) -> List[CycleClass]:
         out: List[CycleClass] = []
@@ -329,7 +336,9 @@ def _follow_orbits(rep, pred, bound: int, name: str = "") -> BranchResult:
     after delta steps starts the ray's tail.  Two rays meet exactly when
     their tails have the same delta and the same set of
     (w, (m - |prefix|) mod delta) over one turn, so that pair is the key
-    of a chain component."""
+    of a chain component.  A label never comes back on a chain base, as
+    its height rises on every step, so only a cycle base keeps the path
+    positions of its labels to find where the path closes."""
     n = rep.n
     budget = MAX_BRANCH_STEPS  # a local in the step loop, read per call
     is_chain_base = isinstance(rep, ChainRep)
@@ -354,7 +363,7 @@ def _follow_orbits(rep, pred, bound: int, name: str = "") -> BranchResult:
         path: List[Label] = [seed]
         letters: List[int] = []
         signs: List[int] = []
-        index = {seed: 0}
+        index = None if is_chain_base else {seed: 0}
         states: Dict[Tuple, int] = {}
         while True:
             steps += 1
@@ -388,6 +397,9 @@ def _follow_orbits(rep, pred, bound: int, name: str = "") -> BranchResult:
                 for lab in path:
                     memo[lab] = known
                 break
+            if index is None:
+                path.append(prev)
+                continue
             at = index.get(prev)
             if at is not None:
                 word = tuple(letters[at:])
@@ -446,11 +458,13 @@ def grade_class(label: Label, k: int) -> int:
     return (p - 1 - len(w)) % k + 1
 
 
-@dataclass
-class UhfCycle:
+class UhfCycle(Record):
     """A gauge-invariant cycle class P[W]; rotations are inequivalent."""
 
-    word: Word
+    __slots__ = ("word",)
+
+    def __init__(self, word: Word):
+        self.word = word
 
     def __str__(self) -> str:
         return f"P[{render_word(self.word)}]"
@@ -459,12 +473,14 @@ class UhfCycle:
         return (len(self.word), self.word) < (len(other.word), other.word)
 
 
-@dataclass
-class UhfChainFamily:
+class UhfChainFamily(Record):
     """Restriction of a chain P(K): one copy of P[K shifted by eta] for
     every integer eta, with 1-padding below position one."""
 
-    ev: EvWord
+    __slots__ = ("ev",)
+
+    def __init__(self, ev: EvWord):
+        self.ev = ev
 
     def shifts(self, etas) -> List[EvWord]:
         from .words import shift
@@ -527,8 +543,7 @@ MAX_TWIST_LEVEL = 9
 Unitary = Tuple[int, int, List[Dict[int, int]]]
 
 
-@dataclass(frozen=True)
-class GpAtom:
+class GpAtom(NamedTuple):
     """One summand of a branching of GP(+) or GP(-).
 
     Internally GP(e) is P(i; q) o phi with i = 1 for '+', i = 2 for '-';

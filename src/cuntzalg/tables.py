@@ -20,11 +20,10 @@ the defining pattern of the dual infinite wedge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .scalars import MINUS_ONE, ONE
-from .words import parse_word
+from .words import Record, parse_word
 from .algebra import CuntzPoly
 from .morphisms import standard_endo, nakanishi
 from .reps import branching
@@ -272,12 +271,14 @@ THEOREM14 = {"restrictions": 20, "classes": 12, "klein": 4,
 # -- verification ----------------------------------------------------------
 
 
-@dataclass
-class CellReport:
-    row: str
-    column: str
-    expected: str
-    computed: str
+class CellReport(Record):
+    __slots__ = ("row", "column", "expected", "computed")
+
+    def __init__(self, row: str, column: str, expected: str, computed: str):
+        self.row = row
+        self.column = column
+        self.expected = expected
+        self.computed = computed
 
     @property
     def ok(self) -> bool:
@@ -291,10 +292,12 @@ class CellReport:
         return out
 
 
-@dataclass
-class TableReport:
-    name: str
-    cells: List[CellReport] = field(default_factory=list)
+class TableReport(Record):
+    __slots__ = ("name", "cells")
+
+    def __init__(self, name: str, cells: Optional[List[CellReport]] = None):
+        self.name = name
+        self.cells = [] if cells is None else cells
 
     @property
     def ok(self) -> bool:

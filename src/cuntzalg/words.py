@@ -6,14 +6,18 @@ canonical form: the period is primitive and the prefix is as short as
 possible.  Rotation classes of finite words with a phase label are
 :class:`CycleClass` values.  A signed partial bijection of words is a
 plain :data:`SignedMap` dict, with the functions below it.
+
+The library's value types do not use ``dataclasses``: importing it
+(with ``inspect``, ``ast``, ``dis`` and ``tokenize``) about doubles the
+start-up time of the command line.  The frozen ones are ``NamedTuple``s
+and the others subclass :class:`Record`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Dict, Iterator, Sequence, Tuple
+from typing import Dict, Iterator, NamedTuple, Sequence, Tuple
 
 Word = Tuple[int, ...]
 
@@ -24,6 +28,25 @@ SignedMap = Dict[Word, Tuple[int, Word]]
 
 # the two phases that act over the real field, built once
 PHASE_0, PHASE_HALF = Fraction(0), Fraction(1, 2)
+
+
+class Record:
+    """A mutable record whose fields are its ``__slots__``, set by the
+    subclass's ``__init__``.  ``repr`` and ``==`` go field by field, as
+    for a dataclass; like one that is not frozen, it is unhashable."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name)
+                   for name in self.__slots__)
 
 
 def check_word(word: Sequence[int], n: int) -> Word:
@@ -97,8 +120,7 @@ def minimal_rotation(word: Word) -> Word:
     return s[least:least + k]
 
 
-@dataclass(frozen=True)
-class CycleClass:
+class CycleClass(NamedTuple):
     """Rotation class of a primitive finite word plus a phase label.
 
     The phase is a reduced fraction q in [0,1) naming the root of unity
@@ -131,8 +153,7 @@ def canonical_cycle(word: Word, phase: Fraction = PHASE_0) -> CycleClass:
     return CycleClass(minimal_rotation(word), phase)
 
 
-@dataclass(frozen=True)
-class EvWord:
+class EvWord(NamedTuple):
     """Eventually periodic infinite word prefix + period^infinity.
 
     Canonical form: the period is primitive, and the prefix cannot be

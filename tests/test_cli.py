@@ -229,11 +229,27 @@ def test_verify_checks_the_level_before_any_table(capsys, monkeypatch,
     (("branch", "--rep", "P(1_0,2)", "--n", "3", "--endo", "nakanishi"),
      "bad word '1_0,2'"),
     (("branch", "--rep", "P(1, 2)", "--endo", "psi:12"), "bad word '1, 2'"),
-    (("normal", "s1 s\uff12'"), "bad word '\uff12'"),
 ])
 def test_malformed_representation_names_its_text(capsys, argv, text):
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (2, "", f"error: {text}\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("\u0663 s1", "unexpected character '\u0663' (at position 0)"),
+    ("a\u0663", "expected digits (at position 1)"),
+    ("2/\u0663 s1", "expected digits (at position 2)"),
+    ("s\u0663", "expected digits (at position 1)"),
+    ("E[1,\u0662]", "expected digits (at position 4)"),
+    ("s1 \u0663", "unexpected trailing input (at position 3)"),
+    ("\u00b2", "unexpected character '\u00b2' (at position 0)"),
+    ("a\u00b2", "expected digits (at position 1)"),
+    ("s1 s\uff12'", "expected digits (at position 4)"),
+    ("b[\u0663/2]", "bad mixture index '\u0663/2' (at position 2)"),
+])
+def test_non_ascii_digit_is_refused_at_its_position(capsys, text, message):
+    code, out, err = run(capsys, "normal", text)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_seed_bound_at_level_minus_one(capsys):

@@ -74,6 +74,21 @@ def test_errors_carry_positions():
         parse_expr("s1 )")
 
 
+# where a digit may stand, only ASCII 0-9 is one: an Arabic-Indic three,
+# a superscript two or a fullwidth two is refused at its own position
+NON_ASCII_DIGITS = [
+    ("\u0663 s1", 0), ("a\u0663", 1), ("2/\u0663 s1", 2), ("s\u0663", 1),
+    ("E[1,\u0662]", 4), ("s1 \u0663", 3), ("\u00b2", 0), ("a\u00b2", 1),
+    ("s1 s\uff12'", 4), ("b[\u0663/2]", 2)]
+
+
+@pytest.mark.parametrize("text, pos", NON_ASCII_DIGITS)
+def test_only_ascii_digits(text, pos):
+    with pytest.raises(ExprError) as err:
+        parse_expr(text)
+    assert err.value.pos == pos
+
+
 def test_render_roundtrip_examples():
     for text in ("s1s2' + s2s1'", "s12s21'", "1/2 + (1/2)*s1s2'"):
         value = parse_expr(text)
