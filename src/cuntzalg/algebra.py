@@ -37,6 +37,12 @@ the O(a b) of trying every pair; the pairs found are sorted back into
 the all-pairs order before they are summed.  So both paths give the same
 result, term order included; ``reduce`` contracts greedily in that
 order, so the order is part of the printed normal form.
+
+Sums.  Every sparse sum, here and in ``reps`` and ``fermions``, orders
+its terms by one rule, kept in :func:`_summed`: a key keeps the place of
+the item that took its running sum away from zero, a zero sum drops the
+key, and a zero item is never stored (the callers that read values from
+outside drop them before summing).
 """
 
 from __future__ import annotations
@@ -44,10 +50,10 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from operator import itemgetter
-from typing import Dict, Iterable, Iterator, List, Mapping, Tuple
+from typing import Dict, Hashable, Iterable, Iterator, List, Mapping, Tuple
 
 from .scalars import MINUS_ONE, ONE, Scalar
-from .words import SignedMap, Word, all_words, check_word
+from .words import SignedMap, Word, all_words, check_word, render_word
 
 Key = Tuple[Word, Word]
 
@@ -69,19 +75,9 @@ class CuntzPoly:
         if n < 2:
             raise ValueError("need at least two isometries")
         self.n = n
-        data: Dict[Key, Scalar] = {}
-        if terms:
-            for (j, k), coeff in terms.items():
-                if coeff.is_zero():
-                    continue
-                key = (check_word(j, n), check_word(k, n))
-                acc = data.get(key)
-                coeff = coeff if acc is None else acc + coeff
-                if coeff.is_zero():
-                    data.pop(key, None)
-                else:
-                    data[key] = coeff
-        self.terms = data
+        self.terms = _summed(((check_word(j, n), check_word(k, n)), c)
+                             for (j, k), c in terms.items()
+                             if not c.is_zero()) if terms else {}
         self._by_j = self._by_k = None
 
     @classmethod
@@ -117,10 +113,10 @@ class CuntzPoly:
         return cls(n, {((i,), ()): ONE})
 
     @classmethod
-    def monomial(cls, n: int, j: Iterable[int], k: Iterable[int],
-                 coeff: Scalar = ONE) -> "CuntzPoly":
-        """c * s_J s_K^*; an empty word means no isometry on that side."""
-        return cls(n, {(tuple(j), tuple(k)): coeff})
+    def monomial(cls, n: int, j: Iterable[int],
+                 k: Iterable[int]) -> "CuntzPoly":
+        """s_J s_K^*; an empty word means no isometry on that side."""
+        return cls(n, {(tuple(j), tuple(k)): ONE})
 
     @classmethod
     def matrix_unit(cls, n: int, j: Iterable[int], k: Iterable[int]) -> "CuntzPoly":
@@ -142,18 +138,8 @@ class CuntzPoly:
 
     def __add__(self, other: "CuntzPoly") -> "CuntzPoly":
         self._check_same(other)
-        data = dict(self.terms)
-        for key, coeff in other.terms.items():
-            acc = data.get(key)
-            if acc is None:
-                data[key] = coeff
-            else:
-                total = acc + coeff
-                if total.is_zero():
-                    del data[key]
-                else:
-                    data[key] = total
-        return CuntzPoly._from_valid(self.n, data)
+        return CuntzPoly._from_valid(
+            self.n, _summed(other.terms.items(), dict(self.terms)))
 
     def __sub__(self, other: "CuntzPoly") -> "CuntzPoly":
         return self + (-other)
@@ -259,18 +245,10 @@ class CuntzPoly:
         for (j, k) in self.terms:
             d = len(j) - len(k)
             depth[d] = max(depth.get(d, 0), len(k))
-        data: Dict[Key, Scalar] = {}
-        for (j, k), coeff in self.terms.items():
-            pad = depth[len(j) - len(k)] - len(k)
-            for w in all_words(self.n, pad):
-                key = (j + w, k + w)
-                acc = data.get(key)
-                total = coeff if acc is None else acc + coeff
-                if total.is_zero():
-                    data.pop(key, None)
-                else:
-                    data[key] = total
-        return data
+        return _summed(((j + w, k + w), coeff)
+                       for (j, k), coeff in self.terms.items()
+                       for w in all_words(self.n,
+                                          depth[len(j) - len(k)] - len(k)))
 
     def is_zero(self) -> bool:
         reduced = self.reduce()
@@ -296,7 +274,6 @@ class CuntzPoly:
         return len(self.terms)
 
     def __str__(self) -> str:
-        from .words import render_word
         reduced = self.reduce()
         if not reduced.terms:
             return "0"
@@ -333,31 +310,18 @@ class CuntzPoly:
 
 def _walked_product(left: CuntzPoly, right: CuntzPoly) -> Dict[Key, Scalar]:
     """The term map of left * right, found by trying every pair of terms
-    in the all-pairs order and summing each match as it is found."""
-    data: Dict[Key, Scalar] = {}
+    in the all-pairs order and summing the matches in that order."""
+    found = []
     pairs = right.terms.items()
     for (j1, k1), c1 in left.terms.items():
         cut = len(k1)
         for (j2, k2), c2 in pairs:
             if cut <= len(j2):
-                if j2[:cut] != k1:
-                    continue
-                key = (j1 + j2[cut:], k2)
-            else:
-                if k1[:len(j2)] != j2:
-                    continue
-                key = (j1, k2 + k1[len(j2):])
-            coeff = c1 * c2
-            acc = data.get(key)
-            if acc is None:
-                data[key] = coeff
-            else:
-                total = acc + coeff
-                if total.is_zero():
-                    del data[key]
-                else:
-                    data[key] = total
-    return data
+                if j2[:cut] == k1:
+                    found.append(((j1 + j2[cut:], k2), c1 * c2))
+            elif k1[:len(j2)] == j2:
+                found.append(((j1, k2 + k1[len(j2):]), c1 * c2))
+    return _summed(found)
 
 
 def _indexed_product(left: CuntzPoly, right: CuntzPoly) -> Dict[Key, Scalar]:
@@ -383,45 +347,44 @@ def _indexed_product(left: CuntzPoly, right: CuntzPoly) -> Dict[Key, Scalar]:
                 key1 = keys[s]
                 pairs.append((pos[s] * width + q, key1, key2, terms[key1] * c2))
     pairs.sort()
-    data: Dict[Key, Scalar] = {}
-    for _, (j1, k1), (j2, k2), coeff in pairs:
-        if len(k1) <= len(j2):
-            key = (j1 + j2[len(k1):], k2)
-        else:
-            key = (j1, k2 + k1[len(j2):])
-        acc = data.get(key)
-        if acc is None:
-            data[key] = coeff
-        else:
-            total = acc + coeff
-            if total.is_zero():
-                del data[key]
-            else:
-                data[key] = total
-    return data
+    return _summed(((j1 + j2[len(k1):], k2) if len(k1) <= len(j2)
+                    else (j1, k2 + k1[len(j2):]), coeff)
+                   for _, (j1, k1), (j2, k2), coeff in pairs)
 
 
 def _sum_scaled(n: int,
                 pieces: Iterable[Tuple[CuntzPoly, Scalar]]) -> CuntzPoly:
     """sum_p c_p * x_p over pieces (x_p, c_p) with nonzero c_p, summed into
-    one term map in place: the dict operations of the left-to-right sum
-    0 + x_1.scale(c_1) + x_2.scale(c_2) + ..., in the same order, so the
-    terms and their order are the same, without copying the partial sum
-    at every step."""
-    data: Dict[Key, Scalar] = {}
-    for piece, c in pieces:
-        for key, coeff in piece.terms.items():
-            coeff = coeff * c
-            acc = data.get(key)
-            if acc is None:
-                data[key] = coeff
+    one term map: the terms and order of the left-to-right sum
+    0 + x_1.scale(c_1) + x_2.scale(c_2) + ..., without copying the
+    partial sum at every step."""
+    return CuntzPoly._from_valid(n, _summed(
+        (key, coeff * c) for piece, c in pieces
+        for key, coeff in piece.terms.items()))
+
+
+def _summed(items: Iterable[Tuple[Hashable, Scalar]],
+            data: Dict | None = None) -> Dict:
+    """Sum nonzero (key, value) items into ``data`` (a new map by default)
+    in order, by the library's one term-order rule: a key keeps the place
+    of the item that took its running sum away from zero, and a zero sum
+    drops the key.  Returns the map.  The items are nonzero because
+    products and multiples of nonzero values are; the callers that read
+    values from outside (the two constructors, ``act_poly``, ``act_car``)
+    drop zero values first, so a zero item is never stored."""
+    if data is None:
+        data = {}
+    for key, value in items:
+        acc = data.get(key)
+        if acc is None:
+            data[key] = value
+        else:
+            value = acc + value
+            if value.is_zero():
+                del data[key]
             else:
-                total = acc + coeff
-                if total.is_zero():
-                    del data[key]
-                else:
-                    data[key] = total
-    return CuntzPoly._from_valid(n, data)
+                data[key] = value
+    return data
 
 
 def _partners(keys: List[Key], side: int, w: Word) -> Iterator[int]:

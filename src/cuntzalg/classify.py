@@ -2,7 +2,7 @@
 
 Everything here is read off signed maps of words: a permutative psi of
 level l sends s_J to the map T -> (eps_T, X_T) of sum_T eps_T s_{X_T}
-s_T^*, |T| = l-1 (:meth:`PermEndo.word_map`), and E_JK = s_J s_K^* to
+s_T^*, |T| = l-1 (:meth:`PermEndo.word_maps`), and E_JK = s_J s_K^* to
 psi(s_J) psi(s_K)^*, the :func:`times` of the map of J and the
 :func:`adjoint` of the map of K, with no polynomial product.  So
 
@@ -26,7 +26,7 @@ from .scalars import MINUS_ONE, ONE
 from .words import (Record, SignedMap, Word, adjoint, all_words, pad,
                     render_word, times)
 from .algebra import CuntzPoly
-from .morphisms import Morphism, PermEndo
+from .morphisms import Morphism, PermEndo, standard_endo
 # perfbench/selftest.py checks that its tracer wraps classify.branch
 from .reps import branch, branching  # noqa: F401
 
@@ -98,7 +98,7 @@ def uhf_restriction_equal(m1: PermEndo, m2: PermEndo,
     if m1.n != m2.n:
         raise ValueError("rank mismatch")
     pad1, pad2 = max(m2.level - m1.level, 0), max(m1.level - m2.level, 0)
-    prev1, prev2 = {(): m1.word_map(())}, {(): m2.word_map(())}
+    prev1, prev2 = m1.word_maps(0), m2.word_maps(0)
     for n in range(1, level + 1):
         ones = (1,) * n
         maps1: Dict[Word, SignedMap] = {}
@@ -153,9 +153,10 @@ def commutant_witness(endo: PermEndo, level: int = 1) -> Optional[CuntzPoly]:
             sign *= e
         return sign, c
 
-    ones_map = endo.word_map((1,) * level)
+    maps = endo.word_maps(level)
+    ones_map = maps[(1,) * level]
     for k in words:
-        unit = times(ones_map, adjoint(endo.word_map(k)))  # endo(E_{1^L,K})
+        unit = times(ones_map, adjoint(maps[k]))  # endo(E_{1^L,K})
         for image in (unit, adjoint(unit)):
             entries: Dict[Unit, List[Tuple[int, Unit]]] = {}
             for y, (e, x) in image.items():
@@ -262,24 +263,16 @@ def theorem14_counts(level: int = 5) -> Dict[str, int]:
     classes), klein (automorphism classes forming the four-group),
     irreducible and reducible (proper classes by type).
     """
-    from .morphisms import standard_endo
     endos = {name: standard_endo(name) for name in ALL_SIGMA}
 
     # distinct UHF restrictions: merge by certified restriction equality
-    names = list(ALL_SIGMA)
     reps: List[str] = []
     merged: Dict[str, str] = {}
-    for name in names:
-        home = None
-        for r in reps:
-            if uhf_restriction_equal(endos[name], endos[r], level).equal:
-                home = r
-                break
-        if home is None:
+    for name in ALL_SIGMA:
+        merged[name] = next((r for r in reps if uhf_restriction_equal(
+            endos[name], endos[r], level).equal), name)
+        if merged[name] == name:
             reps.append(name)
-            merged[name] = name
-        else:
-            merged[name] = home
     restrictions = len(reps)
 
     # unitary equivalence classes among the restrictions: merge the
@@ -314,19 +307,14 @@ def theorem14_counts(level: int = 5) -> Dict[str, int]:
             if not any(prod == endos[c] for c in KLEIN):
                 raise AssertionError("automorphism set not closed")
 
-    irr = red = 0
-    for r in classes:
-        if r in KLEIN:  # automorphism classes: neither proper type
-            continue
-        if commutant_witness(endos[r], 1) is not None:
-            red += 1
-        else:
-            irr += 1
+    # the automorphism classes are of neither proper type
+    proper = [r for r in classes if r not in KLEIN]
+    red = sum(commutant_witness(endos[r], 1) is not None for r in proper)
     return {
         "restrictions": restrictions,
         "classes": len(classes),
         "klein": klein,
-        "irreducible": irr,
+        "irreducible": len(proper) - red,
         "reducible": red,
     }
 

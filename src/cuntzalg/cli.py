@@ -29,14 +29,13 @@ from fractions import Fraction
 from typing import Dict, List, Optional
 
 from .scalars import Scalar
-from .words import primitive_split, render_word
+from .words import parse_integer, parse_number, primitive_split, render_word
 from .algebra import CuntzPoly
 from .morphisms import Morphism, PermEndo, lookup_morphism
-from .reps import (branching, decompose_power, parse_rep,
+from .reps import (FERMION_REPS, branching, decompose_power, parse_rep,
                    restrict_chain_to_uhf, restrict_cycle_to_uhf)
-from .fermions import (FERMION_REPS, CarExpr, _check_half_integer,
-                       _check_mode, mixture, psi_map, vacuum_check,
-                       verify_car, verify_mixture_car)
+from .fermions import (CarExpr, _check_half_integer, _check_mode, mixture,
+                       psi_map, vacuum_check, verify_car, verify_mixture_car)
 from .tables import VERIFIERS, TableReport, classify_table, verify_theorem14
 from .classify import _check_level, theorem14_counts
 from .exprs import ExprError, as_cuntz, parse_expr
@@ -212,21 +211,12 @@ def cmd_car(args) -> int:
 
 
 def cmd_mixture(args) -> int:
-    try:
-        k = Fraction(args.index)
-    except ZeroDivisionError:
-        raise ValueError(f"bad mixture index {args.index!r}") from None
-    k = _check_half_integer(k)
+    k = _check_half_integer(parse_number(args.index, "mixture index"))
     if args.check:
         # b_{+-|k|} use modes up to 2|k| + 2: refuse before listing them
         _check_mode(int(2 * abs(k) + 2))
-        step = Fraction(1)
-        ks: List[Fraction] = []
-        bound = abs(k)
-        cur = Fraction(1, 2)
-        while cur <= bound:
-            ks.extend((cur, -cur))
-            cur += step
+        ks = [sign * Fraction(2 * i + 1, 2) for i in range(int(abs(k)) + 1)
+              for sign in (1, -1)]
         return _print_check(verify_mixture_car(ks), args.json,
                             indices=[str(x) for x in ks])
     b = mixture(k)
@@ -288,12 +278,18 @@ def build_parser() -> argparse.ArgumentParser:
                     "fermion algebra.")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def integer(p, flag, default, **kw):
+        # kept as text: main reads it with words.parse_integer, so a
+        # refused number is one error line like every other
+        action = p.add_argument(
+            flag, default=None if default is None else str(default), **kw)
+        p.set_defaults(integers=(p.get_default("integers") or ()) + (action,))
+
     def common(p, n=True):
         p.add_argument("--json", action="store_true",
                        help="emit deterministic JSON")
         if n:
-            p.add_argument("--n", type=int, default=2,
-                           help="number of isometries (default 2)")
+            integer(p, "--n", 2, help="number of isometries (default 2)")
 
     p = sub.add_parser("normal", help="normal form of an expression")
     p.add_argument("expr")
@@ -327,8 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("restrict",
                        help="restrict to the gauge-invariant subalgebra")
     p.add_argument("--rep", required=True)
-    p.add_argument("--eta-min", type=int, default=-4)
-    p.add_argument("--eta-max", type=int, default=4)
+    integer(p, "--eta-min", -4)
+    integer(p, "--eta-max", 4)
     common(p)
     p.set_defaults(func=cmd_restrict)
 
@@ -343,9 +339,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("car",
                        help="fermion expressions and anticommutation checks")
     p.add_argument("expr", nargs="?")
-    p.add_argument("--check-modes", type=int, default=None,
-                   help="verify the anticommutation relations for this "
-                        "many modes")
+    integer(p, "--check-modes", None,
+            help="verify the anticommutation relations for this many "
+                 "modes")
     common(p, n=False)
     p.set_defaults(func=cmd_car)
 
@@ -360,21 +356,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("vacuum",
                        help="verify vacuum equations of a fermion rep")
     p.add_argument("rep", choices=list(FERMION_REPS))
-    p.add_argument("--max-mode", type=int, default=7)
+    integer(p, "--max-mode", 7)
     common(p, n=False)
     p.set_defaults(func=cmd_vacuum)
 
     p = sub.add_parser("verify", help="recompute a reference table")
     p.add_argument("which", choices=sorted(VERIFIERS) + ["all"])
-    p.add_argument("--level", type=int, default=5,
-                   help="certification level for theorem14 (default 5)")
+    integer(p, "--level", 5,
+            help="certification level for theorem14 (default 5)")
     common(p, n=False)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("classify",
                        help="recompute the classification counts")
-    p.add_argument("--level", type=int, default=5,
-                   help="certification level (default 5)")
+    integer(p, "--level", 5, help="certification level (default 5)")
     common(p, n=False)
     p.set_defaults(func=cmd_classify)
 
@@ -394,6 +389,11 @@ def main(argv: Optional[List[str]] = None) -> int:
             argv = ["mixture"] + flags + ["--"] + positional
     args = parser.parse_args(argv)
     try:
+        for action in getattr(args, "integers", ()):
+            text = getattr(args, action.dest)
+            if text is not None:
+                setattr(args, action.dest, parse_integer(
+                    text, f"{action.option_strings[0]} value"))
         if getattr(args, "n", 2) < 2:
             raise ValueError("need at least two isometries")
         return args.func(args)

@@ -12,7 +12,8 @@ such as '٣' or '²' too, is refused where a digit may stand):
     scalar  := digits ['/' digits] | 'r2'
     generator := 's' digits | 'a' digits      (s12 means s_1 s_2)
     unit    := 'E[' digits ',' digits ']'
-    mixture := 'b[' fraction ']'              (ASCII text, read by Fraction)
+    mixture := 'b[' number ']'
+    number  := ['+' | '-'] digits ['/' digits]   (words.parse_number)
     digits  := ('0' | '1' | ... | '9')+
 
 Juxtaposition multiplies; a postfix apostrophe takes the adjoint.
@@ -26,13 +27,11 @@ from fractions import Fraction
 from typing import Tuple, Union
 
 from .scalars import SQRT2, Scalar
-from .words import parse_word
+from .words import _DIGITS, parse_number, parse_word
 from .algebra import CuntzPoly
 from .fermions import CarExpr, mixture, psi_map
 
 Value = Union[Scalar, CuntzPoly, CarExpr]
-
-DIGITS = "0123456789"
 
 # deepest parenthesis nesting accepted: each level is four frames of the
 # recursive descent, so this stays far from the interpreter's recursion
@@ -85,7 +84,7 @@ class _Parser:
     def take_digits(self) -> str:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] in DIGITS:
+        while self.pos < len(self.text) and self.text[self.pos] in _DIGITS:
             self.pos += 1
         if self.pos == start:
             raise self.error("expected digits")
@@ -123,18 +122,16 @@ class _Parser:
             if c == "*":
                 self.pos += 1
                 c = self.peek()
-            if c == "" or c in "+-),]":
-                break
-            if c not in "sabE(r0123456789":
+            if not c or c not in "sabE(r0123456789":
                 break
             rhs = self.factor()
-            left, right = _promote(value, rhs)
-            if isinstance(left, Scalar):
-                value = right.scale(left) if not isinstance(right, Scalar) \
-                    else left * right
-            elif isinstance(right, Scalar):
-                value = left.scale(right)
+            if isinstance(value, Scalar):
+                value = value * rhs if isinstance(rhs, Scalar) \
+                    else rhs.scale(value)
+            elif isinstance(rhs, Scalar):
+                value = value.scale(rhs)
             else:
+                left, right = _promote(value, rhs)
                 value = left * right
         return value
 
@@ -167,7 +164,7 @@ class _Parser:
                 raise self.error("unknown identifier (did you mean r2?)")
             self.pos += 2
             return SQRT2
-        if c and c in DIGITS:
+        if c in _DIGITS:
             num = int(self.take_digits())
             if self.peek() == "/":
                 self.pos += 1
@@ -217,25 +214,16 @@ class _Parser:
     def mixture_atom(self) -> Value:
         if self.peek() != "[":
             raise self.error("expected '[' after b")
-        self.pos += 1
-        start = self.pos
-        depth = 1
-        while self.pos < len(self.text):
-            if self.text[self.pos] == "]":
-                depth -= 1
-                if depth == 0:
-                    break
-            self.pos += 1
-        if depth != 0:
+        start = self.pos + 1
+        end = self.text.find("]", start)
+        if end < 0:
+            self.pos = len(self.text)
             raise self.error("expected ']'")
-        body = self.text[start:self.pos].strip()
-        self.pos += 1
+        self.pos = end + 1
         try:
-            if not body.isascii():
-                raise ValueError
-            k = Fraction(body)
-        except (ValueError, ZeroDivisionError):
-            raise ExprError(f"bad mixture index {body!r}", start) from None
+            k = parse_number(self.text[start:end], "mixture index")
+        except ValueError as exc:
+            raise ExprError(str(exc), start) from None
         return mixture(k)
 
 

@@ -24,11 +24,12 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .scalars import MINUS_ONE, ONE, Scalar, ZERO
+from .scalars import MINUS_ONE, ONE, Scalar
 from .words import Word, all_words, render_word
-from .algebra import CuntzPoly, _sum_scaled
+from .algebra import CuntzPoly, _sum_scaled, _summed
 from .morphisms import Morphism, zeta
-from .reps import CycleRep, Hit, Label, _put, _take, branching
+from .reps import (FERMION_REPS, CycleRep, Hit, Label, _put, _take,
+                   branching)
 
 # a formal word in the fermion generators: ((n, dagger), ...)
 CarWord = Tuple[Tuple[int, bool], ...]
@@ -42,15 +43,9 @@ class CarExpr:
     """
 
     def __init__(self, terms: Optional[Dict[CarWord, Scalar]] = None):
-        self.terms: Dict[CarWord, Scalar] = {}
-        if terms:
-            for word, coeff in terms.items():
-                if not coeff.is_zero():
-                    self.terms[word] = coeff
-
-    @staticmethod
-    def zero() -> "CarExpr":
-        return CarExpr()
+        self.terms: Dict[CarWord, Scalar] = _summed(
+            (w, v) for w, v in terms.items()
+            if not v.is_zero()) if terms else {}
 
     @staticmethod
     def one() -> "CarExpr":
@@ -70,14 +65,7 @@ class CarExpr:
         return CarExpr({w: c * v for w, v in self.terms.items()})
 
     def __add__(self, other: "CarExpr") -> "CarExpr":
-        out = dict(self.terms)
-        for w, v in other.terms.items():
-            s = out.get(w, ZERO) + v
-            if s.is_zero():
-                out.pop(w, None)
-            else:
-                out[w] = s
-        return CarExpr(out)
+        return CarExpr(_summed(other.terms.items(), dict(self.terms)))
 
     def __sub__(self, other: "CarExpr") -> "CarExpr":
         return self + other.scale(MINUS_ONE)
@@ -86,16 +74,9 @@ class CarExpr:
         return self.scale(MINUS_ONE)
 
     def __mul__(self, other: "CarExpr") -> "CarExpr":
-        out: Dict[CarWord, Scalar] = {}
-        for w1, v1 in self.terms.items():
-            for w2, v2 in other.terms.items():
-                w = w1 + w2
-                s = out.get(w, ZERO) + v1 * v2
-                if s.is_zero():
-                    out.pop(w, None)
-                else:
-                    out[w] = s
-        return CarExpr(out)
+        return CarExpr(_summed((w1 + w2, v1 * v2)
+                               for w1, v1 in self.terms.items()
+                               for w2, v2 in other.terms.items()))
 
     def adjoint(self) -> "CarExpr":
         out: Dict[CarWord, Scalar] = {}
@@ -330,17 +311,6 @@ def verify_mixture_car(indices: Iterable[Fraction]) -> bool:
 
 # -- vacua in the four standard fermion representations --------------------
 
-# name -> (display name, cycle word of O_2 whose base point is the
-# vacuum, whether a_n^* rather than a_n annihilates the vacuum for odd
-# and for even n).  Fock* is realised on the cycle on 2; the vacuum of
-# IW*, the base point of P(21), is the vector s_2 Omega of P(12).
-FERMION_REPS: Dict[str, Tuple[str, Word, Tuple[bool, bool]]] = {
-    "fock": ("Fock", (1,), (False, False)),
-    "fock*": ("Fock*", (2,), (True, True)),
-    "iw": ("IW", (1, 2), (False, True)),
-    "iw*": ("IW*", (2, 1), (True, False)),
-}
-
 RENAME = {f"P[{render_word(word)}]": shown
           for shown, word, _ in FERMION_REPS.values()}
 
@@ -383,25 +353,22 @@ def act_letter(rep, n: int, dagger: bool, label: Label) -> Hit:
 def act_car(rep, x: CarExpr, vec: Dict[Label, Scalar]) -> Dict[Label, Scalar]:
     """Apply a fermion expression to a finite linear combination of
     labels, word by word, the last letter of a word acting first."""
-    out: Dict[Label, Scalar] = {}
-    for word, coeff in x.terms.items():
-        for start, amp in vec.items():
-            sign, label = 1, start
-            for n, dagger in reversed(word):
-                hit = act_letter(rep, n, dagger, label)
-                if hit is None:
-                    break
-                s, label = hit
-                sign *= s
-            else:
-                total = coeff * amp if sign == 1 else -(coeff * amp)
-                acc = out.get(label)
-                total = total if acc is None else acc + total
-                if total.is_zero():
-                    out.pop(label, None)
+    live = [(start, amp) for start, amp in vec.items() if not amp.is_zero()]
+
+    def hits():
+        for word, coeff in x.terms.items():
+            for start, amp in live:
+                sign, label = 1, start
+                for n, dagger in reversed(word):
+                    hit = act_letter(rep, n, dagger, label)
+                    if hit is None:
+                        break
+                    s, label = hit
+                    sign *= s
                 else:
-                    out[label] = total
-    return out
+                    yield label, coeff * amp if sign == 1 else -(coeff * amp)
+
+    return _summed(hits())
 
 
 def vacuum_check(name: str, max_mode: int = 7) -> bool:

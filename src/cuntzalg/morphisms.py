@@ -17,12 +17,11 @@ permutation.
 
 from __future__ import annotations
 
-import functools
 from typing import Dict, Iterable, List, Mapping, Sequence
 
 from .scalars import INV_SQRT2
 from .words import (SignedMap, Word, all_words, check_word, lower, pad,
-                    render_word)
+                    parse_integer, render_word)
 from .algebra import CuntzPoly, _sum_scaled
 
 # the image of a word can double with each letter: phi(s_1^L) has 2^L
@@ -155,10 +154,11 @@ class Morphism:
 
 
 def compose(first: Morphism, *rest: Morphism) -> Morphism:
-    """compose(f, g, h) = f o g o h (rightmost acts first)."""
-    out = first
-    for m in rest:
-        out = m.then(out)
+    """compose(f, g, h) = f o g o h (rightmost acts first), built from the
+    right: h.then(g).then(f)."""
+    *outer, out = (first,) + rest
+    for m in reversed(outer):
+        out = out.then(m)
     return out
 
 
@@ -301,17 +301,19 @@ class PermEndo(Morphism):
                 for i in range(1, self.n + 1)]
         return self._images
 
-    def word_map(self, j: Word) -> SignedMap:
-        """The signed map of psi(s_J).
+    def word_maps(self, depth: int) -> Dict[Word, SignedMap]:
+        """The signed map of psi(s_J) for every word J of length ``depth``,
+        J in ``all_words`` order.
 
         psi(s_J) = sum_T eps_T s_{X_T} s_T^*, |T| = l-1, and the map is
         T -> (eps_T, X_T), T in ``all_words`` order.  The empty word maps T
-        to (1, T), and the map of iJ is :meth:`extend_map` of the map of J:
-        the map is read off J one letter at a time, last letter first."""
-        found = {t: (1, t) for t in all_words(self.n, self.level - 1)}
-        for letter in reversed(j):
-            found = self.extend_map(letter, found)
-        return found
+        to (1, T), and the map of iJ is :meth:`extend_map` of the map of J,
+        so each depth is built on the one below."""
+        maps = {(): {t: (1, t) for t in all_words(self.n, self.level - 1)}}
+        for _ in range(depth):
+            maps = {(a,) + j: self.extend_map(a, found)
+                    for a in range(1, self.n + 1) for j, found in maps.items()}
+        return maps
 
     def extend_map(self, letter: int, found: SignedMap) -> SignedMap:
         """The word map of s_i s_J from the word map ``found`` of s_J: with
@@ -341,10 +343,7 @@ class PermEndo(Morphism):
             raise ValueError(f"the composite {name or 'of these maps'} has "
                              f"level {level}, a word map of {n}^{level} "
                              f"words above the limit of {MAX_IMAGE_PAIRS}")
-        right = {(): other.word_map(())}
-        for _ in range(self.level - 1):
-            right = {(a,) + t: other.extend_map(a, found)
-                     for a in range(1, n + 1) for t, found in right.items()}
+        right = other.word_maps(self.level - 1)
         w: SignedMap = {}
         for j, (e, x) in self.u.items():
             head, left = j[:1], other.extend_map(x[0], right[x[1:]])
@@ -373,14 +372,11 @@ class PermEndo(Morphism):
         eps_iT psi(s_sigma(iT)) psi(s_T)^*, and the psi(s_T), |T| = l-1, are
         isometries with orthogonal ranges summing to 1, so it is s_i iff
         psi(s_sigma(J)) = eps_J s_i psi(s_T) for every J = iT, compared one
-        J at a time on word maps cached by suffix."""
-        @functools.cache
-        def word_map(j: Word) -> SignedMap:
-            return (self.extend_map(j[0], word_map(j[1:])) if j
-                    else self.word_map(()))
-
-        return all(word_map(x) == {t: (e * f, j[:1] + y) for t, (f, y)
-                                   in word_map(j[1:]).items()}
+        J at a time on the word maps of length l-1."""
+        below = self.word_maps(self.level - 1)
+        return all(self.extend_map(x[0], below[x[1:]])
+                   == {t: (e * f, j[:1] + y) for t, (f, y)
+                       in below[j[1:]].items()}
                    for j, (e, x) in self.u.items())
 
 
@@ -443,7 +439,8 @@ def parse_cycles(text: str) -> List[List[int]]:
             bodies.append(rest[1:close])
             rest = rest[close + 1:]
     try:
-        return [[int(c) for c in body] for body in bodies]
+        return [[parse_integer(c, "cycle entry") for c in body]
+                for body in bodies]
     except ValueError:
         raise ValueError(bad) from None
 
@@ -480,10 +477,7 @@ def lookup_morphism(name: str) -> Morphism:
     """Resolve a possibly composite name like "psi:1324", "alpha.phi"."""
     name = name.strip()
     if "." in name:
-        parts = [lookup_morphism(p) for p in name.split(".")]
-        out = parts[-1]
-        for m in reversed(parts[:-1]):
-            out = out.then(m)
+        out = compose(*map(lookup_morphism, name.split(".")))
         out.name = name
         return out
     if name.startswith("psi:"):

@@ -47,8 +47,10 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 from .scalars import Scalar
 from .words import (PHASE_0, PHASE_HALF, CycleClass, EvWord, Record, Word,
                     adjoint, all_words, canonical_cycle, check_word,
-                    is_primitive, make_ev_word, primitive_split,
-                    render_word, rotations)
+                    is_primitive, make_ev_word, minimal_rotation,
+                    parse_ev_word, parse_number, parse_word,
+                    primitive_split, render_word, rotations, shift)
+from .algebra import _summed
 from .morphisms import Morphism, PermEndo
 
 Label = Tuple[Word, int]
@@ -195,23 +197,17 @@ def act_poly(rep, poly, vec: Dict[Label, Scalar]) -> Dict[Label, Scalar]:
     keeps it when they are K, and puts J on (:func:`_put`); the int
     signs of the two steps are folded in by negating coeff * amp when
     they differ."""
-    out: Dict[Label, Scalar] = {}
-    for (j, k), coeff in poly.terms.items():
-        for label, amp in vec.items():
-            word, s1, mid = _take(rep, label, len(k))
-            if word != k:
-                continue
-            s2, final = _put(rep, j, mid)
-            total = coeff * amp
-            if s1 != s2:
-                total = -total
-            acc = out.get(final)
-            total = total if acc is None else acc + total
-            if total.is_zero():
-                out.pop(final, None)
-            else:
-                out[final] = total
-    return out
+    live = [(label, amp) for label, amp in vec.items() if not amp.is_zero()]
+
+    def hits():
+        for (j, k), coeff in poly.terms.items():
+            for label, amp in live:
+                word, s1, mid = _take(rep, label, len(k))
+                if word == k:
+                    s2, final = _put(rep, j, mid)
+                    yield final, coeff * amp if s1 == s2 else -(coeff * amp)
+
+    return _summed(hits())
 
 
 # -- branching -----------------------------------------------------------
@@ -240,7 +236,6 @@ class Component(Record):
     def describe(self) -> str:
         if self.kind == "cycle":
             if self.sign == 1:
-                from .words import minimal_rotation
                 return f"P({render_word(minimal_rotation(self.cycle_word))})"
             return " (+) ".join(str(c) for c in self.classes)
         return f"P({self.chain_word})"
@@ -483,7 +478,6 @@ class UhfChainFamily(Record):
         self.ev = ev
 
     def shifts(self, etas) -> List[EvWord]:
-        from .words import shift
         return [shift(self.ev, eta) for eta in etas]
 
     def __str__(self) -> str:
@@ -517,7 +511,6 @@ def uhf_branch(n: int, word, endo: PermEndo) -> Dict[int, List[UhfCycle]]:
     for comp in result.components:
         if comp.kind != "cycle":
             raise RuntimeError("cycle base produced a chain component")
-        m = len(comp.cycle_word)
         for j, label in enumerate(comp.cycle_labels):
             i = grade_class(label, k)
             rotated = comp.cycle_word[j:] + comp.cycle_word[:j]
@@ -775,12 +768,21 @@ def _corners(u: Unitary) -> Optional[Tuple[Unitary, Unitary]]:
 
 # -- parsing of representation names --------------------------------------
 
+# name -> (display name, cycle word of O_2 whose base point is the
+# vacuum, whether a_n^* rather than a_n annihilates the vacuum for odd
+# and for even n).  Fock* is realised on the cycle on 2; the vacuum of
+# IW*, the base point of P(21), is the vector s_2 Omega of P(12).
+FERMION_REPS: Dict[str, Tuple[str, Word, Tuple[bool, bool]]] = {
+    "fock": ("Fock", (1,), (False, False)),
+    "fock*": ("Fock*", (2,), (True, True)),
+    "iw": ("IW", (1, 2), (False, True)),
+    "iw*": ("IW*", (2, 1), (True, False)),
+}
+
 
 def parse_rep(text: str, n: int = 2):
     """Resolve "P(12)", "P[12]", "P(12;1/2)", "2(12)^inf", "GP(+)",
     "fock", "iw*" to a representation description."""
-    from .fermions import FERMION_REPS
-    from .words import parse_ev_word, parse_word
     text = text.strip()
     rep = FERMION_REPS.get(text.lower())
     if rep is not None:
@@ -788,14 +790,8 @@ def parse_rep(text: str, n: int = 2):
     if text in ("GP(+)", "GP(-)", "GP[+]", "GP[-]"):
         return ("gp", text[3], text[2] == "[")
     if text.startswith("P(") and text.endswith(")"):
-        body = text[2:-1]
-        phase = Fraction(0)
-        if ";" in body:
-            body, _, qtext = body.partition(";")
-            try:
-                phase = Fraction(qtext)
-            except (ValueError, ZeroDivisionError):
-                raise ValueError(f"bad phase {qtext!r}") from None
+        body, semi, qtext = text[2:-1].partition(";")
+        phase = parse_number(qtext, "phase") if semi else PHASE_0
         if "^inf" in body:
             return ("chain", parse_ev_word(body, n))
         return ("cycle", parse_word(body, n), phase)

@@ -26,9 +26,8 @@ from .scalars import MINUS_ONE, ONE
 from .words import Record, parse_word
 from .algebra import CuntzPoly
 from .morphisms import standard_endo, nakanishi
-from .reps import branching
-from .fermions import (FERMION_REPS, CarExpr, apply_endo, fermion_branch,
-                       psi_map)
+from .reps import FERMION_REPS, branching
+from .fermions import CarExpr, apply_endo, fermion_branch, psi_map
 from .classify import (AD_FLIP, O_TESTS, UHF_TESTS, commutant_witness,
                        fingerprint, multiset, theorem14_counts)
 

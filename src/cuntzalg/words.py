@@ -223,6 +223,34 @@ def render_word(word: Word) -> str:
 _DIGITS = {str(d): d for d in range(10)}
 
 
+def _is_integer(text: str) -> bool:
+    """An optional sign, then ASCII digits."""
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    return digits.isascii() and digits.isdigit()
+
+
+def parse_number(text: str, what: str) -> Fraction:
+    """Read an optional sign, ASCII digits, and optionally '/' and ASCII
+    digits: the one rule for every number the command line reads.
+    Surrounding whitespace is ignored, as :func:`parse_word` ignores it;
+    other text (another Unicode digit, an inner space, an underscore, a
+    decimal point) and a zero denominator are refused by a ValueError
+    naming ``what``."""
+    num, slash, den = text.strip().partition("/")
+    if _is_integer(num) and (not slash or den.isascii() and den.isdigit()
+                             and int(den)):
+        return Fraction(int(num), int(den) if slash else 1)
+    raise ValueError(f"bad {what} {text!r}")
+
+
+def parse_integer(text: str, what: str) -> int:
+    """An optional sign and ASCII digits, read as an int; other text is
+    refused as by :func:`parse_number`."""
+    if _is_integer(text.strip()):
+        return int(text)
+    raise ValueError(f"bad {what} {text!r}")
+
+
 def parse_word(text: str, n: int) -> Word:
     """Parse "12", "1122", or the comma form "10,2,3"; other text is
     refused by a ValueError that quotes it.  Letters are ASCII digits

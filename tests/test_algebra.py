@@ -8,8 +8,14 @@ from hypothesis import given, settings, strategies as st
 
 from cuntzalg.scalars import INV_SQRT2, MINUS_ONE, ONE, SQRT2, ZERO, Scalar
 from cuntzalg.algebra import (PAIR_WALK_MAX, CuntzPoly, _indexed_product,
-                              _walked_product)
+                              _summed, _walked_product)
+from cuntzalg.fermions import CarExpr, act_car, psi_map
+from cuntzalg.morphisms import lookup_morphism
+from cuntzalg.reps import CycleRep, act_poly
 from cuntzalg.words import all_words
+
+from test_morphisms import random_o2, seeded_poly
+from test_properties import letter_act_poly
 
 
 def gen(i, n=2):
@@ -355,3 +361,141 @@ def test_reduce_matches_the_rescanning_reference(n):
         assert list(p.reduce().terms.items()) == want, p.terms
         contracted += len(want) < len(p.terms)
     assert contracted > 1000
+
+
+# -- the one sum rule against an independent reference ---------------------
+
+
+def reference_sum(items):
+    """The sum of (key, value) items with the keys ordered by the item
+    that last took each running sum away from zero; keys whose sum is
+    zero are dropped."""
+    total, since = {}, {}
+    for pos, (key, value) in enumerate(items):
+        before = total.get(key, ZERO)
+        total[key] = before + value
+        if before.is_zero() and not total[key].is_zero():
+            since[key] = pos
+    return [(key, total[key]) for key in sorted(since, key=since.get)
+            if not total[key].is_zero()]
+
+
+# small values that cancel often; ZERO, which _summed never receives, is
+# a value the constructors and the label actions must drop
+SUM_VALUES = [ONE, ONE, MINUS_ONE, MINUS_ONE, ZERO, Scalar(2), SQRT2, -SQRT2]
+
+
+def cancelling_items(rng, keys, count):
+    """Seeded nonzero (key, value) items over few keys: sums cancel and
+    keys come back after a cancellation."""
+    values = [v for v in SUM_VALUES if not v.is_zero()]
+    return [(rng.choice(keys), rng.choice(values)) for _ in range(count)]
+
+
+def comebacks(items):
+    """How often a key comes back after its sum cancelled."""
+    total, cancelled = {}, set()
+    back = 0
+    for key, value in items:
+        before = total.get(key, ZERO)
+        total[key] = before + value
+        if not before.is_zero():
+            if total[key].is_zero():
+                cancelled.add(key)
+        else:
+            back += key in cancelled
+    return back
+
+
+def test_summed_matches_the_reference():
+    rng = random.Random(2401)
+    back = 0
+    for _ in range(2000):
+        items = cancelling_items(rng, "abcd", rng.randint(0, 14))
+        want = reference_sum(items)
+        assert list(_summed(items).items()) == want, items
+        # summing into a map that already holds a sum continues that sum
+        cut = rng.randint(0, len(items))
+        start = _summed(items[:cut])
+        assert _summed(items[cut:], start) is start
+        assert list(start.items()) == want, items
+        back += comebacks(items)
+    assert back > 300, back
+
+
+def random_term_map(rng, size):
+    """A term map on few keys, with zero coefficients among the rest."""
+    keys = [((), ()), ((1,), ()), ((), (1,)), ((1,), (2,)), ((2,), (2,))]
+    return {rng.choice(keys): rng.choice(SUM_VALUES) for _ in range(size)}
+
+
+def test_polynomial_sums_follow_the_rule():
+    rng = random.Random(2402)
+    zeros = 0
+    for _ in range(500):
+        left, right = (random_term_map(rng, rng.randint(0, 6))
+                       for _ in range(2))
+        a, b = CuntzPoly(2, left), CuntzPoly(2, right)
+        assert list(a.terms.items()) == reference_sum(left.items())
+        zeros += sum(c.is_zero() for c in left.values())
+        want = reference_sum(list(a.terms.items()) + list(b.terms.items()))
+        assert list((a + b).terms.items()) == want
+        minus = [(key, -c) for key, c in b.terms.items()]
+        assert list((a - b).terms.items()) == reference_sum(
+            list(a.terms.items()) + minus)
+    assert zeros > 100, zeros
+
+
+@pytest.mark.parametrize("name", ["phi", "phi_rot", "psi:142", "alpha.phi"])
+def test_morphism_images_follow_the_rule(name):
+    # m(x) sums the products m(s_J) m(s_K)^* of the terms of x, scaled,
+    # in term order
+    m = lookup_morphism(name)
+    rng = random.Random(f"sum-rule:{name}")
+    for size in (1, 3, 8, 20) * 5:
+        x = seeded_poly(rng, m.n, size)
+        items = [(key, c * coeff) for (j, k), coeff in x.terms.items()
+                 for key, c in (m.word_image(j)
+                                * m.word_image(k).adjoint()).terms.items()]
+        assert list(m(x).terms.items()) == reference_sum(items)
+
+
+def random_car(rng):
+    """A fermion expression on few words, zero coefficients skipped."""
+    words = [(), ((1, False),), ((1, True),), ((2, False), (1, True))]
+    return {rng.choice(words): rng.choice(SUM_VALUES)
+            for _ in range(rng.randint(0, 5))}
+
+
+def test_fermion_sums_follow_the_rule():
+    rng = random.Random(2403)
+    zeros = 0
+    for _ in range(500):
+        left, right = random_car(rng), random_car(rng)
+        a, b = CarExpr(left), CarExpr(right)
+        assert list(a.terms.items()) == reference_sum(left.items())
+        zeros += sum(v.is_zero() for v in left.values())
+        assert list((a + b).terms.items()) == reference_sum(
+            list(a.terms.items()) + list(b.terms.items()))
+        assert list((a * b).terms.items()) == reference_sum(
+            (w1 + w2, v1 * v2) for w1, v1 in a.terms.items()
+            for w2, v2 in b.terms.items())
+    assert zeros > 100, zeros
+
+
+def test_label_actions_sum_by_the_rule():
+    # the values of act_poly against the letter-by-letter reference, and
+    # of act_car against act_poly of the O_2 image; amplitudes include 0,
+    # which no result may store
+    rng = random.Random(2404)
+    rep = CycleRep(2, (1, 1, 2), Fraction(1, 2))
+    labels = rep.seed_labels(2)
+    for _ in range(150):
+        vec = {rng.choice(labels): rng.choice(SUM_VALUES)
+               for _ in range(rng.randint(1, 5))}
+        x = random_o2(rng, rng.randint(1, 5))
+        assert act_poly(rep, x, vec) == letter_act_poly(rep, x, vec)
+        e = CarExpr(random_car(rng))
+        assert act_car(rep, e, vec) == act_poly(rep, psi_map(e), vec)
+        assert act_poly(rep, CuntzPoly.one(2), vec) == {
+            label: c for label, c in vec.items() if not c.is_zero()}

@@ -252,6 +252,60 @@ def test_non_ascii_digit_is_refused_at_its_position(capsys, text, message):
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("mixture", "\u0663/2"), "bad mixture index '\u0663/2'"),
+    (("mixture", "1_1/2"), "bad mixture index '1_1/2'"),
+    (("mixture", "1.5"), "bad mixture index '1.5'"),
+    (("mixture", "x"), "bad mixture index 'x'"),
+    (("mixture", "-\u0661/2"), "bad mixture index '-\u0661/2'"),
+    (("classify", "--level", "\u0663"), "bad --level value '\u0663'"),
+    (("classify", "--level", "x"), "bad --level value 'x'"),
+    (("verify", "table1", "--level", "5/1"), "bad --level value '5/1'"),
+    (("vacuum", "fock", "--max-mode", "\u0663"),
+     "bad --max-mode value '\u0663'"),
+    (("car", "--check-modes", "1_0"), "bad --check-modes value '1_0'"),
+    (("branch", "--rep", "P(12)", "--endo", "psi:142", "--n", "\u0662"),
+     "bad --n value '\u0662'"),
+    (("restrict", "--rep", "2(12)^inf", "--eta-min", "\u0661"),
+     "bad --eta-min value '\u0661'"),
+    (("restrict", "--rep", "2(12)^inf", "--eta-max", "4 0"),
+     "bad --eta-max value '4 0'"),
+    (("normal", "b[1.5]"), "bad mixture index '1.5' (at position 2)"),
+    (("normal", "b[1_1/2]"), "bad mixture index '1_1/2' (at position 2)"),
+    (("apply", "s1", "--endo", "psi:1\u066324"),
+     "bad cycle notation: '1\u066324'"),
+    (("branch", "--rep", "P(1;\u0661/2)", "--endo", "psi:12"),
+     "bad phase '\u0661/2'"),
+    (("branch", "--rep", "P(1;0.5)", "--endo", "psi:12"), "bad phase '0.5'"),
+    (("branch", "--rep", "P(1;1_0/20)", "--endo", "psi:12"),
+     "bad phase '1_0/20'"),
+    (("branch", "--rep", "P(1;1/0)", "--endo", "psi:12"), "bad phase '1/0'"),
+    (("branch", "--rep", "P(1;1 /2)", "--endo", "psi:12"),
+     "bad phase '1 /2'"),
+])
+def test_numbers_are_signed_ascii_digits_with_an_optional_slash(
+        capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, out", [
+    (("mixture", "-3/2"), "(-1)*a1a1'a4 + a1'a1a4'\n"),
+    (("mixture", "+3/2"), "(-1)*a1a1'a5' + (-1)*a1'a1a5\n"),
+    (("normal", "b[ -1/2 ]"), "a1a1'a2 + (-1)*a1'a1a2'\n"),
+    (("branch", "--rep", "P(1;-1/2)", "--endo", "psi:12"), "P(12)\n"),
+    (("branch", "--rep", "P(12; 1/2)", "--endo", "psi:12"),
+     "P(1122)\n"),
+    (("mixture", " 3/2"), "(-1)*a1a1'a5' + (-1)*a1'a1a5\n"),
+    (("restrict", "--rep", "2(12)^inf", "--eta-min=-1", "--eta-max", "+0"),
+     "(+)_eta P[shift((21)^inf, eta)]\n  eta=-1: P[(12)^inf]\n"
+     "  eta=0: P[(21)^inf]\n"),
+    (("car", "--check-modes", "003"), "pass\n"),
+    (("vacuum", "fock", "--max-mode", " 3 "), "pass\n"),
+])
+def test_signed_numbers_are_read(capsys, argv, out):
+    assert run(capsys, *argv) == (0, out, "")
+
+
 def test_seed_bound_at_level_minus_one(capsys):
     """branch seeds at the level minus one of the map; the seed bound is
     not an option."""

@@ -43,8 +43,9 @@ def test_word_map_matches_word_image(n, level):
     endo = PermEndo(n, level, dict(zip(words, images)),
                     signs={w: rng.choice((1, -1)) for w in words})
     for length in (3, 0, 1, 2):
-        for j in all_words(n, length):
-            terms = endo.word_map(j)
+        maps = endo.word_maps(length)
+        assert list(maps) == list(all_words(n, length))
+        for j, terms in maps.items():
             assert list(terms) == list(all_words(n, level - 1))
             assert endo.word_image(j) == CuntzPoly(n, {
                 (x, t): ONE if e == 1 else MINUS_ONE
