@@ -14,10 +14,11 @@ pads both sides to a common adjoint depth per grade before comparing,
 unless the two term maps already coincide.
 
 Construction.  The public constructor ``CuntzPoly(n, terms)`` checks every
-letter and drops or merges zero coefficients.  Term maps built by the
-library's own operations (sum, negation, scaling, product, adjoint,
-reduction) already have in-range letters and nonzero coefficients, so
-they are wrapped by ``CuntzPoly._from_valid`` without a second check.
+letter and drops or merges zero coefficients; the one-term ``monomial``
+and ``from_scalar`` check the rank and letters and need no merge.  Term
+maps built by the library's own operations (sum, negation, scaling,
+product, adjoint, reduction) already have in-range letters and nonzero
+coefficients, so they are wrapped by ``CuntzPoly._from_valid`` unchecked.
 The term map of a polynomial is never mutated after construction: the
 product caches sorted views of it.
 
@@ -72,8 +73,7 @@ class CuntzPoly:
     __slots__ = ("n", "terms", "_by_j", "_by_k")
 
     def __init__(self, n: int, terms: Mapping[Key, Scalar] | None = None):
-        if n < 2:
-            raise ValueError("need at least two isometries")
+        check_rank(n)
         self.n = n
         self.terms = _summed(((check_word(j, n), check_word(k, n)), c)
                              for (j, k), c in terms.items()
@@ -116,7 +116,8 @@ class CuntzPoly:
     def monomial(cls, n: int, j: Iterable[int],
                  k: Iterable[int]) -> "CuntzPoly":
         """s_J s_K^*; an empty word means no isometry on that side."""
-        return cls(n, {(tuple(j), tuple(k)): ONE})
+        check_rank(n)
+        return cls._from_valid(n, {(check_word(j, n), check_word(k, n)): ONE})
 
     @classmethod
     def matrix_unit(cls, n: int, j: Iterable[int], k: Iterable[int]) -> "CuntzPoly":
@@ -128,7 +129,8 @@ class CuntzPoly:
 
     @classmethod
     def from_scalar(cls, n: int, c: Scalar) -> "CuntzPoly":
-        return cls(n, {((), ()): c})
+        check_rank(n)
+        return cls._from_valid(n, {} if c.is_zero() else {((), ()): c})
 
     # -- ring structure ---------------------------------------------------
 
@@ -306,6 +308,11 @@ class CuntzPoly:
 
     def __repr__(self) -> str:
         return f"CuntzPoly(N={self.n}, {self})"
+
+
+def check_rank(n: int) -> None:
+    if n < 2:
+        raise ValueError("need at least two isometries")
 
 
 def _walked_product(left: CuntzPoly, right: CuntzPoly) -> Dict[Key, Scalar]:

@@ -30,7 +30,7 @@ from typing import Dict, List, Optional
 
 from .scalars import Scalar
 from .words import parse_integer, parse_number, primitive_split, render_word
-from .algebra import CuntzPoly
+from .algebra import CuntzPoly, check_rank
 from .morphisms import Morphism, PermEndo, lookup_morphism
 from .reps import (FERMION_REPS, branching, decompose_power, parse_rep,
                    restrict_chain_to_uhf, restrict_cycle_to_uhf)
@@ -394,8 +394,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             if text is not None:
                 setattr(args, action.dest, parse_integer(
                     text, f"{action.option_strings[0]} value"))
-        if getattr(args, "n", 2) < 2:
-            raise ValueError("need at least two isometries")
+        check_rank(getattr(args, "n", 2))
         return args.func(args)
     except (ExprError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -18,7 +18,8 @@ such as '٣' or '²' too, is refused where a digit may stand):
 
 Juxtaposition multiplies; a postfix apostrophe takes the adjoint.
 Expressions over s/E live in O_n, expressions over a/b in the fermion
-algebra; mixing the two promotes the fermion part to its image in O_2.
+algebra; mixing the two promotes the fermion part to its image in O_2,
+and a scalar summand of either to that multiple of the unit.
 """
 
 from __future__ import annotations
@@ -47,20 +48,22 @@ class ExprError(ValueError):
         self.pos = pos
 
 
+def _lift(v: Value, like: Value) -> Value:
+    if isinstance(v, Scalar):
+        if isinstance(like, CuntzPoly):
+            return CuntzPoly.from_scalar(like.n, v)
+        if isinstance(like, CarExpr):
+            return CarExpr.from_scalar(v)
+    return v
+
+
 def _promote(left: Value, right: Value) -> Tuple[Value, Value]:
     """Bring two operands to a common algebra for + / *."""
-    def lift(v: Value, like: Value) -> Value:
-        if isinstance(v, Scalar):
-            if isinstance(like, CuntzPoly):
-                return CuntzPoly.from_scalar(like.n, v)
-            if isinstance(like, CarExpr):
-                return CarExpr.from_scalar(v)
-        return v
     if isinstance(left, CarExpr) and isinstance(right, CuntzPoly):
         left = psi_map(left)
     elif isinstance(right, CarExpr) and isinstance(left, CuntzPoly):
         right = psi_map(right)
-    return lift(left, right), lift(right, left)
+    return _lift(left, right), _lift(right, left)
 
 
 class _Parser:
@@ -110,8 +113,6 @@ class _Parser:
             self.pos += 1
             rhs = self.term()
             left, right = _promote(value, rhs)
-            if isinstance(left, Scalar) != isinstance(right, Scalar):
-                raise self.error("cannot add a scalar to an operator")
             value = left + right if op == "+" else left - right
         return value
 
@@ -174,7 +175,7 @@ class _Parser:
                 if den == 0:
                     raise ExprError("zero denominator", start)
                 return Scalar(Fraction(num, den))
-            return Scalar(Fraction(num))
+            return Scalar(num)
         if c == "s":
             if self.text[self.pos:self.pos + 5] == "sqrt2":
                 self.pos += 5

@@ -47,6 +47,13 @@ class CarExpr:
             (w, v) for w, v in terms.items()
             if not v.is_zero()) if terms else {}
 
+    @classmethod
+    def _from_valid(cls, terms: Dict[CarWord, Scalar]) -> "CarExpr":
+        """Wrap a term map already summed, with no zero value, unchecked."""
+        x = object.__new__(cls)
+        x.terms = terms
+        return x
+
     @staticmethod
     def one() -> "CarExpr":
         return CarExpr({(): ONE})
@@ -65,7 +72,7 @@ class CarExpr:
         return CarExpr({w: c * v for w, v in self.terms.items()})
 
     def __add__(self, other: "CarExpr") -> "CarExpr":
-        return CarExpr(_summed(other.terms.items(), dict(self.terms)))
+        return self._from_valid(_summed(other.terms.items(), dict(self.terms)))
 
     def __sub__(self, other: "CarExpr") -> "CarExpr":
         return self + other.scale(MINUS_ONE)
@@ -74,9 +81,9 @@ class CarExpr:
         return self.scale(MINUS_ONE)
 
     def __mul__(self, other: "CarExpr") -> "CarExpr":
-        return CarExpr(_summed((w1 + w2, v1 * v2)
-                               for w1, v1 in self.terms.items()
-                               for w2, v2 in other.terms.items()))
+        return self._from_valid(_summed((w1 + w2, v1 * v2)
+                                        for w1, v1 in self.terms.items()
+                                        for w2, v2 in other.terms.items()))
 
     def adjoint(self) -> "CarExpr":
         out: Dict[CarWord, Scalar] = {}

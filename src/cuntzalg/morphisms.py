@@ -12,7 +12,7 @@ permutation u of the words of a fixed length l, kept as a signed map of
 :mod:`cuntzalg.words`; the named signed maps id, alpha, beta_j and theta
 are level-1 PermEndos.  For N = 2, l = 2 the words are numbered 1..4 in
 lexicographic order, so cycle names like "psi_1324" pick out a concrete
-permutation.
+permutation; ``perm_from_cycles`` checks its cycles, then builds u unchecked.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Dict, Iterable, List, Mapping, Sequence
 from .scalars import INV_SQRT2
 from .words import (SignedMap, Word, all_words, check_word, lower, pad,
                     parse_integer, render_word)
-from .algebra import CuntzPoly, _sum_scaled
+from .algebra import CuntzPoly, _sum_scaled, check_rank
 
 # the image of a word can double with each letter: phi(s_1^L) has 2^L
 # terms.  `apply s<15 ones> --endo phi` (32768 terms) answers in about
@@ -234,10 +234,7 @@ class PermEndo(Morphism):
 
     def __init__(self, n: int, level: int, sigma: Mapping[Word, Word],
                  signs: Mapping[Word, int] | None = None, name: str = ""):
-        if n < 2:
-            raise ValueError("need at least two isometries")
-        if level < 1:
-            raise ValueError(f"level must be at least 1, got {level}")
+        _check_shape(n, level)
         domain = list(all_words(n, level))
         # u keeps every word once, as the domain's tuple, and none of sigma's
         words = {w: w for w in domain}
@@ -380,14 +377,10 @@ class PermEndo(Morphism):
                    for j, (e, x) in self.u.items())
 
 
-def number_word(idx: int, n: int, length: int) -> Word:
-    """The word of the given length with 1-based lexicographic index idx."""
-    idx -= 1
-    out = []
-    for _ in range(length):
-        out.append(idx % n + 1)
-        idx //= n
-    return tuple(reversed(out))
+def _check_shape(n: int, level: int) -> None:
+    check_rank(n)
+    if level < 1:
+        raise ValueError(f"level must be at least 1, got {level}")
 
 
 def perm_from_cycles(cycles: Iterable[Sequence[int]], n: int,
@@ -397,8 +390,10 @@ def perm_from_cycles(cycles: Iterable[Sequence[int]], n: int,
     Numbers refer to words of length ``level`` in lexicographic order,
     e.g. for n = 2, level = 2: 1 = 11, 2 = 12, 3 = 21, 4 = 22.
     """
-    size = n ** level
-    mapping = {i: i for i in range(1, size + 1)}
+    _check_shape(n, level)
+    words = list(all_words(n, level))
+    size = len(words)
+    u = {w: (1, w) for w in words}
     seen = set()
     label_parts = []
     for cyc in cycles:
@@ -408,17 +403,16 @@ def perm_from_cycles(cycles: Iterable[Sequence[int]], n: int,
         if set(cyc) & seen:
             raise ValueError("cycles must be disjoint")
         seen.update(cyc)
-        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+        for a in cyc:
             if not 1 <= a <= size:
                 raise ValueError(f"cycle entry {a} outside 1..{size}")
-            mapping[a] = b
+        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+            u[words[a - 1]] = (1, words[b - 1])
         label_parts.append("".join(str(c) for c in cyc) if size <= 9
                            else "(" + ",".join(str(c) for c in cyc) + ")")
-    sigma = {number_word(a, n, level): number_word(b, n, level)
-             for a, b in mapping.items()}
     label = "psi_" + ("".join(f"({p})" for p in label_parts)
                       if len(label_parts) > 1 else (label_parts[0] if label_parts else "id"))
-    return PermEndo(n, level, sigma, name=label)
+    return PermEndo._from_valid(n, u, name=label)
 
 
 def parse_cycles(text: str) -> List[List[int]]:

@@ -12,10 +12,10 @@ ints.  The field operations, with ``inverse`` and ``/`` public API that
 the library itself never calls, work on the ints directly and call
 ``gcd`` only when the result may be reducible (a denominator above 1).
 Most coefficients are the signs +-1, so the integer case d = 1 is the
-fast path.  Results are built by the unchecked ``_make``; only the
-public ``Scalar(rat, root2)`` coerces its arguments through
-:class:`fractions.Fraction`, and the read-only ``rat`` and ``root2`` give
-the two rational parts back as Fractions.
+fast path.  Results are built by the unchecked ``_make``; the public
+``Scalar(rat, root2)`` takes two ints (not bools) as (rat, root2, 1) and
+coerces other arguments through :class:`fractions.Fraction`; the
+read-only ``rat`` and ``root2`` give the rational parts as Fractions.
 """
 
 from __future__ import annotations
@@ -33,8 +33,10 @@ class Scalar:
     __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, rat: RationalLike = 0, root2: RationalLike = 0):
-        rat = Fraction(rat)
-        root2 = Fraction(root2)
+        if type(rat) is int and type(root2) is int:
+            self._a, self._b, self._d = rat, root2, 1
+            return
+        rat, root2 = Fraction(rat), Fraction(root2)
         d = lcm(rat.denominator, root2.denominator)
         # both parts are in lowest terms, so gcd(a, b, d) is already 1
         self._a = rat.numerator * (d // rat.denominator)

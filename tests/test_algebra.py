@@ -271,6 +271,25 @@ def test_zero_coefficients_dropped():
     assert p.terms == {((2,), (1,)): ONE}
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: CuntzPoly.monomial(1, (1,), ()), "need at least two isometries"),
+    (lambda: CuntzPoly.monomial(2, (3,), ()), "letter 3 outside alphabet 1..2"),
+    (lambda: CuntzPoly.monomial(2, (), (1, 0)), "letter 0 outside alphabet 1..2"),
+    (lambda: CuntzPoly.from_scalar(1, ONE), "need at least two isometries"),
+])
+def test_one_term_constructors_check_their_term(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
+def test_one_term_constructors_build_one_valid_term():
+    assert CuntzPoly.from_scalar(2, ZERO).terms == {}
+    assert CuntzPoly.from_scalar(3, SQRT2).terms == {((), ()): SQRT2}
+    p = CuntzPoly.monomial(3, [1, 3], iter([2]))
+    assert p.terms == {((1, 3), (2,)): ONE}
+    assert_valid_terms(p)
+
+
 def assert_valid_terms(p):
     """What CuntzPoly._from_valid takes on trust."""
     for (j, k), coeff in p.terms.items():

@@ -167,6 +167,17 @@ def test_zero_denominator_is_usage_error(capsys, argv):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("text, out", [("2 + s1", "2 + s1\n"),
+                                       ("2 + a1", "(2)*1 + a1\n")])
+def test_scalar_summand_is_a_multiple_of_the_unit(capsys, text, out):
+    assert run(capsys, "normal", text) == (0, out, "")
+
+
+def test_matrix_unit_of_unequal_lengths_is_usage_error(capsys):
+    assert run(capsys, "normal", "E[1,12]") == (
+        2, "", "error: matrix unit needs |J| = |K|\n")
+
+
 def test_repeated_cycle_entry_is_usage_error(capsys):
     code, _, err = run(capsys, "branch", "--rep", "P(12)", "--endo",
                        "psi:1122")

@@ -1,5 +1,7 @@
 """The expression grammar used by the command line."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -111,3 +113,66 @@ def small_polys():
 def test_render_roundtrip_property(p):
     printed = str(p)
     assert as_cuntz(parse_expr(printed), 2) == p
+
+
+# -- every result is built as the public constructor would build it --------
+
+SCALAR_TEXTS = ["0", "1", "2", "1/2", "3/4", "r2"]
+
+
+def seeded_text(rng, n, letters, depth):
+    """A random expression over scalars and the atoms of ``letters``
+    ("s" for O_n, "a" for fermions, "sa" for both)."""
+    if depth == 0 or rng.random() < 0.25:
+        kind = rng.choice(letters + "c")
+        if kind == "c":
+            return rng.choice(SCALAR_TEXTS)
+        if kind == "a":
+            return rng.choice(["a1", "a2", "a3'", "a1'", "b[1/2]", "b[-1/2]'"])
+        word = "".join(str(rng.randint(1, n)) for _ in range(rng.randint(1, 3)))
+        if rng.random() < 0.3:
+            other = "".join(str(rng.randint(1, n)) for _ in word)
+            return f"E[{word},{other}]"
+        return "s" + word
+    left = seeded_text(rng, n, letters, depth - 1)
+    right = seeded_text(rng, n, letters, depth - 1)
+    text = f"({left}){rng.choice([' + ', ' - ', ' ', '*'])}({right})"
+    return text + "'" if rng.random() < 0.2 else text
+
+
+def assert_built_once(value):
+    """Summing the value's map again, with every check, changes nothing."""
+    if isinstance(value, CuntzPoly):
+        again = CuntzPoly(value.n, value.terms)
+    elif isinstance(value, CarExpr):
+        again = CarExpr(value.terms)
+    else:
+        return
+    assert list(again.terms.items()) == list(value.terms.items())
+
+
+def test_results_need_no_second_sum():
+    rng = random.Random(2501)
+    kinds = {CuntzPoly: 0, CarExpr: 0, Scalar: 0}
+    for _ in range(400):
+        n, letters = rng.choice([(2, "s"), (3, "s"), (2, "a"), (2, "sa")])
+        value = parse_expr(seeded_text(rng, n, letters, 3), n)
+        assert_built_once(value)
+        kinds[type(value)] += 1
+        if isinstance(value, CarExpr):
+            other = parse_expr(seeded_text(rng, 2, "a", 2))
+            other = CarExpr.from_scalar(other) if isinstance(
+                other, Scalar) else other
+            assert_built_once(value + other)
+            assert_built_once(value * other)
+        # one term straight from the constructors, letters up to n + 1
+        j = [rng.randint(0, n + 1) for _ in range(rng.randint(0, 3))]
+        k = [rng.randint(1, n + 1) for _ in range(rng.randint(0, 2))]
+        if all(1 <= letter <= n for letter in j + k):
+            assert_built_once(CuntzPoly.monomial(n, j, k))
+        else:
+            with pytest.raises(ValueError, match="outside alphabet"):
+                CuntzPoly.monomial(n, j, k)
+        c = parse_expr(rng.choice(SCALAR_TEXTS))
+        assert_built_once(CuntzPoly.from_scalar(n, c))
+    assert kinds[CuntzPoly] > 100 and kinds[CarExpr] > 50, kinds

@@ -9,10 +9,12 @@ from cuntzalg import morphisms
 from cuntzalg.scalars import INV_SQRT2, MINUS_ONE, ONE, SQRT2, Scalar
 from cuntzalg.algebra import CuntzPoly
 from cuntzalg.words import all_words
+from cuntzalg.classify import ALL_SIGMA
 from cuntzalg.morphisms import (Morphism, PermEndo, compose, flip, gauge_flip,
                                 hadamard, identity, lookup_morphism,
-                                nakanishi, perm_from_cycles, rotation,
-                                standard_endo, total_gauge_flip, zeta)
+                                nakanishi, parse_cycles, perm_from_cycles,
+                                rotation, standard_endo, total_gauge_flip,
+                                zeta)
 
 
 def gen(i, n=2):
@@ -233,6 +235,42 @@ def test_perm_from_cycles_rejects_repeated_entry():
         perm_from_cycles([[1, 1, 2, 2]], 2, 2)
     with pytest.raises(ValueError, match="disjoint"):
         perm_from_cycles([[1, 2], [2, 3]], 2, 2)
+
+
+@pytest.mark.parametrize("cycle, entry", [
+    ([1, 9], 9), ([9, 1], 9), ([2, 0], 0), ([3, -1, 5], -1)])
+def test_perm_from_cycles_rejects_entries_outside_the_words(cycle, entry):
+    with pytest.raises(ValueError) as err:
+        perm_from_cycles([[4], cycle], 2, 2)
+    assert str(err.value) == f"cycle entry {entry} outside 1..4"
+
+
+@pytest.mark.parametrize("cycles, n, level, message", [
+    ([], 1, 2, "need at least two isometries"),
+    ([], 2, 0, "level must be at least 1, got 0"),
+    ([], 2, -1, "level must be at least 1, got -1"),
+    ([[1, 2]], 1, 1, "need at least two isometries"),
+])
+def test_perm_from_cycles_checks_its_shape_first(cycles, n, level, message):
+    with pytest.raises(ValueError) as err:
+        perm_from_cycles(cycles, n, level)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("spec", ALL_SIGMA)
+def test_standard_endo_is_the_checked_perm_endo(spec):
+    # the words of length 2 numbered 1..4 in lexicographic order
+    words = [(1, 1), (1, 2), (2, 1), (2, 2)]
+    sigma = {w: w for w in words}
+    for cycle in parse_cycles(spec):
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            sigma[words[a - 1]] = words[b - 1]
+    endo, checked = standard_endo(spec), PermEndo(2, 2, sigma)
+    assert list(endo.u.items()) == list(checked.u.items())
+    assert (endo.name, endo.level) == (f"psi_{spec}", 2)
+    # each value word is the tuple of its key, as PermEndo keeps it
+    keys = {j: j for j in endo.u}
+    assert all(x is keys[x] for _, x in endo.u.values())
 
 
 def test_perm_endo_rejects_degenerate_shapes():

@@ -128,6 +128,21 @@ def test_equal_values_have_equal_triples(x, y):
         assert u == v and hash(u) == hash(v)
 
 
+@given(st.integers(-10**30, 10**30), st.integers(-10**30, 10**30))
+def test_int_arguments_give_the_fraction_triple(a, b):
+    for u, v in [(Scalar(a), Scalar(Fraction(a))),
+                 (Scalar(a, b), Scalar(Fraction(a), Fraction(b)))]:
+        assert (u._a, u._b, u._d) == (v._a, v._b, v._d)
+        assert u == v and hash(u) == hash(v)
+
+
+def test_bool_arguments_read_as_ints():
+    for x in (Scalar(True), Scalar(1, False)):
+        assert (x._a, x._b, x._d) == (1, 0, 1)
+        assert type(x._a) is int and type(x._b) is int
+        assert x == ONE and str(x) == "1"
+
+
 def test_canonical_forms():
     assert (ZERO._a, ZERO._b, ZERO._d) == (0, 0, 1)
     assert ((SQRT2 - SQRT2)._a, (SQRT2 - SQRT2)._d) == (0, 1)
