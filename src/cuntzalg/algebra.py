@@ -15,7 +15,8 @@ unless the two term maps already coincide.
 
 Construction.  The public constructor ``CuntzPoly(n, terms)`` checks every
 letter and drops or merges zero coefficients; the one-term ``monomial``
-and ``from_scalar`` check the rank and letters and need no merge.  Term
+and ``from_scalar`` (and ``one``, ``zero`` and ``generator`` through
+them or ``check_rank``) check the rank and letters and need no merge.  Term
 maps built by the library's own operations (sum, negation, scaling,
 product, adjoint, reduction) already have in-range letters and nonzero
 coefficients, so they are wrapped by ``CuntzPoly._from_valid`` unchecked.
@@ -101,16 +102,18 @@ class CuntzPoly:
 
     @classmethod
     def zero(cls, n: int) -> "CuntzPoly":
-        return cls(n)
+        check_rank(n)
+        return cls._from_valid(n, {})
 
     @classmethod
     def one(cls, n: int) -> "CuntzPoly":
-        return cls(n, {((), ()): ONE})
+        check_rank(n)
+        return cls._from_valid(n, {((), ()): ONE})
 
     @classmethod
     def generator(cls, n: int, i: int) -> "CuntzPoly":
         """The isometry s_i."""
-        return cls(n, {((i,), ()): ONE})
+        return cls.monomial(n, (i,), ())
 
     @classmethod
     def monomial(cls, n: int, j: Iterable[int],
@@ -152,7 +155,7 @@ class CuntzPoly:
 
     def scale(self, c: Scalar) -> "CuntzPoly":
         if c.is_zero():
-            return CuntzPoly.zero(self.n)
+            return CuntzPoly._from_valid(self.n, {})
         return CuntzPoly._from_valid(
             self.n, {key: coeff * c for key, coeff in self.terms.items()})
 

@@ -69,7 +69,9 @@ class CarExpr:
         return CarExpr({(): c})
 
     def scale(self, c: Scalar) -> "CarExpr":
-        return CarExpr({w: c * v for w, v in self.terms.items()})
+        if c.is_zero():
+            return self._from_valid({})
+        return self._from_valid({w: c * v for w, v in self.terms.items()})
 
     def __add__(self, other: "CarExpr") -> "CarExpr":
         return self._from_valid(_summed(other.terms.items(), dict(self.terms)))
@@ -86,11 +88,8 @@ class CarExpr:
                                         for w2, v2 in other.terms.items()))
 
     def adjoint(self) -> "CarExpr":
-        out: Dict[CarWord, Scalar] = {}
-        for w, v in self.terms.items():
-            flipped = tuple((n, not d) for (n, d) in reversed(w))
-            out[flipped] = v.conjugate()
-        return CarExpr(out)
+        return self._from_valid({tuple((n, not d) for (n, d) in reversed(w)):
+                                 v.conjugate() for w, v in self.terms.items()})
 
     def __str__(self) -> str:
         if not self.terms:

@@ -15,8 +15,12 @@ families are implemented:
 Composing such a representation with a permutative endomorphism again
 gives a permutative representation; :func:`branch` computes its
 decomposition into cycles and chains by following the unique-predecessor
-map backwards from a complete set of seed labels.  :func:`branching`
-takes the representation by name instead and returns its sorted cells.
+map backwards from a complete set of seed labels.  A cycle
+:class:`Component` holds its word, sign and labels; its classes under
+the power decomposition are derived only where they are read, and
+:func:`uhf_branch` reads the primitive root of each label's word off one
+split of the component's word.  :func:`branching` takes the
+representation by name instead and returns its sorted cells.
 
 For each length r, s_W^* kills a label for every word W of length r
 but one.  Words act on labels in two steps, never letter by letter.
@@ -62,7 +66,7 @@ Hit = Optional[Tuple[int, Label]]
 class CycleRep:
     """The cycle representation P(J; q) on labels (w, p), p in 1..|J|."""
 
-    __slots__ = ("n", "word", "phase", "k", "wrap")
+    __slots__ = ("n", "word", "phase", "k", "wrap", "text")
 
     def __init__(self, n: int, word, phase: Fraction = PHASE_0):
         word = check_word(word, n)
@@ -77,6 +81,8 @@ class CycleRep:
         self.k = len(word)
         # the sign s_J picks up when it closes the cycle: e^(2 pi i q)
         self.wrap = -1 if q else 1
+        # J repeated, as long as the longest read so far needs
+        self.text = word * 2
 
     def _prev_letter(self, p: int) -> int:
         """The letter carrying e_p back one step: s_{l(p)} e_p = e_{p-1}."""
@@ -88,9 +94,11 @@ class CycleRep:
 
         W is J[p-1 : p-1+r] of the repeated cycle word J, and the sign is
         wrap^(number of times the read passes the end of J)."""
-        wraps, at = divmod(p - 1 + r, self.k)
-        return ((self.word * (wraps + 1))[p - 1:p - 1 + r],
-                self.wrap ** wraps, at + 1)
+        end = p - 1 + r
+        wraps, at = divmod(end, self.k)
+        if end > len(self.text):
+            self.text = self.word * (wraps + 1)
+        return self.text[p - 1:end], self.wrap if wraps & 1 else 1, at + 1
 
     def push(self, word: Word, q: int) -> Tuple[int, Label]:
         """s_word e_q as (sign, label): the last letters of word that
@@ -108,14 +116,8 @@ class CycleRep:
         return self.k * self.n ** bound
 
     def seed_labels(self, bound: int) -> List[Label]:
-        out = []
-        for p in range(1, self.k + 1):
-            bad = self._prev_letter(p)
-            for length in range(bound + 1):
-                for w in all_words(self.n, length):
-                    if not w or w[-1] != bad:
-                        out.append((w, p))
-        return out
+        return _reduced_labels(self.n, bound, range(1, self.k + 1),
+                               self._prev_letter)
 
     def vacuum(self) -> Label:
         return ((), 1)
@@ -127,19 +129,33 @@ class CycleRep:
 class ChainRep:
     """The chain representation P(K) on labels (w, m), m in Z."""
 
-    __slots__ = ("n", "ev")
+    __slots__ = ("n", "ev", "text")
 
     def __init__(self, ev: EvWord):
         self.n = ev.n
         self.ev = ev
+        # K(1) K(2) ..., as long as the longest read so far needs
+        self.text = ev.prefix + ev.period * 2
 
     def _letter(self, m: int) -> int:
         return self.ev.letter(m) if m >= 1 else 1
 
     def read(self, m: int, r: int) -> Tuple[Word, int, int]:
         """s_W^* e_m for the one word W of length r it does not kill:
-        (W, 1, m + r), W the letters K(m+1) .. K(m+r)."""
-        return tuple(map(self._letter, range(m + 1, m + r + 1))), 1, m + r
+        (W, 1, m + r), W the letters K(m+1) .. K(m+r).
+
+        The letters at positions up to 0 are 1s, and the rest is a slice
+        of K that starts within its prefix or its first period."""
+        end = m + r
+        ones = (1,) * (min(end, 0) - m) if m < 0 else ()
+        first = max(m, 0)
+        pre, per = len(self.ev.prefix), len(self.ev.period)
+        start = first if first <= pre else pre + (first - pre) % per
+        stop = start + max(end - first, 0)
+        if stop > len(self.text):
+            self.text = self.ev.prefix + self.ev.period * ((stop - pre) // per
+                                                           + 1)
+        return ones + self.text[start:stop], 1, end
 
     def push(self, word: Word, q: int) -> Tuple[int, Label]:
         """s_word e_q as (1, label): the last letters of word that match
@@ -156,18 +172,24 @@ class ChainRep:
         return offsets * self.n ** bound
 
     def seed_labels(self, bound: int) -> List[Label]:
-        lo = -bound
         hi = len(self.ev.prefix) + len(self.ev.period) + bound
-        out = []
-        for m in range(lo, hi + 1):
-            for length in range(bound + 1):
-                for w in all_words(self.n, length):
-                    if not w or w[-1] != self._letter(m):
-                        out.append((w, m))
-        return out
+        return _reduced_labels(self.n, bound, range(-bound, hi + 1),
+                               self._letter)
 
     def __repr__(self) -> str:
         return f"P({self.ev})"
+
+
+def _reduced_labels(n: int, bound: int, positions, bad) -> List[Label]:
+    """The labels (w, p) with |w| <= bound over the given positions whose
+    word part does not end in bad(p), the letter s_w would absorb: at
+    each position, the words by length and then lexicographically."""
+    words = [w for length in range(bound + 1) for w in all_words(n, length)]
+    out = []
+    for p in positions:
+        last = bad(p)
+        out.extend((w, p) for w in words if not w or w[-1] != last)
+    return out
 
 
 def _take(rep, label: Label, r: int) -> Tuple[Word, int, Label]:
@@ -217,21 +239,31 @@ MAX_BRANCH_STEPS = 200000
 
 
 class Component(Record):
-    """One irreducible-type summand of a composed representation."""
+    """One irreducible-type summand of a composed representation.
 
-    __slots__ = ("kind", "classes", "cycle_word", "sign", "cycle_labels",
-                 "chain_word")
+    A cycle component holds its word, its sign and the labels of its
+    cycle; its classes, the summands of P(word; sign) by
+    :func:`decompose_power`, are derived where they are read.  The
+    ``classes`` argument keeps its place in the constructor and is not
+    stored."""
 
-    def __init__(self, kind: str, classes: Optional[List[CycleClass]] = None,
-                 cycle_word: Word = (), sign: int = 1,
-                 cycle_labels: Optional[List[Label]] = None,
+    __slots__ = ("kind", "cycle_word", "sign", "cycle_labels", "chain_word")
+
+    def __init__(self, kind: str, classes=None, cycle_word: Word = (),
+                 sign: int = 1, cycle_labels: Optional[List[Label]] = None,
                  chain_word: Optional[EvWord] = None):
         self.kind = kind                # "cycle" or "chain"
-        self.classes = [] if classes is None else classes
         self.cycle_word = cycle_word
         self.sign = sign
         self.cycle_labels = [] if cycle_labels is None else cycle_labels
         self.chain_word = chain_word
+
+    @property
+    def classes(self) -> List[CycleClass]:
+        """The cycle classes of a cycle component, none for a chain."""
+        if self.kind != "cycle":
+            return []
+        return decompose_power(*primitive_split(self.cycle_word), self.sign)
 
     def describe(self) -> str:
         if self.kind == "cycle":
@@ -333,7 +365,9 @@ def _follow_orbits(rep, pred, bound: int, name: str = "") -> BranchResult:
     (w, (m - |prefix|) mod delta) over one turn, so that pair is the key
     of a chain component.  A label never comes back on a chain base, as
     its height rises on every step, so only a cycle base keeps the path
-    positions of its labels to find where the path closes."""
+    positions of its labels to find where the path closes: the one dict
+    ``seen`` maps a walked label to its component id and a label on the
+    current path of a cycle base to -1 - its position."""
     n = rep.n
     budget = MAX_BRANCH_STEPS  # a local in the step loop, read per call
     is_chain_base = isinstance(rep, ChainRep)
@@ -348,17 +382,18 @@ def _follow_orbits(rep, pred, bound: int, name: str = "") -> BranchResult:
     if count > budget:
         raise _over_budget(rep, name, count)
     seeds = rep.seed_labels(bound)
-    memo: Dict[Label, int] = {}
+    seen: Dict[Label, int] = {}
     components: List[Component] = []
     steps = 0
 
     for seed in seeds:
-        if seed in memo:
+        if seed in seen:
             continue
         path: List[Label] = [seed]
         letters: List[int] = []
         signs: List[int] = []
-        index = None if is_chain_base else {seed: 0}
+        if not is_chain_base:
+            seen[seed] = -1
         states: Dict[Tuple, int] = {}
         while True:
             steps += 1
@@ -381,38 +416,28 @@ def _follow_orbits(rep, pred, bound: int, name: str = "") -> BranchResult:
                             components.append(Component(
                                 "chain", chain_word=make_ev_word(
                                     n, letters[:at], letters[at:])))
-                        for lab in path:
-                            memo[lab] = comp_id
                         break
             i, sgn, prev = pred(current)
             letters.append(i)
             signs.append(sgn)
-            known = memo.get(prev)
-            if known is not None:
-                for lab in path:
-                    memo[lab] = known
-                break
-            if index is None:
+            comp_id = seen.get(prev)
+            if comp_id is None:
+                if not is_chain_base:
+                    seen[prev] = -1 - len(path)
                 path.append(prev)
                 continue
-            at = index.get(prev)
-            if at is not None:
+            if comp_id < 0:
+                at = -1 - comp_id
                 word = tuple(letters[at:])
                 sign = 1
                 for s in signs[at:]:
                     sign *= s
                 comp_id = len(components)
-                components.append(Component(
-                    "cycle",
-                    classes=decompose_power(*primitive_split(word), sign),
-                    cycle_word=word,
-                    sign=sign,
-                    cycle_labels=path[at:]))
-                for lab in path:
-                    memo[lab] = comp_id
-                break
-            index[prev] = len(path)
-            path.append(prev)
+                components.append(Component("cycle", cycle_word=word,
+                                            sign=sign, cycle_labels=path[at:]))
+            break
+        for lab in path:
+            seen[lab] = comp_id
     return BranchResult(components)
 
 
@@ -511,11 +536,11 @@ def uhf_branch(n: int, word, endo: PermEndo) -> Dict[int, List[UhfCycle]]:
     for comp in result.components:
         if comp.kind != "cycle":
             raise RuntimeError("cycle base produced a chain component")
+        # rotation j of root^m is rotation j mod |root| of root to the
+        # m-th power, and a rotation of a primitive word is primitive
+        roots = rotations(primitive_split(comp.cycle_word)[0])
         for j, label in enumerate(comp.cycle_labels):
-            i = grade_class(label, k)
-            rotated = comp.cycle_word[j:] + comp.cycle_word[:j]
-            root, _ = primitive_split(rotated)
-            out[i].append(UhfCycle(root))
+            out[grade_class(label, k)].append(UhfCycle(roots[j % len(roots)]))
     for i in out:
         out[i].sort()
     return out

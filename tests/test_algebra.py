@@ -290,6 +290,37 @@ def test_one_term_constructors_build_one_valid_term():
     assert_valid_terms(p)
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: CuntzPoly.generator(2, 3), "letter 3 outside alphabet 1..2"),
+    (lambda: CuntzPoly.generator(3, 0), "letter 0 outside alphabet 1..3"),
+    (lambda: CuntzPoly.generator(1, 1), "need at least two isometries"),
+    (lambda: CuntzPoly.one(1), "need at least two isometries"),
+    (lambda: CuntzPoly.zero(0), "need at least two isometries"),
+], ids=["generator-letter", "generator-zero-letter", "generator-rank",
+        "one-rank", "zero-rank"])
+def test_unit_constructors_keep_their_refusals(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
+def test_unit_constructors_skip_the_summing_pass(monkeypatch):
+    """one, zero, generator and a scale by zero build their one term, or
+    none, with no summing pass."""
+    import cuntzalg.algebra as algebra
+
+    def summed(*args):
+        raise AssertionError("summing pass")
+
+    monkeypatch.setattr(algebra, "_summed", summed)
+    assert CuntzPoly.one(3).terms == {((), ()): ONE}
+    assert CuntzPoly.zero(2).terms == {}
+    assert CuntzPoly.generator(3, 2).terms == {((2,), ()): ONE}
+    zero = CuntzPoly.generator(3, 1).scale(ZERO)
+    assert (zero.n, zero.terms) == (3, {})
+    for p in (CuntzPoly.one(2), CuntzPoly.generator(2, 1), zero):
+        assert_valid_terms(p)
+
+
 def assert_valid_terms(p):
     """What CuntzPoly._from_valid takes on trust."""
     for (j, k), coeff in p.terms.items():

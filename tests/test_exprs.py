@@ -176,3 +176,37 @@ def test_results_need_no_second_sum():
         c = parse_expr(rng.choice(SCALAR_TEXTS))
         assert_built_once(CuntzPoly.from_scalar(n, c))
     assert kinds[CuntzPoly] > 100 and kinds[CarExpr] > 50, kinds
+
+
+def test_scalings_and_adjoints_need_no_second_sum(monkeypatch):
+    """CarExpr.scale (and with it negation) and adjoint build their maps
+    with no summing pass; a scale by zero gives the empty expression."""
+    import cuntzalg.fermions as fermions
+    rng = random.Random(2602)
+    values = []
+    while len(values) < 60:
+        value = parse_expr(seeded_text(rng, 2, "a", 3))
+        if isinstance(value, CarExpr) and value.terms:
+            values.append(value)
+    sums = 0
+    summed = fermions._summed
+
+    def counting(*args):
+        nonlocal sums
+        sums += 1
+        return summed(*args)
+
+    scalars = [parse_expr(rng.choice(SCALAR_TEXTS[1:])) for _ in values]
+    monkeypatch.setattr(fermions, "_summed", counting)
+    results = [(value.scale(c), -value, value.adjoint(),
+                value.scale(Scalar(0)))
+               for value, c in zip(values, scalars)]
+    assert sums == 0
+    monkeypatch.undo()
+    for value, (scaled, negated, adjoint, zero) in zip(values, results):
+        for result in (scaled, negated, adjoint):
+            assert len(result.terms) == len(value.terms)
+            assert_built_once(result)
+        assert zero.terms == {}
+        assert (negated + value).terms == {}
+        assert adjoint.adjoint().terms == value.terms

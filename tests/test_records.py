@@ -64,12 +64,14 @@ def test_defaults_are_not_shared():
 
 
 def test_positional_constructors():
-    """The orders perfbench/selftest.py builds these with."""
+    """The orders perfbench/selftest.py builds these with.  The classes
+    argument is not stored: they follow from the word and the sign."""
     cls = CycleClass((1, 2), Fraction(0))
     comp = reps.Component("cycle", [cls], (1, 2), -1, [((), 1)])
     assert (comp.kind, comp.classes, comp.cycle_word, comp.sign,
             comp.cycle_labels, comp.chain_word) == \
-        ("cycle", [cls], (1, 2), -1, [((), 1)], None)
+        ("cycle", [CycleClass((1, 2), Fraction(1, 2))], (1, 2), -1,
+         [((), 1)], None)
     assert reps.BranchResult([comp]).components == [comp]
     assert reps.UhfCycle((1,)).word == (1,)
 
@@ -93,17 +95,16 @@ REPRS = [
      "CycleClass(representative=(1, 2), phase=Fraction(1, 2))"),
     (lambda: make_ev_word(2, (2,), (1, 2)),
      "EvWord(n=2, prefix=(), period=(2, 1))"),
-    (lambda: reps.Component("cycle", [CycleClass((1, 2), Fraction(0))],
-                            (1, 2), -1, [((), 1), ((2,), 2)]),
-     "Component(kind='cycle', classes=[CycleClass(representative=(1, 2), "
-     "phase=Fraction(0, 1))], cycle_word=(1, 2), sign=-1, "
+    (lambda: reps.Component("cycle", cycle_word=(1, 2), sign=-1,
+                            cycle_labels=[((), 1), ((2,), 2)]),
+     "Component(kind='cycle', cycle_word=(1, 2), sign=-1, "
      "cycle_labels=[((), 1), ((2,), 2)], chain_word=None)"),
     (lambda: reps.Component("chain",
                             chain_word=make_ev_word(2, (2,), (1, 2))),
-     "Component(kind='chain', classes=[], cycle_word=(), sign=1, "
+     "Component(kind='chain', cycle_word=(), sign=1, "
      "cycle_labels=[], chain_word=EvWord(n=2, prefix=(), period=(2, 1)))"),
     (lambda: reps.BranchResult([reps.Component("chain")]),
-     "BranchResult(components=[Component(kind='chain', classes=[], "
+     "BranchResult(components=[Component(kind='chain', "
      "cycle_word=(), sign=1, cycle_labels=[], chain_word=None)])"),
     (lambda: reps.UhfCycle((1, 2)), "UhfCycle(word=(1, 2))"),
     (lambda: reps.UhfChainFamily(make_ev_word(2, (), (1,))),

@@ -7,16 +7,19 @@ from fractions import Fraction
 import pytest
 
 from cuntzalg.scalars import ONE, Scalar
-from cuntzalg.words import all_words, make_ev_word, parse_ev_word
+from cuntzalg.words import (all_words, make_ev_word, parse_ev_word,
+                            primitive_split)
 from cuntzalg.algebra import CuntzPoly
 from cuntzalg.morphisms import (Morphism, PermEndo, flip, hadamard, identity,
                                 lookup_morphism, standard_endo)
 from cuntzalg.classify import ALL_SIGMA
 from cuntzalg.fermions import act_letter
-from cuntzalg.reps import (ChainRep, CycleRep, _put, _take, act_poly, branch,
-                           branching, decompose_power, gp_branch, parse_rep,
-                           restrict_chain_to_uhf, restrict_cycle_to_uhf,
-                           uhf_branch)
+from cuntzalg import reps as reps_module
+from cuntzalg.reps import (ChainRep, Component, CycleRep, UhfCycle, _put,
+                           _take, act_poly, branch, branching,
+                           decompose_power, gp_branch, grade_class,
+                           parse_rep, restrict_chain_to_uhf,
+                           restrict_cycle_to_uhf, uhf_branch)
 
 from test_properties import (SIGNED_MAPS, SPLIT_NON_SIGNED_TWISTS,
                              act_word, act_word_adj, as_signed_perm,
@@ -315,6 +318,94 @@ def test_uhf_branch_examples():
     # the two gauge classes of P(12) branch consistently
     assert uhf_labels(2, (1, 2), standard_endo("14"), i=2) == \
         ["P[21]", "P[21]"]
+
+
+def uhf_branch_per_label(n, word, endo):
+    """uhf_branch as one primitive split of each label's rotated word."""
+    out = {i: [] for i in range(1, len(word) + 1)}
+    for comp in branch(CycleRep(n, word), endo).components:
+        for j, label in enumerate(comp.cycle_labels):
+            rotated = comp.cycle_word[j:] + comp.cycle_word[:j]
+            out[grade_class(label, len(word))].append(
+                UhfCycle(primitive_split(rotated)[0]))
+    return {i: sorted(v) for i, v in out.items()}
+
+
+def test_uhf_branch_matches_the_per_label_reference():
+    """One split of each component's word gives the root of every label:
+    seeded signed and unsigned maps, and two components whose words are
+    powers (11 and 212212), where label j takes rotation j mod |root|."""
+    rng = random.Random(2606)
+    cases = [(standard_endo("13"), (1, 2)), (standard_endo("14"), (1, 1, 2))]
+    for n, level in ((2, 2), (2, 3), (3, 2)):
+        words = list(all_words(n, level))
+        for signed in (False, True):
+            for _ in range(4):
+                images = words[:]
+                rng.shuffle(images)
+                signs = ({w: rng.choice((1, -1)) for w in words} if signed
+                         else None)
+                endo = PermEndo(n, level, dict(zip(words, images)), signs)
+                for base in ((1,), (n,), (1, 2), (1, 1, 2), (2, 1, n)):
+                    cases.append((endo, base))
+    powers = 0
+    for endo, base in cases:
+        assert uhf_branch(endo.n, base, endo) == \
+            uhf_branch_per_label(endo.n, base, endo)
+        powers += sum(primitive_split(c.cycle_word)[1] > 1
+                      for c in branch(CycleRep(endo.n, base), endo).components)
+    assert powers > 2
+    words = [c.cycle_word for endo, base in cases[:2]
+             for c in branch(CycleRep(2, base), endo).components]
+    assert words == [(1, 1), (2, 1, 2, 2, 1, 2)]
+
+
+def test_classes_are_derived_where_read(monkeypatch):
+    """branch and uhf_branch build no classes; cycle_classes and the
+    describe of a signed cycle derive them from word and sign."""
+    calls = 0
+    decompose = reps_module.decompose_power
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return decompose(*args)
+
+    monkeypatch.setattr(reps_module, "decompose_power", counting)
+    p13 = standard_endo("13")
+    rng = random.Random(26)
+    endos = [p13, *signed_endos(rng, 2, 3, 3), *signed_endos(rng, 3, 2, 3)]
+    for endo in endos:
+        uhf_branch(endo.n, (1, 2), endo)
+    assert branching(p13, "P(12)") == ["P(11)"]
+    assert calls == 0
+    res = branch(CycleRep(2, (1, 2)), standard_endo("142"))
+    assert [str(c) for c in res.cycle_classes()] == \
+        ["P(1)", "P(1;1/2)", "P(2)", "P(2;1/2)"]
+    assert calls == 2
+    signed = branch(CycleRep(2, (1, 2)), signed_map("1342", "+++-"))
+    assert signed.describe() == "P(12;1/4) (+) P(12;3/4)"
+    assert calls == 3
+    comp = Component("cycle", cycle_word=(1, 1, 1, 2) * 2, sign=-1)
+    assert comp.describe() == "P(1112;1/4) (+) P(1112;3/4)"
+    assert comp.classes == decompose((1, 1, 1, 2), 2, -1)
+    assert Component("chain").classes == []
+
+
+def test_chain_read_slices_match_the_letters():
+    """read(m, r) slices the prefix and the repeated period: the letters
+    K(m+1) .. K(m+r), with 1 at positions up to 0, on chains with and
+    without a prefix, from m = -3 past two periods."""
+    for text in ("(1)^inf", "(12)^inf", "2(12)^inf", "31(2)^inf",
+                 "(1123)^inf", "3312(213)^inf"):
+        ev = parse_ev_word(text, 3)
+        rep = ChainRep(ev)
+        top = len(ev.prefix) + 2 * len(ev.period)
+        for m in range(-3, top + 1):
+            for r in range(top + 4):
+                want = tuple(ev.letter(x) if x >= 1 else 1
+                             for x in range(m + 1, m + r + 1))
+                assert rep.read(m, r) == (want, 1, m + r), (text, m, r)
 
 
 def test_uhf_branch_longer_base():
