@@ -18,11 +18,15 @@ Subcommands wrap one library operation each:
 Exit codes: 0 on success or a passing check, 1 on a failed check or
 inequality, 2 on usage errors.  With --json every command prints a
 single deterministic JSON document.
+
+The parser is built on the first ``main`` call and reused by every
+later call in the same process (``build_parser``).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -45,6 +49,8 @@ from .exprs import ExprError, as_cuntz, parse_expr
 # grows with the square of the range: +-1000 takes about 0.2 s and
 # 0.5 MB, +-10^4 about 18 s and 50 MB
 MAX_SHIFT = 1000
+# the shifts -4..4 that restrict prints for a chain without --eta-min/max
+DEFAULT_SHIFT = 4
 
 
 def _emit_json(payload) -> None:
@@ -164,18 +170,23 @@ def cmd_restrict(args) -> int:
         word, phase = rest
         if phase:
             raise ValueError("restriction of phased cycles is not supported")
+        if args.eta_min is not None or args.eta_max is not None:
+            raise ValueError("--eta-min and --eta-max shift a chain; "
+                             "a cycle P(J) has no shifts")
         comps = restrict_cycle_to_uhf(args.n, word)
         _print_components([str(c) for c in comps], args.json)
         return 0
     if kind == "chain":
-        if args.eta_min > args.eta_max:
-            raise ValueError(f"empty shift range: --eta-min {args.eta_min} "
-                             f"is above --eta-max {args.eta_max}")
-        if max(-args.eta_min, args.eta_max) > MAX_SHIFT:
-            raise ValueError(f"shift range {args.eta_min}..{args.eta_max} "
+        lo = -DEFAULT_SHIFT if args.eta_min is None else args.eta_min
+        hi = DEFAULT_SHIFT if args.eta_max is None else args.eta_max
+        if lo > hi:
+            raise ValueError(f"empty shift range: --eta-min {lo} "
+                             f"is above --eta-max {hi}")
+        if max(-lo, hi) > MAX_SHIFT:
+            raise ValueError(f"shift range {lo}..{hi} "
                              f"goes beyond the limit |eta| <= {MAX_SHIFT}")
         family = restrict_chain_to_uhf(rest[0])
-        etas = list(range(args.eta_min, args.eta_max + 1))
+        etas = list(range(lo, hi + 1))
         shifts = [str(ev) for ev in family.shifts(etas)]
         if args.json:
             _emit_json({"family": str(family),
@@ -197,6 +208,8 @@ def cmd_gp(args) -> int:
 
 def cmd_car(args) -> int:
     if args.check_modes is not None:
+        if args.expr is not None:
+            raise ValueError("give an expression or --check-modes, not both")
         return _print_check(verify_car(args.check_modes), args.json,
                             modes=args.check_modes)
     if args.expr is None:
@@ -270,7 +283,24 @@ def cmd_classify(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the command line, built once per process.
+
+    ``main`` reuses it for every call, which is safe because:
+
+    * ``parse_args`` does not change the parser: each call copies the
+      defaults into a fresh namespace, and ``main`` converts the integer
+      options on that namespace, not on the parser;
+    * argparse looks up ``sys.stdout``/``sys.stderr`` when it prints, so
+      usage errors and ``--help`` go wherever they point at that call
+      (``contextlib.redirect_stdout`` and ``redirect_stderr`` still
+      capture them);
+    * ``set_defaults(func=cmd_*)`` binds the command functions when the
+      parser is built (patching a ``cmd_*`` afterwards does not reach
+      ``main``), and these read every library name they call at call
+      time.
+    """
     parser = argparse.ArgumentParser(
         prog="cuntzalg",
         description="Exact symbolic computation in the Cuntz algebra O_n, "
@@ -323,8 +353,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("restrict",
                        help="restrict to the gauge-invariant subalgebra")
     p.add_argument("--rep", required=True)
-    integer(p, "--eta-min", -4)
-    integer(p, "--eta-max", 4)
+    integer(p, "--eta-min", None)
+    integer(p, "--eta-max", None)
     common(p)
     p.set_defaults(func=cmd_restrict)
 

@@ -469,9 +469,12 @@ NAMED_MORPHISMS = {
 
 def lookup_morphism(name: str) -> Morphism:
     """Resolve a possibly composite name like "psi:1324", "alpha.phi"."""
-    name = name.strip()
+    text, name = name, name.strip()
     if "." in name:
-        out = compose(*map(lookup_morphism, name.split(".")))
+        factors = name.split(".")
+        if not all(f.strip() for f in factors):
+            raise ValueError(f"empty factor in morphism name {text!r}")
+        out = compose(*map(lookup_morphism, factors))
         out.name = name
         return out
     if name.startswith("psi:"):

@@ -1,5 +1,7 @@
 """Command-line front end: dispatch, exit codes, JSON determinism."""
 
+import argparse
+import contextlib
 import json
 import time
 
@@ -608,3 +610,96 @@ def test_mixture_check_refuses_a_bad_index(capsys, index):
     code, out, err = run(capsys, "mixture", index, "--check", "--json")
     assert (code, out) == (2, "")
     assert err == f"error: index must be a half-integer, got {index}\n"
+
+
+def test_car_refuses_an_expression_with_check_modes(capsys):
+    # the check does not read the expression, so the pair is refused
+    # rather than answered for the check alone
+    for argv in (["car", "a1 a1", "--check-modes", "2"],
+                 ["car", "--check-modes", "2", "a1", "--json"]):
+        assert run(capsys, *argv) == (
+            2, "", "error: give an expression or --check-modes, not both\n")
+
+
+@pytest.mark.parametrize("shifts", [("--eta-min", "-1"), ("--eta-max", "1"),
+                                    ("--eta-min", "5", "--eta-max", "1")])
+def test_restrict_cycle_refuses_the_shift_options(capsys, shifts):
+    code, out, err = run(capsys, "restrict", "--rep", "P(12)", *shifts)
+    assert (code, out) == (2, "")
+    assert err == ("error: --eta-min and --eta-max shift a chain; "
+                   "a cycle P(J) has no shifts\n")
+
+
+def test_restrict_chain_shifts_default_to_four_each_way(capsys):
+    code, out, _ = run(capsys, "restrict", "--rep", "(12)^inf")
+    assert code == 0
+    assert [line.split(":")[0] for line in out.splitlines()[1:]] == \
+        [f"  eta={e}" for e in range(-4, 5)]
+    code, out, err = run(capsys, "restrict", "--rep", "(12)^inf",
+                         "--eta-min", "5")
+    assert (code, out) == (2, "")
+    assert err == "error: empty shift range: --eta-min 5 is above " \
+                  "--eta-max 4\n"
+
+
+@pytest.mark.parametrize("argv, text", [
+    (("apply", "s1", "--endo", "alpha."), "alpha."),
+    (("apply", "s1", "--endo", "."), "."),
+    (("gp", "--endo", "alpha..phi"), "alpha..phi"),
+    (("branch", "--rep", "P(1)", "--endo", " . alpha"), " . alpha"),
+])
+def test_empty_factor_names_the_whole_morphism_name(capsys, argv, text):
+    assert run(capsys, *argv) == (
+        2, "", f"error: empty factor in morphism name {text!r}\n")
+
+
+CAR_WORKLOAD = [["car", "--check-modes", "10", "--json"],
+                ["mixture", "7/2", "--check", "--json"]] + \
+               [["vacuum", rep, "--max-mode", "9", "--json"]
+                for rep in ("fock", "fock*", "iw", "iw*")]
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli.build_parser.cache_clear()
+    per_call = []
+    for argv in CAR_WORKLOAD + [["verify", "table9"]]:
+        with contextlib.suppress(SystemExit):
+            main(argv)
+        per_call.append(len(built))
+        built.clear()
+    capsys.readouterr()
+    # the top parser and its 11 subparsers, on the first call only
+    assert per_call == [12, 0, 0, 0, 0, 0, 0]
+
+
+@pytest.mark.parametrize("first, then, check", [
+    (("vacuum", "fock", "--max-mode", "3", "--json"),
+     ("vacuum", "fock", "--json"),
+     lambda out: json.loads(out)["max_mode"] == 7),
+    (("classify", "--level", "3", "--json"), ("classify", "--json"),
+     lambda out: json.loads(out)["level"] == 5),
+    (("classify", "--level", "1", "--json"), ("classify", "--level", "1"),
+     lambda out: out.startswith("certified to level 1\n")),
+    (("mixture", "-3/2"), ("mixture", "3/2"),
+     lambda out: out == "(-1)*a1a1'a5' + (-1)*a1'a1a5\n"),
+    (("--help",), ("eq", "s1' s1", "1"), lambda out: out == "true\n"),
+    (("verify", "table9"), ("verify", "table1"),
+     lambda out: out == "table1: all cells verified\n"),
+])
+def test_no_call_carries_state_into_the_next(capsys, first, then, check):
+    with contextlib.suppress(SystemExit):
+        main(list(first))
+    capsys.readouterr()
+    code, out, err = run(capsys, *then)
+    assert (code, err) == (0, "")
+    assert check(out), out
+    cli.build_parser.cache_clear()
+    assert run(capsys, *then) == (code, out, err)   # with a new parser

@@ -4,6 +4,8 @@ Arguments are drawn from the grammar of each subcommand, with small
 numbers (so that no example asks for an expensive computation) and junk
 tokens mixed in.  An exception that escapes ``cli.main`` fails the test,
 and exit code 1 may only come from a subcommand that checks something.
+A call repeated after another one must give the same exit code and the
+same output, as ``main`` reuses one parser for every call in a process.
 """
 
 import contextlib
@@ -11,7 +13,7 @@ import io
 
 from hypothesis import given, settings, strategies as st
 
-from cuntzalg.cli import main
+from cuntzalg.cli import build_parser, main
 from cuntzalg.tables import VERIFIERS
 
 FRAGMENTS = ["s1", "s2", "s3", "s12'", "s0", "a1", "a2'", "a0", "a17",
@@ -87,8 +89,8 @@ COMMANDS = [
 
 
 @st.composite
-def argvs(draw):
-    argv = draw(st.one_of(*COMMANDS))
+def argvs(draw, commands=st.one_of(*COMMANDS)):
+    argv = draw(commands)
     for _ in range(draw(st.integers(0, 2))):
         at = draw(st.integers(0, len(argv)))
         argv.insert(at, draw(st.sampled_from(JUNK)))
@@ -106,22 +108,42 @@ def last_rank(argv):
         return None
 
 
-def exit_code(argv):
+def outcome(argv):
+    """(exit code, stdout, stderr) of one main call."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            return main(argv), err.getvalue()
+            code = main(argv)
         except SystemExit as exc:   # argparse: usage errors and --help
-            return exc.code, err.getvalue()
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(argvs())
 def test_cli_exits_cleanly(argv):
-    code, err = exit_code(argv)
+    code, _, err = outcome(argv)
     assert code in (0, 1, 2), (argv, code)
     assert code != 1 or argv[0] in CHECKS, (argv, err)
     assert "Traceback" not in err
     rank = last_rank(argv)
     if rank is not None and rank < 2 and "--help" not in argv:
         assert code == 2, (argv, code)
+
+
+# A, then B: B is of A's subcommand half the time, so that an option
+# given in one call and left out in the other is drawn often
+call_pairs = st.sampled_from(COMMANDS).flatmap(
+    lambda cmd: st.tuples(argvs(cmd), st.one_of(argvs(cmd), argvs())))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(call_pairs)
+def test_a_call_leaves_nothing_for_the_next(pair):
+    # main reuses one parser in the process: A on a newly built parser,
+    # then B, then A again must give A the same exit code and output
+    first, between = pair
+    build_parser.cache_clear()
+    before = outcome(first)
+    outcome(between)
+    assert outcome(first) == before, pair
