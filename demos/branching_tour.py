@@ -8,7 +8,7 @@ gauge-invariant subalgebra.
 """
 
 from cuntzalg.morphisms import standard_endo, nakanishi
-from cuntzalg.reps import (CycleRep, branch, decompose_power, gp_branch,
+from cuntzalg.reps import (CycleRep, branch, branching, decompose_power,
                            restrict_cycle_to_uhf, uhf_branch)
 
 
@@ -46,12 +46,11 @@ def main():
 
     print("== the quasi-free pair ==")
     for name in ("23", "132", "13"):
-        table = gp_branch(standard_endo(name))
-        if table is None:
+        cells = branching(standard_endo(name), "GP(+)")
+        if cells is None:
             show(f"GP(+) o psi_{name}", "not derivable by the rule calculus")
         else:
-            show(f"GP(+) o psi_{name}",
-                 " (+) ".join(a.describe() for a in table["+"]))
+            show(f"GP(+) o psi_{name}", " (+) ".join(cells))
     print()
 
     print("== a third-rank example ==")

@@ -32,7 +32,6 @@ import sys
 from fractions import Fraction
 from typing import Dict, List, Optional
 
-from .scalars import Scalar
 from .words import parse_integer, parse_number, primitive_split, render_word
 from .algebra import CuntzPoly, check_rank
 from .morphisms import Morphism, PermEndo, lookup_morphism
@@ -214,12 +213,7 @@ def cmd_car(args) -> int:
                             modes=args.check_modes)
     if args.expr is None:
         raise ValueError("give an expression or --check-modes")
-    value = parse_expr(args.expr, 2)
-    if isinstance(value, Scalar):
-        value = CarExpr.from_scalar(value)
-    if isinstance(value, CarExpr):
-        value = psi_map(value)
-    _print_poly(value, args.json)
+    _print_poly(as_cuntz(parse_expr(args.expr, 2), 2), args.json)
     return 0
 
 

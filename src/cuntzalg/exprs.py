@@ -16,6 +16,10 @@ such as '٣' or '²' too, is refused where a digit may stand):
     number  := ['+' | '-'] digits ['/' digits]   (words.parse_number)
     digits  := ('0' | '1' | ... | '9')+
 
+The word of 's' digits or of a unit is its digits, one letter each,
+and the digit run '0' alone is the empty word: s0 is 1 ("normal s0"
+prints 1), and so is E[0,0]; a 0 inside a longer run is refused.
+
 Juxtaposition multiplies; a postfix apostrophe takes the adjoint.
 Expressions over s/E live in O_n, expressions over a/b in the fermion
 algebra; mixing the two promotes the fermion part to its image in O_2,

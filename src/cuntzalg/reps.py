@@ -19,8 +19,11 @@ map backwards from a complete set of seed labels.  A cycle
 :class:`Component` holds its word, sign and labels; its classes under
 the power decomposition are derived only where they are read, and
 :func:`uhf_branch` reads the primitive root of each label's word off one
-split of the component's word.  :func:`branching` takes the
-representation by name instead and returns its sorted cells.
+split of the component's word.  :func:`gp_branch` answers for the one
+sign of GP(+/-) it is asked for, as the cycle classes P(J; q) of the
+summands P(J; q) o phi.  :func:`branching` takes the representation by
+name instead and returns its sorted cells, and it alone names the GP
+summands.
 
 For each length r, s_W^* kills a label for every word W of length r
 but one.  Words act on labels in two steps, never letter by letter.
@@ -46,7 +49,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .scalars import Scalar
 from .words import (PHASE_0, PHASE_HALF, CycleClass, EvWord, Record, Word,
@@ -561,49 +564,29 @@ MAX_TWIST_LEVEL = 9
 Unitary = Tuple[int, int, List[Dict[int, int]]]
 
 
-class GpAtom(NamedTuple):
-    """One summand of a branching of GP(+) or GP(-).
+def gp_branch(m: Morphism, sign: str) -> Optional[List[CycleClass]]:
+    """Branching of GP(sign), sign "+" or "-", under a unital endomorphism
+    of O_2: the classes P(J; q) of its summands P(J; q) o phi.
 
-    Internally GP(e) is P(i; q) o phi with i = 1 for '+', i = 2 for '-';
-    q = 1/2 records an extra composition with theta.  Summands that do
-    not reduce to this shape keep their cycle word.
-    """
-
-    word: Word
-    phase: Fraction
-
-    def is_gp(self) -> bool:
-        return self.word in ((1,), (2,))
-
-    def describe(self, uhf: bool = False) -> str:
-        if self.is_gp():
-            sign = "+" if self.word == (1,) else "-"
-            if uhf:
-                return f"GP[{sign}]"
-            return f"GP({sign})" + (".theta" if self.phase else "")
-        body = str(canonical_cycle(self.word, self.phase))
-        return f"{body}.phi"
-
-
-def gp_branch(m: Morphism) -> Optional[Dict[str, List[GpAtom]]]:
-    """Branching of GP(+) and GP(-) under a unital endomorphism of O_2.
-
-    GP(e) o m = (P(i) o phihat(m)) o phi with phihat(m) = phi o m o phi.
-    The supported fragment mirrors the published rule set: phihat(m) a
-    signed permutation of the generators (covers the identity, alpha,
-    beta_1, beta_2, theta and their products), a direct-sum splitting
-    whose blocks branch independently, or an involutive automorphism
-    whose phihat is signed permutative.  Anything else returns None
-    ("not derivable"), even when an orbit search could in principle be
-    pushed further.
+    GP(e) o m = (P(i) o phihat(m)) o phi with phihat(m) = phi o m o phi,
+    i = 1 for "+" and i = 2 for "-", so GP(+/-) itself is the class P(1)
+    or P(2) and GP(+/-) o theta is P(1; 1/2) or P(2; 1/2).  The supported
+    fragment mirrors the published rule set: phihat(m) a signed
+    permutation of the generators (covers the identity, alpha, beta_1,
+    beta_2, theta and their products), a direct-sum splitting whose
+    blocks branch independently, or an involutive automorphism whose
+    phihat is signed permutative.  Anything else returns None ("not
+    derivable"), even when an orbit search could in principle be pushed
+    further.
 
     There is one route, on the matrix u of m = lambda_u (:func:`_unitary`):
 
     * the twist is phihat(m)(s_i) = phi(u) s_i with phi(u) = W u W / 2^l,
       W the +-1 Sylvester (Walsh) matrix (:func:`_twist`);
     * a twist with one entry in each column is a signed permutation, a
-      PermEndo; its table is read off P(1) and P(2) when it has level 1
-      or m o m = id (:meth:`~cuntzalg.morphisms.PermEndo.is_involution`);
+      PermEndo; it is a leaf when it has level 1 or m o m = id
+      (:meth:`~cuntzalg.morphisms.PermEndo.is_involution`), and the leaf
+      is one :func:`branch` of P(i) under it;
     * the frame xi = (s_1, s_2) splits m into the corners
       s_k^* m(x) s_k exactly when u[A, B] != 0 only where A_1 = B_2
       (:func:`_corners`);
@@ -623,43 +606,47 @@ def gp_branch(m: Morphism) -> Optional[Dict[str, List[GpAtom]]]:
     if m.n != 2:
         raise ValueError(f"GP(+/-) live on O_2, but "
                          f"{m.name or 'this morphism'} acts on O_{m.n}")
+    if sign not in ("+", "-"):
+        raise ValueError(f"GP sign must be '+' or '-', not {sign!r}")
     u = _unitary(m)
     if u is None:
         return None
-    return _gp_rule(u, _twist(u))
+    return _gp_rule(1 if sign == "+" else 2, u, _twist(u))
 
 
-def _gp_rule(u: Unitary,
-             tau: Unitary) -> Optional[Dict[str, List[GpAtom]]]:
-    """The GP rule on the matrix u of m and tau of phihat(m): a leaf, a
-    frame-xi split, a frame-xi' split, or None."""
+def _gp_rule(i: int, u: Unitary,
+             tau: Unitary) -> Optional[List[CycleClass]]:
+    """The GP rule for the base letter i on the matrix u of m and tau of
+    phihat(m): a leaf, a frame-xi split, a frame-xi' split, or None."""
     leaf = _signed_perm(tau)
     if leaf is not None and (leaf.level == 1 or leaf.is_involution()):
-        return _gp_table(leaf)
+        return branch(CycleRep(2, (i,)), leaf).cycle_classes()
     parts = _corners(u)
     if parts is not None:
-        return _joined([_gp_rule(f, _twist(f)) for f in parts])
+        return _joined([_gp_rule(i, f, _twist(f)) for f in parts])
     parts = _corners(tau)
     if parts is not None:
-        return _joined([_gp_rule(_twist(g), g) for g in parts])
+        return _joined([_gp_rule(i, _twist(g), g) for g in parts])
     return None
 
 
-def _joined(tables) -> Optional[Dict[str, List[GpAtom]]]:
-    """The GP table of a direct sum from the tables of its two parts."""
-    if None in tables:
+def _joined(parts) -> Optional[List[CycleClass]]:
+    """The GP classes of a direct sum from those of its two parts."""
+    if None in parts:
         return None
-    return {s: tables[0][s] + tables[1][s] for s in ("+", "-")}
+    return parts[0] + parts[1]
 
 
-def _gp_table(twist: PermEndo) -> Dict[str, List[GpAtom]]:
-    """GP(+) and GP(-) o m read off P(1) and P(2) o phihat(m)."""
-    out: Dict[str, List[GpAtom]] = {}
-    for sign_name, i in (("+", 1), ("-", 2)):
-        result = branch(CycleRep(2, (i,)), twist)
-        out[sign_name] = [GpAtom(cls.representative, cls.phase)
-                          for cls in result.cycle_classes()]
-    return out
+def _gp_label(cls: CycleClass, uhf: bool) -> str:
+    """The cell of the summand P(J; q) o phi of a GP branching: GP(+/-)
+    for J = 1 or 2, with .theta at q = 1/2, or GP[+/-] in the gauge-
+    invariant column; any other summand is P(J; q).phi."""
+    if cls.representative in ((1,), (2,)):
+        sign = "+" if cls.representative == (1,) else "-"
+        if uhf:
+            return f"GP[{sign}]"
+        return f"GP({sign})" + (".theta" if cls.phase else "")
+    return f"{cls}.phi"
 
 
 def _unitary(m: Morphism) -> Optional[Unitary]:
@@ -807,11 +794,14 @@ FERMION_REPS: Dict[str, Tuple[str, Word, Tuple[bool, bool]]] = {
 
 def parse_rep(text: str, n: int = 2):
     """Resolve "P(12)", "P[12]", "P(12;1/2)", "2(12)^inf", "GP(+)",
-    "fock", "iw*" to a representation description."""
+    "fock", "iw*" to a representation description; the fermion names
+    live on O_2 and are refused for any other n."""
     text = text.strip()
     rep = FERMION_REPS.get(text.lower())
     if rep is not None:
-        return ("uhf", check_word(rep[1], n))
+        if n != 2:
+            raise ValueError(f"{rep[0]} lives on O_2, not on O_{n}")
+        return ("uhf", rep[1])
     if text in ("GP(+)", "GP(-)", "GP[+]", "GP[-]"):
         return ("gp", text[3], text[2] == "[")
     if text.startswith("P(") and text.endswith(")"):
@@ -839,10 +829,10 @@ def branching(endo: Morphism, rep: str) -> Optional[List[str]]:
     kind, *rest = parse_rep(rep, endo.n)
     if kind == "gp":
         sign, uhf = rest
-        table = gp_branch(endo)
-        if table is None:
+        classes = gp_branch(endo, sign)
+        if classes is None:
             return None
-        return sorted(a.describe(uhf=uhf) for a in table[sign])
+        return sorted(_gp_label(c, uhf) for c in classes)
     if not isinstance(endo, PermEndo):
         raise ValueError(f"{rep} branches under permutative endomorphisms "
                          f"only")

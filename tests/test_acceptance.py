@@ -41,7 +41,7 @@ def test_criterion_2_table2():
     def body():
         _assert_table("table2")
         for name in ("12", "13", "24", "34", "142"):
-            assert gp_branch(standard_endo(name)) is None
+            assert gp_branch(standard_endo(name), "+") is None
     check(2, "all 16 branching rows plus the not-derivable cells", 5.0, body)
 
 

@@ -539,10 +539,10 @@ def test_gp_of_a_phi_composite_makes_no_product(capsys, monkeypatch,
         products.extend(inside)
         return mul(self, other)
 
-    def traced(m):
+    def traced(m, sign):
         inside.append(m)
         try:
-            return gp(m)
+            return gp(m, sign)
         finally:
             inside.pop()
 
@@ -595,6 +595,14 @@ def test_branch_refuses_a_rank_mismatch_for_every_name(capsys, rep):
     assert (code, out) == (2, "")
     assert err == ("error: representation of O_3 cannot be composed with "
                    "an endomorphism of O_2\n")
+
+
+@pytest.mark.parametrize("rep, shown", [("fock", "Fock"), ("iw*", "IW*")])
+def test_branch_refuses_a_fermion_name_outside_o2(capsys, rep, shown):
+    code, out, err = run(capsys, "branch", "--rep", rep, "--endo",
+                         "nakanishi", "--n", "3")
+    assert (code, out) == (2, "")
+    assert err == f"error: {shown} lives on O_2, not on O_3\n"
 
 
 def test_gp_names_a_map_that_does_not_act_on_o2(capsys):

@@ -12,8 +12,8 @@ from cuntzalg.words import (all_words, canonical_cycle, is_primitive,
 from cuntzalg.algebra import CuntzPoly
 from cuntzalg.morphisms import (Morphism, PermEndo, compose, hadamard,
                                 identity, standard_endo)
-from cuntzalg.reps import (ChainRep, CycleRep, _follow_orbits, _gp_table,
-                           _joined, _predecessor, act_poly, branch)
+from cuntzalg.reps import (ChainRep, CycleRep, _follow_orbits, _predecessor,
+                           act_poly, branch)
 
 
 def random_perm_endo(rng, n, level):
@@ -960,17 +960,20 @@ def split_direct_sum(m):
     return None
 
 
-def gp_branch_poly(m):
-    """reps.gp_branch by CuntzPoly products: phi o m o phi and m o m
-    composed, the twist recognized by :func:`as_signed_perm`, the frames
-    tried by :func:`split_direct_sum`."""
+def gp_branch_poly(m, sign):
+    """reps.gp_branch(m, sign) by CuntzPoly products: phi o m o phi and
+    m o m composed, the twist recognized by :func:`as_signed_perm` and
+    branched on P(1) for "+" or P(2) for "-", the frames tried by
+    :func:`split_direct_sum`."""
     twisted = compose(hadamard(), m, hadamard())
     sp = as_signed_perm(twisted)
     if sp is not None and sp.level > 1 and not m.then(m) == identity(2):
         sp = None
     if sp is not None:
-        return _gp_table(sp)
+        base = CycleRep(2, (1,) if sign == "+" else (2,))
+        return branch(base, sp).cycle_classes()
     split = split_direct_sum(m)
     if split is not None:
-        return _joined([gp_branch_poly(f) for f in split[1]])
+        parts = [gp_branch_poly(f, sign) for f in split[1]]
+        return None if None in parts else parts[0] + parts[1]
     return None

@@ -39,9 +39,7 @@ def test_import_loads_no_heavy_module(module):
 def frozen_pairs():
     return [(CycleClass((1, 2), Fraction(1, 2)),
              CycleClass((1, 2), Fraction(1, 2))),
-            (make_ev_word(2, (2,), (1, 2)), EvWord(2, (), (2, 1))),
-            (reps.GpAtom((1,), Fraction(1, 2)),
-             reps.GpAtom((1,), Fraction(1, 2)))]
+            (make_ev_word(2, (2,), (1, 2)), EvWord(2, (), (2, 1)))]
 
 
 @pytest.mark.parametrize("a, b", frozen_pairs())
@@ -109,8 +107,6 @@ REPRS = [
     (lambda: reps.UhfCycle((1, 2)), "UhfCycle(word=(1, 2))"),
     (lambda: reps.UhfChainFamily(make_ev_word(2, (), (1,))),
      "UhfChainFamily(ev=EvWord(n=2, prefix=(), period=(1,)))"),
-    (lambda: reps.GpAtom((1,), Fraction(1, 2)),
-     "GpAtom(word=(1,), phase=Fraction(1, 2))"),
     (lambda: tables.CellReport("r", "c", "e", "x"),
      "CellReport(row='r', column='c', expected='e', computed='x')"),
     (lambda: tables.TableReport("t", [tables.CellReport("r", "c", "e", "e")]),

@@ -2,16 +2,17 @@
 
 import functools
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from cuntzalg.scalars import ONE, Scalar
-from cuntzalg.words import (all_words, make_ev_word, parse_ev_word,
-                            primitive_split)
+from cuntzalg.words import (CycleClass, all_words, make_ev_word,
+                            parse_ev_word, primitive_split)
 from cuntzalg.algebra import CuntzPoly
 from cuntzalg.morphisms import (Morphism, PermEndo, flip, hadamard, identity,
-                                lookup_morphism, standard_endo)
+                                lookup_morphism, nakanishi, standard_endo)
 from cuntzalg.classify import ALL_SIGMA
 from cuntzalg.fermions import act_letter
 from cuntzalg import reps as reps_module
@@ -416,26 +417,66 @@ def test_uhf_branch_longer_base():
 
 
 def test_gp_branch_automorphisms():
-    table = gp_branch(flip())
-    assert [a.describe() for a in table["+"]] == ["GP(+)"]
-    assert [a.describe() for a in table["-"]] == ["GP(-).theta"]
+    assert gp_branch(flip(), "+") == [CycleClass((1,), Fraction(0))]
+    assert gp_branch(flip(), "-") == [CycleClass((2,), Fraction(1, 2))]
+    assert branching(flip(), "GP(+)") == ["GP(+)"]
+    assert branching(flip(), "GP(-)") == ["GP(-).theta"]
     # the non-permutative involution itself falls outside the fragment
-    assert gp_branch(hadamard()) is None
+    assert gp_branch(hadamard(), "+") is None
+    assert gp_branch(hadamard(), "-") is None
 
 
 def test_gp_branch_endos():
-    table = gp_branch(standard_endo("23"))
-    assert sorted(a.describe() for a in table["+"]) == ["GP(+)", "GP(+)"]
-    table = gp_branch(standard_endo("132"))
-    assert sorted(a.describe() for a in table["+"]) == \
+    assert branching(standard_endo("23"), "GP(+)") == ["GP(+)", "GP(+)"]
+    assert branching(standard_endo("132"), "GP(+)") == \
         ["GP(+)", "GP(-).theta"]
-    assert sorted(a.describe(uhf=True) for a in table["+"]) == \
-        ["GP[+]", "GP[-]"]
+    assert branching(standard_endo("132"), "GP[+]") == ["GP[+]", "GP[-]"]
+
+
+def test_gp_labels_name_other_summands_by_their_class():
+    # a summand P(J; q) o phi that is not GP(+/-) keeps its class
+    assert reps_module._gp_label(CycleClass((1, 2), Fraction(0)),
+                                 False) == "P(12).phi"
+    assert reps_module._gp_label(CycleClass((1, 2), Fraction(1, 2)),
+                                 True) == "P(12;1/2).phi"
+    assert reps_module._gp_label(CycleClass((2,), Fraction(1, 2)),
+                                 True) == "GP[-]"
 
 
 def test_gp_branch_not_derivable():
     for name in ("12", "13", "24", "34", "142"):
-        assert gp_branch(standard_endo(name)) is None
+        for sign in "+-":
+            assert gp_branch(standard_endo(name), sign) is None
+
+
+def test_gp_branch_refuses_a_sign_other_than_plus_or_minus():
+    for sign in ("", "+-", "GP(+)", 1):
+        with pytest.raises(ValueError, match="GP sign must be"):
+            gp_branch(flip(), sign)
+
+
+def test_gp_branch_makes_one_branch_per_leaf(monkeypatch):
+    bases = []
+    inner = reps_module.branch
+
+    def counted(rep, endo):
+        bases.append(rep.word)
+        return inner(rep, endo)
+
+    monkeypatch.setattr(reps_module, "branch", counted)
+    gp_branch(flip(), "+")
+    assert bases == [(1,)]
+    del bases[:]
+    gp_branch(flip(), "-")
+    assert bases == [(2,)]
+    # psi_14 splits in a frame into two leaves, each one branch of P(i)
+    del bases[:]
+    assert branching(standard_endo("14"), "GP(+)") == \
+        ["GP(+)", "GP(+).theta"]
+    assert bases == [(1,), (1,)]
+    del bases[:]
+    gp_branch(standard_endo("14"), "-")
+    assert bases == [(2,), (2,)]
 
 
 def test_involution_check_matches_the_composite():
@@ -473,22 +514,24 @@ def glued_maps():
 
 
 def test_gp_branch_on_words_matches_the_cuntzpoly_route():
-    # tables, atom order included
-    derivable = 0
-    for m in SIGNED_MAPS + level3_sample(14):
-        table = gp_branch(m)
-        assert table == gp_branch_poly(by_products(m)), (m.sigma, m.signs)
-        derivable += table is not None
-    assert derivable > 100
-    for name in PHI_COMPOSITES:
-        m = lookup_morphism(name)
-        assert gp_branch(m) == gp_branch_poly(m), name
-    answered = {"xi": 0, "xi'": 0}
-    for m in glued_maps():
-        table = gp_branch(m)
-        assert table == gp_branch_poly(m), m.name
-        answered[m.name.partition("(")[0]] += table is not None
-    assert min(answered.values()) >= 20, answered
+    # classes, order included, for both signs
+    for sign in "+-":
+        derivable = 0
+        for m in SIGNED_MAPS + level3_sample(14):
+            classes = gp_branch(m, sign)
+            assert classes == gp_branch_poly(by_products(m), sign), \
+                (sign, m.sigma, m.signs)
+            derivable += classes is not None
+        assert derivable > 100
+        for name in PHI_COMPOSITES:
+            m = lookup_morphism(name)
+            assert gp_branch(m, sign) == gp_branch_poly(m, sign), name
+        answered = {"xi": 0, "xi'": 0}
+        for m in glued_maps():
+            classes = gp_branch(m, sign)
+            assert classes == gp_branch_poly(m, sign), (sign, m.name)
+            answered[m.name.partition("(")[0]] += classes is not None
+        assert min(answered.values()) >= 20, answered
 
 
 def test_gp_branch_of_signed_maps_makes_no_cuntzpoly_product(monkeypatch):
@@ -506,7 +549,9 @@ def test_gp_branch_of_signed_maps_makes_no_cuntzpoly_product(monkeypatch):
         return mul(self, other)
 
     monkeypatch.setattr(CuntzPoly, "__mul__", counted)
-    answered = [gp_branch(m) is not None for m in maps]
+    answered = [gp_branch(m, "+") is not None for m in maps]
+    # whether the rule answers depends on m alone, not on the sign
+    assert [gp_branch(m, "-") is not None for m in maps] == answered
     assert products == []
     assert sum(answered) > 150
 
@@ -521,12 +566,15 @@ def test_gp_branch_of_an_irrational_or_non_dyadic_matrix_is_none():
         other = lookup_morphism(name)
         for frame in ("xi", "xi'"):
             for m in (glued(frame, phi, other), glued(frame, other, rot)):
-                assert gp_branch(m) is None
-                assert gp_branch_poly(m) is None, m.name
+                for sign in "+-":
+                    assert gp_branch(m, sign) is None
+                    assert gp_branch_poly(m, sign) is None, m.name
     s1, s2 = CuntzPoly.generator(2, 1), CuntzPoly.generator(2, 2)
     a, b = Scalar(Fraction(3, 5)), Scalar(Fraction(4, 5))
     turn = Morphism([s1.scale(a) + s2.scale(b), s2.scale(a) - s1.scale(b)])
-    assert gp_branch(turn) is None and gp_branch_poly(turn) is None
+    for sign in "+-":
+        assert gp_branch(turn, sign) is None
+        assert gp_branch_poly(turn, sign) is None
 
 
 def test_branch_functoriality_spot_check():
@@ -548,9 +596,9 @@ def test_branch_functoriality_spot_check():
 
 def gp_cells(sign, uhf):
     def render(endo):
-        table = gp_branch(endo)
-        return (None if table is None
-                else sorted(a.describe(uhf=uhf) for a in table[sign]))
+        classes = gp_branch(endo, sign)
+        return (None if classes is None
+                else sorted(reps_module._gp_label(c, uhf) for c in classes))
     return render
 
 
@@ -603,3 +651,14 @@ def test_parse_rep():
     assert kind == "chain" and str(ev) == "(21)^inf"
     with pytest.raises(ValueError):
         parse_rep("Q(12)")
+
+
+@pytest.mark.parametrize("name, shown", [("fock", "Fock"), ("FOCK*", "Fock*"),
+                                         ("iw", "IW"), ("iw*", "IW*")])
+def test_parse_rep_refuses_a_fermion_name_outside_o2(name, shown):
+    # the four fermion representations live on O_2 alone
+    with pytest.raises(ValueError, match=rf"^{re.escape(shown)} lives on "
+                       r"O_2, not on O_3$"):
+        parse_rep(name, 3)
+    with pytest.raises(ValueError, match="lives on O_2"):
+        branching(nakanishi(), name)
