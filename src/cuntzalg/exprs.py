@@ -1,9 +1,16 @@
 """Expression parser for the command-line front end.
 
-Grammar (whitespace between tokens is ignored; a digit run is one token,
-so it holds no spaces: "s1 2" is s_1 times 2, not s_12; a digit is one
-of the ASCII characters 0-9, and any other character, a non-ASCII digit
-such as '٣' or '²' too, is refused where a digit may stand):
+The text is tokenised once, by one regular expression (TOKEN), and the
+parser walks the token list.  Whitespace between tokens is ignored;
+whitespace is any character that str.isspace() accepts, U+3000 and
+U+0085 included.  A digit run is one token, so it holds no spaces:
+"s1 2" is s_1 times 2, not s_12.  A digit is one of the ASCII characters
+0-9; any other character, a non-ASCII digit such as '٣' or '²' too, is
+refused where a digit may stand.  'sqrt2' and 'r2' are one token each.
+The body of 'b[...]' is read raw up to the first ']' and handed to
+words.parse_number.
+
+Grammar:
 
     expr    := ['-'] term (('+' | '-') term)*
     term    := factor (['*'] factor)*
@@ -18,7 +25,9 @@ such as '٣' or '²' too, is refused where a digit may stand):
 
 The word of 's' digits or of a unit is its digits, one letter each,
 and the digit run '0' alone is the empty word: s0 is 1 ("normal s0"
-prints 1), and so is E[0,0]; a 0 inside a longer run is refused.
+prints 1), and so is E[0,0]; a 0 inside a longer run is refused.  A
+letter outside 1..n is refused at the position of its digit run, and a
+unit whose words differ in length at its 'E'.
 
 Juxtaposition multiplies; a postfix apostrophe takes the adjoint.
 Expressions over s/E live in O_n, expressions over a/b in the fermion
@@ -28,12 +37,12 @@ and a scalar summand of either to that multiple of the unit.
 
 from __future__ import annotations
 
-from fractions import Fraction
+import re
 from typing import Tuple, Union
 
-from .scalars import SQRT2, Scalar
-from .words import _DIGITS, parse_number, parse_word
-from .algebra import CuntzPoly
+from .scalars import ONE, SQRT2, Scalar, _reduced
+from .words import _DIGITS, Word, parse_number, parse_word
+from .algebra import CuntzPoly, check_rank
 from .fermions import CarExpr, mixture, psi_map
 
 Value = Union[Scalar, CuntzPoly, CarExpr]
@@ -42,6 +51,12 @@ Value = Union[Scalar, CuntzPoly, CarExpr]
 # recursive descent, so this stays far from the interpreter's recursion
 # limit
 MAX_NESTING = 100
+
+# one token after any whitespace: a mixture "b[...]" with its raw body up
+# to the first ']', an ASCII digit run, sqrt2 or r2, or one character
+# that is not whitespace.  re.findall compiles it on first use and keeps
+# it in re's own cache, so importing this module compiles nothing.
+TOKEN = r"\s*(b\s*\[[^\]]*\]|[0-9]+|sqrt2|r2|\S)"
 
 
 class ExprError(ValueError):
@@ -63,6 +78,8 @@ def _lift(v: Value, like: Value) -> Value:
 
 def _promote(left: Value, right: Value) -> Tuple[Value, Value]:
     """Bring two operands to a common algebra for + / *."""
+    if type(left) is type(right):
+        return left, right
     if isinstance(left, CarExpr) and isinstance(right, CuntzPoly):
         left = psi_map(left)
     elif isinstance(right, CarExpr) and isinstance(left, CuntzPoly):
@@ -71,62 +88,69 @@ def _promote(left: Value, right: Value) -> Tuple[Value, Value]:
 
 
 class _Parser:
+    """Recursive descent over the token list of the text, which ends with
+    the empty string as an end mark; ``i`` indexes the next token."""
+
     def __init__(self, text: str, n: int):
         self.text = text
         self.n = n
-        self.pos = 0
+        self.tokens = re.findall(TOKEN, text) + [""]
+        self.i = 0
         self.depth = 0
 
+    def at(self, i: int) -> int:
+        """The text position of token ``i``; the end mark's is the length
+        of the text.  Only refusals need it, so it tokenises again."""
+        starts = [m.start(1) for m in re.finditer(TOKEN, self.text)]
+        return starts[i] if i < len(starts) else len(self.text)
+
     def error(self, message: str) -> ExprError:
-        return ExprError(message, self.pos)
+        return ExprError(message, self.at(self.i))
 
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take_digits(self) -> str:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] in _DIGITS:
-            self.pos += 1
-        if self.pos == start:
+    def digits(self) -> str:
+        tok = self.tokens[self.i]
+        if tok[:1] not in _DIGITS:
             raise self.error("expected digits")
-        return self.text[start:self.pos]
+        self.i += 1
+        return tok
+
+    def word(self) -> Word:
+        """The next digit run, read as a word over 1..n."""
+        run = self.digits()
+        try:
+            return parse_word(run, self.n)
+        except ValueError as exc:
+            raise ExprError(str(exc), self.at(self.i - 1)) from None
 
     def parse(self) -> Value:
         value = self.expr()
-        self.skip_ws()
-        if self.pos != len(self.text):
+        if self.tokens[self.i]:
             raise self.error("unexpected trailing input")
         return value
 
     def expr(self) -> Value:
-        negate = False
-        if self.peek() == "-":
-            self.pos += 1
-            negate = True
+        tokens = self.tokens
+        negate = tokens[self.i] == "-"
+        if negate:
+            self.i += 1
         value = self.term()
         if negate:
             value = -value
-        while self.peek() in ("+", "-"):
-            op = self.text[self.pos]
-            self.pos += 1
+        while (op := tokens[self.i]) in ("+", "-"):
+            self.i += 1
             rhs = self.term()
             left, right = _promote(value, rhs)
             value = left + right if op == "+" else left - right
         return value
 
     def term(self) -> Value:
+        tokens = self.tokens
         value = self.factor()
         while True:
-            c = self.peek()
+            c = tokens[self.i][:1]
             if c == "*":
-                self.pos += 1
-                c = self.peek()
+                self.i += 1
+                c = tokens[self.i][:1]
             if not c or c not in "sabE(r0123456789":
                 break
             rhs = self.factor()
@@ -142,8 +166,8 @@ class _Parser:
 
     def factor(self) -> Value:
         value = self.atom()
-        while self.peek() == "'":
-            self.pos += 1
+        while self.tokens[self.i] == "'":
+            self.i += 1
             if isinstance(value, Scalar):
                 value = value.conjugate()
             else:
@@ -151,85 +175,82 @@ class _Parser:
         return value
 
     def atom(self) -> Value:
-        c = self.peek()
+        tokens = self.tokens
+        tok = tokens[self.i]
+        c = tok[:1]
         if c == "(":
             if self.depth == MAX_NESTING:
                 raise self.error(f"parentheses nested deeper than "
                                  f"{MAX_NESTING}")
             self.depth += 1
-            self.pos += 1
+            self.i += 1
             value = self.expr()
-            if self.peek() != ")":
+            if tokens[self.i] != ")":
                 raise self.error("expected ')'")
-            self.pos += 1
+            self.i += 1
             self.depth -= 1
             return value
         if c == "r":
-            if self.text[self.pos:self.pos + 2] != "r2":
+            if tok != "r2":
                 raise self.error("unknown identifier (did you mean r2?)")
-            self.pos += 2
+            self.i += 1
             return SQRT2
         if c in _DIGITS:
-            num = int(self.take_digits())
-            if self.peek() == "/":
-                self.pos += 1
-                self.skip_ws()
-                start = self.pos
-                den = int(self.take_digits())
+            self.i += 1
+            if tokens[self.i] == "/":
+                self.i += 1
+                den = int(self.digits())
                 if den == 0:
-                    raise ExprError("zero denominator", start)
-                return Scalar(Fraction(num, den))
-            return Scalar(num)
+                    raise ExprError("zero denominator", self.at(self.i - 1))
+                return _reduced(int(tok), 0, den)
+            return Scalar(int(tok))
         if c == "s":
-            if self.text[self.pos:self.pos + 5] == "sqrt2":
-                self.pos += 5
+            self.i += 1
+            if tok == "sqrt2":
                 return SQRT2
-            self.pos += 1
-            word = parse_word(self.take_digits(), self.n)
-            return CuntzPoly.monomial(self.n, word, ())
+            word = self.word()
+            check_rank(self.n)
+            return CuntzPoly._from_valid(self.n, {(word, ()): ONE})
         if c == "a":
-            self.pos += 1
-            index = int(self.take_digits())
-            if index < 1:
-                raise self.error("fermion modes are numbered from 1")
-            return CarExpr.generator(index)
+            self.i += 1
+            index = self.digits()
+            if int(index) < 1:
+                raise ExprError("fermion modes are numbered from 1",
+                                self.at(self.i - 1) + len(index))
+            return CarExpr.generator(int(index))
         if c == "E":
-            self.pos += 1
-            return self.unit()
+            unit = self.i
+            self.i += 1
+            if tokens[self.i] != "[":
+                raise self.error("expected '[' after E")
+            self.i += 1
+            j = self.word()
+            if tokens[self.i] != ",":
+                raise self.error("expected ',' in matrix unit")
+            self.i += 1
+            k = self.word()
+            if tokens[self.i] != "]":
+                raise self.error("expected ']'")
+            self.i += 1
+            if len(j) != len(k):
+                raise ExprError("matrix unit needs |J| = |K|", self.at(unit))
+            check_rank(self.n)
+            return CuntzPoly._from_valid(self.n, {(j, k): ONE})
         if c == "b":
-            self.pos += 1
-            return self.mixture_atom()
+            self.i += 1
+            if tok == "b":
+                # the token pattern takes "b[" only with a ']' after it
+                if tokens[self.i] != "[":
+                    raise self.error("expected '[' after b")
+                raise ExprError("expected ']'", len(self.text))
+            body = tok.index("[") + 1
+            try:
+                k = parse_number(tok[body:-1], "mixture index")
+            except ValueError as exc:
+                raise ExprError(str(exc), self.at(self.i - 1) + body) from None
+            return mixture(k)
         raise self.error("expected an expression" if c == ""
                          else f"unexpected character {c!r}")
-
-    def unit(self) -> Value:
-        if self.peek() != "[":
-            raise self.error("expected '[' after E")
-        self.pos += 1
-        j = parse_word(self.take_digits(), self.n)
-        if self.peek() != ",":
-            raise self.error("expected ',' in matrix unit")
-        self.pos += 1
-        k = parse_word(self.take_digits(), self.n)
-        if self.peek() != "]":
-            raise self.error("expected ']'")
-        self.pos += 1
-        return CuntzPoly.matrix_unit(self.n, j, k)
-
-    def mixture_atom(self) -> Value:
-        if self.peek() != "[":
-            raise self.error("expected '[' after b")
-        start = self.pos + 1
-        end = self.text.find("]", start)
-        if end < 0:
-            self.pos = len(self.text)
-            raise self.error("expected ']'")
-        self.pos = end + 1
-        try:
-            k = parse_number(self.text[start:end], "mixture index")
-        except ValueError as exc:
-            raise ExprError(str(exc), start) from None
-        return mixture(k)
 
 
 def parse_expr(text: str, n: int = 2) -> Value:

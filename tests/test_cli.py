@@ -177,7 +177,16 @@ def test_scalar_summand_is_a_multiple_of_the_unit(capsys, text, out):
 
 def test_matrix_unit_of_unequal_lengths_is_usage_error(capsys):
     assert run(capsys, "normal", "E[1,12]") == (
-        2, "", "error: matrix unit needs |J| = |K|\n")
+        2, "", "error: matrix unit needs |J| = |K| (at position 0)\n")
+
+
+@pytest.mark.parametrize("text, letter, pos", [
+    ("s3", 3, 1), ("s10", 0, 1), ("s1 s23", 3, 4), ("E[13,21]", 3, 2)])
+def test_letter_outside_alphabet_is_usage_error_at_its_digits(
+        capsys, text, letter, pos):
+    assert run(capsys, "normal", text) == (
+        2, "", f"error: letter {letter} outside alphabet 1..2 "
+               f"(at position {pos})\n")
 
 
 def test_repeated_cycle_entry_is_usage_error(capsys):

@@ -1,6 +1,7 @@
 """The expression grammar used by the command line."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from cuntzalg.scalars import SQRT2, Scalar
 from cuntzalg.algebra import CuntzPoly
 from cuntzalg.fermions import CarExpr, mixture, psi_map
-from cuntzalg.exprs import ExprError, as_cuntz, parse_expr
+from cuntzalg.exprs import ExprError, _Parser, as_cuntz, parse_expr
 from fractions import Fraction
 
 
@@ -89,6 +90,93 @@ def test_only_ascii_digits(text, pos):
     with pytest.raises(ExprError) as err:
         parse_expr(text)
     assert err.value.pos == pos
+
+
+# -- the tokeniser ---------------------------------------------------------
+
+def reference_tokens(text):
+    """(position, token) pairs read one character at a time: whitespace
+    is what str.isspace accepts, a digit run is ASCII 0-9, sqrt2 and r2
+    are one token, and "b[" takes its body raw up to the first ']'."""
+    out, pos, ascii_digits = [], 0, "0123456789"
+    while True:
+        while pos < len(text) and text[pos].isspace():
+            pos += 1
+        if pos == len(text):
+            return out
+        start, pos = pos, pos + 1
+        if text[start] in ascii_digits:
+            while pos < len(text) and text[pos] in ascii_digits:
+                pos += 1
+        elif text.startswith(("sqrt2", "r2"), start):
+            pos = start + (5 if text[start] == "s" else 2)
+        elif text[start] == "b":
+            bracket = len(text) - len(text[pos:].lstrip())
+            end = text.find("]", bracket)
+            if text[bracket:bracket + 1] == "[" and end >= 0:
+                pos = end + 1
+        out.append((start, text[start:pos]))
+
+
+TOKEN_CHARS = (list("sabEr0123456789()[],/'*+-qt x")
+               + ["\u3000", "\x85", "\x1c", "\xa0", "\t", "\n", "\u0663",
+                  "\xb2", "\uff12"])
+
+
+def test_tokens_match_the_character_reference():
+    rng = random.Random(2903)
+    for _ in range(3000):
+        text = "".join(rng.choice(TOKEN_CHARS)
+                       for _ in range(rng.randint(0, 14)))
+        parser = _Parser(text, 2)
+        count = len(parser.tokens) - 1
+        assert parser.tokens[count] == ""
+        got = [(parser.at(i), parser.tokens[i]) for i in range(count)]
+        assert got == reference_tokens(text), repr(text)
+        assert parser.at(count) == len(text)
+
+
+def test_regex_whitespace_is_str_isspace():
+    every = "".join(map(chr, range(0x110000)))
+    assert re.findall(r"\s", every) == [c for c in every if c.isspace()]
+
+
+@pytest.mark.parametrize("text, value", [
+    ("s1\u3000", CuntzPoly.generator(2, 1)),
+    ("s1 5' ", CuntzPoly.generator(2, 1).scale(Scalar(5))),
+    ("\x85-sqrt27\u3000", Scalar(0, -7)),
+    ("sqrt23", Scalar(0, 3)),
+    ("b [1/2]", mixture(Fraction(1, 2))),
+    ("E [ 1 , 2 ] '", CuntzPoly.matrix_unit(2, (2,), (1,))),
+    ("s 1 2", CuntzPoly.generator(2, 1).scale(Scalar(2)))])
+def test_whitespace_edge_cases(text, value):
+    got = parse_expr(text)
+    assert type(got) is type(value)
+    if isinstance(value, CarExpr):
+        got, value = psi_map(got), psi_map(value)
+    assert got == value
+
+
+@pytest.mark.parametrize("text, pos, message", [
+    ("a0 s1", 2, "fermion modes are numbered from 1"),
+    ("a 0", 3, "fermion modes are numbered from 1"),
+    ("b[", 2, "expected ']'"),
+    ("b x", 2, "expected '[' after b"),
+    ("b[1/0]", 2, "bad mixture index '1/0'"),
+    ("2 / 0", 4, "zero denominator"),
+    ("s qrt2", 2, "expected digits"),
+    ("r3", 0, "unknown identifier (did you mean r2?)"),
+    ("- ", 2, "expected an expression"),
+    ("s1 +   ", 7, "expected an expression"),
+    # a letter outside 1..n at its digit run, unequal unit lengths at E
+    ("s3", 1, "letter 3 outside alphabet 1..2"),
+    ("s10", 1, "letter 0 outside alphabet 1..2"),
+    ("s1 E[1,12]", 3, "matrix unit needs |J| = |K|")])
+def test_refusal_positions(text, pos, message):
+    with pytest.raises(ExprError) as err:
+        parse_expr(text)
+    assert (err.value.pos, str(err.value)) == (
+        pos, f"{message} (at position {pos})")
 
 
 def test_render_roundtrip_examples():
