@@ -6,8 +6,12 @@ s_T^*, |T| = l-1 (:meth:`PermEndo.word_maps`), and E_JK = s_J s_K^* to
 psi(s_J) psi(s_K)^*, the :func:`times` of the map of J and the
 :func:`adjoint` of the map of K, with no polynomial product.  So
 
-* UHF-restriction equality compares psi_1(E) with psi_2(E) on a
-  generating set of the depth-n units, depth by depth;
+* UHF-restriction equality needs no unit image at all: psi(s_J) =
+  U_n s_J with U_n = u lambda(u) ... lambda^{n-1}(u), so psi_1 = psi_2
+  on the depth-n units iff W_n = U2_n^* U1_n is 1_n (x) w_n, and W_n =
+  1_{n-1} (x) u_2^* (w_{n-1} (x) 1) u_1, so one signed map w of the
+  words of length L - 1, L the higher level, is carried from depth to
+  depth (see :func:`uhf_restriction_equal`);
 * relative commutants are read off the same maps: commuting with a
   signed partial permutation ties the coordinates of x in pairs x_a =
   +-x_b or sends one to 0, so the solutions are signed orbits of
@@ -23,8 +27,8 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .scalars import MINUS_ONE, ONE
-from .words import (Record, SignedMap, Word, adjoint, all_words, pad,
-                    render_word, times)
+from .words import (Record, Word, adjoint, all_words, pad, render_word,
+                    times)
 from .algebra import CuntzPoly
 from .morphisms import Morphism, PermEndo, standard_endo
 # perfbench/selftest.py checks that its tracer wraps classify.branch
@@ -35,11 +39,11 @@ from .reps import branch, branching  # noqa: F401
 Unit = Tuple[Word, Word]
 
 
-# the depth-n check compares N^n matrix units, so each level multiplies
-# its time and memory by N: theorem14_counts (N = 2) takes about 0.2,
-# 0.4, 0.8 and 1.7 s and 22, 26, 36 and 55 MB at levels 11 to 14 (the
-# word maps of two depths, held at once, hold most of that memory);
-# deeper levels are refused before any unit is compared
+# each depth of restriction equality composes one signed map of the N^L
+# words of the common level L, so the work grows linearly in the level:
+# theorem14_counts (N = 2) takes 7-10 ms and 15 MB at every level from 5
+# to 14, `classify --level 14` 0.08 s and 17 MB in all (Python 3.11,
+# x86-64 Linux); the limit stays, and deeper levels are refused at once
 MAX_LEVEL = 14
 
 
@@ -78,17 +82,24 @@ def uhf_restriction_equal(m1: PermEndo, m2: PermEndo,
 
     At depth n the units E_{1^n,K} and their adjoints generate all of
     M_{N^n}, and both maps are *-homomorphisms, so they agree on M_{N^n}
-    iff psi_1(E) = psi_2(E) for E = E_{1^n,K}, K in ``all_words`` order.
-    The adjoints need no test of their own: psi(E^*) = psi(E)^*, so an
-    adjoint E_{K,1^n} fails exactly when E_{1^n,K} does.  The first
-    failing unit is the witness.
+    iff psi_1(E) = psi_2(E) for E = E_{1^n,K}, K in ``all_words`` order;
+    the first failing unit is the witness.  No unit image is built: with
+    u_1, u_2 padded to the common level L,
 
-    Each unit is compared through its adjoint psi(E_{K,1^n}), a signed map
-    (see the module docstring), the one of lower level padded to the
-    other's depth: at one depth the s_X s_Y^* are linearly independent,
-    so the images are equal iff their maps are.  Only the word maps of
-    depths n - 1 and n are held, each of depth n one letter on one of
-    depth n - 1.  The tests keep two references: the products
+    * psi(s_J) = U_n s_J for |J| = n, U_n = u lambda(u) ... lambda^{n-1}(u)
+      and lambda(x) = sum_i s_i x s_i^*, so psi_1(E) = psi_2(E) iff
+      W_n = U2_n^* U1_n commutes with E, and psi_1 = psi_2 on M_{N^n} iff
+      W_n = 1_n (x) w_n for a signed map w_n on words of length L - 1;
+    * if so at depth n - 1, W_n = 1_{n-1} (x) v with the signed
+      permutation v = u_2^* (w_{n-1} (x) 1) u_1 of words of length L
+      (w_0 = 1), and W_n commutes with E_{K,1^n}, K = K'c, iff v commutes
+      with s_c s_1^*: iff each 1T -> (e, Y) of v has Y = 1X and v sends
+      cT to (e, cX).  The units fail by the last letter c of K alone, so
+      the first failing one is E_{1^n,1^{n-1}c} for the least failing c,
+      and v passes every c iff v = 1 (x) w_n with w_n: T -> (e, X).
+
+    So each depth costs two :func:`times` of N^L entries and one pass
+    over v.  The tests keep two references: the products
     psi(s_J) psi(s_K)^* and the cascade commutator test.
     """
     if not (isinstance(m1, PermEndo) and isinstance(m2, PermEndo)):
@@ -97,21 +108,16 @@ def uhf_restriction_equal(m1: PermEndo, m2: PermEndo,
     _check_level(level)
     if m1.n != m2.n:
         raise ValueError("rank mismatch")
-    pad1, pad2 = max(m2.level - m1.level, 0), max(m1.level - m2.level, 0)
-    prev1, prev2 = m1.word_maps(0), m2.word_maps(0)
-    for n in range(1, level + 1):
-        ones = (1,) * n
-        maps1: Dict[Word, SignedMap] = {}
-        maps2: Dict[Word, SignedMap] = {}
-        for k in all_words(m1.n, n):  # 1^n first
-            maps1[k] = m1.extend_map(k[0], prev1[k[1:]])
-            maps2[k] = m2.extend_map(k[0], prev2[k[1:]])
-            if k == ones:
-                back1, back2 = adjoint(maps1[k]), adjoint(maps2[k])
-            if (pad(times(maps1[k], back1), m1.n, pad1)
-                    != pad(times(maps2[k], back2), m1.n, pad2)):
-                return RestrictionVerdict(False, n, (ones, k))
-        prev1, prev2 = maps1, maps2
+    n, top = m1.n, max(m1.level, m2.level)
+    u1, u2 = pad(m1.u, n, top - m1.level), pad(m2.u, n, top - m2.level)
+    back2, w = adjoint(u2), {t: (1, t) for t in all_words(n, top - 1)}
+    for depth in range(1, level + 1):
+        v = times(back2, times(pad(w, n, 1), u1))
+        w = {t[1:]: (e, x[1:]) for t, (e, x) in v.items() if t[0] == 1}
+        for c in range(1, n + 1):
+            if any(v[(c,) + t] != (e, (c,) + x) for t, (e, x) in w.items()):
+                return RestrictionVerdict(False, depth, (
+                    (1,) * depth, (1,) * (depth - 1) + (c,)))
     return RestrictionVerdict(True, level)
 
 

@@ -26,8 +26,10 @@ Grammar:
 The word of 's' digits or of a unit is its digits, one letter each,
 and the digit run '0' alone is the empty word: s0 is 1 ("normal s0"
 prints 1), and so is E[0,0]; a 0 inside a longer run is refused.  A
-letter outside 1..n is refused at the position of its digit run, and a
-unit whose words differ in length at its 'E'.
+letter outside 1..n is refused at the position of its digit run, a
+unit whose words differ in length at its 'E', and a fermion mode above
+fermions.MAX_MODE that a sum or product embeds into O_2 at the start of
+its right operand ("a21" alone is kept as a formal word).
 
 Juxtaposition multiplies; a postfix apostrophe takes the adjoint.
 Expressions over s/E live in O_n, expressions over a/b in the fermion
@@ -76,17 +78,6 @@ def _lift(v: Value, like: Value) -> Value:
     return v
 
 
-def _promote(left: Value, right: Value) -> Tuple[Value, Value]:
-    """Bring two operands to a common algebra for + / *."""
-    if type(left) is type(right):
-        return left, right
-    if isinstance(left, CarExpr) and isinstance(right, CuntzPoly):
-        left = psi_map(left)
-    elif isinstance(right, CarExpr) and isinstance(left, CuntzPoly):
-        right = psi_map(right)
-    return _lift(left, right), _lift(right, left)
-
-
 class _Parser:
     """Recursive descent over the token list of the text, which ends with
     the empty string as an end mark; ``i`` indexes the next token."""
@@ -122,6 +113,22 @@ class _Parser:
         except ValueError as exc:
             raise ExprError(str(exc), self.at(self.i - 1)) from None
 
+    def promote(self, left: Value, right: Value,
+                start: int) -> Tuple[Value, Value]:
+        """Bring two operands to a common algebra for + / *.  A fermion
+        part that psi_map refuses (a mode above fermions.MAX_MODE) is
+        refused at token ``start``, where the right operand begins."""
+        if type(left) is type(right):
+            return left, right
+        try:
+            if isinstance(left, CarExpr) and isinstance(right, CuntzPoly):
+                left = psi_map(left)
+            elif isinstance(right, CarExpr) and isinstance(left, CuntzPoly):
+                right = psi_map(right)
+        except ValueError as exc:
+            raise ExprError(str(exc), self.at(start)) from None
+        return _lift(left, right), _lift(right, left)
+
     def parse(self) -> Value:
         value = self.expr()
         if self.tokens[self.i]:
@@ -138,8 +145,8 @@ class _Parser:
             value = -value
         while (op := tokens[self.i]) in ("+", "-"):
             self.i += 1
-            rhs = self.term()
-            left, right = _promote(value, rhs)
+            start = self.i
+            left, right = self.promote(value, self.term(), start)
             value = left + right if op == "+" else left - right
         return value
 
@@ -148,11 +155,11 @@ class _Parser:
         value = self.factor()
         while True:
             c = tokens[self.i][:1]
-            if c == "*":
+            if c == "*":  # a factor must follow
                 self.i += 1
-                c = tokens[self.i][:1]
-            if not c or c not in "sabE(r0123456789":
+            elif not c or c not in "sabE(r0123456789":
                 break
+            start = self.i
             rhs = self.factor()
             if isinstance(value, Scalar):
                 value = value * rhs if isinstance(rhs, Scalar) \
@@ -160,7 +167,7 @@ class _Parser:
             elif isinstance(rhs, Scalar):
                 value = value.scale(rhs)
             else:
-                left, right = _promote(value, rhs)
+                left, right = self.promote(value, rhs, start)
                 value = left * right
         return value
 

@@ -14,7 +14,8 @@ from cuntzalg.words import all_words, is_primitive, minimal_rotation, parse_ev_w
 from cuntzalg import fermions
 from cuntzalg.fermions import (MAX_MODE, MAX_VACUUM_MODE, vacuum_check,
                                verify_car, verify_mixture_car)
-from cuntzalg.classify import theorem14_counts, uhf_restriction_equal
+from cuntzalg.classify import (MAX_LEVEL, theorem14_counts,
+                               uhf_restriction_equal)
 from cuntzalg.tables import classify_table, verify_theorem14
 
 import test_properties
@@ -95,6 +96,13 @@ def test_criterion_6_counts():
             assert verdict.equal and verdict.level == 5
     check(6, "classification counts and level-5 identity certificates",
           30.0, body)
+
+    # each depth of restriction equality composes one signed map of the
+    # words of length 2, so the level limit costs little more than 5
+    def at_the_limit():
+        counts = theorem14_counts(level=MAX_LEVEL)
+        assert (counts["restrictions"], counts["classes"]) == (20, 12)
+    check(6, "classification counts at the level limit", 0.5, at_the_limit)
 
 
 def test_criterion_7_table4():

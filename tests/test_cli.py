@@ -407,6 +407,18 @@ def test_fermion_mode_above_limit_is_usage_error(capsys, argv):
     assert "above the limit of 16" in err
 
 
+@pytest.mark.parametrize("text, error", [
+    ("s1*", "expected an expression (at position 3)"),
+    ("s1 * + s2", "unexpected character '+' (at position 5)"),
+    ("s1 a21", "fermion mode 21 is above the limit of 16: a_n has 2^(n-1) "
+               "terms in O_2 (at position 3)"),
+    ("a17 + s1", "fermion mode 17 is above the limit of 16: a_n has "
+                 "2^(n-1) terms in O_2 (at position 6)")])
+def test_refusals_inside_an_expression_name_their_position(capsys, text,
+                                                           error):
+    assert run(capsys, "normal", text) == (2, "", f"error: {error}\n")
+
+
 def test_vacuum_has_a_mode_limit_of_its_own(capsys):
     # the vacuum equations act on labels and build no a_n, so they pass
     # MAX_MODE (16) and stop at MAX_VACUUM_MODE (512)
@@ -431,6 +443,7 @@ def test_huge_mixture_check_is_refused_at_once(capsys):
 def test_formal_fermion_words_need_no_embedding(capsys):
     # printing a30 or b_{61/2} as a formal word builds no a_n in O_2
     assert run(capsys, "normal", "a30") == (0, "a30\n", "")
+    assert run(capsys, "normal", "a21") == (0, "a21\n", "")
     assert run(capsys, "mixture", "61/2") == (0, "a1a1'a63' + a1'a1a63\n", "")
 
 

@@ -157,6 +157,10 @@ def test_whitespace_edge_cases(text, value):
     assert got == value
 
 
+MODE_21 = ("fermion mode 21 is above the limit of 16: a_n has 2^(n-1) "
+           "terms in O_2")
+
+
 @pytest.mark.parametrize("text, pos, message", [
     ("a0 s1", 2, "fermion modes are numbered from 1"),
     ("a 0", 3, "fermion modes are numbered from 1"),
@@ -171,7 +175,18 @@ def test_whitespace_edge_cases(text, value):
     # a letter outside 1..n at its digit run, unequal unit lengths at E
     ("s3", 1, "letter 3 outside alphabet 1..2"),
     ("s10", 1, "letter 0 outside alphabet 1..2"),
-    ("s1 E[1,12]", 3, "matrix unit needs |J| = |K|")])
+    ("s1 E[1,12]", 3, "matrix unit needs |J| = |K|"),
+    # a '*' asks for a factor after it
+    ("s1*", 3, "expected an expression"),
+    ("s1 * + s2", 5, "unexpected character '+'"),
+    ("s1 * * s2", 5, "unexpected character '*'"),
+    # psi_map refuses a mode above MAX_MODE at the right operand of the
+    # product or sum that embeds it
+    ("s1 a21", 3, MODE_21),
+    ("a21 + s1", 6, MODE_21),
+    ("s1 * a21'", 5, MODE_21),
+    ("(a21 s2)", 5, MODE_21),
+    ("s2 - 2 a21", 5, MODE_21)])
 def test_refusal_positions(text, pos, message):
     with pytest.raises(ExprError) as err:
         parse_expr(text)

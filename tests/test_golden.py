@@ -142,6 +142,22 @@ def fresh_run(*argv):
                           capture_output=True, check=True).stdout
 
 
+# md5 of classify --json at the default level, one above the golden job
+# (level 7) and the level limit, recorded while restriction equality
+# compared every unit image depth by depth
+PINNED_CLASSIFY = {
+    "5": "6907b3b76477179196d1ac63b8f0e22f",
+    "8": "81372a301e56c1821a175de68046637b",
+    "14": "adde0220e405a9cff7f4e5d0ae60ae0f",
+}
+
+
+@pytest.mark.parametrize("level,md5", sorted(PINNED_CLASSIFY.items()))
+def test_pinned_classify(capsys, level, md5):
+    assert main(["classify", "--level", level, "--json"]) == 0
+    assert hashlib.md5(capsys.readouterr().out.encode()).hexdigest() == md5
+
+
 def test_verify_all_in_a_fresh_interpreter():
     out = fresh_run("-m", "cuntzalg.cli", "verify", "all", "--json")
     assert hashlib.md5(out).hexdigest() == "ca60c9ea8b65d49116c10eab0bd493d6"

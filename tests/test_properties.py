@@ -664,6 +664,18 @@ def raised(endo):
     return PermEndo(endo.n, endo.level + 1, sigma, signs=signs)
 
 
+def twisted(endo, z):
+    """The map of u (1 (x) z) for a signed permutation z of the words of
+    length l - 1: W_1 = 1 (x) z^*, so it agrees with endo on the depth-1
+    units, and a first failing unit lies deeper."""
+    sigma, signs = {}, {}
+    for j in endo.u:
+        e, y = z[j[1:]]
+        f, x = endo.u[j[:1] + y]
+        sigma[j], signs[j] = x, e * f
+    return PermEndo(endo.n, endo.level, sigma, signs=signs)
+
+
 def poly_restriction_equal(m1, m2, level):
     """(equal, level, witness) by comparing the polynomials
     psi(E_{1^n,K}) = psi(s_{1^n}) psi(s_K)^* of apply_to_unit with
@@ -715,6 +727,21 @@ def test_word_images_match_cascades():
             equal += same_verdict(negated(raised(m1)), m1, depth)
     assert equal == 5 * 6 + 4 * 6 * 2
 
+    # pairs that agree past depth 1: u_2 = u_1 (1 (x) z), z a signed
+    # permutation or only signs, whose witnesses end in any letter c
+    deep = []
+    for n, level in ((2, 2), (2, 3), (3, 2), (3, 3)):
+        for _ in range(12):
+            m1 = random_signed_perm_endo(rng, n, level)
+            z = random_signed_perm_endo(rng, n, level - 1).u
+            signs = {t: (rng.choice((1, -1)), t) for t in z}
+            for m2 in (twisted(m1, z), twisted(m1, signs)):
+                if not same_verdict(m1, m2, 4):
+                    v = classify.uhf_restriction_equal(m1, m2, 4)
+                    deep.append((v.level, v.witness[1][-1]))
+    assert min(deep) >= (2, 1)
+    assert {(2, 1), (2, 2), (2, 3), (3, 2)} <= set(deep)
+
 
 def test_restriction_equality_makes_no_products(monkeypatch):
     """The word-map route builds no CuntzPoly product, also on fresh
@@ -738,6 +765,40 @@ def test_restriction_equality_makes_no_products(monkeypatch):
                 for a, b in pairs]
     assert products == []
     assert verdicts.count(True) == 4 + 6
+
+
+def test_restriction_equality_builds_no_word_maps(monkeypatch):
+    """Each depth composes one signed map of words of the common level,
+    in two words.times calls: no word map psi(s_J) is built, and the
+    work does not grow with N^depth."""
+    def refused(*args):
+        raise AssertionError("a word map was built")
+
+    monkeypatch.setattr(PermEndo, "word_maps", refused)
+    monkeypatch.setattr(PermEndo, "extend_map", refused)
+    calls = []
+    times = classify.times
+
+    def counted(f, g):
+        calls.append(len(g))
+        return times(f, g)
+
+    monkeypatch.setattr(classify, "times", counted)
+    rng = random.Random(6401)
+    pairs = [(standard_endo(a), standard_endo(b))
+             for a, b in itertools.combinations(classify.ALL_SIGMA, 2)]
+    for n, level in ((2, 1), (2, 3), (3, 2)):
+        m = random_signed_perm_endo(rng, n, level)
+        pairs += [(m, negated(m)), (m, raised(m)), (raised(m), m),
+                  (m, random_signed_perm_endo(rng, n, level))]
+    m = random_signed_perm_endo(rng, 3, 3)
+    pairs.append((m, twisted(m, random_signed_perm_endo(rng, 3, 2).u)))
+    for level in (1, 4, classify.MAX_LEVEL):
+        for a, b in pairs:
+            calls.clear()
+            classify.uhf_restriction_equal(a, b, level)
+            assert 0 < len(calls) <= 2 * level
+            assert max(calls) <= a.n ** max(a.level, b.level)
 
 
 def test_commutant_witness_without_cascades():
