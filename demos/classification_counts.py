@@ -7,16 +7,15 @@ Klein four-group, 4 irreducible proper endomorphisms, and 6 reducible
 ones.  Branching fingerprints separate all 12 classes.
 """
 
-from cuntzalg.classify import (commutant_witness, fingerprint,
-                               theorem14_counts, uhf_restriction_equal,
-                               verify_conjugate)
-from cuntzalg.classify import CLASS_REPRESENTATIVES, flip_unitary
+from cuntzalg.classify import (AD_FLIP, CLASS_REPRESENTATIVES,
+                               commutant_witness, fingerprint,
+                               theorem14_counts, uhf_restriction_equal)
 from cuntzalg.morphisms import standard_endo
 
 
 def main():
     print("== the counts ==")
-    counts = theorem14_counts(level=5)
+    counts = theorem14_counts()
     for key in ("restrictions", "classes", "klein", "irreducible",
                 "reducible"):
         print(f"  {key:<13} {counts[key]}")
@@ -26,13 +25,12 @@ def main():
     for n1, n2 in (("14", "1243"), ("124", "143"), ("132", "234"),
                    ("23", "1342")):
         verdict = uhf_restriction_equal(standard_endo(n1),
-                                        standard_endo(n2), level=5)
+                                        standard_endo(n2))
         print(f"  psi_{n1} vs psi_{n2}: {verdict}")
     print()
 
     print("== a conjugate pair ==")
-    u = flip_unitary()
-    ok = verify_conjugate(standard_endo("12"), standard_endo("1324"), u)
+    ok = standard_endo("12").then(AD_FLIP) == standard_endo("1324")
     print(f"  Ad(s1s2'+s2s1') o psi_12 = psi_1324: {ok}")
     print()
 

@@ -22,6 +22,6 @@ from .reps import (BranchResult, ChainRep, Component, CycleRep, UhfCycle,
 from .fermions import (CarExpr, car_generator, fermion_branch, mixture,
                        psi_map, vacuum_check, verify_car)
 from .classify import (commutant_witness, fingerprint, theorem14_counts,
-                       uhf_restriction_equal, verify_conjugate)
+                       uhf_restriction_equal)
 
 __version__ = "0.1.0"

@@ -11,26 +11,28 @@ psi(s_J) psi(s_K)^*, the :func:`times` of the map of J and the
   on the depth-n units iff W_n = U2_n^* U1_n is 1_n (x) w_n, and W_n =
   1_{n-1} (x) u_2^* (w_{n-1} (x) 1) u_1, so one signed map w of the
   words of length L - 1, L the higher level, is carried from depth to
-  depth (see :func:`uhf_restriction_equal`);
+  depth, and the first w that repeats proves equality at every depth
+  (see :func:`uhf_restriction_equal`);
 * relative commutants are read off the same maps: commuting with a
   signed partial permutation ties the coordinates of x in pairs x_a =
   +-x_b or sends one to 0, so the solutions are signed orbits of
   coordinates, with no polynomial product and no elimination;
 * conjugacy by u = s_1 s_2^* + s_2 s_1^* (Table 1) is decided on the
   maps u of PermEndos: Ad u is the PermEndo AD_FLIP, and Ad u o psi_1 =
-  psi_2 iff psi_1.then(AD_FLIP) == psi_2; :func:`verify_conjugate` keeps
-  the products u psi_1(s_i) u^* for any unitary u, as the reference.
+  psi_2 iff psi_1.then(AD_FLIP) == psi_2; the tests keep the products
+  u psi_1(s_i) u^* as the reference.
 """
 
 from __future__ import annotations
 
+from itertools import count
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .scalars import MINUS_ONE, ONE
 from .words import (Record, Word, adjoint, all_words, pad, render_word,
                     times)
 from .algebra import CuntzPoly
-from .morphisms import Morphism, PermEndo, standard_endo
+from .morphisms import PermEndo, standard_endo
 # perfbench/selftest.py checks that its tracer wraps classify.branch
 from .reps import branch, branching  # noqa: F401
 
@@ -40,22 +42,12 @@ Unit = Tuple[Word, Word]
 
 
 # each depth of restriction equality composes one signed map of the N^L
-# words of the common level L, so the work grows linearly in the level:
-# theorem14_counts (N = 2) takes 7-10 ms and 15 MB at every level from 5
-# to 14, `classify --level 14` 0.08 s and 17 MB in all (Python 3.11,
-# x86-64 Linux); the limit stays, and deeper levels are refused at once
-MAX_LEVEL = 14
-
-
-def _check_level(level: int) -> None:
-    """Refuse a certification level outside 1..MAX_LEVEL."""
-    if level < 1:
-        raise ValueError(f"certification level must be at least 1, "
-                         f"got {level}")
-    if level > MAX_LEVEL:
-        raise ValueError(f"certification level {level} is above the limit "
-                         f"of {MAX_LEVEL}: each level multiplies the work "
-                         f"by N")
+# words of the common level L, and keeps its w until one repeats; the
+# orbit closes within finitely many depths, but no useful bound is
+# proved, so the work is capped at depths x N^L entries composed.  Every
+# pair measured closes or fails by depth 4; at the cap the loop has run
+# about 1 s and 60 MB (N = 2, L = 2 to 12; Python 3.11, x86-64 Linux)
+MAX_ORBIT_ENTRIES = 2 ** 18
 
 
 class RestrictionVerdict(Record):
@@ -69,16 +61,15 @@ class RestrictionVerdict(Record):
 
     def __str__(self) -> str:
         if self.equal:
-            return f"equal-to-level-{self.level} (certified)"
+            return f"equal-at-every-level (orbit closed at level {self.level})"
         j, k = self.witness
         return (f"differ-at-level-{self.level} "
                 f"(E_{{{render_word(j)},{render_word(k)}}})")
 
 
-def uhf_restriction_equal(m1: PermEndo, m2: PermEndo,
-                          level: int = 5) -> RestrictionVerdict:
-    """Decide whether two permutative endomorphisms agree on matrix units
-    up to depth ``level``.
+def uhf_restriction_equal(m1: PermEndo, m2: PermEndo) -> RestrictionVerdict:
+    """Decide whether two permutative endomorphisms agree on the
+    gauge-invariant subalgebra, at every depth.
 
     At depth n the units E_{1^n,K} and their adjoints generate all of
     M_{N^n}, and both maps are *-homomorphisms, so they agree on M_{N^n}
@@ -96,29 +87,45 @@ def uhf_restriction_equal(m1: PermEndo, m2: PermEndo,
       with s_c s_1^*: iff each 1T -> (e, Y) of v has Y = 1X and v sends
       cT to (e, cX).  The units fail by the last letter c of K alone, so
       the first failing one is E_{1^n,1^{n-1}c} for the least failing c,
-      and v passes every c iff v = 1 (x) w_n with w_n: T -> (e, X).
+      and v passes every c iff v = 1 (x) w_n with w_n: T -> (e, X);
+    * w_n = f(w_{n-1}) for one map f, and the w's are signed maps of the
+      N^(L-1) words, finitely many, so the orbit is eventually periodic:
+      once depths 1..n pass and w_n = w_m for some m < n, every deeper
+      depth n + k repeats the depth m + k, which passed, and the maps
+      agree on every M_{N^n}, so on the whole subalgebra.
 
     So each depth costs two :func:`times` of N^L entries and one pass
-    over v.  The tests keep two references: the products
-    psi(s_J) psi(s_K)^* and the cascade commutator test.
+    over v, and every w is kept, keyed by the whole map, until one
+    repeats; the verdict is equal with the depth at which the orbit
+    closed, or differ with the first failing depth and its witness.
+    Past MAX_ORBIT_ENTRIES entries composed the call is refused.  The
+    tests keep two references: the products psi(s_J) psi(s_K)^* and the
+    cascade commutator test.
     """
     if not (isinstance(m1, PermEndo) and isinstance(m2, PermEndo)):
         raise ValueError("restriction equality is decided for permutative "
                          "endomorphisms only")
-    _check_level(level)
     if m1.n != m2.n:
         raise ValueError("rank mismatch")
     n, top = m1.n, max(m1.level, m2.level)
     u1, u2 = pad(m1.u, n, top - m1.level), pad(m2.u, n, top - m2.level)
     back2, w = adjoint(u2), {t: (1, t) for t in all_words(n, top - 1)}
-    for depth in range(1, level + 1):
+    seen = {frozenset(w.items())}
+    for depth in count(1):
+        if depth * len(u1) > MAX_ORBIT_ENTRIES:
+            raise ValueError(f"restriction equality: the orbit of w did "
+                             f"not close within {MAX_ORBIT_ENTRIES} entries "
+                             f"composed, {len(u1)} a depth")
         v = times(back2, times(pad(w, n, 1), u1))
         w = {t[1:]: (e, x[1:]) for t, (e, x) in v.items() if t[0] == 1}
         for c in range(1, n + 1):
             if any(v[(c,) + t] != (e, (c,) + x) for t, (e, x) in w.items()):
                 return RestrictionVerdict(False, depth, (
                     (1,) * depth, (1,) * (depth - 1) + (c,)))
-    return RestrictionVerdict(True, level)
+        key = frozenset(w.items())
+        if key in seen:
+            return RestrictionVerdict(True, depth)
+        seen.add(key)
 
 
 def commutant_witness(endo: PermEndo, level: int = 1) -> Optional[CuntzPoly]:
@@ -201,28 +208,11 @@ def commutant_witness(endo: PermEndo, level: int = 1) -> Optional[CuntzPoly]:
 # -- conjugacy and fingerprints ------------------------------------------
 
 
-def flip_unitary() -> CuntzPoly:
-    """u = s_1 s_2^* + s_2 s_1^*, the conjugator pairing the 24 sigmas."""
-    return (CuntzPoly.matrix_unit(2, (1,), (2,))
-            + CuntzPoly.matrix_unit(2, (2,), (1,)))
-
-
-# Ad u for u = flip_unitary(): u s_i = s_alpha(i), so u s_i u^* =
+# Ad u for u = s_1 s_2^* + s_2 s_1^*, the conjugator pairing the 24
+# sigmas: u s_i = s_alpha(i), so u s_i u^* =
 # sum_t s_alpha(i) s_alpha(t) s_t^*, the map sigma(it) = alpha(i) alpha(t)
 AD_FLIP = PermEndo(2, 2, {(i, t): (3 - i, 3 - t)
                           for i in (1, 2) for t in (1, 2)}, name="Ad(u)")
-
-
-def verify_conjugate(m1: Morphism, m2: Morphism, u: CuntzPoly) -> bool:
-    """True iff Ad u o m1 = m2, i.e. u m1(s_i) u^* = m2(s_i) for every
-    generator (u must be unitary), by CuntzPoly products."""
-    if m1.n != u.n:
-        raise ValueError("rank mismatch")
-    one, u_adj = CuntzPoly.one(u.n), u.adjoint()
-    if not (u * u_adj == one and u_adj * u == one):
-        raise ValueError("Ad requires a unitary")
-    return m1.n == m2.n and all(
-        u * a * u_adj == b for a, b in zip(m1.images, m2.images))
 
 
 NOT_DERIVABLE = "---"
@@ -260,23 +250,24 @@ CLASS_REPRESENTATIVES = ["id", "(12)(34)", "12", "13", "24", "34",
                          "142", "123", "14", "124", "132", "23"]
 
 
-def theorem14_counts(level: int = 5) -> Dict[str, int]:
+def theorem14_counts() -> Dict[str, int]:
     """Recompute the cardinality/class counts for the restrictions of the
     24 second-order endomorphisms of O_2 to UHF_2.
 
     Returns the dictionary with keys restrictions (distinct maps on
-    UHF_2, certified to the given depth), classes (unitary equivalence
+    UHF_2, equal at every depth by :func:`uhf_restriction_equal`, whose
+    orbits close at depth 2 here), classes (unitary equivalence
     classes), klein (automorphism classes forming the four-group),
     irreducible and reducible (proper classes by type).
     """
     endos = {name: standard_endo(name) for name in ALL_SIGMA}
 
-    # distinct UHF restrictions: merge by certified restriction equality
+    # distinct UHF restrictions: merge by restriction equality
     reps: List[str] = []
     merged: Dict[str, str] = {}
     for name in ALL_SIGMA:
         merged[name] = next((r for r in reps if uhf_restriction_equal(
-            endos[name], endos[r], level).equal), name)
+            endos[name], endos[r]).equal), name)
         if merged[name] == name:
             reps.append(name)
     restrictions = len(reps)

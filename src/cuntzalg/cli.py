@@ -39,8 +39,8 @@ from .reps import (FERMION_REPS, branching, decompose_power, parse_rep,
                    restrict_chain_to_uhf, restrict_cycle_to_uhf)
 from .fermions import (CarExpr, _check_half_integer, _check_mode, mixture,
                        psi_map, vacuum_check, verify_car, verify_mixture_car)
-from .tables import VERIFIERS, TableReport, classify_table, verify_theorem14
-from .classify import _check_level, theorem14_counts
+from .tables import VERIFIERS, TableReport, classify_table
+from .classify import theorem14_counts
 from .exprs import ExprError, as_cuntz, parse_expr
 
 
@@ -253,10 +253,8 @@ def _report_json(report: TableReport) -> Dict:
 
 
 def cmd_verify(args) -> int:
-    _check_level(args.level)  # before any table, whichever is asked for
     names = sorted(VERIFIERS) if args.which == "all" else [args.which]
-    reports = [verify_theorem14(args.level) if name == "theorem14"
-               else classify_table(name) for name in names]
+    reports = [classify_table(name) for name in names]
     ok = all(r.ok for r in reports)
     if args.json:
         _emit_json({"ok": ok, "reports": [_report_json(r) for r in reports]})
@@ -267,11 +265,16 @@ def cmd_verify(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    counts = theorem14_counts(args.level)
+    # --level is only echoed: restriction equality is decided at every depth
+    if args.level < 1:
+        raise ValueError(f"certification level must be at least 1, "
+                         f"got {args.level}")
+    counts = theorem14_counts()
     if args.json:
         _emit_json({"level": args.level, "counts": counts})
     else:
-        print(f"certified to level {args.level}")
+        print(f"level {args.level} (echoed; restrictions are compared at "
+              f"every depth)")
         for key in sorted(counts):
             print(f"  {key}: {counts[key]}")
     return 0
@@ -386,14 +389,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="recompute a reference table")
     p.add_argument("which", choices=sorted(VERIFIERS) + ["all"])
-    integer(p, "--level", 5,
-            help="certification level for theorem14 (default 5)")
     common(p, n=False)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("classify",
                        help="recompute the classification counts")
-    integer(p, "--level", 5, help="certification level (default 5)")
+    integer(p, "--level", 5,
+            help="echoed in the output and read by nothing else: "
+                 "restrictions are compared at every depth (default 5)")
     common(p, n=False)
     p.set_defaults(func=cmd_classify)
 

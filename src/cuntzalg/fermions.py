@@ -184,10 +184,6 @@ def car_equal(x: CarExpr, y: CarExpr) -> bool:
     return psi_map(x) == psi_map(y)
 
 
-def anticommutator(x: CarExpr, y: CarExpr) -> CarExpr:
-    return x * y + y * x
-
-
 def verify_car(modes: int) -> bool:
     """Check the canonical anticommutation relations for a_1 .. a_modes.
 

@@ -417,9 +417,9 @@ def verify_nakanishi() -> TableReport:
     return report
 
 
-def verify_theorem14(level: int = 5) -> TableReport:
+def verify_theorem14() -> TableReport:
     report = TableReport("theorem14")
-    counts = theorem14_counts(level)
+    counts = theorem14_counts()
     for key, want in THEOREM14.items():
         _cell(report, "counts", key, str(want), str(counts[key]))
     return report

@@ -14,8 +14,7 @@ from cuntzalg.words import all_words, is_primitive, minimal_rotation, parse_ev_w
 from cuntzalg import fermions
 from cuntzalg.fermions import (MAX_MODE, MAX_VACUUM_MODE, vacuum_check,
                                verify_car, verify_mixture_car)
-from cuntzalg.classify import (MAX_LEVEL, theorem14_counts,
-                               uhf_restriction_equal)
+from cuntzalg.classify import theorem14_counts, uhf_restriction_equal
 from cuntzalg.tables import classify_table, verify_theorem14
 
 import test_properties
@@ -84,25 +83,26 @@ def test_criterion_5_table3():
 
 def test_criterion_6_counts():
     def body():
-        assert verify_theorem14(level=5).ok
-        counts = theorem14_counts(level=5)
+        assert verify_theorem14().ok
+        counts = theorem14_counts()
         assert (counts["restrictions"], counts["classes"],
                 counts["klein"], counts["irreducible"],
                 counts["reducible"]) == (20, 12, 4, 4, 6)
         for n1, n2 in (("14", "1243"), ("124", "143"),
                        ("132", "234"), ("23", "1342")):
             verdict = uhf_restriction_equal(standard_endo(n1),
-                                            standard_endo(n2), level=5)
-            assert verdict.equal and verdict.level == 5
-    check(6, "classification counts and level-5 identity certificates",
+                                            standard_endo(n2))
+            # w_2 = w_0: the orbit closes at depth 2
+            assert verdict.equal and verdict.level == 2
+    check(6, "classification counts and every-depth identity certificates",
           30.0, body)
 
     # each depth of restriction equality composes one signed map of the
-    # words of length 2, so the level limit costs little more than 5
-    def at_the_limit():
-        counts = theorem14_counts(level=MAX_LEVEL)
+    # words of length 2, and every orbit here closes by depth 2
+    def at_every_depth():
+        counts = theorem14_counts()
         assert (counts["restrictions"], counts["classes"]) == (20, 12)
-    check(6, "classification counts at the level limit", 0.5, at_the_limit)
+    check(6, "classification counts at every depth", 0.5, at_every_depth)
 
 
 def test_criterion_7_table4():

@@ -4,14 +4,32 @@ import hashlib
 
 import pytest
 
-from cuntzalg import tables
+from cuntzalg import classify, tables
 from cuntzalg.algebra import CuntzPoly
 from cuntzalg.scalars import Scalar
-from cuntzalg.morphisms import flip, hadamard, standard_endo
-from cuntzalg.classify import (AD_FLIP, ALL_SIGMA, MAX_LEVEL,
-                               commutant_witness, fingerprint, flip_unitary,
-                               theorem14_counts, uhf_restriction_equal,
-                               verify_conjugate)
+from cuntzalg.morphisms import PermEndo, flip, hadamard, standard_endo
+from cuntzalg.classify import (AD_FLIP, ALL_SIGMA, commutant_witness,
+                               fingerprint, theorem14_counts,
+                               uhf_restriction_equal)
+
+
+# the product reference for AD_FLIP: conjugacy by CuntzPoly products
+def flip_unitary():
+    """u = s_1 s_2^* + s_2 s_1^*, the conjugator pairing the 24 sigmas."""
+    return (CuntzPoly.matrix_unit(2, (1,), (2,))
+            + CuntzPoly.matrix_unit(2, (2,), (1,)))
+
+
+def verify_conjugate(m1, m2, u):
+    """True iff Ad u o m1 = m2, i.e. u m1(s_i) u^* = m2(s_i) for every
+    generator (u must be unitary), by CuntzPoly products."""
+    if m1.n != u.n:
+        raise ValueError("rank mismatch")
+    one, u_adj = CuntzPoly.one(u.n), u.adjoint()
+    if not (u * u_adj == one and u_adj * u == one):
+        raise ValueError("Ad requires a unitary")
+    return m1.n == m2.n and all(
+        u * a * u_adj == b for a, b in zip(m1.images, m2.images))
 
 
 def test_flip_unitary_conjugations():
@@ -61,7 +79,7 @@ def test_theorem14_and_table1_make_no_cuntz_poly_product(monkeypatch):
         return mul(self, other)
 
     monkeypatch.setattr(CuntzPoly, "__mul__", counted)
-    assert theorem14_counts(level=5) == {
+    assert theorem14_counts() == {
         "restrictions": 20, "classes": 12, "klein": 4, "irreducible": 4,
         "reducible": 6}
     assert tables.verify_table1().ok
@@ -71,19 +89,39 @@ def test_theorem14_and_table1_make_no_cuntz_poly_product(monkeypatch):
 def test_restriction_equalities():
     pairs = [("14", "1243"), ("124", "143"), ("132", "234"), ("23", "1342")]
     for n1, n2 in pairs:
-        v = uhf_restriction_equal(standard_endo(n1), standard_endo(n2),
-                                  level=5)
-        assert v.equal
-        assert "certified" in str(v)
+        v = uhf_restriction_equal(standard_endo(n1), standard_endo(n2))
+        assert (v.equal, v.level, v.witness) == (True, 2, None)
+        assert str(v) == "equal-at-every-level (orbit closed at level 2)"
         # the two maps still differ on the full algebra
         assert standard_endo(n1) != standard_endo(n2)
 
 
 def test_restriction_differences():
-    v = uhf_restriction_equal(standard_endo("14"), standard_endo("23"),
-                              level=2)
+    v = uhf_restriction_equal(standard_endo("14"), standard_endo("23"))
     assert not v.equal
     assert "differ" in str(v)
+
+
+# a pair that agrees on the depth-1 units and first differs at depth 2,
+# and a pair whose w runs through four maps before it comes back to
+# w_0 = 1: equal at every depth, the orbit closing at depth 4
+LATE_FAILURE = (standard_endo("12"), standard_endo("34"))
+PERIOD_4 = (standard_endo("23"), PermEndo(
+    2, 2, {(1, 1): (2, 1), (1, 2): (1, 1), (2, 1): (2, 2), (2, 2): (1, 2)},
+    signs={(1, 1): 1, (1, 2): -1, (2, 1): 1, (2, 2): -1}))
+
+
+def test_a_pair_that_first_fails_at_depth_2():
+    # stopping at the first depth that passes would call it equal
+    v = uhf_restriction_equal(*LATE_FAILURE)
+    assert (v.equal, v.level, v.witness) == (False, 2, ((1, 1), (1, 1)))
+
+
+def test_an_orbit_of_period_4():
+    # comparing w only with the w before it never sees the orbit close
+    v = uhf_restriction_equal(*PERIOD_4)
+    assert (v.equal, v.level, v.witness) == (True, 4, None)
+    assert uhf_restriction_equal(*PERIOD_4[::-1]).equal
 
 
 def test_commutant_witnesses():
@@ -135,24 +173,25 @@ def test_intertwining():
 
 
 def test_theorem14_counts():
-    counts = theorem14_counts(level=3)
+    counts = theorem14_counts()
     assert counts == {"restrictions": 20, "classes": 12, "klein": 4,
                       "irreducible": 4, "reducible": 6}
 
 
-def test_depth_zero_certificate_is_refused():
-    with pytest.raises(ValueError, match="at least 1"):
-        uhf_restriction_equal(standard_endo("14"), standard_endo("23"), 0)
-    with pytest.raises(ValueError, match="at least 1"):
-        theorem14_counts(level=0)
-
-
-def test_levels_above_the_limit_are_refused():
-    with pytest.raises(ValueError, match="above the limit of 14"):
-        uhf_restriction_equal(standard_endo("14"), standard_endo("1243"),
-                              MAX_LEVEL + 1)
-    with pytest.raises(ValueError, match="above the limit of 14"):
-        theorem14_counts(level=100)
+def test_orbits_past_the_work_bound_are_refused(monkeypatch):
+    # psi_14 and psi_1243 close at depth 2: 2 depths x 4 entries composed
+    pair = standard_endo("14"), standard_endo("1243")
+    monkeypatch.setattr(classify, "MAX_ORBIT_ENTRIES", 7)
+    with pytest.raises(ValueError) as err:
+        uhf_restriction_equal(*pair)
+    assert str(err.value) == ("restriction equality: the orbit of w did not "
+                              "close within 7 entries composed, 4 a depth")
+    monkeypatch.setattr(classify, "MAX_ORBIT_ENTRIES", 8)
+    assert uhf_restriction_equal(*pair).equal
+    # a failing depth within the bound is answered
+    monkeypatch.setattr(classify, "MAX_ORBIT_ENTRIES", 4)
+    assert not uhf_restriction_equal(standard_endo("14"),
+                                     standard_endo("23")).equal
 
 
 def test_restriction_equality_needs_permutative_maps():
@@ -160,12 +199,12 @@ def test_restriction_equality_needs_permutative_maps():
     for m1, m2 in ((hadamard(), standard_endo("(13)(24)")),
                    (standard_endo("12"), hadamard())):
         with pytest.raises(ValueError, match="permutative endomorphisms"):
-            uhf_restriction_equal(m1, m2, 2)
+            uhf_restriction_equal(m1, m2)
     # flip() is psi_(13)(24) as a PermEndo of level 1
     assert flip() == standard_endo("(13)(24)")
     for m1, m2 in ((flip(), standard_endo("(13)(24)")),
                    (standard_endo("(13)(24)"), flip())):
-        assert uhf_restriction_equal(m1, m2, 5).equal
+        assert uhf_restriction_equal(m1, m2).equal
 
 
 def test_commutant_witness_needs_a_permutative_map():
@@ -177,10 +216,15 @@ def test_commutant_witness_needs_a_permutative_map():
 
 
 def test_level_6_verdicts_are_pinned():
-    # str() of the 576 ordered verdicts at level 6, recorded while the
-    # word maps were still cached per endomorphism
+    # str() of the 576 ordered verdicts; with each "equal" line read as
+    # the level-6 certificate it was, the text is the one recorded at
+    # level 6 while the word maps were still cached per endomorphism, so
+    # every "differ" line is unchanged
     endos = [standard_endo(name) for name in ALL_SIGMA]
-    verdicts = "\n".join(str(uhf_restriction_equal(a, b, 6))
-                         for a in endos for b in endos)
-    assert hashlib.md5(verdicts.encode()).hexdigest() == \
+    lines = [str(uhf_restriction_equal(a, b)) for a in endos for b in endos]
+    assert hashlib.md5("\n".join(lines).encode()).hexdigest() == \
+        "b6a10e378a314eb50fcbbc58848216d5"
+    at_level_6 = ["equal-to-level-6 (certified)"
+                  if line.startswith("equal") else line for line in lines]
+    assert hashlib.md5("\n".join(at_level_6).encode()).hexdigest() == \
         "82370b8131e8bfbbd20b25fb32e83bc4"

@@ -7,7 +7,8 @@ import time
 
 import pytest
 
-from cuntzalg import cli, morphisms, reps
+from cuntzalg import classify, cli, morphisms, reps
+from cuntzalg.tables import VERIFIERS
 from cuntzalg.algebra import CuntzPoly
 from cuntzalg.cli import main
 
@@ -200,15 +201,15 @@ def test_repeated_cycle_entry_is_usage_error(capsys):
     ("branch", "--rep", "P(1" + "2" * 100000 + ")", "--endo", "psi:142"),
     ("branch", "--rep", "2" * 99999 + "(1)^inf", "--endo", "psi:142"),
     ("classify", "--level", "0"),
-    ("verify", "theorem14", "--level", "0"),
+    ("classify", "--level", "-1"),
     ("vacuum", "fock", "--max-mode", "-1"),
     ("car", "--check-modes", "0"),
-    ("classify", "--level", "15"),
-    ("classify", "--level", "100"),
-    ("verify", "theorem14", "--level", "30"),
-    ("verify", "table3", "--level", "99"),
-    ("verify", "table1", "--level", "-5"),
-    ("verify", "all", "--level", "15"),
+    ("vacuum", "fock", "--max-mode", "513"),
+    ("car", "--check-modes", "17"),
+    ("restrict", "--rep", "2(12)^inf", "--eta-min", "-1001"),
+    ("restrict", "--rep", "2(12)^inf", "--eta-max", "1001"),
+    ("mixture", "17/2", "--check"),
+    ("classify", "--level", "-5"),
 ])
 def test_out_of_range_option_is_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -216,25 +217,63 @@ def test_out_of_range_option_is_usage_error(capsys, argv):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
-ABOVE = ("certification level {} is above the limit of 14: each level "
-         "multiplies the work by N")
 BELOW = "certification level must be at least 1, got {}"
 
 
-@pytest.mark.parametrize("target, level, message", [
-    ("all", "99", ABOVE), ("table1", "-5", BELOW),
-    ("nakanishi", "0", BELOW), ("theorem14", "15", ABOVE),
-])
-def test_verify_checks_the_level_before_any_table(capsys, monkeypatch,
-                                                  target, level, message):
-    """Every target refuses the level as theorem14 does, before it
-    computes a table."""
+@pytest.mark.parametrize("target", ["all", "table1", "nakanishi",
+                                    "theorem14"])
+def test_verify_takes_no_level(capsys, monkeypatch, target):
+    """verify has no --level: it is refused before any table is computed,
+    and without it every target, theorem14 too, is one classify_table."""
     computed = []
     monkeypatch.setattr(cli, "classify_table", computed.append)
-    monkeypatch.setattr(cli, "verify_theorem14", computed.append)
-    code, out, err = run(capsys, "verify", target, "--level", level)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", target, "--level", "5"])
+    assert (exc.value.code, computed) == (2, [])
+    assert "unrecognized arguments: --level 5" in capsys.readouterr().err
+    monkeypatch.setattr(cli, "classify_table", tables_by_name(computed))
+    assert main(["verify", target]) == 0
+    assert computed == (sorted(VERIFIERS) if target == "all" else [target])
+
+
+def tables_by_name(computed):
+    """A stand-in for classify_table that records the names it is given
+    and reports each table as verified."""
+    def fake(name):
+        computed.append(name)
+        return cli.TableReport(name)
+    return fake
+
+
+@pytest.mark.parametrize("level", ["1", "5", "15", "100"])
+def test_classify_level_is_only_echoed(capsys, level):
+    code, out, _ = run(capsys, "classify", "--level", level, "--json")
+    assert (code, json.loads(out)) == (0, {
+        "level": int(level), "counts": {
+            "restrictions": 20, "classes": 12, "klein": 4,
+            "irreducible": 4, "reducible": 6}})
+    code, out, _ = run(capsys, "classify", "--level", level)
+    assert out.splitlines()[0] == (f"level {level} (echoed; restrictions "
+                                   f"are compared at every depth)")
+
+
+@pytest.mark.parametrize("level", ["0", "-5"])
+def test_classify_refuses_a_level_below_1_before_any_count(
+        capsys, monkeypatch, level):
+    computed = []
+    monkeypatch.setattr(cli, "theorem14_counts", computed.append)
+    code, out, err = run(capsys, "classify", "--level", level)
     assert (code, out, computed) == (2, "", [])
-    assert err == f"error: {message.format(level)}\n"
+    assert err == f"error: {BELOW.format(level)}\n"
+
+
+def test_classify_past_the_orbit_bound_is_usage_error(capsys, monkeypatch):
+    # the equal pairs of Theorem 14 close at depth 2, 8 entries composed
+    monkeypatch.setattr(classify, "MAX_ORBIT_ENTRIES", 7)
+    code, out, err = run(capsys, "classify", "--json")
+    assert (code, out) == (2, "")
+    assert err == ("error: restriction equality: the orbit of w did not "
+                   "close within 7 entries composed, 4 a depth\n")
 
 
 @pytest.mark.parametrize("argv, text", [
@@ -282,7 +321,7 @@ def test_non_ascii_digit_is_refused_at_its_position(capsys, text, message):
     (("mixture", "-\u0661/2"), "bad mixture index '-\u0661/2'"),
     (("classify", "--level", "\u0663"), "bad --level value '\u0663'"),
     (("classify", "--level", "x"), "bad --level value 'x'"),
-    (("verify", "table1", "--level", "5/1"), "bad --level value '5/1'"),
+    (("classify", "--level", "5/1"), "bad --level value '5/1'"),
     (("vacuum", "fock", "--max-mode", "\u0663"),
      "bad --max-mode value '\u0663'"),
     (("car", "--check-modes", "1_0"), "bad --check-modes value '1_0'"),
@@ -717,7 +756,7 @@ def test_parser_is_built_once_per_process(capsys, monkeypatch):
     (("classify", "--level", "3", "--json"), ("classify", "--json"),
      lambda out: json.loads(out)["level"] == 5),
     (("classify", "--level", "1", "--json"), ("classify", "--level", "1"),
-     lambda out: out.startswith("certified to level 1\n")),
+     lambda out: out.startswith("level 1 (echoed; ")),
     (("mixture", "-3/2"), ("mixture", "3/2"),
      lambda out: out == "(-1)*a1a1'a5' + (-1)*a1'a1a5\n"),
     (("--help",), ("eq", "s1' s1", "1"), lambda out: out == "true\n"),

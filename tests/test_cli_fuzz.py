@@ -83,7 +83,7 @@ COMMANDS = [
     command("vacuum", [st.sampled_from(["fock", "fock*", "iw", "iw*", "x"])],
             option("--max-mode", small(-1, 5)), JSON),
     command("verify", [st.sampled_from(sorted(VERIFIERS) + ["all", "x"])],
-            option("--level", small(-1, 2)), JSON),
+            JSON),
     command("classify", [], option("--level", small(-1, 2)), JSON),
 ]
 

@@ -688,22 +688,50 @@ def poly_restriction_equal(m1, m2, level):
     return (True, level, None)
 
 
+def same_verdict(m1, m2, depth, cascade_depth=None):
+    """uhf_restriction_equal against the polynomial products of
+    apply_to_unit and the cascade commutator test: a pair that differs
+    has the same first failing level and witness in both references, and
+    an equal pair is equal in both down to ``depth`` (the cascades down
+    to ``cascade_depth``, by default the same).  Returns the verdict."""
+    v = classify.uhf_restriction_equal(m1, m2)
+    if v.equal:
+        checks = ((poly_restriction_equal, depth),
+                  (cascade_restriction_equal, cascade_depth or depth))
+    else:
+        checks = ((poly_restriction_equal, v.level),
+                  (cascade_restriction_equal, v.level))
+    for reference, level in checks:
+        want = (True, level, None) if v.equal else (False, v.level,
+                                                      v.witness)
+        assert reference(m1, m2, level) == want, (
+            reference.__name__, m1.u, m2.u, str(v))
+    return v
+
+
 def test_word_images_match_cascades():
     """uhf_restriction_equal compares signed word maps; the polynomial
     products of apply_to_unit and the cascade commutator test give the
-    same verdict, level and witness."""
-    def same_verdict(m1, m2, level):
-        v = classify.uhf_restriction_equal(m1, m2, level)
-        got = (v.equal, v.level, v.witness)
-        assert got == poly_restriction_equal(m1, m2, level), \
-            ("products", m1.sigma, m1.signs, m2.sigma, m2.signs, level)
-        assert got == cascade_restriction_equal(m1, m2, level), \
-            ("cascades", m1.sigma, m1.signs, m2.sigma, m2.signs, level)
-        return v.equal
-
+    same verdict, level and witness.  Equal verdicts hold down to depth 8
+    in the products and depth 6 in the cascades (which take about 2 s a
+    pair at depth 8 on N = 3) for all 576 ordered sigma pairs and for
+    seeded signed maps of (N, l) = (2, 3), (3, 2), (2, 4) against a random
+    map, their negation (w alternates between 1 and -1) and a twist."""
     sigmas = [standard_endo(name) for name in classify.ALL_SIGMA]
-    assert sum(same_verdict(a, b, 4)
-               for a, b in itertools.combinations(sigmas, 2)) == 4
+    verdicts = [same_verdict(a, b, 8, 6) for a in sigmas for b in sigmas]
+    # 24 pairs of a map with itself close at once, the 8 others at 2
+    assert sorted(v.level for v in verdicts if v.equal) == [1] * 24 + [2] * 8
+    rng = random.Random(3131)
+    verdicts = []
+    for n, level in ((2, 3), (3, 2), (2, 4)):
+        for _ in range(2):
+            m1 = random_signed_perm_endo(rng, n, level)
+            z = random_signed_perm_endo(rng, n, level - 1).u
+            for m2 in (random_signed_perm_endo(rng, n, level), negated(m1),
+                       twisted(m1, z)):
+                verdicts.append(same_verdict(m1, m2, 8, 6))
+    assert {(v.equal, v.level) for v in verdicts} == {
+        (True, 2), (False, 1), (False, 2)}
 
     # equal counts only the pairs equal by construction: a map against
     # its negation or its raised form
@@ -715,7 +743,7 @@ def test_word_images_match_cascades():
             m1 = random_signed_perm_endo(rng, n, level)
             m2 = random_signed_perm_endo(rng, n, level)
             same_verdict(m1, m2, depth)
-            equal += same_verdict(m1, negated(m1), depth)
+            equal += same_verdict(m1, negated(m1), depth).equal
     for n, low, high, depth in ((2, 1, 2, 3), (2, 2, 3, 3), (3, 1, 2, 2),
                                 (3, 2, 3, 2)):
         for _ in range(6):
@@ -723,8 +751,8 @@ def test_word_images_match_cascades():
             m2 = random_signed_perm_endo(rng, n, high)
             same_verdict(m1, m2, depth)
             same_verdict(m2, m1, depth)
-            equal += same_verdict(m1, raised(m1), depth)
-            equal += same_verdict(negated(raised(m1)), m1, depth)
+            equal += same_verdict(m1, raised(m1), depth).equal
+            equal += same_verdict(negated(raised(m1)), m1, depth).equal
     assert equal == 5 * 6 + 4 * 6 * 2
 
     # pairs that agree past depth 1: u_2 = u_1 (1 (x) z), z a signed
@@ -736,8 +764,8 @@ def test_word_images_match_cascades():
             z = random_signed_perm_endo(rng, n, level - 1).u
             signs = {t: (rng.choice((1, -1)), t) for t in z}
             for m2 in (twisted(m1, z), twisted(m1, signs)):
-                if not same_verdict(m1, m2, 4):
-                    v = classify.uhf_restriction_equal(m1, m2, 4)
+                v = same_verdict(m1, m2, 4)
+                if not v.equal:
                     deep.append((v.level, v.witness[1][-1]))
     assert min(deep) >= (2, 1)
     assert {(2, 1), (2, 2), (2, 3), (3, 2)} <= set(deep)
@@ -761,7 +789,7 @@ def test_restriction_equality_makes_no_products(monkeypatch):
         m = random_signed_perm_endo(rng, n, level)
         pairs += [(m, negated(m)), (m, raised(m)),
                   (m, random_signed_perm_endo(rng, n, level))]
-    verdicts = [classify.uhf_restriction_equal(a, b, 4).equal
+    verdicts = [classify.uhf_restriction_equal(a, b).equal
                 for a, b in pairs]
     assert products == []
     assert verdicts.count(True) == 4 + 6
@@ -769,8 +797,8 @@ def test_restriction_equality_makes_no_products(monkeypatch):
 
 def test_restriction_equality_builds_no_word_maps(monkeypatch):
     """Each depth composes one signed map of words of the common level,
-    in two words.times calls: no word map psi(s_J) is built, and the
-    work does not grow with N^depth."""
+    in two words.times calls, up to the depth of the verdict: no word
+    map psi(s_J) is built, and the work does not grow with N^depth."""
     def refused(*args):
         raise AssertionError("a word map was built")
 
@@ -793,12 +821,33 @@ def test_restriction_equality_builds_no_word_maps(monkeypatch):
                   (m, random_signed_perm_endo(rng, n, level))]
     m = random_signed_perm_endo(rng, 3, 3)
     pairs.append((m, twisted(m, random_signed_perm_endo(rng, 3, 2).u)))
-    for level in (1, 4, classify.MAX_LEVEL):
-        for a, b in pairs:
-            calls.clear()
-            classify.uhf_restriction_equal(a, b, level)
-            assert 0 < len(calls) <= 2 * level
-            assert max(calls) <= a.n ** max(a.level, b.level)
+    for a, b in pairs:
+        calls.clear()
+        v = classify.uhf_restriction_equal(a, b)
+        assert len(calls) == 2 * v.level
+        assert max(calls) <= a.n ** max(a.level, b.level)
+
+
+def test_signed_level_2_restrictions_census():
+    """The 384 signed permutative maps of level 2 on O_2 have 140
+    distinct restrictions to the gauge-invariant subalgebra: 96 of them
+    shared by 2 maps, 40 by 4 and 4 by 8."""
+    words = list(all_words(2, 2))
+    classes = []
+    for perm in itertools.permutations(words):
+        for signs in itertools.product((1, -1), repeat=4):
+            m = PermEndo(2, 2, dict(zip(words, perm)),
+                         signs=dict(zip(words, signs)))
+            for members in classes:
+                if classify.uhf_restriction_equal(m, members[0]).equal:
+                    members.append(m)
+                    break
+            else:
+                classes.append([m])
+    assert len(classes) == 140
+    sizes = [len(members) for members in classes]
+    assert {size: sizes.count(size) for size in set(sizes)} == {
+        2: 96, 4: 40, 8: 4}
 
 
 def test_commutant_witness_without_cascades():

@@ -14,7 +14,7 @@ def test_table(name):
 
 
 def test_theorem14():
-    report = verify_theorem14(level=5)
+    report = verify_theorem14()
     assert report.ok, str(report)
 
 
