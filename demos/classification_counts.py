@@ -8,8 +8,9 @@ ones.  Branching fingerprints separate all 12 classes.
 """
 
 from cuntzalg.classify import (AD_FLIP, CLASS_REPRESENTATIVES,
-                               commutant_witness, fingerprint,
-                               theorem14_counts, uhf_restriction_equal)
+                               _commutant_orbits, commutant_witness,
+                               fingerprint, theorem14_counts,
+                               uhf_restriction_equal)
 from cuntzalg.morphisms import standard_endo
 
 
@@ -34,12 +35,14 @@ def main():
     print(f"  Ad(s1s2'+s2s1') o psi_12 = psi_1324: {ok}")
     print()
 
-    print("== commutant witnesses at the first level ==")
+    print("== commutant witnesses at every depth ==")
     for name in CLASS_REPRESENTATIVES:
         endo = standard_endo(name)
-        w = commutant_witness(endo, level=1)
-        print(f"  psi_{name:<5}: "
-              f"{w if w is not None else 'no witness at level 1'}")
+        w = commutant_witness(endo)
+        # dim C is the number of signed orbits of the union-find
+        dim = len(_commutant_orbits(endo))
+        print(f"  psi_{name:<5}: dim C = {dim}, "
+              f"{w if w is not None else 'trivial commutant'}")
     print()
 
     print("== fingerprints separate the classes ==")

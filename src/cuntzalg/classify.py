@@ -1,10 +1,7 @@
 """Classification engine for second-order permutative endomorphisms.
 
-Everything here is read off signed maps of words: a permutative psi of
-level l sends s_J to the map T -> (eps_T, X_T) of sum_T eps_T s_{X_T}
-s_T^*, |T| = l-1 (:meth:`PermEndo.word_maps`), and E_JK = s_J s_K^* to
-psi(s_J) psi(s_K)^*, the :func:`times` of the map of J and the
-:func:`adjoint` of the map of K, with no polynomial product.  So
+Everything here is read off the signed map u of a PermEndo, psi(s_i) =
+u s_i, with no polynomial product and no elimination:
 
 * UHF-restriction equality needs no unit image at all: psi(s_J) =
   U_n s_J with U_n = u lambda(u) ... lambda^{n-1}(u), so psi_1 = psi_2
@@ -13,10 +10,10 @@ psi(s_J) psi(s_K)^*, the :func:`times` of the map of J and the
   words of length L - 1, L the higher level, is carried from depth to
   depth, and the first w that repeats proves equality at every depth
   (see :func:`uhf_restriction_equal`);
-* relative commutants are read off the same maps: commuting with a
-  signed partial permutation ties the coordinates of x in pairs x_a =
-  +-x_b or sends one to 0, so the solutions are signed orbits of
-  coordinates, with no polynomial product and no elimination;
+* the relative commutant C = psi(F)' cap F of the whole gauge-invariant
+  algebra F is a signed union-find on the coordinates of F^(l-1),
+  pulled back through T(x) = psi(s_1)^* x psi(s_1) pass by pass until
+  a pass changes nothing (see :func:`_commutant_orbits`);
 * conjugacy by u = s_1 s_2^* + s_2 s_1^* (Table 1) is decided on the
   maps u of PermEndos: Ad u is the PermEndo AD_FLIP, and Ad u o psi_1 =
   psi_2 iff psi_1.then(AD_FLIP) == psi_2; the tests keep the products
@@ -26,7 +23,7 @@ psi(s_J) psi(s_K)^*, the :func:`times` of the map of J and the
 from __future__ import annotations
 
 from itertools import count
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .scalars import MINUS_ONE, ONE
 from .words import (Record, Word, adjoint, all_words, pad, render_word,
@@ -48,6 +45,10 @@ Unit = Tuple[Word, Word]
 # pair measured closes or fails by depth 4; at the cap the loop has run
 # about 1 s and 60 MB (N = 2, L = 2 to 12; Python 3.11, x86-64 Linux)
 MAX_ORBIT_ENTRIES = 2 ** 18
+
+# x in F^(l-1) has N^(2(l-1)) coordinates; at the cap (N = 2, l = 8) a map
+# takes 0.3-0.6 s and 45 MB, l = 9 2 s and 135 MB (Python 3.11, x86-64)
+MAX_COMMUTANT_COORDS = 2 ** 14
 
 
 class RestrictionVerdict(Record):
@@ -128,80 +129,88 @@ def uhf_restriction_equal(m1: PermEndo, m2: PermEndo) -> RestrictionVerdict:
         seen.add(key)
 
 
-def commutant_witness(endo: PermEndo, level: int = 1) -> Optional[CuntzPoly]:
-    """Search the relative commutant endo(UHF)' cap UHF at a given depth.
+def _commutant_orbits(endo: PermEndo) -> List[Dict[Unit, int]]:
+    """The relative commutant C = psi(F)' cap F of the gauge-invariant
+    algebra F at every depth, as its basis of signed orbits {coordinate:
+    sign} in F^(l-1), l the level, each +1 at its last coordinate (the
+    orbit's root), in that order; dim C is their number.
 
-    Solves [x, endo(g)] = 0 exactly for x = sum_{J,K} x_JK E_JK in the
-    span of the depth-``level`` matrix units, g over the generators
-    E_{1^L,K} and E_{K,1^L} of depth L = ``level``.  They suffice: a unit
-    of depth g < L is the sum of the depth-L units E_{Jw,Kw}, |w| = L - g.
-    Each image is a signed map (see the module docstring), s_Y -> eps s_X
-    on the words of depth L + l - 1, and x acts there as x tensor 1.  So
-    an entry of x endo(g) - endo(g) x is eps x_a - eps' x_b or a single
-    eps x_a, and the solutions are spanned
-    by the consistent signed orbits of the N^(2L) coordinates under
-    x_a = eps eps' x_b, found by a signed union-find; an orbit that meets
-    x_a = 0 or a sign conflict is 0.  The orbits have disjoint supports,
-    so the free columns of the reduced echelon form (J, K order) are
-    their last coordinates, and its nullspace basis is the orbits in
-    that order, each signed +1 at its last coordinate.  The identity is
-    always a solution, so it is the sum of the orbits on the diagonal; the
-    witness is the first orbit that is not the whole diagonal, or None
-    when there is none (the commutant is trivial at this depth).  This
-    is the first non-scalar vector of the exact nullspace of the
-    commutators [E, endo(g)], which the tests keep as a reference.
+    With S_i = u s_i and z = u^*(x (x) 1)u in blocks (c, d) by first
+    letters, x commutes with psi(F^1) iff z = sum_c s_c T(x) s_c^* (the
+    D-ties: blocks (c, d), c != d, are 0, blocks (c, c) equal the block
+    (1, 1), T(x) = S_1^* x S_1), and then with psi(F^n) iff T(x) commutes
+    with psi(F^(n-1)): X_n = D cap T^-1(X_(n-1)).  Entries of z and T(x)
+    are +-x_a or 0, so a signed union-find holds the solutions exactly;
+    pass k pulls the D-ties back through T^k, leaving X_(k+1).  Once a
+    pass changes nothing, X_(k+1) = X_k, so X_(k+2) = D cap T^-1(X_(k+1))
+    = X_(k+1), and so on; a pass that changes something merges two orbits
+    or zeroes one, so at most 2 N^(2(l-1)) passes run.  F^(l-1) is
+    enough: T maps C of depth m >= l one to one onto C of depth m - 1, as
+    x = sum_k S_k T(x) S_k^* and sum_k S_k y S_k^* is in C for y in C.
     """
+    n, cut = endo.n, endo.level - 1
+    if n ** (2 * cut) > MAX_COMMUTANT_COORDS:
+        raise ValueError(f"relative commutant: {n}^{2 * cut} coordinates "
+                         f"above the limit of {MAX_COMMUTANT_COORDS}")
+    words = list(all_words(n, cut))
+    nil = ((n + 1,), ())  # the coordinate 0, after every coordinate of x
+    zero = (1, nil)
+    up = {c: (1, c) for c in [(j, k) for j in words for k in words] + [nil]}
+    # z_PQ = e f x_XY for u(P) = (e, Xa), u(Q) = (f, Ya), else 0
+    z = {(p, q): (e * f, (x[:-1], y[:-1])) for p, (e, x) in endo.u.items()
+         for q, (f, y) in endo.u.items() if x[-1] == y[-1]}
+    # T(x)_c = z_{1J,1K} for c = (J, K); nil's key names no entry of z
+    step = {c: z.get(((1,) + c[0], (1,) + c[1]), zero) for c in up}
+    ties = [(z.get((p, q), zero), step[p[1:], q[1:]] if p[0] == q[0] else zero)
+            for p in endo.u for q in endo.u if (p[0], q[0]) != (1, 1)]
+    ties = [t for t in ties if t != (zero, zero)]
+
+    def find(a):  # the root of a signed coordinate a, and a's sign to it
+        e, c = a
+        while up[c][1] != c:
+            f, c = up[c]
+            e *= f
+        return e, c
+
+    def pull(a):  # the signed coordinate of x that T(x) reads at a
+        g, d = step[a[1]]
+        return a[0] * g, d
+
+    def tie(a, b):  # x_a = x_b: the smaller root goes under the larger
+        (s, ra), (t, rb) = find(a), find(b)
+        if ra == rb:
+            if s == t or ra == nil:
+                return False
+            rb = nil
+        elif ra > rb:
+            ra, rb = rb, ra
+        up[ra] = (s * t, rb)
+        return True
+
+    while any([tie(a, b) for a, b in ties]):  # pass k: the ties of T^k(x)
+        ties = [(pull(a), pull(b)) for a, b in ties]
+    orbits: Dict[Unit, Dict[Unit, int]] = {}
+    for c in up:
+        e, root = find((1, c))
+        if root != nil:
+            orbits.setdefault(root, {})[c] = e
+    return [orbits[root] for root in sorted(orbits)]
+
+
+def commutant_witness(endo: PermEndo) -> Optional[CuntzPoly]:
+    """A non-scalar element of psi(F)' cap F, F the gauge-invariant
+    algebra, at every depth, or None: the first orbit of
+    :func:`_commutant_orbits` that is not the whole diagonal, the first
+    non-scalar vector of the reduced echelon nullspace (the tests'
+    reference)."""
     if not isinstance(endo, PermEndo):
         raise ValueError("relative commutants are computed for permutative "
                          "endomorphisms only")
-    words = list(all_words(endo.n, level))
-    coords = [(j, k) for j in words for k in words]
-    up = {c: (1, c) for c in coords}  # x_c = sign * x_up; a root is its own up
-    zero: Set[Unit] = set()          # coordinates forced to 0
-
-    def find(c):
-        sign = 1
-        while up[c][1] != c:
-            e, c = up[c]
-            sign *= e
-        return sign, c
-
-    maps = endo.word_maps(level)
-    ones_map = maps[(1,) * level]
-    for k in words:
-        unit = times(ones_map, adjoint(maps[k]))  # endo(E_{1^L,K})
-        for image in (unit, adjoint(unit)):
-            entries: Dict[Unit, List[Tuple[int, Unit]]] = {}
-            for y, (e, x) in image.items():
-                for w in words:
-                    # (x g)_{w x'', y} = e x_{w, x'} and
-                    # (g x)_{x, w y''} = e x_{y', w}, x = x' x'', y = y' y''
-                    entries.setdefault((w + x[level:], y), []).append(
-                        (e, (w, x[:level])))
-                    entries.setdefault((x, w + y[level:]), []).append(
-                        (-e, (y[:level], w)))
-            for terms in entries.values():
-                if len(terms) == 1:
-                    zero.add(terms[0][1])
-                    continue
-                (e1, a), (e2, b) = terms
-                s1, ra = find(a)
-                s2, rb = find(b)
-                sign = -e1 * e2 * s1 * s2  # x_ra = sign * x_rb
-                if ra != rb:
-                    up[ra] = (sign, rb)
-                elif sign == -1:
-                    zero.add(a)
-    orbits: Dict[Unit, List[Unit]] = {}
-    for c in coords:
-        orbits.setdefault(find(c)[1], []).append(c)
-    diagonal = [(j, j) for j in words]
-    for members in sorted(orbits.values(), key=lambda m: m[-1]):
-        if members == diagonal or not zero.isdisjoint(members):
-            continue
-        last = find(members[-1])[0]
-        return CuntzPoly._from_valid(endo.n, {
-            c: ONE if find(c)[0] == last else MINUS_ONE for c in members})
+    diagonal = [(j, j) for j in all_words(endo.n, endo.level - 1)]
+    for members in _commutant_orbits(endo):
+        if list(members) != diagonal:
+            return CuntzPoly._from_valid(endo.n, {
+                c: ONE if e == 1 else MINUS_ONE for c, e in members.items()})
     return None
 
 
@@ -258,7 +267,8 @@ def theorem14_counts() -> Dict[str, int]:
     UHF_2, equal at every depth by :func:`uhf_restriction_equal`, whose
     orbits close at depth 2 here), classes (unitary equivalence
     classes), klein (automorphism classes forming the four-group),
-    irreducible and reducible (proper classes by type).
+    irreducible and reducible (proper classes whose relative commutant
+    psi(F)' cap F, at every depth, is or is not trivial).
     """
     endos = {name: standard_endo(name) for name in ALL_SIGMA}
 
@@ -270,24 +280,13 @@ def theorem14_counts() -> Dict[str, int]:
             endos[name], endos[r]).equal), name)
         if merged[name] == name:
             reps.append(name)
-    restrictions = len(reps)
 
-    # unitary equivalence classes among the restrictions: merge the
-    # Table-1 conjugate pairs (the conjugator lies in UHF_2), each
-    # conjugate Ad u o psi composed once
+    # unitary equivalence classes among the restrictions: Ad u (u in
+    # UHF_2) is an involution, so a class is one map or a Table-1
+    # conjugate pair, named by its least name; each Ad u o psi composed once
     conjugate = {r: endos[r].then(AD_FLIP) for r in reps}
-    parent = {r: r for r in reps}
-
-    def find(x: str) -> str:
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    for a in reps:
-        for b in reps:
-            if a < b and conjugate[a] == endos[b]:
-                parent[find(b)] = find(a)
-    classes = {find(r) for r in reps}
+    classes = {min([r] + [b for b in reps if conjugate[r] == endos[b]])
+               for r in reps}
 
     # every class representative must have a distinct fingerprint
     prints = {r: tuple(fingerprint(endos[r], UHF_TESTS).values())
@@ -306,9 +305,9 @@ def theorem14_counts() -> Dict[str, int]:
 
     # the automorphism classes are of neither proper type
     proper = [r for r in classes if r not in KLEIN]
-    red = sum(commutant_witness(endos[r], 1) is not None for r in proper)
+    red = sum(commutant_witness(endos[r]) is not None for r in proper)
     return {
-        "restrictions": restrictions,
+        "restrictions": len(reps),
         "classes": len(classes),
         "klein": klein,
         "irreducible": len(proper) - red,

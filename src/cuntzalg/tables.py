@@ -350,7 +350,7 @@ def verify_table3() -> TableReport:
             # the reference, not derived
             involutive = endo.is_involution()
             verdict = prop if involutive else "not.involutive"
-        elif commutant_witness(endo, 1) is not None:
+        elif commutant_witness(endo) is not None:  # psi(F)' cap F > scalars
             verdict = "red.end"
         else:
             verdict = "irr.end"

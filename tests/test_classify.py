@@ -8,9 +8,12 @@ from cuntzalg import classify, tables
 from cuntzalg.algebra import CuntzPoly
 from cuntzalg.scalars import Scalar
 from cuntzalg.morphisms import PermEndo, flip, hadamard, standard_endo
-from cuntzalg.classify import (AD_FLIP, ALL_SIGMA, commutant_witness,
+from cuntzalg.classify import (AD_FLIP, ALL_SIGMA, CLASS_REPRESENTATIVES,
+                               O_TESTS, UHF_TESTS, commutant_witness,
                                fingerprint, theorem14_counts,
                                uhf_restriction_equal)
+from cuntzalg.fermions import fermion_branch
+from cuntzalg.words import pad
 
 
 # the product reference for AD_FLIP: conjugacy by CuntzPoly products
@@ -124,34 +127,51 @@ def test_an_orbit_of_period_4():
     assert uhf_restriction_equal(*PERIOD_4[::-1]).equal
 
 
+def commutant_dim(endo):
+    return len(classify._commutant_orbits(endo))
+
+
+# dim C, C = psi(F)' cap F at every depth, of the 12 class representatives
+COMMUTANT_DIMS = {"id": 1, "(12)(34)": 1, "12": 1, "13": 1, "24": 1,
+                  "34": 1, "142": 2, "123": 2, "124": 2, "132": 2,
+                  "14": 4, "23": 4}
+
+
 def test_commutant_witnesses():
-    # the reducible classes have verified witnesses at the first level
+    assert {name: commutant_dim(standard_endo(name))
+            for name in CLASS_REPRESENTATIVES} == COMMUTANT_DIMS
+    # the reducible classes have verified witnesses
     for name in ("142", "14", "23", "123", "124", "132"):
-        w = commutant_witness(standard_endo(name), level=1)
+        w = commutant_witness(standard_endo(name))
         assert w is not None
         assert not (w - CuntzPoly.one(2)).is_zero()
     for name in ("12", "13", "24", "34"):
-        assert commutant_witness(standard_endo(name), level=1) is None
+        assert commutant_witness(standard_endo(name)) is None
 
 
-# the printed commutant witness of every psi_sigma, the same at depth 1
-# and 2 (the first signed orbit by last coordinate, signed +1 there: it
-# depends on the solution space alone, not on the order of the equations)
+# the printed commutant witness of every psi_sigma (the first signed
+# orbit by last coordinate, signed +1 there: it depends on the solution
+# space alone, not on the order of the equations), the same when psi is
+# written as a map of level 2 + extra
 DIAGONAL_WITNESS = {"14", "23", "123", "142", "134", "243", "1243", "1342"}
 FLIP_WITNESS = {"132", "124", "143", "234"}
 
 
-@pytest.mark.parametrize("level", [1, 2])
-def test_commutant_witness_strings(level):
+@pytest.mark.parametrize("extra", [1, 2])
+def test_commutant_witness_strings(extra):
     for name in ALL_SIGMA:
         want = ("s1s1'" if name in DIAGONAL_WITNESS
                 else "s1s2' + s2s1'" if name in FLIP_WITNESS else "None")
-        assert str(commutant_witness(standard_endo(name), level)) == want
+        m = standard_endo(name)
+        assert str(commutant_witness(m)) == want
+        padded = PermEndo._from_valid(2, pad(m.u, 2, extra))
+        assert commutant_dim(padded) == commutant_dim(m)
+        assert str(commutant_witness(padded)) == want
 
 
 def test_witness_commutes():
     m = standard_endo("142")
-    w = commutant_witness(m, level=1)
+    w = commutant_witness(m)
     for a in (1, 2):
         for b in (1, 2):
             g = m(CuntzPoly.matrix_unit(2, (a,), (b,)))
@@ -208,11 +228,41 @@ def test_restriction_equality_needs_permutative_maps():
 
 
 def test_commutant_witness_needs_a_permutative_map():
-    for level in (1, 2):
-        assert commutant_witness(standard_endo("(13)(24)"), level) is None
-        assert commutant_witness(flip(), level) is None
+    assert commutant_witness(standard_endo("(13)(24)")) is None
+    assert commutant_witness(flip()) is None
     with pytest.raises(ValueError, match="permutative endomorphisms"):
-        commutant_witness(hadamard(), 1)
+        commutant_witness(hadamard())
+
+
+def test_commutants_past_the_coordinate_bound_are_refused(monkeypatch):
+    # a level-3 map of O_2 has 2^4 coordinates, a level-2 map 2^2
+    monkeypatch.setattr(classify, "MAX_COMMUTANT_COORDS", 15)
+    with pytest.raises(ValueError) as err:
+        commutant_witness(PermEndo._from_valid(
+            2, pad(standard_endo("14").u, 2, 1)))
+    assert str(err.value) == ("relative commutant: 2^4 coordinates above "
+                              "the limit of 15")
+    assert str(commutant_witness(standard_endo("14"))) == "s1s1'"
+
+
+def test_fermion_representations_leave_two_pairs_to_the_commutant():
+    # fock, fock*, iw and iw* give 10 fingerprints to the 12 classes; the
+    # two colliding pairs differ in dim C, and the UHF and O_2 test
+    # representations separate all 12
+    prints = {}
+    for name in CLASS_REPRESENTATIVES:
+        endo = standard_endo(name)
+        key = tuple(tuple(fermion_branch(rep, endo))
+                    for rep in ("fock", "fock*", "iw", "iw*"))
+        prints.setdefault(key, []).append(name)
+    assert len(prints) == 10
+    pairs = sorted(names for names in prints.values() if len(names) > 1)
+    assert pairs == [["132", "23"], ["14", "124"]]
+    for names in pairs:
+        assert sorted(COMMUTANT_DIMS[n] for n in names) == [2, 4]
+    for tests in (UHF_TESTS, O_TESTS):
+        assert len({tuple(fingerprint(standard_endo(name), tests).values())
+                    for name in CLASS_REPRESENTATIVES}) == 12
 
 
 def test_level_6_verdicts_are_pinned():

@@ -166,10 +166,11 @@ def test_verify_all_in_a_fresh_interpreter():
 # md5 of the stdout of every demo script, recorded before restriction
 # equality compared signed word maps instead of polynomial products;
 # classification_counts.py re-recorded when its verdicts became
-# every-depth ones ("equal-at-every-level (orbit closed at level 2)")
+# every-depth ones ("equal-at-every-level (orbit closed at level 2)"), and
+# again when its commutant witnesses did ("dim C = 4, s1s1'")
 PINNED_DEMOS = {
     "branching_tour.py": "2f75d4d0c0e930163c21158ec13d98f3",
-    "classification_counts.py": "5c43d6f92a83161d798785630bdd0e4f",
+    "classification_counts.py": "cedf0de75a0185ec09ca884b20af643e",
     "fermion_embedding.py": "4f41aa3b3dc90c84d428126eaaa5d9bf",
 }
 

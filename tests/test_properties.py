@@ -568,33 +568,49 @@ def proportional(v1, v2):
     return True
 
 
-def poly_commutant_witness(endo, level, unit_image=apply_to_unit):
-    """The relative commutant by products and elimination: solve
-    [x, psi(g)] = 0 for x in the span of the depth-``level`` units, g over
-    the generators of every depth 1..level, with one row per matrix entry
-    of each commutator, and return the first nullspace basis vector that
-    is not proportional to the identity (None when the nullspace is the
-    scalars).  ``unit_image(endo, J, K)`` gives psi(E_JK)."""
+def poly_commutant(endo, depth, top, unit_image=apply_to_unit):
+    """The commutant by products and elimination: solve [x, psi(g)] = 0
+    for x in the span of the depth-``depth`` units, g over the generators
+    of every depth 1..top, with one row per matrix entry of each
+    commutator.  Returns the first nullspace basis vector that is not
+    proportional to the identity (None when the nullspace is the
+    scalars) and the nullity.  ``unit_image(endo, J, K)`` gives
+    psi(E_JK)."""
     n = endo.n
-    basis_units = [(j, k) for j in all_words(n, level)
-                   for k in all_words(n, level)]
+    basis_units = [(j, k) for j in all_words(n, depth)
+                   for k in all_words(n, depth)]
     units = [CuntzPoly.matrix_unit(n, j, k) for (j, k) in basis_units]
-    depth = level + endo.level  # images of depth-<=level units live here
-    rows = []
-    for g_depth in range(1, level + 1):
+    rows = {}  # the distinct rows, in order
+    for g_depth in range(1, top + 1):
         for (gj, gk) in unit_generators(n, g_depth):
             g = unit_image(endo, gj, gk)
             entry_rows = {}
             for c, u in enumerate(units):
-                for key, a in poly_to_matrix(u * g - g * u, depth).items():
+                for key, a in poly_to_matrix(
+                        u * g - g * u, max(depth, g_depth + endo.level - 1)
+                        ).items():
                     entry_rows.setdefault(key, [ZERO] * len(units))[c] = a
-            rows.extend(entry_rows.values())
+            rows.update(dict.fromkeys(map(tuple, entry_rows.values())))
+    basis = nullspace(rows, len(units))
     identity = [ONE if j == k else ZERO for (j, k) in basis_units]
-    for vec in nullspace(rows, len(units)):
+    for vec in basis:
         if not proportional(vec, identity):
             return CuntzPoly(n, {unit: x for unit, x in zip(basis_units, vec)
-                                 if not x.is_zero()})
-    return None
+                                 if not x.is_zero()}), len(basis)
+    return None, len(basis)
+
+
+def poly_commutant_witness(endo, unit_image=apply_to_unit):
+    """The relative commutant psi(F)' cap F by elimination, as (witness,
+    dim C): x in the span of the units of depth l - 1, l the level of
+    endo, against the generators of every depth up to l + 1; the nullity
+    against those up to depth l must be the same (the elimination has
+    settled)."""
+    cut = endo.level - 1
+    low = poly_commutant(endo, cut, endo.level, unit_image)
+    high = poly_commutant(endo, cut, endo.level + 1, unit_image)
+    assert low[1] == high[1], (endo.sigma, endo.signs)
+    return high
 
 
 # -- the cascade route to restriction equality, as a reference -----------
@@ -850,55 +866,88 @@ def test_signed_level_2_restrictions_census():
         2: 96, 4: 40, 8: 4}
 
 
+def commutant_dim(endo):
+    return len(classify._commutant_orbits(endo))
+
+
 def test_commutant_witness_without_cascades():
-    """The polynomial reference fed with cascade conjugates w E w^* as its
-    unit images prints the witness of the word-map route."""
+    """The settled polynomial reference fed with cascade conjugates
+    w E w^* as its unit images prints the witness of the word-map route
+    and has its dimension."""
     endos = [standard_endo(name) for name in classify.ALL_SIGMA]
-    fast = [str(classify.commutant_witness(m, 1)) for m in endos]
-    assert [str(poly_commutant_witness(m, 1, cascade_apply_to_unit))
-            for m in endos] == fast
-    assert fast.count("None") < len(fast)
+    fast = [(str(classify.commutant_witness(m)), commutant_dim(m))
+            for m in endos]
+    slow = [poly_commutant_witness(m, cascade_apply_to_unit) for m in endos]
+    assert [(str(w), dim) for w, dim in slow] == fast
+    assert [w for w, _ in fast].count("None") == 12
 
 
 def commutant_cases():
-    """(endo, depth): the 24 sigmas and seeded signed maps of small rank
-    and level at depths 1 and 2; three-letter maps, whose depth-2
-    reference takes about a second each, once at depth 2."""
-    cases = [(standard_endo(name), depth) for name in classify.ALL_SIGMA
-             for depth in (1, 2)]
+    """The 24 sigmas and seeded signed maps of small rank and level."""
+    cases = [standard_endo(name) for name in classify.ALL_SIGMA]
     rng = random.Random(9161)
-    for n, level in ((2, 1), (3, 1), (2, 2), (2, 3), (3, 2)):
-        for i in range(6):
-            m = random_signed_perm_endo(rng, n, level)
-            cases.append((m, 1))
-            if n == 2 or i == 0:
-                cases.append((m, 2))
+    for n, level in ((2, 1), (3, 1), (2, 2), (2, 3), (3, 2), (2, 4)):
+        cases.extend(random_signed_perm_endo(rng, n, level)
+                     for _ in range(6))
     return cases
 
 
 def test_commutant_witness_matches_polynomial_reference():
     """The signed orbits of the word-map route print the witness of the
-    Q(sqrt 2) nullspace: the same first reduced echelon vector."""
+    settled Q(sqrt 2) nullspace, the same first reduced echelon vector,
+    and count its dimension."""
     found = 0
-    for m, depth in commutant_cases():
-        fast = classify.commutant_witness(m, depth)
-        assert str(fast) == str(poly_commutant_witness(m, depth)), \
-            (m.sigma, m.signs, depth)
+    for m in commutant_cases():
+        fast = classify.commutant_witness(m)
+        witness, dim = poly_commutant_witness(m)
+        assert (str(fast), commutant_dim(m)) == (str(witness), dim), \
+            (m.sigma, m.signs)
         found += fast is not None
-    assert found == 38
+    assert found == 20
+
+
+# level-3 maps of O_2 (signed_map's images and signs) whose commutant at
+# every depth, dim C, differs from the finite-depth verdicts: the depth-1
+# witness (x of depth 1 against the generators of depth 1) and the
+# depth-2 one
+DEPTH_1_FALSE_WITNESS = [("17823564", "++++++++"), ("84516273", "++++-+--")]
+DEPTH_1_MISSED = [("13682754", "++++++++", 3), ("68243715", "-++++++-", 4)]
+DEPTH_2_FALSE_WITNESS = [("68523741", "++++++++"), ("78461235", "-+-+++--")]
+
+
+def test_level_3_commutants_need_every_depth():
+    for images, signs in DEPTH_1_FALSE_WITNESS:
+        m = signed_map(images, signs)
+        assert poly_commutant(m, 1, 1)[0] is not None
+        assert commutant_dim(m) == 1
+        assert classify.commutant_witness(m) is None
+        assert poly_commutant_witness(m) == (None, 1)
+    for images, signs, dim in DEPTH_1_MISSED:
+        m = signed_map(images, signs)
+        assert poly_commutant(m, 1, 1) == (None, 1)
+        assert commutant_dim(m) == dim
+        witness, settled = poly_commutant_witness(m)
+        assert (str(classify.commutant_witness(m)), dim) == (str(witness),
+                                                             settled)
+    for images, signs in DEPTH_2_FALSE_WITNESS:
+        m = signed_map(images, signs)
+        assert poly_commutant(m, 2, 2)[0] is not None
+        assert commutant_dim(m) == 1
+        assert classify.commutant_witness(m) is None
+        assert poly_commutant_witness(m) == (None, 1)
 
 
 def test_commutant_witnesses_commute_by_products():
     """Every witness is a non-scalar x with x psi(E) = psi(E) x for the
-    generators E of every depth up to its own, by CuntzPoly products."""
-    for m, depth in commutant_cases():
-        x = classify.commutant_witness(m, depth)
+    generators E of every depth up to l + 1, by CuntzPoly products."""
+    for m in commutant_cases():
+        x = classify.commutant_witness(m)
         if x is None:
             continue
-        for g_depth in range(1, depth + 1):
+        for g_depth in range(1, m.level + 2):
             for (j, k) in unit_generators(m.n, g_depth):
                 image = apply_to_unit(m, j, k)
-                assert x * image == image * x, (m.sigma, m.signs, depth)
+                assert x * image == image * x, (m.sigma, m.signs)
         reduced = x.reduce()
         assert reduced.terms and set(reduced.terms) != {((), ())}
 
@@ -914,7 +963,7 @@ def test_commutant_witness_makes_no_products(monkeypatch):
 
     cases = commutant_cases()
     monkeypatch.setattr(CuntzPoly, "__mul__", counted)
-    witnesses = [classify.commutant_witness(m, depth) for m, depth in cases]
+    witnesses = [classify.commutant_witness(m) for m in cases]
     assert products == []
     assert witnesses.count(None) < len(witnesses)
 
