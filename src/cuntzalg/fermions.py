@@ -105,8 +105,8 @@ class CarExpr:
         return f"CarExpr({str(self)})"
 
 
-# the O_2 image of each letter (n, dagger) of a CarWord, built once, so
-# that the product index of a_n and of a_n^* is built once as well
+# the O_2 image of each letter (n, dagger) of a CarWord, so that each
+# a_n and a_n^* is built once per process
 _GEN_CACHE: Dict[Tuple[int, bool], CuntzPoly] = {}
 
 # a_n has 2^(n-1) terms in O_2, 32768 at the limit; higher modes are
@@ -319,7 +319,7 @@ RENAME = {f"P[{render_word(word)}]": shown
 
 def _fermion_rep(name: str) -> Tuple[str, Word, Tuple[bool, bool]]:
     try:
-        return FERMION_REPS[name.lower().rstrip()]
+        return FERMION_REPS[name.lower().strip()]
     except KeyError:
         raise ValueError(f"unknown fermion representation {name!r}") from None
 

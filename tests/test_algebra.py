@@ -240,21 +240,30 @@ def test_products_around_the_switch_match_all_pairs(n, left, right):
         assert_product_matches(b, a)
 
 
-def test_product_path_is_chosen_by_size():
+def test_product_path_is_chosen_by_size(monkeypatch):
+    calls = []
+    sorted_keys = CuntzPoly._sorted_keys
+
+    def spy(poly, side):
+        calls.append((poly, side))
+        return sorted_keys(poly, side)
+
+    monkeypatch.setattr(CuntzPoly, "_sorted_keys", spy)
     rng = random.Random(4)
-    # 8 x 8 and 1 x PAIR_WALK_MAX pairs: the pair walk, which builds no
-    # sorted index
+    # 8 x 8 and 1 x PAIR_WALK_MAX pairs: the pair walk, which sorts no keys
     for a, b in ((sized_poly(rng, 2, 8), sized_poly(rng, 2, 8)),
                  (sized_poly(rng, 2, 1), sized_poly(rng, 2, PAIR_WALK_MAX))):
         a * b
-        assert (a._by_j, a._by_k, b._by_j, b._by_k) == (None,) * 4
-    # one pair more: the index of the larger factor, on its J or K side
+        b * a
+    assert calls == []
+    # one pair more: the keys of the larger factor, by J on the right and
+    # by K on the left
     one, wide = sized_poly(rng, 2, 1), sized_poly(rng, 2, PAIR_WALK_MAX + 1)
     one * wide
-    assert wide._by_j is not None and wide._by_k is None
     wide * one
-    assert wide._by_k is not None
-    assert (one._by_j, one._by_k) == (None, None)
+    assert len(calls) == 2
+    assert calls[0][0] is wide and calls[0][1] == 0
+    assert calls[1][0] is wide and calls[1][1] == 1
 
 
 # -- the construction boundary --------------------------------------------

@@ -1,6 +1,7 @@
 """Classification machinery: conjugacy, restriction equality, commutants."""
 
 import hashlib
+from itertools import combinations
 
 import pytest
 
@@ -249,20 +250,47 @@ def test_fermion_representations_leave_two_pairs_to_the_commutant():
     # fock, fock*, iw and iw* give 10 fingerprints to the 12 classes; the
     # two colliding pairs differ in dim C, and the UHF and O_2 test
     # representations separate all 12
-    prints = {}
+    fermions = ("fock", "fock*", "iw", "iw*")
+    cells = {test: [] for test in UHF_TESTS + O_TESTS + fermions}
     for name in CLASS_REPRESENTATIVES:
         endo = standard_endo(name)
-        key = tuple(tuple(fermion_branch(rep, endo))
-                    for rep in ("fock", "fock*", "iw", "iw*"))
+        for test, cell in fingerprint(endo, UHF_TESTS + O_TESTS).items():
+            cells[test].append(cell)
+        for rep in fermions:
+            cells[rep].append(tuple(fermion_branch(rep, endo)))
+
+    def separated(tests):
+        return len(set(zip(*(cells[test] for test in tests))))
+
+    prints = {}
+    for name, key in zip(CLASS_REPRESENTATIVES,
+                         zip(*(cells[rep] for rep in fermions))):
         prints.setdefault(key, []).append(name)
     assert len(prints) == 10
     pairs = sorted(names for names in prints.values() if len(names) > 1)
     assert pairs == [["132", "23"], ["14", "124"]]
     for names in pairs:
         assert sorted(COMMUTANT_DIMS[n] for n in names) == [2, 4]
-    for tests in (UHF_TESTS, O_TESTS):
-        assert len({tuple(fingerprint(standard_endo(name), tests).values())
-                    for name in CLASS_REPRESENTATIVES}) == 12
+    assert separated(UHF_TESTS) == separated(O_TESTS) == 12
+    # the minimal separating sets over all 12 test names: no one test
+    # separates the 12 classes, and 16 pairs do
+    assert {test: separated([test]) for test in cells} == {
+        "P[1]": 6, "P[2]": 6, "P[12]": 10, "GP[+]": 4,
+        "P(1)": 7, "P(2)": 7, "P(12)": 7, "GP(+)": 6,
+        "fock": 6, "fock*": 6, "iw": 10, "iw*": 10}
+    separating = {pair for pair in combinations(cells, 2)
+                  if separated(pair) == 12}
+    assert len(separating) == 16
+    assert {p for p in separating if set(p) <= set(UHF_TESTS)} == {
+        ("P[12]", "GP[+]")}
+    assert {p for p in separating if set(p) <= set(O_TESTS)} == {
+        ("P(1)", "P(2)"), ("P(1)", "P(12)"), ("P(2)", "P(12)")}
+    # a fermion representation separates them with one test more: P(12),
+    # or either GP test beside iw or iw*
+    assert {p for p in separating if p[1] in fermions} == {
+        ("P(12)", "fock"), ("P(12)", "fock*"), ("P(12)", "iw"),
+        ("P(12)", "iw*"), ("GP[+]", "iw"), ("GP[+]", "iw*"),
+        ("GP(+)", "iw"), ("GP(+)", "iw*")}
 
 
 def test_level_6_verdicts_are_pinned():

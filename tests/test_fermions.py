@@ -454,6 +454,10 @@ def test_fermion_branch():
     assert fermion_branch("iw", standard_endo("14")) == ["IW", "IW"]
     assert fermion_branch("iw", standard_endo("23")) == ["IW*", "IW*"]
     assert fermion_branch("fock", standard_endo("13")) == ["Fock*"]
+    # names are read with surrounding whitespace ignored, as parse_rep does
+    for name in (" fock", "fock ", " FOCK\t"):
+        assert fermion_branch(name, standard_endo("13")) == ["Fock*"]
+        assert vacuum_check(name, max_mode=5)
 
 
 def test_fermion_branch_refuses_other_names_and_ranks():
