@@ -10,14 +10,18 @@ u s_i, with no polynomial product and no elimination:
   words of length L - 1, L the higher level, is carried from depth to
   depth, and the first w that repeats proves equality at every depth
   (see :func:`uhf_restriction_equal`);
+* many maps are merged by restriction without a pairwise scan: equal
+  restrictions agree on M_N, so they have equal depth-1 unit images
+  psi(E_ij), and a map is certified only against the earlier leaders
+  with the same images (see :func:`_restriction_leaders`);
 * the relative commutant C = psi(F)' cap F of the whole gauge-invariant
   algebra F is a signed union-find on the coordinates of F^(l-1),
   pulled back through T(x) = psi(s_1)^* x psi(s_1) pass by pass until
   a pass changes nothing (see :func:`_commutant_orbits`);
 * conjugacy by u = s_1 s_2^* + s_2 s_1^* (Table 1) is decided on the
   maps u of PermEndos: Ad u is the PermEndo AD_FLIP, and Ad u o psi_1 =
-  psi_2 iff psi_1.then(AD_FLIP) == psi_2; the tests keep the products
-  u psi_1(s_i) u^* as the reference.
+  psi_2 iff psi_1.then(AD_FLIP) == psi_2, looked up by lowest map;
+  the tests keep the products u psi_1(s_i) u^* as the reference.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from .scalars import MINUS_ONE, ONE
 from .words import (Record, Word, adjoint, all_words, pad, render_word,
                     times)
 from .algebra import CuntzPoly
-from .morphisms import PermEndo, standard_endo
+from .morphisms import PermEndo, _lowest_map, standard_endo
 # perfbench/selftest.py checks that its tracer wraps classify.branch
 from .reps import branch, branching  # noqa: F401
 
@@ -103,11 +107,7 @@ def uhf_restriction_equal(m1: PermEndo, m2: PermEndo) -> RestrictionVerdict:
     tests keep two references: the products psi(s_J) psi(s_K)^* and the
     cascade commutator test.
     """
-    if not (isinstance(m1, PermEndo) and isinstance(m2, PermEndo)):
-        raise ValueError("restriction equality is decided for permutative "
-                         "endomorphisms only")
-    if m1.n != m2.n:
-        raise ValueError("rank mismatch")
+    _check_perm_endos((m1, m2))
     n, top = m1.n, max(m1.level, m2.level)
     u1, u2 = pad(m1.u, n, top - m1.level), pad(m2.u, n, top - m2.level)
     back2, w = adjoint(u2), {t: (1, t) for t in all_words(n, top - 1)}
@@ -127,6 +127,50 @@ def uhf_restriction_equal(m1: PermEndo, m2: PermEndo) -> RestrictionVerdict:
         if key in seen:
             return RestrictionVerdict(True, depth)
         seen.add(key)
+
+
+def _check_perm_endos(maps: Sequence[PermEndo]) -> None:
+    """Refuse maps that are not PermEndos, or not all of one rank."""
+    if not all(isinstance(m, PermEndo) for m in maps):
+        raise ValueError("restriction equality is decided for permutative "
+                         "endomorphisms only")
+    if len({m.n for m in maps}) > 1:
+        raise ValueError("rank mismatch")
+
+
+def _restriction_leaders(endos: Sequence[PermEndo]) -> List[int]:
+    """For each map, the index of the first map of ``endos`` with an
+    equal restriction to the gauge-invariant algebra: its own index when
+    no earlier map has one.
+
+    With every u padded to the common level L, a map is keyed by its
+    depth-1 unit images psi(E_ij) = psi(s_i) psi(s_j)^*, i, j in 1..N:
+    psi(s_i) is the signed map col_i: T -> u(iT), |T| = L - 1, and the
+    image is ``times(col_i, adjoint(col_j))``, sending X_j(T) to (e_i e_j,
+    X_i(T)).  Equal restrictions agree on M_N, and the units s_X s_Y^*,
+    |X| = |Y| = L - 1, are linearly independent, so equal restrictions
+    have equal keys; a key is a necessary condition only.  So a map is
+    compared by :func:`uhf_restriction_equal` with the earlier leaders of
+    its own key alone, in order, which finds the leader that a scan of
+    every earlier leader finds.
+    """
+    _check_perm_endos(endos)
+    top = max((m.level for m in endos), default=1)
+    buckets: Dict[tuple, List[int]] = {}
+    leaders = []
+    for i, m in enumerate(endos):
+        u = pad(m.u, m.n, top - m.level)
+        cols = [{t[1:]: x for t, x in u.items() if t[0] == c}
+                for c in range(1, m.n + 1)]
+        key = tuple(frozenset(times(a, adjoint(b)).items())
+                    for a in cols for b in cols)
+        bucket = buckets.setdefault(key, [])
+        leader = next((j for j in bucket if uhf_restriction_equal(
+            m, endos[j]).equal), i)
+        if leader == i:
+            bucket.append(i)
+        leaders.append(leader)
+    return leaders
 
 
 def _commutant_orbits(endo: PermEndo) -> List[Dict[Unit, int]]:
@@ -264,28 +308,36 @@ def theorem14_counts() -> Dict[str, int]:
     24 second-order endomorphisms of O_2 to UHF_2.
 
     Returns the dictionary with keys restrictions (distinct maps on
-    UHF_2, equal at every depth by :func:`uhf_restriction_equal`, whose
-    orbits close at depth 2 here), classes (unitary equivalence
-    classes), klein (automorphism classes forming the four-group),
-    irreducible and reducible (proper classes whose relative commutant
-    psi(F)' cap F, at every depth, is or is not trivial).
+    UHF_2), classes (unitary equivalence classes), klein (automorphism
+    classes forming the four-group), irreducible and reducible (proper
+    classes whose relative commutant psi(F)' cap F, at every depth, is or
+    is not trivial).
+
+    No step scans pairs.  The restrictions are merged by
+    :func:`_restriction_leaders`: the 24 maps fall into 12 pairs by their
+    depth-1 unit images psi(E_ij), a necessary condition for equal
+    restrictions, and each pair is certified by one
+    :func:`uhf_restriction_equal` call, whose orbit closes at depth 2 for
+    the four equal pairs.  A PermEndo is equal to another iff their
+    lowest maps are (``then`` returns that form), so a conjugate Ad u o
+    psi and a product of two automorphisms are looked up by lowest map.
     """
     endos = {name: standard_endo(name) for name in ALL_SIGMA}
 
+    def lowest(m):  # equal PermEndos have one lowest map
+        return frozenset(_lowest_map(m.u, m.n).items())
+
     # distinct UHF restrictions: merge by restriction equality
-    reps: List[str] = []
-    merged: Dict[str, str] = {}
-    for name in ALL_SIGMA:
-        merged[name] = next((r for r in reps if uhf_restriction_equal(
-            endos[name], endos[r]).equal), name)
-        if merged[name] == name:
-            reps.append(name)
+    leaders = _restriction_leaders([endos[name] for name in ALL_SIGMA])
+    merged = {name: ALL_SIGMA[i] for name, i in zip(ALL_SIGMA, leaders)}
+    reps = [name for name in ALL_SIGMA if merged[name] == name]
 
     # unitary equivalence classes among the restrictions: Ad u (u in
     # UHF_2) is an involution, so a class is one map or a Table-1
-    # conjugate pair, named by its least name; each Ad u o psi composed once
-    conjugate = {r: endos[r].then(AD_FLIP) for r in reps}
-    classes = {min([r] + [b for b in reps if conjugate[r] == endos[b]])
+    # conjugate pair, named by its least name; each Ad u o psi composed
+    # once and looked up by its lowest map
+    by_map = {lowest(endos[r]): r for r in reps}
+    classes = {min(r, by_map.get(lowest(endos[r].then(AD_FLIP)), r))
                for r in reps}
 
     # every class representative must have a distinct fingerprint
@@ -297,10 +349,10 @@ def theorem14_counts() -> Dict[str, int]:
     # the four automorphisms: distinct restrictions, closed under
     # composition (a four-group)
     klein = len({merged[k] for k in KLEIN})
+    group = {lowest(endos[k]) for k in KLEIN}
     for a in KLEIN:
         for b in KLEIN:
-            prod = endos[b].then(endos[a])
-            if not any(prod == endos[c] for c in KLEIN):
+            if lowest(endos[b].then(endos[a])) not in group:
                 raise AssertionError("automorphism set not closed")
 
     # the automorphism classes are of neither proper type

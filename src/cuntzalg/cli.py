@@ -267,8 +267,8 @@ def cmd_verify(args) -> int:
 def cmd_classify(args) -> int:
     # --level is only echoed: restriction equality is decided at every depth
     if args.level < 1:
-        raise ValueError(f"certification level must be at least 1, "
-                         f"got {args.level}")
+        raise ValueError(f"classify --level is only echoed and must be at "
+                         f"least 1, got {args.level}")
     counts = theorem14_counts()
     if args.json:
         _emit_json({"level": args.level, "counts": counts})

@@ -220,6 +220,15 @@ def zeta(x: CuntzPoly) -> CuntzPoly:
 # -- permutative endomorphisms -----------------------------------------
 
 
+def _lowest_map(u: SignedMap, n: int) -> SignedMap:
+    """The signed permutation u at its lowest level, at least 1: u
+    :func:`lower`ed, padded back to level 1 if it reached level 0 (u =
+    +-1).  Every padding of u has the same lowest map, so two PermEndos
+    are equal iff their lowest maps are."""
+    w = lower(u, n)
+    return pad(w, n, 1) if () in w else w
+
+
 class PermEndo(Morphism):
     """psi = lambda_u for a signed permutation u of the words of length l.
 
@@ -348,10 +357,7 @@ class PermEndo(Morphism):
             for t, (f, y) in right[j[1:]].items():
                 g, z = left[t]
                 w[head + y] = (e * f * g, z)
-        w = lower(w, n)
-        if () in w:  # w = +-1, a map of level 1
-            w = pad(w, n, 1)
-        return PermEndo._from_valid(n, w, name)
+        return PermEndo._from_valid(n, _lowest_map(w, n), name)
 
     def __eq__(self, other: object) -> bool:
         """Two PermEndos compare their maps u, the one of lower level

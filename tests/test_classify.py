@@ -193,10 +193,21 @@ def test_intertwining():
     assert flip().then(standard_endo("13")) == standard_endo("24")
 
 
-def test_theorem14_counts():
+def test_theorem14_counts(monkeypatch):
+    # the 24 maps fall into 12 pairs by their depth-1 unit images, and
+    # only the second map of a pair is compared, with the first
+    calls = []
+    equal = classify.uhf_restriction_equal
+
+    def counted(m1, m2):
+        calls.append((m1.name, m2.name))
+        return equal(m1, m2)
+
+    monkeypatch.setattr(classify, "uhf_restriction_equal", counted)
     counts = theorem14_counts()
     assert counts == {"restrictions": 20, "classes": 12, "klein": 4,
                       "irreducible": 4, "reducible": 6}
+    assert len(calls) == 12
 
 
 def test_orbits_past_the_work_bound_are_refused(monkeypatch):

@@ -217,7 +217,7 @@ def test_out_of_range_option_is_usage_error(capsys, argv):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
-BELOW = "certification level must be at least 1, got {}"
+BELOW = "classify --level is only echoed and must be at least 1, got {}"
 
 
 @pytest.mark.parametrize("target", ["all", "table1", "nakanishi",

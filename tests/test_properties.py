@@ -4,6 +4,8 @@ import itertools
 import random
 from fractions import Fraction
 
+import pytest
+
 from cuntzalg import classify
 from cuntzalg.scalars import INV_SQRT2, MINUS_ONE, ONE, ZERO
 from cuntzalg.words import (all_words, canonical_cycle, is_primitive,
@@ -844,26 +846,88 @@ def test_restriction_equality_builds_no_word_maps(monkeypatch):
         assert max(calls) <= a.n ** max(a.level, b.level)
 
 
-def test_signed_level_2_restrictions_census():
+def pairwise_leaders(maps):
+    """The reference for classify._restriction_leaders: each map against
+    every leader before it, in order, by uhf_restriction_equal."""
+    equal = classify.uhf_restriction_equal
+    leaders, firsts = [], []
+    for i, m in enumerate(maps):
+        leaders.append(next((j for j in firsts
+                             if equal(m, maps[j]).equal), i))
+        if leaders[-1] == i:
+            firsts.append(i)
+    return leaders
+
+
+def counted_restriction_calls(monkeypatch):
+    """Record each pair that classify passes to uhf_restriction_equal."""
+    calls = []
+    equal = classify.uhf_restriction_equal
+
+    def counted(m1, m2):
+        calls.append((m1, m2))
+        return equal(m1, m2)
+
+    monkeypatch.setattr(classify, "uhf_restriction_equal", counted)
+    return calls
+
+
+def test_signed_level_2_restrictions_census(monkeypatch):
     """The 384 signed permutative maps of level 2 on O_2 have 140
     distinct restrictions to the gauge-invariant subalgebra: 96 of them
-    shared by 2 maps, 40 by 4 and 4 by 8."""
+    shared by 2 maps, 40 by 4 and 4 by 8.  Keyed by their depth-1 unit
+    images, the maps find the pairwise scan's leaders in 612 calls."""
     words = list(all_words(2, 2))
-    classes = []
-    for perm in itertools.permutations(words):
-        for signs in itertools.product((1, -1), repeat=4):
-            m = PermEndo(2, 2, dict(zip(words, perm)),
-                         signs=dict(zip(words, signs)))
-            for members in classes:
-                if classify.uhf_restriction_equal(m, members[0]).equal:
-                    members.append(m)
-                    break
-            else:
-                classes.append([m])
-    assert len(classes) == 140
-    sizes = [len(members) for members in classes]
+    maps = [PermEndo(2, 2, dict(zip(words, perm)),
+                     signs=dict(zip(words, signs)))
+            for perm in itertools.permutations(words)
+            for signs in itertools.product((1, -1), repeat=4)]
+    leaders = pairwise_leaders(maps)
+    sizes = [leaders.count(i) for i in sorted(set(leaders))]
+    assert len(sizes) == 140
     assert {size: sizes.count(size) for size in set(sizes)} == {
         2: 96, 4: 40, 8: 4}
+    calls = counted_restriction_calls(monkeypatch)
+    assert classify._restriction_leaders(maps) == leaders
+    assert len(calls) == 612
+
+
+def test_restriction_leaders_match_the_pairwise_scan():
+    """Seeded signed maps of levels 1 to 3 on O_2 and O_3, shuffled with
+    partners of equal restriction (negated, raised to the next level) and
+    twists, which share the depth-1 unit images and mostly differ deeper:
+    the keyed leaders are the pairwise scan's."""
+    rng = random.Random(3434)
+    for n in (2, 3):
+        maps = []
+        for level in (1, 2, 3):
+            for _ in range(3):
+                m = random_signed_perm_endo(rng, n, level)
+                maps += [m, negated(m), raised(m), negated(raised(m))]
+                if level > 1:
+                    t = twisted(m, random_signed_perm_endo(
+                        rng, n, level - 1).u)
+                    maps += [t, raised(t), negated(t)]
+        rng.shuffle(maps)
+        leaders = pairwise_leaders(maps)
+        assert classify._restriction_leaders(maps) == leaders
+        assert len(set(leaders)) < len(maps) / 3
+
+
+def test_restriction_leaders_refuse_what_restriction_equality_refuses():
+    two = standard_endo("12")
+    three = random_signed_perm_endo(random.Random(3535), 3, 1)
+    assert classify._restriction_leaders([]) == []
+    for maps, text in (([two, three], "rank mismatch"),
+                       ([three, three, two], "rank mismatch"),
+                       ([hadamard()], "permutative endomorphisms only"),
+                       ([two, hadamard()], "permutative endomorphisms only")):
+        with pytest.raises(ValueError) as want:
+            classify.uhf_restriction_equal(maps[0], maps[-1])
+        with pytest.raises(ValueError) as got:
+            classify._restriction_leaders(maps)
+        assert str(got.value) == str(want.value)
+        assert text in str(got.value)
 
 
 def commutant_dim(endo):
