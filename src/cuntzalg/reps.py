@@ -23,7 +23,7 @@ split of the component's word.  :func:`gp_branch` answers for the one
 sign of GP(+/-) it is asked for, as the cycle classes P(J; q) of the
 summands P(J; q) o phi.  :func:`branching` takes the representation by
 name instead and returns its sorted cells, and it alone names the GP
-summands.
+summands; under a PermEndo it walks each map and base once per process.
 
 For each length r, s_W^* kills a label for every word W of length r
 but one.  Words act on labels in two steps, never letter by letter.
@@ -72,9 +72,7 @@ class CycleRep:
     __slots__ = ("n", "word", "phase", "k", "wrap", "text")
 
     def __init__(self, n: int, word, phase: Fraction = PHASE_0):
-        word = check_word(word, n)
-        if not is_primitive(word):
-            raise ValueError("cycle word must be primitive")
+        word = _cycle_word(word, n)
         q = phase if phase in (PHASE_0, PHASE_HALF) else Fraction(phase) % 1
         if q not in (PHASE_0, PHASE_HALF):
             raise ValueError("only phases 0 and 1/2 act over the real field")
@@ -130,17 +128,24 @@ class CycleRep:
         return str(canonical_cycle(self.word, self.phase))
 
 
+def _cycle_word(word, n: int) -> Word:
+    """word checked as the word of a cycle P(J): non-empty and primitive."""
+    word = check_word(word, n)
+    if not word:
+        raise ValueError("cycle word must be nonempty")
+    if not is_primitive(word):
+        raise ValueError("cycle word must be primitive")
+    return word
+
+
 class ChainRep:
     """The chain representation P(K) on labels (w, m), m in Z."""
 
-    __slots__ = ("n", "ev", "text")
+    __slots__ = ("n", "ev")
 
     def __init__(self, ev: EvWord):
         self.n = ev.n
         self.ev = ev
-        # K(1) K(2) ..., as long as the longest read so far needs; rebuilt
-        # per read, the branch workload moves +0.3 %, within its noise
-        self.text = ev.prefix + ev.period * 2
 
     def _letter(self, m: int) -> int:
         return self.ev.letter(m) if m >= 1 else 1
@@ -149,18 +154,21 @@ class ChainRep:
         """s_W^* e_m for the one word W of length r it does not kill:
         (W, 1, m + r), W the letters K(m+1) .. K(m+r).
 
-        The letters at positions up to 0 are 1s, and the rest is a slice
-        of K that starts within its prefix or its first period."""
+        The letters at positions up to 0 are 1s, and the rest is sliced
+        off the prefix of K and then off copies of its period."""
         end = m + r
-        ones = (1,) * (min(end, 0) - m) if m < 0 else ()
-        first = max(m, 0)
-        pre, per = len(self.ev.prefix), len(self.ev.period)
-        start = first if first <= pre else pre + (first - pre) % per
-        stop = start + max(end - first, 0)
-        if stop > len(self.text):
-            self.text = self.ev.prefix + self.ev.period * ((stop - pre) // per
-                                                           + 1)
-        return ones + self.text[start:stop], 1, end
+        _, prefix, period = self.ev
+        ones = ()
+        if m < 0:
+            ones, m = (1,) * (min(end, 0) - m), 0
+            if end <= 0:
+                return ones, 1, end
+        word = prefix[m:end]
+        if len(word) < end - m:
+            rest, per = end - m - len(word), len(period)
+            at = max(m - len(prefix), 0) % per
+            word += (period * (rest // per + 2))[at:at + rest]
+        return ones + word, 1, end
 
     def push(self, word: Word, q: int) -> Tuple[int, Label]:
         """s_word e_q as (1, label): the last letters of word that match
@@ -506,10 +514,7 @@ class UhfChainFamily(Record):
 
 def restrict_cycle_to_uhf(n: int, word) -> List[UhfCycle]:
     """P(J)|UHF = P[sigma_1 J] (+) ... (+) P[sigma_k J]."""
-    word = check_word(word, n)
-    if not is_primitive(word):
-        raise ValueError("cycle word must be primitive")
-    return [UhfCycle(rot) for rot in rotations(word)]
+    return [UhfCycle(rot) for rot in rotations(_cycle_word(word, n))]
 
 
 def restrict_chain_to_uhf(ev: EvWord) -> UhfChainFamily:
@@ -524,9 +529,16 @@ def uhf_branch(n: int, word, endo: PermEndo) -> Dict[int, List[UhfCycle]]:
     P(J) o endo contributes the primitive root of its rotation word to
     the class of v.
     """
-    word = check_word(word, n)
-    k = len(word)
-    result = branch(CycleRep(n, word), endo)
+    base = CycleRep(n, word)
+    out = _by_grade(branch(base, endo), base.k)
+    for cycles in out.values():
+        cycles.sort()
+    return out
+
+
+def _by_grade(result: BranchResult, k: int) -> Dict[int, List[UhfCycle]]:
+    """The UHF cycles of a branch of a cycle base of length k by grade
+    class: each label adds the primitive root of its rotation word."""
     out: Dict[int, List[UhfCycle]] = {i: [] for i in range(1, k + 1)}
     for comp in result.components:
         if comp.kind != "cycle":
@@ -536,8 +548,6 @@ def uhf_branch(n: int, word, endo: PermEndo) -> Dict[int, List[UhfCycle]]:
         roots = rotations(primitive_split(comp.cycle_word)[0])
         for j, label in enumerate(comp.cycle_labels):
             out[grade_class(label, k)].append(UhfCycle(roots[j % len(roots)]))
-    for i in out:
-        out[i].sort()
     return out
 
 
@@ -809,28 +819,65 @@ def parse_rep(text: str, n: int = 2):
     raise ValueError(f"unrecognized representation {text!r}")
 
 
+# branching's answers under a PermEndo by (rank, the items of its map u
+# in order, base): the P(J; q) and grade-1 P[J] cells of one branch for
+# the base (J, q), the classes of one GP twist for the base "+" or "-";
+# verify all and classify --level 7 fill 83 entries; a full memo is emptied
+_MEMO_CAP = 128
+_MEMO: Dict[Tuple, object] = {}
+_MISSING = object()
+
+
+def _memo(endo: PermEndo, base, compute):
+    """compute() for endo and base, once until the memo is emptied."""
+    key = endo.n, tuple(endo.u.items()), base
+    value = _MEMO.get(key, _MISSING)
+    if value is _MISSING:
+        if len(_MEMO) >= _MEMO_CAP:
+            _MEMO.clear()
+        value = _MEMO[key] = compute()
+    return value
+
+
+def _cycle_cells(base: CycleRep, endo) -> Tuple[List[str], List[str]]:
+    """The sorted cells of base o endo and of P[base.word] o endo."""
+    result = branch(base, endo)
+    return (sorted(c.describe() for c in result.components),
+            sorted(str(c) for c in _by_grade(result, base.k)[1]))
+
+
 def branching(endo: Morphism, rep: str) -> Optional[List[str]]:
     """The sorted component labels of the named representation composed
     with endo, for any name :func:`parse_rep` accepts in endo's rank.
 
     P(J), P(J;q) and chains branch by :func:`branch`, P[J] and the
-    fermion names by :func:`uhf_branch` (as P[...] cells), GP(+/-) and
-    GP[+/-] by :func:`gp_branch`, which returns None when the branching
-    is not derivable.  Only GP takes a general morphism.
+    fermion names by the grade-1 cycles of :func:`uhf_branch` (as P[...]
+    cells), GP(+/-) and GP[+/-] by :func:`gp_branch`, which returns None
+    when the branching is not derivable.  Only GP takes a general
+    morphism.
+
+    Under a PermEndo a private memo keeps one :func:`branch` of P(J; q)
+    per map and base, for P(J; q) and, at q = 0, P[J] and the fermion
+    names, and one :func:`gp_branch` per sign, for GP(s) and GP[s].  It
+    stores no chain, refusal or non-PermEndo twist; answers are new lists.
     """
     kind, *rest = parse_rep(rep, endo.n)
     if kind == "gp":
         sign, uhf = rest
-        classes = gp_branch(endo, sign)
+        if isinstance(endo, PermEndo):
+            classes = _memo(endo, sign, lambda: gp_branch(endo, sign))
+        else:
+            classes = gp_branch(endo, sign)
         if classes is None:
             return None
         return sorted(_gp_label(c, uhf) for c in classes)
     if not isinstance(endo, PermEndo):
         raise ValueError(f"{rep} branches under permutative endomorphisms "
                          f"only")
-    if kind == "uhf":
-        comps = uhf_branch(endo.n, rest[0], endo)[1]
-        return sorted(str(c) for c in comps)
-    base = CycleRep(endo.n, *rest) if kind == "cycle" else ChainRep(rest[0])
-    result = branch(base, endo)
-    return sorted(c.describe() for c in result.components)
+    if kind == "chain":
+        result = branch(ChainRep(rest[0]), endo)
+        return sorted(c.describe() for c in result.components)
+    base = CycleRep(endo.n, *rest)
+    cells, graded = _memo(endo, (base.word, base.phase),
+                          lambda: _cycle_cells(base, endo))
+    return list(graded if kind == "uhf" else cells)

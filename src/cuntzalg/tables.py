@@ -1,8 +1,10 @@
 """Reference data for the classification of second-order permutative
 endomorphisms of O_2 and its verification driver.
 
-Every table stored here is recomputed from scratch by classify_table,
-cell by cell; a report lists expected versus computed values.  Cells
+Every table stored here is recomputed by classify_table, cell by cell,
+and no cell is read from the reference; within one process the branching
+cells of a map are shared between tables, as reps.branching walks each
+map and base once.  A report lists expected versus computed values.  Cells
 marked "---" assert that the restricted derivation rules return
 "not derivable".
 

@@ -504,6 +504,17 @@ def test_bad_cycle_notation_names_the_input(capsys, cycles):
     assert err == f"error: bad cycle notation: {cycles!r}\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ("branch", "--rep", "P()", "--endo", "psi:12"),
+    ("branch", "--rep", "P[]", "--endo", "psi:12"),
+    ("branch", "--rep", "P(0)", "--endo", "psi:12"),
+    ("restrict", "--rep", "P()"),
+])
+def test_empty_cycle_word_is_refused_as_empty(capsys, argv):
+    assert run(capsys, *argv) == (2, "", "error: cycle word must be "
+                                         "nonempty\n")
+
+
 def test_empty_shift_range_is_usage_error(capsys):
     code, out, err = run(capsys, "restrict", "--rep", "2(12)^inf",
                          "--eta-min", "3", "--eta-max", "-3")

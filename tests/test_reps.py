@@ -13,7 +13,8 @@ from cuntzalg.words import (CycleClass, all_words, make_ev_word,
 from cuntzalg.algebra import CuntzPoly
 from cuntzalg.morphisms import (Morphism, PermEndo, flip, hadamard, identity,
                                 lookup_morphism, nakanishi, standard_endo)
-from cuntzalg.classify import ALL_SIGMA
+from cuntzalg.classify import ALL_SIGMA, O_TESTS, UHF_TESTS
+from cuntzalg.cli import main as cli_main
 from cuntzalg.fermions import act_letter
 from cuntzalg import reps as reps_module
 from cuntzalg.reps import (ChainRep, Component, CycleRep, UhfCycle, _put,
@@ -637,6 +638,98 @@ def test_branching_of_gp_takes_any_morphism():
     assert branching(hadamard(), "GP[+]") is None
     with pytest.raises(ValueError, match="permutative endomorphisms only"):
         branching(hadamard(), "P(1)")
+
+
+# the names whose cells the branching memo keeps: the test sets of
+# Tables 2 and 3, the four fermion representations, both GP signs and
+# the phased cycles, each asked under all 24 sigma
+MEMO_NAMES = (O_TESTS + UHF_TESTS + ("fock", "fock*", "iw", "iw*")
+              + ("GP(-)", "GP[-]", "P(1;1/2)", "P(12;1/2)"))
+
+
+def memo_cases():
+    cases = [(standard_endo(sigma), name)
+             for sigma in ALL_SIGMA for name in MEMO_NAMES]
+    rho = nakanishi()
+    return cases + [(rho, name) for name in ("P(1)", "P(12)", "P[1]",
+                                             "P[12]", "P[21]")]
+
+
+def cold_branching(endo, name):
+    reps_module._MEMO.clear()
+    return branching(endo, name)
+
+
+@pytest.mark.parametrize("order", ["forward", "reversed"])
+def test_branching_memo_gives_the_cold_answers(order):
+    cases = memo_cases()
+    cold = {(endo.name, name): cold_branching(endo, name)
+            for endo, name in cases}
+    reps_module._MEMO.clear()
+    if order == "reversed":
+        cases.reverse()
+    for endo, name in cases:
+        assert branching(endo, name) == cold[endo.name, name], \
+            (endo.name, name)
+    # again, in the opposite order, from the memo the first pass left
+    # (195 keys: the memo was emptied once on the way)
+    for endo, name in cases[::-1]:
+        assert branching(endo, name) == cold[endo.name, name], \
+            (endo.name, name)
+
+
+def test_branching_memo_walks_each_map_and_base_once(monkeypatch, capsys):
+    # one verify all --json makes 84 branch and 20 gp_branch calls (205
+    # and 40 without the memo); the branch calls include the GP leaves
+    calls = {"branch": 0, "gp_branch": 0}
+    for name in calls:
+        def counted(*args, _inner=getattr(reps_module, name), _name=name):
+            calls[_name] += 1
+            return _inner(*args)
+        monkeypatch.setattr(reps_module, name, counted)
+    assert cli_main(["verify", "all", "--json"]) == 0
+    capsys.readouterr()
+    assert calls == {"branch": 84, "gp_branch": 20}
+    assert len(reps_module._MEMO) == 83
+
+
+def test_branching_memo_stores_no_refusal(monkeypatch):
+    psi = standard_endo("1324")
+    twin = PermEndo._from_valid(2, psi.u, "twin")
+    monkeypatch.setattr(reps_module, "MAX_BRANCH_STEPS", 1)
+    for endo in (psi, psi, twin):
+        with pytest.raises(ValueError, match=rf"^branch of P\(1\) under "
+                           rf"{endo.name} exceeded"):
+            branching(endo, "P(1)")
+        assert reps_module._MEMO == {}
+    monkeypatch.setattr(reps_module, "MAX_TWIST_LEVEL", 1)
+    for endo in (psi, twin):
+        with pytest.raises(ValueError, match=rf"^the GP twist of "
+                           rf"{endo.name} needs"):
+            branching(endo, "GP(+)")
+        assert reps_module._MEMO == {}
+
+
+def test_branching_memo_hands_out_copies():
+    endo = standard_endo("14")
+    for name in ("P(1)", "P[1]", "fock", "GP(+)", "GP[+]"):
+        first = branching(endo, name)
+        first.append("spoiled")
+        assert branching(endo, name) == first[:-1], name
+
+
+def test_a_full_branching_memo_is_emptied(monkeypatch):
+    monkeypatch.setattr(reps_module, "_MEMO_CAP", 2)
+    endo = standard_endo("14")
+    want = {name: cold_branching(endo, name)
+            for name in ("P(1)", "P(2)", "GP(+)")}
+    reps_module._MEMO.clear()
+    assert branching(endo, "P(1)") == want["P(1)"]
+    assert branching(endo, "P[1]") and len(reps_module._MEMO) == 1
+    assert branching(endo, "P(2)") == want["P(2)"]
+    assert len(reps_module._MEMO) == 2
+    assert branching(endo, "GP(+)") == want["GP(+)"]
+    assert len(reps_module._MEMO) == 1
 
 
 def test_parse_rep():
