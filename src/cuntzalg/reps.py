@@ -32,10 +32,12 @@ followed by a slice of the base word (``read``: the repeated cycle word
 J, or the letters of K).  :func:`_put` gives s_T: it prepends T to a
 non-empty word part, or walks the base word back while T's last letters
 match it (``push``).  :func:`act_poly` and
-:func:`cuntzalg.fermions.act_letter` act through these two, and so
-does :func:`_predecessor`: the predecessor under a level-l psi_sigma
-takes W with |W| = l and puts back T from the source word
-i T = sigma^-1(W), with no search over the N^l words.
+:func:`cuntzalg.fermions.act_letter` act through these two.  The
+predecessor under a level-l psi_sigma walks padded labels (v, q),
+|v| = l - 1, instead (:func:`_follow_orbits`): a step reads one base
+letter a at q and goes to (T, q') for the source word
+i T = sigma^-1(v a), with no search over the N^l words, and ``push``
+reduces the labels of each closed cycle.
 
 Phases are restricted to 0 and 1/2, so every label action carries a
 sign in {1, -1}, and the label layer (``read``/``push``, the two steps
@@ -49,14 +51,15 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import prod
 from typing import Dict, List, Optional, Tuple
 
 from .scalars import Scalar
 from .words import (PHASE_0, PHASE_HALF, CycleClass, EvWord, Record, Word,
-                    adjoint, all_words, canonical_cycle, check_word,
-                    is_primitive, make_ev_word, minimal_rotation,
-                    parse_ev_word, parse_number, parse_word,
-                    primitive_split, render_word, rotations, shift)
+                    all_words, canonical_cycle, check_word, is_primitive,
+                    make_ev_word, minimal_rotation, parse_ev_word,
+                    parse_number, parse_word, primitive_split, render_word,
+                    rotations, shift)
 from .algebra import _summed
 from .morphisms import Morphism, PermEndo
 
@@ -303,75 +306,60 @@ class BranchResult(Record):
         return " (+) ".join(comp.describe() for comp in self.components)
 
 
-def _predecessor(rep, endo: PermEndo):
-    """The predecessor map of rep o endo: label -> (letter, sign, label).
-
-    For the label v it takes the first endo.level letters W off v
-    (:func:`_take`) and, with the source word i T = sigma^-1(W) read off
-    the adjoint of endo.u, puts T back (:func:`_put`): it returns
-    (i, sign, s_T s_W^* v), the one label u and letter i with
-    endo(s_i) u = +-v.
-    """
-    level = endo.level
-    source = adjoint(endo.u)
-
-    def pred(label: Label) -> Tuple[int, int, Label]:
-        word, sign, rest = _take(rep, label, level)
-        e, src = source[word]
-        s, out = _put(rep, src[1:], rest)
-        return src[0], sign * e * s, out
-
-    return pred
-
-
 def branch(rep, endo: PermEndo) -> BranchResult:
     """Decompose rep o endo into cycle and chain components.
 
     Seeds every reduced label with word part of length at most
     max(l - 1, 1), l = endo.level, and follows the unique predecessor map
-    (:func:`_predecessor`) until each orbit closes into a cycle, merges
-    into a known component, or (on a chain base) escapes with an
+    back (:func:`_follow_orbits`) until each orbit closes into a cycle,
+    merges into a known component, or (on a chain base) escapes with an
     eventually periodic tail.  More than MAX_BRANCH_STEPS predecessor
     steps over all seeds raise ValueError; so does a larger seed set,
     before it is listed, and a representation and endomorphism of
     different rank.
 
     These seeds reach every component.  A step strictly shortens a word
-    part longer than l - 1, so every recurrent label of a cycle base has
-    a word part of length at most l - 1.  On a chain base P(K) a step
-    raises the height m - |w| by one, and a label with |w| < l at height
-    h is fixed by its state, the first l - 1 letters of w K(m+1) ...;
-    the step maps the state by the letter K(h + l) alone.  From
-    h = |prefix| - l + 1 on, these maps of the N^(l-1) states repeat
-    every |period| heights, and the seeds hold every state at |period|
+    part longer than l - 1, so every recurrent label of a cycle base is a
+    seed.  On a chain base P(K) a step raises the height q - (l - 1) of
+    a padded label (v, q) by one and maps v by the letter K(q + 1) alone.
+    From height |prefix| on, these maps of the N^(l-1) words v repeat
+    every |period| heights, and the seeds hold every v at |period|
     consecutive such heights.  A ray high enough up is on a cycle of the
-    maps over one period, so a seed a multiple of |period| below it
-    holds the state they carry onto the ray's, and its ray meets it.
+    maps over one period, so a seed a multiple of |period| below it holds
+    the v they carry onto the ray's, and its ray meets it.
     """
     if rep.n != endo.n:
         raise ValueError(f"representation of O_{rep.n} cannot be composed "
                          f"with an endomorphism of O_{endo.n}")
-    return _follow_orbits(rep, _predecessor(rep, endo),
-                          max(endo.level - 1, 1), endo.name)
+    return _follow_orbits(rep, endo)
 
 
-def _follow_orbits(rep, pred, bound: int, name: str = "") -> BranchResult:
-    """The components found by walking pred back from every seed label;
-    name names pred's map in a refusal.
+def _follow_orbits(rep, endo: PermEndo) -> BranchResult:
+    """The components found by walking the predecessor map of rep o endo
+    back from every seed label, on padded labels.
 
-    On a chain base a step raises the height m - |w| of the label (w, m)
-    by one, and from height |prefix| on it reads and pushes letters of
-    the period only.  From there the walk depends on the state
-    (w, (m - |prefix|) mod |period|) alone, and a state that comes back
-    after delta steps starts the ray's tail.  Two rays meet exactly when
-    their tails have the same delta and the same set of
-    (w, (m - |prefix|) mod delta) over one turn, so that pair is the key
-    of a chain component.  A label never comes back on a chain base, as
-    its height rises on every step, so only a cycle base keeps the path
-    positions of its labels to find where the path closes: the one dict
-    ``seen`` maps a walked label to its component id and a label on the
-    current path of a cycle base to -1 - its position."""
-    n = rep.n
+    A label (w, p) with |w| <= l - 1 is +- s_v e_q for its padded label
+    (v, q): v is w followed by the next l - 1 - |w| base letters read at
+    p, and q the position after them.  With e_q = s s_a e_q' (``read``,
+    once per position q in the call, for the seeds' padding too) and
+    i T = sigma^-1(v a) of sign eps, the predecessor of (v, q) is
+    (i, s eps, (T, q')).  Padded and reduced labels are in bijection and
+    the padding signs cancel around a cycle, so the walk finds the
+    letters and cycle signs of the reduced walk, and ``push`` reduces
+    the labels of a closed cycle.  At level 1 a seed s_a e_p has no
+    padded label: its one step, onto ((), p), seeded before it, is only
+    counted.
+
+    On a chain base, from height |prefix| on the walk reads letters of
+    the period only, so it depends on the state (v, (q - |prefix|) mod
+    |period|) alone, and a state that comes back after delta steps
+    starts the ray's tail.  Two rays meet exactly when their tails have
+    the same delta and the same set of (v, (q - |prefix|) mod delta) over
+    one turn: the key of a chain component.  The one dict ``seen`` maps
+    a walked label to its component id and a label on the current path
+    to -1 - its position; only a cycle base comes back to one."""
+    n, name, cut = rep.n, endo.name, endo.level - 1
+    bound = max(cut, 1)
     budget = MAX_BRANCH_STEPS  # a local in the step loop, read per call
     is_chain_base = isinstance(rep, ChainRep)
     if is_chain_base:
@@ -384,61 +372,66 @@ def _follow_orbits(rep, pred, bound: int, name: str = "") -> BranchResult:
     count = rep.seed_count(bound)
     if count > budget:
         raise _over_budget(rep, name, count)
-    seeds = rep.seed_labels(bound)
+    reads: Dict[int, Tuple[Word, int, int]] = {}  # q -> rep.read(q, 1)
+    seeds: List[Label] = []
+    for v, q in rep.seed_labels(bound):
+        if len(v) <= cut:
+            while len(v) < cut:
+                a, _, q = reads.get(q) or reads.setdefault(q, rep.read(q, 1))
+                v += a
+            seeds.append((v, q))
+    # W -> (i, eps, T) for the source word i T = sigma^-1(W), eps its sign
+    source = {w: (j[0], e, j[1:]) for j, (e, w) in endo.u.items()}
     seen: Dict[Label, int] = {}
     components: List[Component] = []
-    steps = 0
+    steps = count - len(seeds)  # the one-letter seeds of level 1
 
     for seed in seeds:
         if seed in seen:
             continue
         path: List[Label] = [seed]
-        letters: List[int] = []
-        signs: List[int] = []
-        if not is_chain_base:
-            seen[seed] = -1
+        letters, signs = [], []  # the letter and sign of each step
+        seen[seed] = -1
         states: Dict[Tuple, int] = {}
-        while True:
-            steps += 1
-            if steps > budget:
-                raise _over_budget(rep, name, count)
-            current = path[-1]
-            if is_chain_base:
-                w, m = current
-                if m - len(w) >= pre:
-                    at = states.setdefault((w, (m - pre) % per), len(path) - 1)
-                    if at < len(path) - 1:
-                        # eventually periodic escape: a chain component,
-                        # unless an earlier ray has the same tail
-                        delta = len(path) - 1 - at
-                        key = (delta, frozenset((v, (u - pre) % delta)
-                                                for v, u in path[at:]))
-                        comp_id = tails.get(key)
-                        if comp_id is None:
-                            comp_id = tails[key] = len(components)
-                            components.append(Component(
-                                "chain", chain_word=make_ev_word(
-                                    n, letters[:at], letters[at:])))
-                        break
-            i, sgn, prev = pred(current)
+        v, q = seed
+        # step k walks back from path[k], within what the budget has left
+        for k in range(budget - steps):
+            if is_chain_base and q - cut >= pre:
+                at = states.setdefault((v, (q - pre) % per), k)
+                if at < k:
+                    # eventually periodic escape: a chain component,
+                    # unless an earlier ray has the same tail
+                    delta = k - at
+                    key = (delta, frozenset((x, (y - pre) % delta)
+                                            for x, y in path[at:]))
+                    comp_id = tails.get(key)
+                    if comp_id is None:
+                        comp_id = tails[key] = len(components)
+                        components.append(Component(
+                            "chain", chain_word=make_ev_word(
+                                n, letters[:at], letters[at:])))
+                    break
+            a, s, q = reads.get(q) or reads.setdefault(q, rep.read(q, 1))
+            i, e, v = source[v + a]
             letters.append(i)
-            signs.append(sgn)
+            signs.append(s * e)
+            prev = (v, q)
             comp_id = seen.get(prev)
             if comp_id is None:
-                if not is_chain_base:
-                    seen[prev] = -1 - len(path)
+                seen[prev] = -2 - k
                 path.append(prev)
                 continue
             if comp_id < 0:
                 at = -1 - comp_id
-                word = tuple(letters[at:])
-                sign = 1
-                for s in signs[at:]:
-                    sign *= s
                 comp_id = len(components)
-                components.append(Component("cycle", cycle_word=word,
-                                            sign=sign, cycle_labels=path[at:]))
+                components.append(Component(
+                    "cycle", cycle_word=tuple(letters[at:]),
+                    sign=prod(signs[at:]),
+                    cycle_labels=[rep.push(x, y)[1] for x, y in path[at:]]))
             break
+        else:
+            raise _over_budget(rep, name, count)
+        steps += len(path)
         for lab in path:
             seen[lab] = comp_id
     return BranchResult(components)

@@ -1,6 +1,7 @@
 """Classification machinery: conjugacy, restriction equality, commutants."""
 
 import hashlib
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -136,6 +137,52 @@ def commutant_dim(endo):
 COMMUTANT_DIMS = {"id": 1, "(12)(34)": 1, "12": 1, "13": 1, "24": 1,
                   "34": 1, "142": 2, "123": 2, "124": 2, "132": 2,
                   "14": 4, "23": 4}
+
+
+def centre_dim(endo):
+    """dim Z(C), C = psi(F)' cap F: the number of coefficient vectors c
+    with x = sum_a c_a B_a commuting with every orbit matrix B_b of
+    classify._commutant_orbits, by rank over Q."""
+    basis = classify._commutant_orbits(endo)
+
+    def product(a, b):
+        out = {}
+        for (j, k), e in a.items():
+            for (k2, m), f in b.items():
+                if k == k2:
+                    out[j, m] = out.get((j, m), 0) + e * f
+        return out
+
+    rows = {}  # (b, coordinate) -> the coordinate of [B_a, B_b] by a
+    for a, x in enumerate(basis):
+        for b, y in enumerate(basis):
+            for sign, z in ((1, product(x, y)), (-1, product(y, x))):
+                for c, v in z.items():
+                    rows.setdefault((b, c), [Fraction(0)] * len(basis))[a] \
+                        += sign * v
+    rank, matrix = 0, list(rows.values())
+    for col in range(len(basis)):
+        pivot = next((r for r in matrix[rank:] if r[col]), None)
+        if pivot is None:
+            continue
+        matrix.remove(pivot)
+        matrix.insert(rank, pivot)
+        for r in matrix[rank + 1:]:
+            if r[col]:
+                f = r[col] / pivot[col]
+                r[:] = [u - f * v for u, v in zip(r, pivot)]
+        rank += 1
+    return len(basis) - rank
+
+
+def test_centre_of_the_commutant_separates_the_fermion_collisions():
+    """C's type separates the two pairs the fermion representations leave
+    joined: C = M_2 for psi_14 and psi_23, and C = C + C for psi_124 and
+    psi_132."""
+    assert {name: centre_dim(standard_endo(name))
+            for name in CLASS_REPRESENTATIVES} == {
+        "id": 1, "(12)(34)": 1, "12": 1, "13": 1, "24": 1, "34": 1,
+        "14": 1, "23": 1, "142": 2, "123": 2, "124": 2, "132": 2}
 
 
 def test_commutant_witnesses():

@@ -384,6 +384,15 @@ def test_seed_bound_at_level_minus_one(capsys):
     assert "unrecognized arguments: --seed-bound 1" in capsys.readouterr().err
 
 
+def test_level_one_chain_prefix(capsys):
+    """A level-1 map seeds chain labels with word parts of one letter, so
+    the seed positions start at -1 and the first ray, which names the
+    chain, starts there."""
+    code, out, _ = run(capsys, "branch", "--rep", "2(1)^inf", "--endo",
+                       "beta2")
+    assert (code, out) == (0, "P(12(1)^inf)\n")
+
+
 def test_branch_step_budget_is_usage_error(capsys, monkeypatch):
     monkeypatch.setattr(reps, "MAX_BRANCH_STEPS", 1)
     code, out, err = run(capsys, "branch", "--rep", "P(1)", "--endo",

@@ -6,16 +6,16 @@ from fractions import Fraction
 
 import pytest
 
-from cuntzalg import classify
+from cuntzalg import classify, reps
 from cuntzalg.scalars import INV_SQRT2, MINUS_ONE, ONE, ZERO
-from cuntzalg.words import (all_words, canonical_cycle, is_primitive,
-                            make_ev_word, minimal_rotation, parse_ev_word,
-                            primitive_split)
+from cuntzalg.words import (adjoint, all_words, canonical_cycle,
+                            is_primitive, make_ev_word, minimal_rotation,
+                            parse_ev_word, primitive_split)
 from cuntzalg.algebra import CuntzPoly
 from cuntzalg.morphisms import (Morphism, PermEndo, compose, hadamard,
                                 identity, standard_endo)
-from cuntzalg.reps import (ChainRep, CycleRep, _follow_orbits, _predecessor,
-                           act_poly, branch)
+from cuntzalg.reps import (BranchResult, ChainRep, Component, CycleRep,
+                           _over_budget, _put, _take, act_poly, branch)
 
 
 def random_perm_endo(rng, n, level):
@@ -226,6 +226,112 @@ def letter_act_poly(rep, poly, vec):
     return {label: c for label, c in out.items() if not c.is_zero()}
 
 
+def take_put_predecessor(rep, endo):
+    """The predecessor map of rep o endo on reduced labels: label ->
+    (letter, sign, label).
+
+    For the label v it takes the first endo.level letters W off v
+    (``_take``) and, with the source word i T = sigma^-1(W) read off the
+    adjoint of endo.u, puts T back (``_put``): it returns
+    (i, sign, s_T s_W^* v), the one label u and letter i with
+    endo(s_i) u = +-v.
+    """
+    level = endo.level
+    source = adjoint(endo.u)
+
+    def pred(label):
+        word, sign, rest = _take(rep, label, level)
+        e, src = source[word]
+        s, out = _put(rep, src[1:], rest)
+        return src[0], sign * e * s, out
+
+    return pred
+
+
+def follow_label_orbits(rep, pred, bound, name=""):
+    """The reference walk: pred walked back from every reduced seed label
+    of the given bound, as (BranchResult, predecessor steps); past
+    reps.MAX_BRANCH_STEPS steps it refuses as branch does.
+
+    A step is one pass of the loop: one pred call, or the look at a chain
+    label whose state has come back.  On a chain base the state of a
+    label (w, m) at height m - |w| >= |prefix| is (w, (m - |prefix|) mod
+    |period|); a state that comes back after delta steps starts the
+    ray's tail, keyed by delta and the set of (w, (m - |prefix|) mod
+    delta) over one turn.  ``seen`` maps a walked label to its component
+    id and a label on the current path of a cycle base to -1 - its
+    position."""
+    n = rep.n
+    budget = reps.MAX_BRANCH_STEPS
+    is_chain_base = isinstance(rep, ChainRep)
+    if is_chain_base:
+        per = len(rep.ev.period)
+        pre = len(rep.ev.prefix)
+        tails = {}
+    count = rep.seed_count(bound)
+    if count > budget:
+        raise _over_budget(rep, name, count)
+    seen = {}
+    components = []
+    steps = 0
+    for seed in rep.seed_labels(bound):
+        if seed in seen:
+            continue
+        path, letters, signs = [seed], [], []
+        if not is_chain_base:
+            seen[seed] = -1
+        states = {}
+        while True:
+            steps += 1
+            if steps > budget:
+                raise _over_budget(rep, name, count)
+            current = path[-1]
+            if is_chain_base:
+                w, m = current
+                if m - len(w) >= pre:
+                    at = states.setdefault((w, (m - pre) % per), len(path) - 1)
+                    if at < len(path) - 1:
+                        delta = len(path) - 1 - at
+                        key = (delta, frozenset((v, (u - pre) % delta)
+                                                for v, u in path[at:]))
+                        comp_id = tails.get(key)
+                        if comp_id is None:
+                            comp_id = tails[key] = len(components)
+                            components.append(Component(
+                                "chain", chain_word=make_ev_word(
+                                    n, letters[:at], letters[at:])))
+                        break
+            i, sgn, prev = pred(current)
+            letters.append(i)
+            signs.append(sgn)
+            comp_id = seen.get(prev)
+            if comp_id is None:
+                if not is_chain_base:
+                    seen[prev] = -1 - len(path)
+                path.append(prev)
+                continue
+            if comp_id < 0:
+                at = -1 - comp_id
+                sign = 1
+                for s in signs[at:]:
+                    sign *= s
+                comp_id = len(components)
+                components.append(Component(
+                    "cycle", cycle_word=tuple(letters[at:]), sign=sign,
+                    cycle_labels=path[at:]))
+            break
+        for lab in path:
+            seen[lab] = comp_id
+    return BranchResult(components), steps
+
+
+def label_branch(rep, endo):
+    """branch by the reference walk on reduced labels: (BranchResult,
+    predecessor steps)."""
+    return follow_label_orbits(rep, take_put_predecessor(rep, endo),
+                               max(endo.level - 1, 1), endo.name)
+
+
 def search_predecessor(rep, endo):
     """The predecessor map found by search: try s_W^* for the image W of
     every source word i T and keep the one hit, asserting that exactly
@@ -294,32 +400,109 @@ def test_read_off_predecessor_matches_search():
     for n, level in ((2, 3), (3, 2), (2, 4), (3, 3)):
         for _ in range(3):
             endo = random_signed_perm_endo(rng, n, level)
-            reps = []
+            bases = []
             for length in (1, 2, 3):
                 word = tuple(rng.randint(1, n) for _ in range(length))
                 if is_primitive(word):
-                    reps += [CycleRep(n, word, Fraction(0)),
+                    bases += [CycleRep(n, word, Fraction(0)),
                              CycleRep(n, word, Fraction(1, 2))]
             for _ in range(2):
                 prefix = [rng.randint(1, n) for _ in range(rng.randint(0, 2))]
                 period = [rng.randint(1, n) for _ in range(rng.randint(1, 2))]
-                reps.append(ChainRep(make_ev_word(n, prefix, period)))
-            for rep in reps:
+                bases.append(ChainRep(make_ev_word(n, prefix, period)))
+            for rep in bases:
                 for bound in (level - 1, level):
-                    new = _follow_orbits(rep, _predecessor(rep, endo), bound)
+                    new = follow_label_orbits(
+                        rep, take_put_predecessor(rep, endo), bound)[0]
                     if bound == level - 1:
                         assert ([component_key(c) for c in new.components]
                                 == [component_key(c) for c in
                                     branch(rep, endo).components])
                     for ref_pred in (search_predecessor,
                                      letter_predecessor):
-                        ref = _follow_orbits(rep, ref_pred(rep, endo), bound)
+                        ref = follow_label_orbits(rep, ref_pred(rep, endo),
+                                                  bound)[0]
                         assert ([component_key(c) for c in new.components]
                                 == [component_key(c)
                                     for c in ref.components]), \
                             (endo.sigma, endo.signs, rep, bound)
                     compared += 1
     assert compared >= 80
+
+
+def walk_cases():
+    """(rep, endo) for N in {2, 3}, levels 1 to 4 and signed maps: cycle
+    bases at phases 0 and 1/2, shorter and longer than the level, and
+    chain bases with and without a prefix, whose seeds start below
+    height 1."""
+    rng = random.Random(3604)
+    cases = []
+    for n in (2, 3):
+        for level in (1, 2, 3, 4):
+            for _ in range(2):
+                endo = random_signed_perm_endo(rng, n, level)
+                words = [(n,), (1, n)]
+                while len(words) < 3:
+                    word = tuple(rng.randint(1, n) for _ in range(level + 1))
+                    if is_primitive(word):
+                        words.append(word)
+                for word in words:
+                    for phase in (Fraction(0), Fraction(1, 2)):
+                        cases.append((CycleRep(n, word, phase), endo))
+                for prefix, period in (((2, 1), (1, 2)), ((), (n,)),
+                                       ((n, n, 1), (n,)), ((2,), (1,))):
+                    cases.append((ChainRep(make_ev_word(n, prefix, period)),
+                                  endo))
+    return cases
+
+
+def test_branch_matches_the_label_walk():
+    """branch on padded labels finds the components of the reference
+    walk on reduced labels: kind, cycle word, sign, cycle labels in
+    order, chain word, and their order."""
+    counts = {"signed cycle": 0, "chain": 0, "prefix": 0, "level-1 chain": 0}
+    for rep, endo in walk_cases():
+        want = [component_key(c)
+                for c in label_branch(rep, endo)[0].components]
+        assert [component_key(c) for c in branch(rep, endo).components] \
+            == want, (rep, endo.sigma, endo.signs)
+        counts["signed cycle"] += any(k[0] == "cycle" and k[2] == -1
+                                      for k in want)
+        if isinstance(rep, ChainRep):
+            assert min(m - len(w) for w, m in rep.seed_labels(1)) < 1
+            counts["chain"] += 1
+            counts["prefix"] += bool(rep.ev.prefix)
+            counts["level-1 chain"] += endo.level == 1
+    assert counts == {"signed cycle": 65, "chain": 64, "prefix": 48,
+                      "level-1 chain": 16}
+
+
+def test_step_budget_is_the_label_walks_step_count(monkeypatch):
+    """branch takes the reference walk's number of predecessor steps:
+    with MAX_BRANCH_STEPS at that count it answers, one below it refuses.
+    At level 1 a seed with a one-letter word part counts its one step
+    (on chain bases the walks pass the seeds, so the step count is above
+    the seed count and the refusal is not the one of the seed count)."""
+    rng = random.Random(3605)
+    past_seeds = 0
+    for n, level in ((2, 1), (3, 1), (2, 2), (3, 2), (2, 3), (3, 3)):
+        endo = random_signed_perm_endo(rng, n, level)
+        bound = max(level - 1, 1)
+        for rep in (CycleRep(n, (1, n)), CycleRep(n, (n,), Fraction(1, 2)),
+                    ChainRep(make_ev_word(n, (n, 1), (1, n))),
+                    ChainRep(make_ev_word(n, (), (n,)))):
+            want, steps = label_branch(rep, endo)
+            monkeypatch.setattr(reps, "MAX_BRANCH_STEPS", steps)
+            assert ([component_key(c) for c in branch(rep, endo).components]
+                    == [component_key(c) for c in want.components])
+            monkeypatch.setattr(reps, "MAX_BRANCH_STEPS", steps - 1)
+            with pytest.raises(ValueError) as refused:
+                branch(rep, endo)
+            assert str(refused.value) == str(
+                _over_budget(rep, endo.name, rep.seed_count(bound)))
+            monkeypatch.undo()
+            past_seeds += level == 1 and steps > rep.seed_count(bound)
+    assert past_seeds == 4
 
 
 def predecessor_cases():
@@ -355,7 +538,7 @@ def test_predecessor_matches_letter_and_search_references():
     label up to the level (chain labels from m = -l on)."""
     compared = wrapped = low = 0
     for rep, endo in predecessor_cases():
-        fast = _predecessor(rep, endo)
+        fast = take_put_predecessor(rep, endo)
         letters = letter_predecessor(rep, endo)
         search = search_predecessor(rep, endo)
         for label in rep.seed_labels(endo.level):
@@ -444,8 +627,8 @@ def test_chain_components_match_ray_merge_reference():
         per = len(rep.ev.period)
         window = (len(rep.ev.prefix) + per + bound + 3 * level
                   + per * (rep.n ** (level - 1) + 2))
-        want = ray_merge_components(rep, _predecessor(rep, endo), bound + 1,
-                                    window)
+        want = ray_merge_components(rep, take_put_predecessor(rep, endo),
+                                    bound + 1, window)
         have = tuple(sum(c.kind == kind for c in fast)
                      for kind in ("cycle", "chain"))
         assert have == want, (rep, endo.sigma, endo.signs)
@@ -477,8 +660,8 @@ def test_components_do_not_depend_on_the_seed_bound():
                     cases.append((CycleRep(n, word, phase), endo))
     for rep, endo in cases:
         level = endo.level
-        pred = _predecessor(rep, endo)
-        answers = [component_classes(_follow_orbits(rep, pred, bound))
+        pred = take_put_predecessor(rep, endo)
+        answers = [component_classes(follow_label_orbits(rep, pred, bound)[0])
                    for bound in (level - 1, level, level + 1)]
         assert answers[0] == answers[1] == answers[2], \
             (rep, endo.sigma, endo.signs)
