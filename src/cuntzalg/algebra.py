@@ -47,7 +47,6 @@ outside drop them before summing).
 
 from __future__ import annotations
 
-from array import array
 from bisect import bisect_left
 from operator import itemgetter
 from typing import Dict, Hashable, Iterable, Iterator, List, Mapping, Tuple
@@ -164,12 +163,12 @@ class CuntzPoly:
             data = _indexed_product(self, other)
         return CuntzPoly._from_valid(self.n, data)
 
-    def _sorted_keys(self, side: int) -> Tuple[List[Key], array]:
+    def _sorted_keys(self, side: int) -> Tuple[List[Key], List[int]]:
         """The term keys sorted by J (side 0) or K (side 1), ties in term
         order, and the position in ``terms`` of each."""
         keys = list(self.terms)
         order = sorted(range(len(keys)), key=lambda p: keys[p][side])
-        return [keys[p] for p in order], array("I", order)
+        return [keys[p] for p in order], order
 
     def adjoint(self) -> "CuntzPoly":
         return CuntzPoly._from_valid(

@@ -115,7 +115,7 @@ MAX_MODE = 16
 
 # vacuum_check acts on labels and builds no a_n, so MAX_MODE does not
 # bound it: a Fock check to max mode M takes about 0.04 s at M = 256,
-# 0.1 s at 512 and 0.2 s at 1024 (the other vacua about 2 ms at 512),
+# 0.1 s at 512 and 0.2-0.3 s at 1024 (the other vacua about 2 ms at 512),
 # and a higher max mode is refused
 MAX_VACUUM_MODE = 512
 

@@ -233,8 +233,8 @@ class PermEndo(Morphism):
     """psi = lambda_u for a signed permutation u of the words of length l.
 
     u is the signed map J -> (eps_J, sigma(J)), the unitary
-    sum_J eps_J s_sigma(J) s_J^*, and psi(s_i) = u s_i; ``sigma`` and
-    ``signs`` read its two parts.  Construction checks and keeps u only.
+    sum_J eps_J s_sigma(J) s_J^*, and psi(s_i) = u s_i.  Construction
+    checks and keeps u only.
     The images are built on their first read (a word image, m(x), or a
     map that is not a PermEndo in ``then`` or ``==``), so the routes on u
     never build a CuntzPoly.
@@ -288,14 +288,6 @@ class PermEndo(Morphism):
         self._images = None
         self.level = len(next(iter(u)))
         self.u = u
-
-    @property
-    def sigma(self) -> Dict[Word, Word]:
-        return {j: x for j, (_, x) in self.u.items()}
-
-    @property
-    def signs(self) -> Dict[Word, int]:
-        return {j: e for j, (e, _) in self.u.items()}
 
     @property
     def images(self) -> List[CuntzPoly]:
@@ -446,9 +438,10 @@ def parse_cycles(text: str) -> List[List[int]]:
         raise ValueError(bad) from None
 
 
-def standard_endo(spec: str, n: int = 2, level: int = 2) -> PermEndo:
-    """psi_<spec> with cycle notation, e.g. "13", "1324", "(12)(34")."""
-    return perm_from_cycles(parse_cycles(spec), n, level)
+def standard_endo(spec: str) -> PermEndo:
+    """The level-2 endomorphism psi_<spec> of O_2, with spec in cycle
+    notation on the words 11, 12, 21, 22, e.g. "13", "1324", "(12)(34)"."""
+    return perm_from_cycles(parse_cycles(spec), 2, 2)
 
 
 def nakanishi() -> PermEndo:

@@ -72,7 +72,7 @@ Hit = Optional[Tuple[int, Label]]
 class CycleRep:
     """The cycle representation P(J; q) on labels (w, p), p in 1..|J|."""
 
-    __slots__ = ("n", "word", "phase", "k", "wrap", "text")
+    __slots__ = ("n", "word", "phase", "k", "wrap")
 
     def __init__(self, n: int, word, phase: Fraction = PHASE_0):
         word = _cycle_word(word, n)
@@ -85,9 +85,6 @@ class CycleRep:
         self.k = len(word)
         # the sign s_J picks up when it closes the cycle: e^(2 pi i q)
         self.wrap = -1 if q else 1
-        # J repeated, as long as the longest read so far needs; rebuilt per
-        # read, vacuum fock --max-mode 512 runs 4-6 % slower
-        self.text = word * 2
 
     def _prev_letter(self, p: int) -> int:
         """The letter carrying e_p back one step: s_{l(p)} e_p = e_{p-1}."""
@@ -101,9 +98,8 @@ class CycleRep:
         wrap^(number of times the read passes the end of J)."""
         end = p - 1 + r
         wraps, at = divmod(end, self.k)
-        if end > len(self.text):
-            self.text = self.word * (wraps + 1)
-        return self.text[p - 1:end], self.wrap if wraps & 1 else 1, at + 1
+        return ((self.word * (wraps + 1))[p - 1:end],
+                self.wrap if wraps & 1 else 1, at + 1)
 
     def push(self, word: Word, q: int) -> Tuple[int, Label]:
         """s_word e_q as (sign, label): the last letters of word that

@@ -225,9 +225,9 @@ def test_standard_endo_images():
 def test_perm_from_cycles_codec():
     # index codec over pairs: 1=(1,1), 2=(1,2), 3=(2,1), 4=(2,2)
     endo = perm_from_cycles([[1, 4]], 2, 2)
-    assert endo.sigma[(1, 1)] == (2, 2)
-    assert endo.sigma[(2, 2)] == (1, 1)
-    assert endo.sigma[(1, 2)] == (1, 2)
+    assert endo.u[(1, 1)] == (1, (2, 2))
+    assert endo.u[(2, 2)] == (1, (1, 1))
+    assert endo.u[(1, 2)] == (1, (1, 2))
 
 
 def test_perm_from_cycles_rejects_repeated_entry():
@@ -336,8 +336,10 @@ def test_nakanishi():
 def eager_images(endo):
     """The generator images PermEndo once built at construction:
     psi(s_i) = sum_T eps(iT) s_sigma(iT) s_T^*, T of length l-1."""
+    from test_properties import sigma_signs
+    sigma, signs = sigma_signs(endo)
     return [CuntzPoly(endo.n, {
-        (endo.sigma[(i,) + t], t): ONE if endo.signs[(i,) + t] == 1
+        (sigma[(i,) + t], t): ONE if signs[(i,) + t] == 1
         else MINUS_ONE for t in all_words(endo.n, endo.level - 1)})
         for i in range(1, endo.n + 1)]
 
@@ -425,8 +427,7 @@ def test_composition_on_sigma_matches_the_products():
             Morphism._from_valid(eager_images(second)))
         assert composite == reference and reference == composite
         read = as_signed_perm(reference)
-        assert (composite.level, composite.sigma, composite.signs) == \
-            (read.level, read.sigma, read.signs)
+        assert (composite.level, composite.u) == (read.level, read.u)
         lowered += composite.level < first.level + second.level - 1
     assert lowered > 100
 
@@ -448,7 +449,7 @@ def test_equality_on_sigma_matches_the_images():
         eager = Morphism._from_valid(eager_images(a))
         for b in cases:
             want = eager == Morphism._from_valid(eager_images(b))
-            assert (a == b) == want, (a.sigma, a.signs, b.sigma, b.signs)
+            assert (a == b) == want, (a.u, b.u)
             equal += want
     assert equal >= 3 * 3 * 8 + 9
 
@@ -462,7 +463,7 @@ def test_named_signed_maps_compose_to_perm_endos():
         "alpha.psi:13.beta1.theta.psi:1324"
     assert not isinstance(lookup_morphism("alpha.phi"), PermEndo)
     # alpha twice is the identity at level 1
-    assert lookup_morphism("alpha.alpha").sigma == identity(2).sigma
+    assert lookup_morphism("alpha.alpha").u == identity(2).u
 
 
 def test_composite_above_the_word_map_limit_is_refused(monkeypatch):

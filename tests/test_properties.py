@@ -138,7 +138,7 @@ def test_oracle_cross_check():
         fast = sorted(str(c) for c in
                       branch(CycleRep(2, word), endo).cycle_classes())
         slow = oracle_classes(word, endo)
-        assert fast == slow, (endo.sigma, word)
+        assert fast == slow, (endo.u, word)
 
 
 # -- the letter-by-letter label actions: the reference for read/push -----
@@ -342,14 +342,14 @@ def search_predecessor(rep, endo):
         found = None
         for i in range(1, rep.n + 1):
             for tail in tails:
-                src = (i,) + tail
-                hit = act_word_adj(rep, endo.sigma[src], label)
+                eps, image = endo.u[(i,) + tail]
+                hit = act_word_adj(rep, image, label)
                 if hit is None:
                     continue
                 assert found is None, f"predecessor of {label} not unique"
                 s1, mid = hit
                 s2, out = act_word(rep, tail, mid)
-                sign = endo.signs[src] * s1 * s2
+                sign = eps * s1 * s2
                 found = (i, sign, out)
         assert found is not None, f"no predecessor for {label}"
         return found
@@ -362,7 +362,7 @@ def letter_predecessor(rep, endo):
     adjoint letter actions, T put back by act_word.  About 3 l label
     actions per step."""
     level = endo.level
-    source = {image: src for src, image in endo.sigma.items()}
+    source = {image: src for src, (_, image) in endo.u.items()}
 
     def pred(label):
         read, s1, mid = [], 1, label
@@ -373,7 +373,7 @@ def letter_predecessor(rep, endo):
             s1 *= s
         src = source[tuple(read)]
         s2, out = act_word(rep, src[1:], mid)
-        return src[0], endo.signs[src] * s1 * s2, out
+        return src[0], endo.u[src][0] * s1 * s2, out
 
     return pred
 
@@ -425,7 +425,7 @@ def test_read_off_predecessor_matches_search():
                         assert ([component_key(c) for c in new.components]
                                 == [component_key(c)
                                     for c in ref.components]), \
-                            (endo.sigma, endo.signs, rep, bound)
+                            (endo.u, rep, bound)
                     compared += 1
     assert compared >= 80
 
@@ -465,7 +465,7 @@ def test_branch_matches_the_label_walk():
         want = [component_key(c)
                 for c in label_branch(rep, endo)[0].components]
         assert [component_key(c) for c in branch(rep, endo).components] \
-            == want, (rep, endo.sigma, endo.signs)
+            == want, (rep, endo.u)
         counts["signed cycle"] += any(k[0] == "cycle" and k[2] == -1
                                       for k in want)
         if isinstance(rep, ChainRep):
@@ -544,7 +544,7 @@ def test_predecessor_matches_letter_and_search_references():
         for label in rep.seed_labels(endo.level):
             want = letters(label)
             assert fast(label) == want == search(label), \
-                (rep, endo.sigma, endo.signs, label)
+                (rep, endo.u, label)
             compared += 1
         if isinstance(rep, CycleRep):
             wrapped += rep.k < endo.level - 1 and rep.phase > 0
@@ -631,7 +631,7 @@ def test_chain_components_match_ray_merge_reference():
                                     bound + 1, window)
         have = tuple(sum(c.kind == kind for c in fast)
                      for kind in ("cycle", "chain"))
-        assert have == want, (rep, endo.sigma, endo.signs)
+        assert have == want, (rep, endo.u)
         several += want[1] > 1
     assert several == 353
 
@@ -664,7 +664,7 @@ def test_components_do_not_depend_on_the_seed_bound():
         answers = [component_classes(follow_label_orbits(rep, pred, bound)[0])
                    for bound in (level - 1, level, level + 1)]
         assert answers[0] == answers[1] == answers[2], \
-            (rep, endo.sigma, endo.signs)
+            (rep, endo.u)
 
 
 # -- polynomial references for unit images and relative commutants ------
@@ -794,7 +794,7 @@ def poly_commutant_witness(endo, unit_image=apply_to_unit):
     cut = endo.level - 1
     low = poly_commutant(endo, cut, endo.level, unit_image)
     high = poly_commutant(endo, cut, endo.level + 1, unit_image)
-    assert low[1] == high[1], (endo.sigma, endo.signs)
+    assert low[1] == high[1], endo.u
     return high
 
 
@@ -816,14 +816,13 @@ def cascade_unitary(endo, depth):
     """w_depth = u lambda(u) ... lambda^{depth-1}(u), where psi(s_i) = u s_i
     and lambda is the canonical shift; psi(E) = w E w^* for every
     matrix unit E of that depth."""
-    key = (endo.n, tuple(sorted(endo.sigma.items())),
-           tuple(sorted(endo.signs.items())))
+    key = (endo.n, tuple(sorted(endo.u.items())))
     # ws[n] is w_n, and ws[0] the last lift lambda^{len(ws) - 2}(u)
     ws = _CASCADES.get(key)
     if ws is None:
         lifted = CuntzPoly(endo.n, {
-            (dst, src): ONE if endo.signs[src] == 1 else MINUS_ONE
-            for src, dst in endo.sigma.items()})
+            (dst, src): ONE if e == 1 else MINUS_ONE
+            for src, (e, dst) in endo.u.items()})
         ws = _CASCADES[key] = [lifted, lifted]
     while len(ws) <= depth:
         ws[0] = gauge_lift(ws[0])
@@ -848,20 +847,28 @@ def cascade_apply_to_unit(endo, j, k):
     return w * CuntzPoly.matrix_unit(endo.n, j, k) * w.adjoint()
 
 
+def sigma_signs(endo):
+    """The two parts of a PermEndo's signed map u: J -> sigma(J) and
+    J -> eps_J."""
+    return ({j: x for j, (_, x) in endo.u.items()},
+            {j: e for j, (e, _) in endo.u.items()})
+
+
 def negated(endo):
     """The same sigma with every sign flipped: psi'(s_i) = -psi(s_i),
     which agrees with psi on the gauge-invariant subalgebra."""
-    return PermEndo(endo.n, endo.level, endo.sigma,
-                    signs={w: -e for w, e in endo.signs.items()})
+    sigma, signs = sigma_signs(endo)
+    return PermEndo(endo.n, endo.level, sigma,
+                    signs={w: -e for w, e in signs.items()})
 
 
 def raised(endo):
     """endo written as a permutation of words one letter longer."""
     sigma, signs = {}, {}
-    for src, dst in endo.sigma.items():
+    for src, (e, dst) in endo.u.items():
         for i in range(1, endo.n + 1):
             sigma[src + (i,)] = dst + (i,)
-            signs[src + (i,)] = endo.signs[src]
+            signs[src + (i,)] = e
     return PermEndo(endo.n, endo.level + 1, sigma, signs=signs)
 
 
@@ -1148,7 +1155,7 @@ def test_commutant_witness_matches_polynomial_reference():
         fast = classify.commutant_witness(m)
         witness, dim = poly_commutant_witness(m)
         assert (str(fast), commutant_dim(m)) == (str(witness), dim), \
-            (m.sigma, m.signs)
+            m.u
         found += fast is not None
     assert found == 20
 
@@ -1194,7 +1201,7 @@ def test_commutant_witnesses_commute_by_products():
         for g_depth in range(1, m.level + 2):
             for (j, k) in unit_generators(m.n, g_depth):
                 image = apply_to_unit(m, j, k)
-                assert x * image == image * x, (m.sigma, m.signs)
+                assert x * image == image * x, m.u
         reduced = x.reduce()
         assert reduced.terms and set(reduced.terms) != {((), ())}
 
@@ -1266,8 +1273,8 @@ def level3_sample(seed):
         sigma, signs = {}, {}
         for j in words:  # sigma(ikT) = k sigma_k(iT)
             corner = corners[j[1] - 1]
-            sigma[j] = j[1:2] + corner.sigma[j[:1] + j[2:]]
-            signs[j] = corner.signs[j[:1] + j[2:]]
+            signs[j], image = corner.u[j[:1] + j[2:]]
+            sigma[j] = j[1:2] + image
         split = PermEndo(2, 3, sigma, signs)
         out.append(split)
         twisted = as_signed_perm(compose(phi, split, phi))

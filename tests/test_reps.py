@@ -486,7 +486,7 @@ def test_involution_check_matches_the_composite():
     for m in SIGNED_MAPS + level3:
         eager = by_products(m)
         assert m.is_involution() == (eager.then(eager) == identity(2)), \
-            m.sigma
+            m.u
 
 
 # phi composites whose matrix is rational, answered or not, and some
@@ -521,7 +521,7 @@ def test_gp_branch_on_words_matches_the_cuntzpoly_route():
         for m in SIGNED_MAPS + level3_sample(14):
             classes = gp_branch(m, sign)
             assert classes == gp_branch_poly(by_products(m), sign), \
-                (sign, m.sigma, m.signs)
+                (sign, m.u)
             derivable += classes is not None
         assert derivable > 100
         for name in PHI_COMPOSITES:
