@@ -19,17 +19,16 @@ Exit codes: 0 on success or a passing check, 1 on a failed check or
 inequality, 2 on usage errors.  With --json every command prints a
 single deterministic JSON document.
 
-The parser is built on the first ``main`` call and reused by every
-later call in the same process (``build_parser``).
+``main`` reads the command line against one table of the commands,
+``_COMMANDS``: a usage error is one line on stderr, ``error: ...``.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import Dict, List, Optional
 
 from .words import parse_integer, parse_number, primitive_split, render_word
@@ -280,149 +279,149 @@ def cmd_classify(args) -> int:
     return 0
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The one parser of the command line, built once per process.
+# -- reading the command line ---------------------------------------------
 
-    ``main`` reuses it for every call, which is safe because:
+# an option maps its flag to (the type of its value, default, help): a
+# switch is a bool, a text value a str and an integer value an int, read
+# by words.parse_integer once the whole command line has been read
+_JSON = {"--json": (bool, False, "emit deterministic JSON")}
+_RANK = {**_JSON, "--n": (int, 2, "number of isometries (default 2)")}
 
-    * ``parse_args`` does not change the parser: each call copies the
-      defaults into a fresh namespace, and ``main`` converts the integer
-      options on that namespace, not on the parser;
-    * argparse looks up ``sys.stdout``/``sys.stderr`` when it prints, so
-      usage errors and ``--help`` go wherever they point at that call
-      (``contextlib.redirect_stdout`` and ``redirect_stderr`` still
-      capture them);
-    * ``set_defaults(func=cmd_*)`` binds the command functions when the
-      parser is built (patching a ``cmd_*`` afterwards does not reach
-      ``main``), and these read every library name they call at call
-      time.
+# name: (function, summary, positionals as (name, choices or None),
+#        options, the positionals and options it requires)
+_COMMANDS = {
+    "normal": (cmd_normal, "normal form of an expression", [("expr", None)],
+               {"--embed": (bool, False, "map fermion expressions into O_2"),
+                **_RANK}, ["expr"]),
+    "eq": (cmd_eq, "decide equality of two expressions",
+           [("left", None), ("right", None)], _RANK, ["left", "right"]),
+    "apply": (cmd_apply, "apply a morphism to an expression", [("expr", None)],
+              {"--endo": (str, None, 'e.g. "psi:142", "psi:13 . alpha"'),
+               **_RANK}, ["expr", "--endo"]),
+    "branch": (cmd_branch, "branching law of a representation", [],
+               {"--rep": (str, None, 'e.g. "P(12)", "2(12)^inf", "GP(+)"'),
+                "--endo": (str, None, "permutative endomorphism"), **_RANK},
+               ["--rep"]),
+    "restrict": (cmd_restrict, "restrict to the gauge-invariant subalgebra",
+                 [], {"--rep": (str, None, ""), "--eta-min": (int, None, ""),
+                      "--eta-max": (int, None, ""), **_RANK}, ["--rep"]),
+    "gp": (cmd_gp, "branching of GP(+) or GP(-)", [],
+           {"--endo": (str, None, ""), "--minus": (bool, False, "use GP(-)"),
+            "--uhf": (bool, False, "gauge-invariant components GP[+/-]"),
+            **_JSON}, ["--endo"]),
+    "car": (cmd_car, "fermion expressions and anticommutation checks",
+            [("expr", None)],
+            {"--check-modes": (int, None, "check modes 1..INT"), **_JSON},
+            []),
+    "mixture": (cmd_mixture, "mixture operator b_k, k a half-integer",
+                [("index", None)],
+                {"--check": (bool, False, "check the relations up to |k|"),
+                 **_JSON}, ["index"]),
+    "vacuum": (cmd_vacuum, "verify vacuum equations of a fermion rep",
+               [("rep", tuple(FERMION_REPS))],
+               {"--max-mode": (int, 7, ""), **_JSON}, ["rep"]),
+    "verify": (cmd_verify, "recompute a reference table",
+               [("which", (*sorted(VERIFIERS), "all"))], _JSON, ["which"]),
+    "classify": (cmd_classify, "recompute the classification counts", [],
+                 {"--level": (int, 5, "only echoed (default 5)"), **_JSON},
+                 []),
+}
+
+
+def _choices(names) -> str:
+    return ", ".join(map(repr, names))
+
+
+def _read(argv: List[str]):
+    """The function of the command that argv names, and its arguments.
+
+    The tokens after the name are read left to right, and ``--`` ends
+    the options.  A token that is one of the command's options, or
+    ``--option=value`` of a value option, is that option, and the last
+    one wins; without ``=`` the value is the next token, which may not
+    start with ``--``.  Any other token that starts with ``--`` is
+    unrecognized, as is a positional beyond the command's own; every
+    other token, ``-3/2`` and ``-s1`` too, is a positional.  A usage
+    error raises ValueError with its one-line message.
     """
-    parser = argparse.ArgumentParser(
-        prog="cuntzalg",
-        description="Exact symbolic computation in the Cuntz algebra O_n, "
-                    "its gauge-invariant subalgebra, and the embedded "
-                    "fermion algebra.")
-    sub = parser.add_subparsers(dest="command", required=True)
+    if not argv:
+        raise ValueError("the following arguments are required: command")
+    entry = _COMMANDS.get(argv[0])
+    if entry is None:
+        raise ValueError(f"argument command: invalid choice: {argv[0]!r} "
+                         f"(choose from {_choices(_COMMANDS)})")
+    func, _, positionals, options, required = entry
+    values = {name: None for name, _ in positionals}
+    values.update((flag, spec[1]) for flag, spec in options.items())
+    at, extras, ended = 0, [], False
+    tokens = iter(argv[1:])
+    for tok in tokens:
+        if not ended and tok.startswith("--"):
+            if tok == "--":
+                ended = True
+                continue
+            flag, eq, text = tok.partition("=")
+            spec = options.get(flag)
+            if spec is None or (eq and spec[0] is bool):
+                extras.append(tok)
+                continue
+            if spec[0] is bool:
+                text = True
+            elif not eq:
+                text = next(tokens, "--")
+                if text.startswith("--"):
+                    raise ValueError(f"argument {flag}: expected one "
+                                     f"argument")
+            values[flag] = text
+        elif at < len(positionals):
+            name, choices = positionals[at]
+            if choices is not None and tok not in choices:
+                raise ValueError(f"argument {name}: invalid choice: {tok!r} "
+                                 f"(choose from {_choices(choices)})")
+            values[name] = tok
+            at += 1
+        else:
+            extras.append(tok)
+    missing = [name for name in required if values[name] is None]
+    if missing:
+        raise ValueError("the following arguments are required: "
+                         + ", ".join(missing))
+    if extras:
+        raise ValueError("unrecognized arguments: " + " ".join(extras))
+    for flag, spec in options.items():
+        if spec[0] is int and type(values[flag]) is str:
+            values[flag] = parse_integer(values[flag], f"{flag} value")
+    return func, SimpleNamespace(**{name.lstrip("-").replace("-", "_"): value
+                                    for name, value in values.items()})
 
-    def integer(p, flag, default, **kw):
-        # kept as text: main reads it with words.parse_integer, so a
-        # refused number is one error line like every other
-        action = p.add_argument(
-            flag, default=None if default is None else str(default), **kw)
-        p.set_defaults(integers=(p.get_default("integers") or ()) + (action,))
 
-    def common(p, n=True):
-        p.add_argument("--json", action="store_true",
-                       help="emit deterministic JSON")
-        if n:
-            integer(p, "--n", 2, help="number of isometries (default 2)")
-
-    p = sub.add_parser("normal", help="normal form of an expression")
-    p.add_argument("expr")
-    p.add_argument("--embed", action="store_true",
-                   help="map fermion expressions into O_2")
-    common(p)
-    p.set_defaults(func=cmd_normal)
-
-    p = sub.add_parser("eq", help="decide equality of two expressions")
-    p.add_argument("left")
-    p.add_argument("right")
-    common(p)
-    p.set_defaults(func=cmd_eq)
-
-    p = sub.add_parser("apply", help="apply a morphism to an expression")
-    p.add_argument("expr")
-    p.add_argument("--endo", required=True,
-                   help='morphism name, e.g. "psi:142", "alpha", '
-                        '"psi:13 . alpha"')
-    common(p)
-    p.set_defaults(func=cmd_apply)
-
-    p = sub.add_parser("branch",
-                       help="branching law of a representation")
-    p.add_argument("--rep", required=True,
-                   help='e.g. "P(12)", "P[12]", "2(12)^inf", "GP(+)", "fock"')
-    p.add_argument("--endo", help="permutative endomorphism")
-    common(p)
-    p.set_defaults(func=cmd_branch)
-
-    p = sub.add_parser("restrict",
-                       help="restrict to the gauge-invariant subalgebra")
-    p.add_argument("--rep", required=True)
-    integer(p, "--eta-min", None)
-    integer(p, "--eta-max", None)
-    common(p)
-    p.set_defaults(func=cmd_restrict)
-
-    p = sub.add_parser("gp", help="branching of GP(+) or GP(-)")
-    p.add_argument("--endo", required=True)
-    p.add_argument("--minus", action="store_true", help="use GP(-)")
-    p.add_argument("--uhf", action="store_true",
-                   help="report gauge-invariant components GP[+/-]")
-    common(p, n=False)
-    p.set_defaults(func=cmd_gp)
-
-    p = sub.add_parser("car",
-                       help="fermion expressions and anticommutation checks")
-    p.add_argument("expr", nargs="?")
-    integer(p, "--check-modes", None,
-            help="verify the anticommutation relations for this many "
-                 "modes")
-    common(p, n=False)
-    p.set_defaults(func=cmd_car)
-
-    p = sub.add_parser("mixture", help="mixture operators b_k")
-    p.add_argument("index", help="half-integer index, e.g. 1/2 or -3/2")
-    p.add_argument("--check", action="store_true",
-                   help="verify anticommutation relations for all "
-                        "half-integers up to |index|")
-    common(p, n=False)
-    p.set_defaults(func=cmd_mixture)
-
-    p = sub.add_parser("vacuum",
-                       help="verify vacuum equations of a fermion rep")
-    p.add_argument("rep", choices=list(FERMION_REPS))
-    integer(p, "--max-mode", 7)
-    common(p, n=False)
-    p.set_defaults(func=cmd_vacuum)
-
-    p = sub.add_parser("verify", help="recompute a reference table")
-    p.add_argument("which", choices=sorted(VERIFIERS) + ["all"])
-    common(p, n=False)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("classify",
-                       help="recompute the classification counts")
-    integer(p, "--level", 5,
-            help="echoed in the output and read by nothing else: "
-                 "restrictions are compared at every depth (default 5)")
-    common(p, n=False)
-    p.set_defaults(func=cmd_classify)
-
-    return parser
+def _help(name: str) -> str:
+    """The help of the command ``name``, or of the command line."""
+    if name not in _COMMANDS:
+        commands = [f"  {c:<9} {entry[1]}" for c, entry in _COMMANDS.items()]
+        return "\n".join(["usage: cuntzalg COMMAND ...", ""] + commands)
+    _, summary, positionals, options, required = _COMMANDS[name]
+    usage = [p if p in required else f"[{p}]" for p, _ in positionals]
+    usage += [flag for flag in required if flag in options]
+    lines = [" ".join(["usage: cuntzalg", name, *usage, "[OPTIONS]"]), summary]
+    lines += [f"  {p:<18} one of {_choices(c)}" for p, c in positionals if c]
+    for flag, (kind, _, text) in options.items():
+        flag += "" if kind is bool else "=" + kind.__name__.upper()
+        lines.append(f"  {flag:<18} {text}".rstrip())
+    return "\n".join(lines)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    if argv and argv[0] == "mixture" and "--" not in argv:
-        # allow negative indices like -3/2 without an explicit "--"
-        rest = argv[1:]
-        if any(a.startswith("-") and a[1:2].isdigit() for a in rest):
-            flags = [a for a in rest if a.startswith("--")]
-            positional = [a for a in rest if not a.startswith("--")]
-            argv = ["mixture"] + flags + ["--"] + positional
-    args = parser.parse_args(argv)
+    head = argv[:argv.index("--")] if "--" in argv else argv
+    if "-h" in head or "--help" in head:
+        print(_help(argv[0]))
+        return 0
     try:
-        for action in getattr(args, "integers", ()):
-            text = getattr(args, action.dest)
-            if text is not None:
-                setattr(args, action.dest, parse_integer(
-                    text, f"{action.option_strings[0]} value"))
+        func, args = _read(argv)
         check_rank(getattr(args, "n", 2))
-        return args.func(args)
+        return func(args)
     except (ExprError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -245,11 +245,10 @@ class PermEndo(Morphism):
     def __init__(self, n: int, level: int, sigma: Mapping[Word, Word],
                  signs: Mapping[Word, int] | None = None, name: str = ""):
         _check_shape(n, level)
-        domain = list(all_words(n, level))
         # u keeps every word once, as the domain's tuple, and none of sigma's
-        words = {w: w for w in domain}
-        images = []
-        for j in domain:
+        words = {w: w for w in all_words(n, level)}
+        u = {}
+        for j in words:
             image = sigma.get(j)
             if image is None:
                 raise ValueError(f"sigma undefined on {j}")
@@ -257,21 +256,20 @@ class PermEndo(Morphism):
             if word is None:
                 check_word(image, n)  # names a letter outside 1..n
                 raise ValueError("sigma must preserve word length")
-            images.append(word)
+            u[j] = (1 if signs is None else signs.get(j, 1), word)
         # every word of the domain has an entry, so any other names no word
-        if len(sigma) != len(domain):
+        if len(sigma) != len(u):
             raise ValueError(f"sigma has entries outside the words of "
                              f"length {level}")
         if signs is not None and not signs.keys() <= words.keys():
             raise ValueError(f"signs name words outside the words of "
                              f"length {level}")
-        if len(set(images)) != len(domain):
+        if len({word for _, word in u.values()}) != len(u):
             raise ValueError("sigma is not a bijection")
-        eps = ([1] * len(domain) if signs is None
-               else [signs.get(j, 1) for j in domain])
-        if not {1, -1}.issuperset(eps):
+        if signs is not None and not {1, -1}.issuperset(
+                e for e, _ in u.values()):
             raise ValueError("signs must be +1 or -1")
-        self._adopt_map(n, dict(zip(domain, zip(eps, images))), name)
+        self._adopt_map(n, u, name)
 
     @classmethod
     def _from_valid(cls, n: int, u: SignedMap, name: str = "") -> "PermEndo":

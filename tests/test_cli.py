@@ -1,9 +1,11 @@
 """Command-line front end: dispatch, exit codes, JSON determinism."""
 
-import argparse
-import contextlib
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +13,8 @@ from cuntzalg import classify, cli, morphisms, reps
 from cuntzalg.tables import VERIFIERS
 from cuntzalg.algebra import CuntzPoly
 from cuntzalg.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
@@ -148,10 +152,11 @@ def test_verify(capsys):
     assert json.loads(out)["ok"] is True
 
 
-def test_verify_unknown_table():
-    with pytest.raises(SystemExit) as err:
-        main(["verify", "table5"])
-    assert err.value.code == 2
+def test_verify_unknown_table(capsys):
+    code, out, err = run(capsys, "verify", "table5")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: argument which: invalid choice: 'table5'")
+    assert err.count("\n") == 1
 
 
 def test_classify(capsys):
@@ -227,9 +232,8 @@ def test_verify_takes_no_level(capsys, monkeypatch, target):
     and without it every target, theorem14 too, is one classify_table."""
     computed = []
     monkeypatch.setattr(cli, "classify_table", computed.append)
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", target, "--level", "5"])
-    assert (exc.value.code, computed) == (2, [])
+    code = main(["verify", target, "--level", "5"])
+    assert (code, computed) == (2, [])
     assert "unrecognized arguments: --level 5" in capsys.readouterr().err
     monkeypatch.setattr(cli, "classify_table", tables_by_name(computed))
     assert main(["verify", target]) == 0
@@ -377,10 +381,8 @@ def test_seed_bound_at_level_minus_one(capsys):
                        "psi:142", "--json")
     assert json.loads(out) == {"components": [{"label": "P(11)"},
                                               {"label": "P(22)"}]}
-    with pytest.raises(SystemExit) as exc:
-        main(["branch", "--rep", "P(12)", "--endo", "psi:142",
-              "--seed-bound", "1"])
-    assert exc.value.code == 2
+    assert main(["branch", "--rep", "P(12)", "--endo", "psi:142",
+                 "--seed-bound", "1"]) == 2
     assert "unrecognized arguments: --seed-bound 1" in capsys.readouterr().err
 
 
@@ -748,25 +750,100 @@ CAR_WORKLOAD = [["car", "--check-modes", "10", "--json"],
                 for rep in ("fock", "fock*", "iw", "iw*")]
 
 
-def test_parser_is_built_once_per_process(capsys, monkeypatch):
-    built = []
-    init = argparse.ArgumentParser.__init__
+def test_the_car_workload_loads_no_argument_parser():
+    """A new interpreter runs the car workload's command lines through
+    main: none of them imports argparse, or gettext and locale, which
+    argparse pulls in to print its messages."""
+    src = str(ROOT / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=src if not path else src + os.pathsep + path)
+    code = ("import contextlib, io, sys\n"
+            "from cuntzalg.cli import main\n"
+            f"for argv in {CAR_WORKLOAD!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert main(argv) == 0, argv\n"
+            "print(' '.join(sorted(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert [name for name in ("argparse", "gettext", "locale")
+            if name in out.split()] == []
 
-    def counted(self, *args, **kwargs):
-        built.append(kwargs.get("prog"))
-        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
-    cli.build_parser.cache_clear()
-    per_call = []
-    for argv in CAR_WORKLOAD + [["verify", "table9"]]:
-        with contextlib.suppress(SystemExit):
-            main(argv)
-        per_call.append(len(built))
-        built.clear()
-    capsys.readouterr()
-    # the top parser and its 11 subparsers, on the first call only
-    assert per_call == [12, 0, 0, 0, 0, 0, 0]
+@pytest.mark.parametrize("argv, out", [
+    (("normal", "-s1"), "-s1\n"),
+    (("eq", "-s1", "-(s1)"), "true\n"),
+    (("mixture", "-3/2", "--json"),
+     '{"car":"(-1)*a1a1\'a4 + a1\'a1a4\'","index":"-3/2","terms":'),
+    (("mixture", "--check", "-1/2"), "pass\n"),
+])
+def test_a_positional_may_start_with_a_minus(capsys, argv, out):
+    """The expression grammar starts with an optional '-': a token that
+    starts with one '-' is a positional, with no '--' before it."""
+    code, text, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert text.startswith(out) and text.count("\n") == 1
+
+
+def test_an_option_value_may_follow_an_equals_sign(capsys):
+    assert run(capsys, "vacuum", "fock", "--max-mode=3") == \
+        (0, "pass\n", "")
+    assert run(capsys, "apply", "s1", "--endo=psi:12", "--n=2") == \
+        run(capsys, "apply", "s1", "--endo", "psi:12")
+    # the last occurrence of an option wins
+    assert run(capsys, "vacuum", "fock", "--max-mode", "x",
+               "--max-mode", "3") == (0, "pass\n", "")
+
+
+@pytest.mark.parametrize("argv, message", [
+    ((), "the following arguments are required: command"),
+    (("nope",), "argument command: invalid choice: 'nope' (choose from "
+                "'normal', 'eq', 'apply', 'branch', 'restrict', 'gp', 'car', "
+                "'mixture', 'vacuum', 'verify', 'classify')"),
+    (("apply",), "the following arguments are required: expr, --endo"),
+    (("eq", "s1"), "the following arguments are required: right"),
+    (("vacuum", "x", "--max-mode", "3"),
+     "argument rep: invalid choice: 'x' (choose from 'fock', 'fock*', "
+     "'iw', 'iw*')"),
+    (("car", "--check", "3"), "unrecognized arguments: --check"),
+    (("car", "--check-mode", "3"), "unrecognized arguments: --check-mode"),
+    (("vacuum", "fock", "--max-mode"),
+     "argument --max-mode: expected one argument"),
+    (("vacuum", "fock", "--max-mode", "--json"),
+     "argument --max-mode: expected one argument"),
+    (("vacuum", "fock", "--max-mode", "--", "3"),
+     "argument --max-mode: expected one argument"),
+    (("vacuum", "fock", "--json=1"), "unrecognized arguments: --json=1"),
+    (("normal", "s1", "--bogus", "s2", "--", "--json"),
+     "unrecognized arguments: --bogus s2 --json"),
+    (("gp", "--endo", "psi:12", "--n", "3"),
+     "unrecognized arguments: --n 3"),
+    (("vacuum", "fock", "--max-mode", "3x"), "bad --max-mode value '3x'"),
+    (("car", "-a1", "--check-modes=2", "--"),
+     "give an expression or --check-modes, not both"),
+    # after "--" a help token is a positional like any other
+    (("normal", "--", "-h"), "unexpected character 'h' (at position 1)"),
+])
+def test_a_usage_error_is_one_line(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, first", [
+    (("--help",), "usage: cuntzalg COMMAND ..."),
+    (("-h", "vacuum"), "usage: cuntzalg COMMAND ..."),
+    (("nope", "--help"), "usage: cuntzalg COMMAND ..."),
+    (("vacuum", "x", "-h"), "usage: cuntzalg vacuum rep [OPTIONS]"),
+    (("apply", "--endo", "--help"),
+     "usage: cuntzalg apply expr --endo [OPTIONS]"),
+    (("car", "--help", "--check-modes", "0"),
+     "usage: cuntzalg car [expr] [OPTIONS]"),
+])
+def test_help_anywhere_before_the_end_of_options(capsys, argv, first):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == first
+    if argv[0] == "vacuum":
+        assert "  --max-mode=INT" in out.splitlines()
 
 
 @pytest.mark.parametrize("first, then, check", [
@@ -784,11 +861,9 @@ def test_parser_is_built_once_per_process(capsys, monkeypatch):
      lambda out: out == "table1: all cells verified\n"),
 ])
 def test_no_call_carries_state_into_the_next(capsys, first, then, check):
-    with contextlib.suppress(SystemExit):
-        main(list(first))
+    main(list(first))
     capsys.readouterr()
     code, out, err = run(capsys, *then)
     assert (code, err) == (0, "")
     assert check(out), out
-    cli.build_parser.cache_clear()
-    assert run(capsys, *then) == (code, out, err)   # with a new parser
+    assert run(capsys, *then) == (code, out, err)

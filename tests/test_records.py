@@ -15,8 +15,10 @@ from cuntzalg.words import CycleClass, EvWord, make_ev_word
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# modules that dataclasses pulls in; the command line needs none of them
-HEAVY = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+# modules that dataclasses and argparse pull in; the command line needs
+# none of them
+HEAVY = ("dataclasses", "inspect", "ast", "dis", "tokenize", "argparse",
+         "gettext")
 
 
 @pytest.mark.parametrize("module", ["cuntzalg.cli", "cuntzalg"])
