@@ -33,7 +33,7 @@ from .scalars import MINUS_ONE, ONE
 from .words import (Record, Word, adjoint, all_words, pad, render_word,
                     times)
 from .algebra import CuntzPoly
-from .morphisms import PermEndo, _lowest_map, standard_endo
+from .morphisms import PermEndo, _lowest_map, lookup_morphism
 # perfbench/selftest.py checks that its tracer wraps classify.branch
 from .reps import branch, branching  # noqa: F401
 
@@ -322,7 +322,7 @@ def theorem14_counts() -> Dict[str, int]:
     lowest maps are (``then`` returns that form), so a conjugate Ad u o
     psi and a product of two automorphisms are looked up by lowest map.
     """
-    endos = {name: standard_endo(name) for name in ALL_SIGMA}
+    endos = {name: lookup_morphism("psi:" + name) for name in ALL_SIGMA}
 
     def lowest(m):  # equal PermEndos have one lowest map
         return frozenset(_lowest_map(m.u, m.n).items())

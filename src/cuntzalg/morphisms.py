@@ -114,7 +114,9 @@ class Morphism:
         any product is made, and past MAX_IMAGE_PAIRS the call is
         refused."""
         if x.n != self.n:
-            raise ValueError("rank mismatch")
+            raise ValueError(f"{self.name or 'this morphism'} acts on "
+                             f"O_{self.n}, not on an element of O_{x.n}: "
+                             f"rank mismatch")
         image = self.word_image
         factors = []
         pairs = 0
@@ -133,7 +135,10 @@ class Morphism:
     def then(self, other: "Morphism") -> "Morphism":
         """other o self: first apply self, then other."""
         if self.n != other.n:
-            raise ValueError("rank mismatch")
+            raise ValueError(f"cannot apply {other.name or 'the outer map'} "
+                             f"(on O_{other.n}) after "
+                             f"{self.name or 'the inner map'} (on O_{self.n}): "
+                             f"rank mismatch")
         images = [other(img) for img in self.images]
         name = f"{other.name}.{self.name}" if self.name and other.name else ""
         return Morphism._from_valid(images, name)
@@ -465,8 +470,24 @@ NAMED_MORPHISMS = {
 }
 
 
+# the leaves lookup_morphism has resolved in this process, by normalised
+# name: the named maps and the psi: cycle spellings on 1..4, which are
+# finitely many (each entry one digit, the entries disjoint); a composite
+# is never kept
+_LEAVES: Dict[str, Morphism] = {}
+
+
 def lookup_morphism(name: str) -> Morphism:
-    """Resolve a possibly composite name like "psi:1324", "alpha.phi"."""
+    """Resolve a possibly composite name like "psi:1324", "alpha.phi".
+
+    A leaf (a name of NAMED_MORPHISMS or "psi:<spec>") is resolved once
+    per process and shared: every spelling that differs only in the
+    whitespace around the name or the spec gives the same object, so its
+    generator images and its word cache serve every later request.  That
+    cache lives as long as the process; a word refused at
+    MAX_IMAGE_TERMS keeps only its accepted prefixes.  A name that is
+    refused stores nothing.  A composite "a.b.c" is composed anew from
+    the shared leaves on every call and is not stored."""
     text, name = name, name.strip()
     if "." in name:
         factors = name.split(".")
@@ -476,8 +497,15 @@ def lookup_morphism(name: str) -> Morphism:
         out.name = name
         return out
     if name.startswith("psi:"):
-        return standard_endo(name[4:])
-    maker = NAMED_MORPHISMS.get(name)
-    if maker is None:
-        raise ValueError(f"unknown morphism {name!r}")
-    return maker()
+        name = "psi:" + name[4:].strip()
+    leaf = _LEAVES.get(name)
+    if leaf is None:
+        if name.startswith("psi:"):
+            leaf = standard_endo(name[4:])
+        else:
+            maker = NAMED_MORPHISMS.get(name)
+            if maker is None:
+                raise ValueError(f"unknown morphism {name!r}")
+            leaf = maker()
+        _LEAVES[name] = leaf
+    return leaf

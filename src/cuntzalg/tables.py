@@ -27,7 +27,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from .scalars import MINUS_ONE, ONE
 from .words import Record, parse_word
 from .algebra import CuntzPoly
-from .morphisms import standard_endo, nakanishi
+from .morphisms import lookup_morphism, nakanishi
 from .reps import FERMION_REPS, branching
 from .fermions import CarExpr, apply_endo, fermion_branch, psi_map
 from .classify import (AD_FLIP, O_TESTS, UHF_TESTS, commutant_witness,
@@ -316,7 +316,7 @@ def _cell(report: TableReport, row: str, col: str,
 
 def verify_table1() -> TableReport:
     report = TableReport("table1")
-    endos = {name: standard_endo(name) for name, *_ in TABLE1}
+    endos = {name: lookup_morphism("psi:" + name) for name, *_ in TABLE1}
     for name, im1, im2, prop, partner in TABLE1:
         endo = endos[name]
         _cell(report, name, "psi(s1)", str(_img(2, im1).reduce()),
@@ -332,7 +332,7 @@ def verify_table1() -> TableReport:
 def verify_table2() -> TableReport:
     report = TableReport("table2")
     for name, *cells in TABLE2:
-        computed = fingerprint(standard_endo(name), O_TESTS)
+        computed = fingerprint(lookup_morphism("psi:" + name), O_TESTS)
         for col, want in zip(O_TESTS, cells):
             _cell(report, name, col, want, computed[col])
     return report
@@ -341,7 +341,7 @@ def verify_table2() -> TableReport:
 def verify_table3() -> TableReport:
     report = TableReport("table3")
     for name, *cells in TABLE3:
-        endo = standard_endo(name)
+        endo = lookup_morphism("psi:" + name)
         computed = fingerprint(endo, UHF_TESTS)
         prop = cells[-1]
         for col, want in zip(UHF_TESTS, cells):
@@ -366,7 +366,7 @@ def verify_table4() -> TableReport:
     for image, sigmas in TABLE4:
         want = _img(2, image)
         for name in sigmas:
-            got = standard_endo(name)(e11)
+            got = lookup_morphism("psi:" + name)(e11)
             _cell(report, name, "psi(E_11)", str(want.reduce()),
                   str(got.reduce()))
     return report
@@ -381,7 +381,7 @@ def _verify_images(which: str,
         if formulas is None:
             _cell(report, name, "a_n", "---", "---")
             continue
-        endo = standard_endo(name)
+        endo = lookup_morphism("psi:" + name)
         for n, rhs in enumerate(formulas, start=1):
             got = apply_endo(endo, CarExpr.generator(n))
             _cell(report, name, f"a_{n}", "equal",
@@ -403,7 +403,7 @@ def verify_table7() -> TableReport:
 def verify_table8() -> TableReport:
     report = TableReport("table8")
     for name, *cells in TABLE8:
-        endo = standard_endo(name)
+        endo = lookup_morphism("psi:" + name)
         for rep, want in zip(("fock", "fock*", "iw"), cells):
             _cell(report, name, FERMION_REPS[rep][0], want,
                   multiset(fermion_branch(rep, endo)))

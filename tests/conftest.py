@@ -2,7 +2,7 @@
 
 import pytest
 
-from cuntzalg import reps
+from cuntzalg import morphisms, reps
 
 
 @pytest.fixture(autouse=True)
@@ -11,3 +11,11 @@ def empty_branching_memo():
     answer that an earlier test stored (a lowered budget or a spy on
     ``branch`` would see no call otherwise)."""
     reps._MEMO.clear()
+
+
+@pytest.fixture(autouse=True)
+def empty_leaf_memo():
+    """Each test starts from an empty memo of resolved map names, so no
+    test reads a map whose word cache an earlier test filled (a lowered
+    ``MAX_IMAGE_TERMS`` would see no refusal otherwise)."""
+    morphisms._LEAVES.clear()

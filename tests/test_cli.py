@@ -68,6 +68,16 @@ def test_apply(capsys):
     assert json.loads(out)["terms"] == [["11", "11", "1"], ["22", "22", "1"]]
 
 
+@pytest.mark.parametrize("endo, err", [
+    ("nakanishi.phi", "cannot apply nakanishi (on O_3) after phi (on O_2)"),
+    ("psi:13.nakanishi",
+     "cannot apply psi_13 (on O_2) after nakanishi (on O_3)")])
+def test_composing_maps_of_two_ranks_names_both(capsys, endo, err):
+    code, out, got = run(capsys, "apply", "s1", "--endo", endo)
+    assert (code, out) == (2, "")
+    assert got == f"error: {err}: rank mismatch\n"
+
+
 def test_branch(capsys):
     code, out, _ = run(capsys, "branch", "--rep", "P(12)", "--endo",
                        "psi:142")

@@ -324,6 +324,146 @@ def test_lookup_morphism():
         lookup_morphism("nosuch")
 
 
+def fresh_leaf(name):
+    """The leaf ``name`` built anew, with an empty word cache."""
+    if name.startswith("psi:"):
+        return standard_endo(name[4:])
+    return morphisms.NAMED_MORPHISMS[name]()
+
+
+LEAF_NAMES = list(morphisms.NAMED_MORPHISMS) + ["psi:" + s for s in ALL_SIGMA]
+
+
+@pytest.mark.parametrize("spellings", [
+    ["phi", " phi", "phi \t"],
+    ["nakanishi", "\nnakanishi "],
+    ["psi:13", "psi: 13 ", " psi:13\n", "psi:\t13"],
+    ["psi:(12)(34)", "  psi:  (12)(34)"],
+    ["psi:id", "psi: id "],
+    ["psi:", "psi: ", " psi:"]])
+def test_every_spelling_of_a_leaf_is_one_object(spellings):
+    first = lookup_morphism(spellings[0])
+    assert all(lookup_morphism(name) is first for name in spellings)
+    assert len(morphisms._LEAVES) == 1
+
+
+def test_a_composite_is_composed_anew_and_leaves_its_leaves_alone():
+    alpha, psi = lookup_morphism("alpha"), lookup_morphism("psi:13")
+    phi = lookup_morphism("phi")
+    for name in ("psi:13.alpha", "phi.phi", "alpha.phi.psi:13"):
+        first, second = lookup_morphism(name), lookup_morphism(f" {name} ")
+        assert first is not second and first == second
+        assert first.name == name == second.name
+        assert all(first is not leaf for leaf in (alpha, psi, phi))
+    assert (alpha.name, psi.name, phi.name) == ("alpha", "psi_13", "phi")
+    assert sorted(morphisms._LEAVES) == ["alpha", "phi", "psi:13"]
+    assert all(morphisms._LEAVES[name] is lookup_morphism(name)
+               for name in ("alpha", "phi", "psi:13"))
+
+
+@pytest.mark.parametrize("name", ["nosuch", "Phi", "psi", "psi:15",
+                                  "psi:113", "psi:1 3", "psi:(13",
+                                  "psi:(13) (24)", "psi:0", "alpha..phi",
+                                  "", " . "])
+def test_a_refused_name_stores_nothing(name):
+    with pytest.raises(ValueError):
+        lookup_morphism(name)
+    assert morphisms._LEAVES == {}
+
+
+def test_the_memo_holds_each_resolved_leaf_once():
+    rng = random.Random(3939)
+
+    def pad():
+        return rng.choice(["", " ", "\t", "  "])
+
+    asked = set()
+    for _ in range(120):
+        name = rng.choice(LEAF_NAMES)
+        spelled = (f"{pad()}psi:{pad()}{name[4:]}{pad()}"
+                   if name.startswith("psi:") else f"{pad()}{name}{pad()}")
+        lookup_morphism(spelled)
+        asked.add(name)
+    # the factors of a composite are leaves; the composite is not kept
+    lookup_morphism("theta . psi: 1324")
+    asked |= {"theta", "psi:1324"}
+    # the leaves of a refused composite were resolved before the refusal
+    with pytest.raises(ValueError, match=r"^cannot apply nakanishi "):
+        lookup_morphism("nakanishi.phi_rot")
+    asked |= {"nakanishi", "phi_rot"}
+    assert set(morphisms._LEAVES) == asked
+    assert len(asked) > 20
+
+
+def test_the_tables_share_the_looked_up_maps():
+    from cuntzalg.tables import TABLE1, verify_table1, verify_table4
+    verify_table1()
+    leaves = dict(morphisms._LEAVES)
+    assert set(leaves) == {"psi:" + name for name, *_ in TABLE1}
+    verify_table4()
+    assert all(morphisms._LEAVES[name] is leaf
+               for name, leaf in leaves.items())
+    assert lookup_morphism("psi:13") is leaves["psi:13"]
+
+
+def cache_poly(rng, n):
+    """A seeded polynomial of up to 5 terms on words of length 0..3."""
+    words = [w for length in range(4) for w in all_words(n, length)]
+    coeffs = [ONE, MINUS_ONE, SQRT2, INV_SQRT2, Scalar(1, 3)]
+    return CuntzPoly(n, {(rng.choice(words), rng.choice(words)):
+                         rng.choice(coeffs) for _ in range(rng.randint(1, 5))})
+
+
+def test_a_shared_map_answers_as_a_fresh_one():
+    """m(x) through a shared map, whose word cache holds other words asked
+    in shuffled order, has the term map of a freshly built map, item for
+    item and in order, and the same text."""
+    rng = random.Random(3940)
+    jobs = [(name, cache_poly(rng, lookup_morphism(name).n))
+            for name in LEAF_NAMES for _ in range(4)]
+    rng.shuffle(jobs)
+    checked = 0
+    for name, x in jobs:
+        shared = lookup_morphism(name)
+        words = [w for length in range(5) for w in all_words(shared.n, length)]
+        for word in rng.sample(words, 6):
+            shared.word_image(word)
+        got, want = shared(x), fresh_leaf(name)(x)
+        assert list(got.terms.items()) == list(want.terms.items()), name
+        assert str(got) == str(want)
+        checked += 1
+    assert checked == 4 * 32 and len(morphisms._LEAVES) == 32
+
+
+def test_a_shared_map_refuses_at_the_same_letter(monkeypatch):
+    monkeypatch.setattr(morphisms, "MAX_IMAGE_TERMS", 8)
+    shared = lookup_morphism("phi")
+    for word in ((2, 1), (1, 1), (1, 1, 1), (2,)):
+        shared.word_image(word)
+    for m in (lookup_morphism(" phi"), hadamard()):
+        with pytest.raises(ValueError, match=r"^the image of s11112 under "
+                           r"phi is above the limit of 8 terms \(reached at "
+                           r"letter 4\)$"):
+            m.word_image((1, 1, 1, 1, 2))
+    # a refused word keeps only its accepted prefixes
+    assert (1, 1, 1) in shared._word_cache
+    assert (1, 1, 1, 1) not in shared._word_cache
+
+
+def test_a_map_applied_to_another_rank_names_it():
+    with pytest.raises(ValueError, match=r"^nakanishi acts on O_3, not on an "
+                       r"element of O_2: rank mismatch$"):
+        lookup_morphism("nakanishi")(gen(1))
+    unnamed = Morphism._from_valid([gen(2), gen(1)])
+    with pytest.raises(ValueError, match=r"^this morphism acts on O_2, not "
+                       r"on an element of O_3: rank mismatch$"):
+        unnamed(gen(1, 3))
+    with pytest.raises(ValueError, match=r"^cannot apply the outer map "
+                       r"\(on O_2\) after nakanishi \(on O_3\): rank "
+                       r"mismatch$"):
+        nakanishi().then(unnamed)
+
+
 def test_nakanishi():
     rho = nakanishi()
     assert rho.n == 3
