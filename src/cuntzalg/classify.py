@@ -134,8 +134,11 @@ def _check_perm_endos(maps: Sequence[PermEndo]) -> None:
     if not all(isinstance(m, PermEndo) for m in maps):
         raise ValueError("restriction equality is decided for permutative "
                          "endomorphisms only")
-    if len({m.n for m in maps}) > 1:
-        raise ValueError("rank mismatch")
+    other = next((m for m in maps if m.n != maps[0].n), None)
+    if other is not None:
+        raise ValueError(f"{maps[0].name or 'the first map'} acts on "
+                         f"O_{maps[0].n} and {other.name or 'another map'} "
+                         f"on O_{other.n}: rank mismatch")
 
 
 def _restriction_leaders(endos: Sequence[PermEndo]) -> List[int]:

@@ -31,11 +31,12 @@ from fractions import Fraction
 from types import SimpleNamespace
 from typing import Dict, List, Optional
 
-from .words import parse_integer, parse_number, primitive_split, render_word
+from .words import (parse_integer, parse_number, primitive_split, render_word,
+                    shift)
 from .algebra import CuntzPoly, check_rank
-from .morphisms import Morphism, PermEndo, lookup_morphism
+from .morphisms import Morphism, lookup_morphism
 from .reps import (FERMION_REPS, branching, decompose_power, parse_rep,
-                   restrict_chain_to_uhf, restrict_cycle_to_uhf)
+                   restrict_cycle_to_uhf)
 from .fermions import (CarExpr, _check_half_integer, _check_mode, mixture,
                        psi_map, vacuum_check, verify_car, verify_mixture_car)
 from .tables import VERIFIERS, TableReport, classify_table
@@ -111,19 +112,8 @@ def cmd_eq(args) -> int:
 
 def cmd_apply(args) -> int:
     m = lookup_morphism(args.endo)
-    value = as_cuntz(parse_expr(args.expr, args.n), args.n)
-    if value.n != m.n:
-        raise ValueError(f"expression lives in O_{value.n} but morphism "
-                         f"{args.endo!r} acts on O_{m.n}")
-    _print_poly(m(value), args.json)
+    _print_poly(m(as_cuntz(parse_expr(args.expr, args.n), args.n)), args.json)
     return 0
-
-
-def _require_perm_endo(name: str) -> PermEndo:
-    m = lookup_morphism(name)
-    if not isinstance(m, PermEndo):
-        raise ValueError(f"{name!r} is not a permutative endomorphism")
-    return m
 
 
 def cmd_branch(args) -> int:
@@ -139,8 +129,7 @@ def cmd_branch(args) -> int:
         classes = decompose_power(*primitive_split(word))
         _print_components(sorted(str(c) for c in classes), args.json)
         return 0
-    endo = (lookup_morphism(args.endo) if kind == "gp"
-            else _require_perm_endo(args.endo))
+    endo = lookup_morphism(args.endo)
     if endo.n != args.n:
         raise ValueError(f"representation of O_{args.n} cannot be composed "
                          f"with an endomorphism of O_{endo.n}")
@@ -183,11 +172,11 @@ def cmd_restrict(args) -> int:
         if max(-lo, hi) > MAX_SHIFT:
             raise ValueError(f"shift range {lo}..{hi} "
                              f"goes beyond the limit |eta| <= {MAX_SHIFT}")
-        family = restrict_chain_to_uhf(rest[0])
-        etas = list(range(lo, hi + 1))
-        shifts = [str(ev) for ev in family.shifts(etas)]
+        ev, etas = rest[0], range(lo, hi + 1)
+        family = f"(+)_eta P[shift({ev}, eta)]"
+        shifts = [str(shift(ev, eta)) for eta in etas]
         if args.json:
-            _emit_json({"family": str(family),
+            _emit_json({"family": family,
                         "shifts": [{"eta": e, "label": s}
                                    for e, s in zip(etas, shifts)]})
         else:

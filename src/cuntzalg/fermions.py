@@ -439,7 +439,4 @@ def fermion_branch(name: str, endo) -> List[str]:
     endomorphism, with components renamed to fermion conventions
     (Fock, Fock*, IW, IW*); other cycles keep their P[...] names."""
     _fermion_rep(name)  # refuses every other name parse_rep accepts
-    if endo.n != 2:
-        raise ValueError(f"representation of O_2 cannot be composed with "
-                         f"an endomorphism of O_{endo.n}")
     return sorted(RENAME.get(c, c) for c in branching(endo, name))

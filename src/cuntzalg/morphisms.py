@@ -40,9 +40,12 @@ MAX_IMAGE_PAIRS = 2 ** 18
 
 
 class Morphism:
-    """A unital *-endomorphism of O_N, given by generator images."""
+    """A unital *-endomorphism of O_N, given by generator images.
 
-    __slots__ = ("n", "images", "name", "_word_cache")
+    ``_branchings`` holds the answers of :func:`cuntzalg.reps.branching`
+    for this map, as ``_word_cache`` holds its word images."""
+
+    __slots__ = ("n", "images", "name", "_word_cache", "_branchings")
 
     def __init__(self, images: Sequence[CuntzPoly], name: str = ""):
         if not images:
@@ -79,6 +82,7 @@ class Morphism:
         self.name = name
         # without it the verify workload runs 6.8 % slower
         self._word_cache: Dict[Word, CuntzPoly] = {}
+        self._branchings: Dict[object, object] = {}
 
     def word_image(self, j: Word) -> CuntzPoly:
         """Image of s_J, cached per morphism.
@@ -288,6 +292,7 @@ class PermEndo(Morphism):
         self.n = n
         self.name = name
         self._word_cache = {}
+        self._branchings = {}
         self._images = None
         self.level = len(next(iter(u)))
         self.u = u

@@ -23,7 +23,7 @@ split of the component's word.  :func:`gp_branch` answers for the one
 sign of GP(+/-) it is asked for, as the cycle classes P(J; q) of the
 summands P(J; q) o phi.  :func:`branching` takes the representation by
 name instead and returns its sorted cells, and it alone names the GP
-summands; under a PermEndo it walks each map and base once per process.
+summands; each map keeps its answers, so it walks each base once.
 
 For each length r, s_W^* kills a label for every word W of length r
 but one.  Words act on labels in two steps, never letter by letter.
@@ -59,7 +59,7 @@ from .words import (PHASE_0, PHASE_HALF, CycleClass, EvWord, Record, Word,
                     all_words, canonical_cycle, check_word, is_primitive,
                     make_ev_word, minimal_rotation, parse_ev_word,
                     parse_number, parse_word, primitive_split, render_word,
-                    rotations, shift)
+                    rotations)
 from .algebra import _summed
 from .morphisms import Morphism, PermEndo
 
@@ -485,29 +485,9 @@ class UhfCycle(Record):
         return (len(self.word), self.word) < (len(other.word), other.word)
 
 
-class UhfChainFamily(Record):
-    """Restriction of a chain P(K): one copy of P[K shifted by eta] for
-    every integer eta, with 1-padding below position one."""
-
-    __slots__ = ("ev",)
-
-    def __init__(self, ev: EvWord):
-        self.ev = ev
-
-    def shifts(self, etas) -> List[EvWord]:
-        return [shift(self.ev, eta) for eta in etas]
-
-    def __str__(self) -> str:
-        return f"(+)_eta P[shift({self.ev}, eta)]"
-
-
 def restrict_cycle_to_uhf(n: int, word) -> List[UhfCycle]:
     """P(J)|UHF = P[sigma_1 J] (+) ... (+) P[sigma_k J]."""
     return [UhfCycle(rot) for rot in rotations(_cycle_word(word, n))]
-
-
-def restrict_chain_to_uhf(ev: EvWord) -> UhfChainFamily:
-    return UhfChainFamily(ev)
 
 
 def uhf_branch(n: int, word, endo: PermEndo) -> Dict[int, List[UhfCycle]]:
@@ -808,26 +788,6 @@ def parse_rep(text: str, n: int = 2):
     raise ValueError(f"unrecognized representation {text!r}")
 
 
-# branching's answers under a PermEndo by (rank, the items of its map u
-# in order, base): the P(J; q) and grade-1 P[J] cells of one branch for
-# the base (J, q), the classes of one GP twist for the base "+" or "-";
-# verify all and classify --level 7 fill 83 entries; a full memo is emptied
-_MEMO_CAP = 128
-_MEMO: Dict[Tuple, object] = {}
-_MISSING = object()
-
-
-def _memo(endo: PermEndo, base, compute):
-    """compute() for endo and base, once until the memo is emptied."""
-    key = endo.n, tuple(endo.u.items()), base
-    value = _MEMO.get(key, _MISSING)
-    if value is _MISSING:
-        if len(_MEMO) >= _MEMO_CAP:
-            _MEMO.clear()
-        value = _MEMO[key] = compute()
-    return value
-
-
 def _cycle_cells(base: CycleRep, endo) -> Tuple[List[str], List[str]]:
     """The sorted cells of base o endo and of P[base.word] o endo."""
     result = branch(base, endo)
@@ -845,28 +805,31 @@ def branching(endo: Morphism, rep: str) -> Optional[List[str]]:
     when the branching is not derivable.  Only GP takes a general
     morphism.
 
-    Under a PermEndo a private memo keeps one :func:`branch` of P(J; q)
-    per map and base, for P(J; q) and, at q = 0, P[J] and the fermion
-    names, and one :func:`gp_branch` per sign, for GP(s) and GP[s].  It
-    stores no chain, refusal or non-PermEndo twist; answers are new lists.
+    Each answer is computed once per map and kept in endo's
+    ``_branchings``: under (J, q) the P(J; q) cells and the grade-1 P[J]
+    cells of one :func:`branch`, read by P(J; q) and, at q = 0, by P[J]
+    and the fermion names; under the sign the classes of one
+    :func:`gp_branch`, read by GP(s) and GP[s].  No chain and no refusal
+    is kept, and every answer handed out is a new list.
     """
     kind, *rest = parse_rep(rep, endo.n)
+    kept = endo._branchings
     if kind == "gp":
         sign, uhf = rest
-        if isinstance(endo, PermEndo):
-            classes = _memo(endo, sign, lambda: gp_branch(endo, sign))
-        else:
-            classes = gp_branch(endo, sign)
-        if classes is None:
+        if sign not in kept:
+            kept[sign] = gp_branch(endo, sign)
+        if kept[sign] is None:
             return None
-        return sorted(_gp_label(c, uhf) for c in classes)
+        return sorted(_gp_label(c, uhf) for c in kept[sign])
     if not isinstance(endo, PermEndo):
         raise ValueError(f"{rep} branches under permutative endomorphisms "
-                         f"only")
+                         f"only, and {endo.name or 'this map'} is not one")
     if kind == "chain":
         result = branch(ChainRep(rest[0]), endo)
         return sorted(c.describe() for c in result.components)
     base = CycleRep(endo.n, *rest)
-    cells, graded = _memo(endo, (base.word, base.phase),
-                          lambda: _cycle_cells(base, endo))
+    key = base.word, base.phase
+    if key not in kept:
+        kept[key] = _cycle_cells(base, endo)
+    cells, graded = kept[key]
     return list(graded if kind == "uhf" else cells)

@@ -445,8 +445,8 @@ VERIFIERS: Dict[str, Callable[[], TableReport]] = {
 
 def classify_table(which: str) -> TableReport:
     """Recompute a stored reference table and report per-cell agreement."""
-    try:
-        return VERIFIERS[which]()
-    except KeyError:
+    verifier = VERIFIERS.get(which)
+    if verifier is None:
         raise ValueError(f"unknown table {which!r}; "
-                         f"choose from {sorted(VERIFIERS)}") from None
+                         f"choose from {sorted(VERIFIERS)}")
+    return verifier()

@@ -9,7 +9,8 @@ import pytest
 from cuntzalg import classify, tables
 from cuntzalg.algebra import CuntzPoly
 from cuntzalg.scalars import Scalar
-from cuntzalg.morphisms import PermEndo, flip, hadamard, standard_endo
+from cuntzalg.morphisms import (PermEndo, flip, hadamard, nakanishi,
+                                standard_endo)
 from cuntzalg.classify import (AD_FLIP, ALL_SIGMA, CLASS_REPRESENTATIVES,
                                O_TESTS, UHF_TESTS, commutant_witness,
                                fingerprint, theorem14_counts,
@@ -284,6 +285,12 @@ def test_restriction_equality_needs_permutative_maps():
     for m1, m2 in ((flip(), standard_endo("(13)(24)")),
                    (standard_endo("(13)(24)"), flip())):
         assert uhf_restriction_equal(m1, m2).equal
+
+
+def test_restriction_equality_names_two_maps_of_two_ranks():
+    with pytest.raises(ValueError, match=r"^psi_12 acts on O_2 and "
+                       r"nakanishi on O_3: rank mismatch$"):
+        uhf_restriction_equal(standard_endo("12"), nakanishi())
 
 
 def test_commutant_witness_needs_a_permutative_map():

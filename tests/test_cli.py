@@ -78,6 +78,16 @@ def test_composing_maps_of_two_ranks_names_both(capsys, endo, err):
     assert got == f"error: {err}: rank mismatch\n"
 
 
+@pytest.mark.parametrize("argv, err", [
+    (("apply", "s1", "--endo", "nakanishi"),
+     "nakanishi acts on O_3, not on an element of O_2: rank mismatch"),
+    (("branch", "--rep", "P(1)", "--endo", "phi"),
+     "P(1) branches under permutative endomorphisms only, and phi is not "
+     "one")])
+def test_a_map_taking_refusal_names_the_map(capsys, argv, err):
+    assert run(capsys, *argv) == (2, "", f"error: {err}\n")
+
+
 def test_branch(capsys):
     code, out, _ = run(capsys, "branch", "--rep", "P(12)", "--endo",
                        "psi:142")
@@ -116,6 +126,7 @@ def test_restrict_chain(capsys):
                        "--eta-min", "-2", "--eta-max", "2", "--json")
     assert code == 0
     payload = json.loads(out)
+    assert payload["family"] == "(+)_eta P[shift((12)^inf, eta)]"
     assert [s["label"] for s in payload["shifts"]] == \
         ["11(12)^inf", "1(12)^inf", "(12)^inf", "(21)^inf", "(12)^inf"]
 

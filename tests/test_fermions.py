@@ -463,5 +463,5 @@ def test_fermion_branch():
 def test_fermion_branch_refuses_other_names_and_ranks():
     with pytest.raises(ValueError, match="unknown fermion representation"):
         fermion_branch("P[1]", standard_endo("13"))
-    with pytest.raises(ValueError, match="endomorphism of O_3"):
+    with pytest.raises(ValueError, match="^Fock lives on O_2, not on O_3$"):
         fermion_branch("fock", nakanishi())

@@ -82,7 +82,7 @@ def test_records_compare_by_field_and_are_unhashable():
                                                  [((), 1)])])
     assert result() == result()
     assert result() != reps.BranchResult([])
-    assert reps.UhfCycle((1,)) != reps.UhfChainFamily((1,))
+    assert reps.UhfCycle((1,)) != reps.BranchResult((1,))
     assert classify.RestrictionVerdict(True, 5) == \
         classify.RestrictionVerdict(True, 5, None)
     with pytest.raises(TypeError):
@@ -107,8 +107,6 @@ REPRS = [
      "BranchResult(components=[Component(kind='chain', "
      "cycle_word=(), sign=1, cycle_labels=[], chain_word=None)])"),
     (lambda: reps.UhfCycle((1, 2)), "UhfCycle(word=(1, 2))"),
-    (lambda: reps.UhfChainFamily(make_ev_word(2, (), (1,))),
-     "UhfChainFamily(ev=EvWord(n=2, prefix=(), period=(1,)))"),
     (lambda: tables.CellReport("r", "c", "e", "x"),
      "CellReport(row='r', column='c', expected='e', computed='x')"),
     (lambda: tables.TableReport("t", [tables.CellReport("r", "c", "e", "e")]),

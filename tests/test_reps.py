@@ -9,19 +9,18 @@ import pytest
 
 from cuntzalg.scalars import ONE, Scalar
 from cuntzalg.words import (CycleClass, all_words, make_ev_word,
-                            parse_ev_word, primitive_split)
+                            parse_ev_word, primitive_split, shift)
 from cuntzalg.algebra import CuntzPoly
 from cuntzalg.morphisms import (Morphism, PermEndo, flip, hadamard, identity,
                                 lookup_morphism, nakanishi, standard_endo)
 from cuntzalg.classify import ALL_SIGMA, O_TESTS, UHF_TESTS
 from cuntzalg.cli import main as cli_main
 from cuntzalg.fermions import act_letter
-from cuntzalg import reps as reps_module
+from cuntzalg import morphisms as morphisms_module, reps as reps_module
 from cuntzalg.reps import (ChainRep, Component, CycleRep, UhfCycle, _put,
                            _take, act_poly, branch, branching,
                            decompose_power, gp_branch, grade_class,
-                           parse_rep, restrict_chain_to_uhf,
-                           restrict_cycle_to_uhf, uhf_branch)
+                           parse_rep, restrict_cycle_to_uhf, uhf_branch)
 
 from test_properties import (SIGNED_MAPS, SPLIT_NON_SIGNED_TWISTS,
                              act_word, act_word_adj, as_signed_perm,
@@ -304,8 +303,8 @@ def test_restrict_cycle():
 
 
 def test_restrict_chain_shift_family():
-    family = restrict_chain_to_uhf(parse_ev_word("2(12)^inf", 2))
-    shifts = [str(ev) for ev in family.shifts(range(-4, 5))]
+    ev = parse_ev_word("2(12)^inf", 2)
+    shifts = [str(shift(ev, eta)) for eta in range(-4, 5)]
     assert shifts == ["111(12)^inf", "11(12)^inf", "1(12)^inf", "(12)^inf",
                       "(21)^inf", "(12)^inf", "(21)^inf", "(12)^inf",
                       "(21)^inf"]
@@ -640,24 +639,24 @@ def test_branching_of_gp_takes_any_morphism():
         branching(hadamard(), "P(1)")
 
 
-# the names whose cells the branching memo keeps: the test sets of
-# Tables 2 and 3, the four fermion representations, both GP signs and
-# the phased cycles, each asked under all 24 sigma
+# the names whose cells each map keeps: the test sets of Tables 2 and 3,
+# the four fermion representations, both GP signs and the phased cycles,
+# each asked under all 24 sigma
 MEMO_NAMES = (O_TESTS + UHF_TESTS + ("fock", "fock*", "iw", "iw*")
               + ("GP(-)", "GP[-]", "P(1;1/2)", "P(12;1/2)"))
 
 
 def memo_cases():
-    cases = [(standard_endo(sigma), name)
-             for sigma in ALL_SIGMA for name in MEMO_NAMES]
+    """Every name under each of the 25 maps, one object per map."""
+    maps = [standard_endo(sigma) for sigma in ALL_SIGMA]
     rho = nakanishi()
-    return cases + [(rho, name) for name in ("P(1)", "P(12)", "P[1]",
-                                             "P[12]", "P[21]")]
+    return [(endo, name) for endo in maps for name in MEMO_NAMES] + [
+        (rho, name) for name in ("P(1)", "P(12)", "P[1]", "P[12]", "P[21]")]
 
 
 def cold_branching(endo, name):
-    reps_module._MEMO.clear()
-    return branching(endo, name)
+    """branching under a fresh twin of endo, which has kept no answer."""
+    return branching(PermEndo._from_valid(endo.n, endo.u, endo.name), name)
 
 
 @pytest.mark.parametrize("order", ["forward", "reversed"])
@@ -665,32 +664,56 @@ def test_branching_memo_gives_the_cold_answers(order):
     cases = memo_cases()
     cold = {(endo.name, name): cold_branching(endo, name)
             for endo, name in cases}
-    reps_module._MEMO.clear()
     if order == "reversed":
         cases.reverse()
     for endo, name in cases:
         assert branching(endo, name) == cold[endo.name, name], \
             (endo.name, name)
-    # again, in the opposite order, from the memo the first pass left
-    # (195 keys: the memo was emptied once on the way)
+    # again, in the opposite order, from the answers the first pass left
     for endo, name in cases[::-1]:
         assert branching(endo, name) == cold[endo.name, name], \
             (endo.name, name)
 
 
-def test_branching_memo_walks_each_map_and_base_once(monkeypatch, capsys):
-    # one verify all --json makes 84 branch and 20 gp_branch calls (205
-    # and 40 without the memo); the branch calls include the GP leaves
-    calls = {"branch": 0, "gp_branch": 0}
-    for name in calls:
+def spy(monkeypatch, *names):
+    """Count the calls of the named functions of reps."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
         def counted(*args, _inner=getattr(reps_module, name), _name=name):
             calls[_name] += 1
             return _inner(*args)
         monkeypatch.setattr(reps_module, name, counted)
+    return calls
+
+
+def test_branching_memo_walks_each_map_and_base_once(monkeypatch, capsys):
+    # one verify all --json makes 84 branch and 20 gp_branch calls (205
+    # and 40 when each call walks); the branch calls include the GP leaves
+    calls = spy(monkeypatch, "branch", "gp_branch")
     assert cli_main(["verify", "all", "--json"]) == 0
     capsys.readouterr()
     assert calls == {"branch": 84, "gp_branch": 20}
-    assert len(reps_module._MEMO) == 83
+    # the 24 psi_sigma keep 80 answers; Nakanishi's map is built by its
+    # table and is no leaf
+    assert len(morphisms_module._LEAVES) == 24
+    assert sum(len(m._branchings)
+               for m in morphisms_module._LEAVES.values()) == 80
+
+
+def test_branching_memo_belongs_to_one_map_object(monkeypatch):
+    psi = standard_endo("1324")
+    twin = PermEndo._from_valid(2, psi.u, "twin")
+    calls = spy(monkeypatch, "branch")
+    assert branching(psi, "P(1)") == branching(twin, "P(1)")
+    assert calls == {"branch": 2}
+    assert branching(psi, "P[1]") == branching(twin, "fock")
+    assert branching(psi, "P(1)") == branching(twin, "P(1)")
+    assert calls == {"branch": 2}
+    # the phase is part of the base
+    assert branching(psi, "P(1;1/2)") == cold_branching(psi, "P(1;1/2)")
+    assert calls == {"branch": 4}
+    assert list(psi._branchings) == [((1,), 0), ((1,), Fraction(1, 2))]
+    assert list(twin._branchings) == [((1,), 0)]
 
 
 def test_branching_memo_stores_no_refusal(monkeypatch):
@@ -701,13 +724,13 @@ def test_branching_memo_stores_no_refusal(monkeypatch):
         with pytest.raises(ValueError, match=rf"^branch of P\(1\) under "
                            rf"{endo.name} exceeded"):
             branching(endo, "P(1)")
-        assert reps_module._MEMO == {}
+        assert endo._branchings == {}
     monkeypatch.setattr(reps_module, "MAX_TWIST_LEVEL", 1)
     for endo in (psi, twin):
         with pytest.raises(ValueError, match=rf"^the GP twist of "
                            rf"{endo.name} needs"):
             branching(endo, "GP(+)")
-        assert reps_module._MEMO == {}
+        assert endo._branchings == {}
 
 
 def test_branching_memo_hands_out_copies():
@@ -716,20 +739,6 @@ def test_branching_memo_hands_out_copies():
         first = branching(endo, name)
         first.append("spoiled")
         assert branching(endo, name) == first[:-1], name
-
-
-def test_a_full_branching_memo_is_emptied(monkeypatch):
-    monkeypatch.setattr(reps_module, "_MEMO_CAP", 2)
-    endo = standard_endo("14")
-    want = {name: cold_branching(endo, name)
-            for name in ("P(1)", "P(2)", "GP(+)")}
-    reps_module._MEMO.clear()
-    assert branching(endo, "P(1)") == want["P(1)"]
-    assert branching(endo, "P[1]") and len(reps_module._MEMO) == 1
-    assert branching(endo, "P(2)") == want["P(2)"]
-    assert len(reps_module._MEMO) == 2
-    assert branching(endo, "GP(+)") == want["GP(+)"]
-    assert len(reps_module._MEMO) == 1
 
 
 def test_parse_rep():

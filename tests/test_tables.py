@@ -23,6 +23,14 @@ def test_unknown_table():
         classify_table("table5")
 
 
+def test_a_key_error_inside_a_verifier_is_not_an_unknown_table(monkeypatch):
+    def broken():
+        raise KeyError("cell")
+    monkeypatch.setitem(VERIFIERS, "table2", broken)
+    with pytest.raises(KeyError, match="cell"):
+        classify_table("table2")
+
+
 def test_report_formatting():
     report = classify_table("table4")
     text = str(report)
