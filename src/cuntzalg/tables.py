@@ -1,12 +1,16 @@
 """Reference data for the classification of second-order permutative
 endomorphisms of O_2 and its verification driver.
 
-Every table stored here is recomputed by classify_table, cell by cell,
-and no cell is read from the reference; within one process the branching
-cells of a map are shared between tables, as reps.branching walks each
-map and base once.  A report lists expected versus computed values.  Cells
-marked "---" assert that the restricted derivation rules return
-"not derivable".
+Every stored cell is a value that the library computes, written as the
+library writes it: the generator images of Tables 1 and 4 are the normal
+forms that `cuntzalg normal` prints, the branching cells the sorted
+multisets of reps.branching, the fermion images of Tables 6 and 7
+formulas whose O_2 images are compared with the map's.  classify_table
+recomputes each cell and reads none of them to make its computed value;
+a report lists expected versus computed values.  Within one process the
+branching cells of a map are shared between tables, as reps.branching
+walks each map and base once.  Cells marked "---" assert that the
+restricted derivation rules return "not derivable".
 
 One convention deserves a note.  When a representation P[J] of the
 gauge-invariant subalgebra is composed with a direct sum of
@@ -22,58 +26,47 @@ the defining pattern of the dual infinite wedge.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .scalars import MINUS_ONE, ONE
-from .words import Record, parse_word
+from .words import Record
 from .algebra import CuntzPoly
-from .morphisms import lookup_morphism, nakanishi
+from .morphisms import PermEndo, identity, lookup_morphism, nakanishi
 from .reps import FERMION_REPS, branching
-from .fermions import CarExpr, apply_endo, fermion_branch, psi_map
+from .fermions import (CarExpr, apply_endo, fermion_branch, mixture,
+                       psi_map)
 from .classify import (AD_FLIP, O_TESTS, UHF_TESTS, commutant_witness,
                        fingerprint, multiset, theorem14_counts)
 
 
-def _img(n: int, text: str) -> CuntzPoly:
-    """Decode generator images like "22.1+12.2" (s_22 s_1^* + s_12 s_2^*)
-    or a bare word "1" (s_1)."""
-    out = CuntzPoly.zero(n)
-    for part in text.split("+"):
-        if "." in part:
-            j, k = part.split(".")
-            out = out + CuntzPoly.monomial(n, parse_word(j, n),
-                                           parse_word(k, n))
-        else:
-            out = out + CuntzPoly.monomial(n, parse_word(part, n), ())
-    return out
-
-
-# sigma, image of s_1, image of s_2, property, partner under Ad u
-TABLE1: List[Tuple[str, str, str, str, str]] = [
-    ("id", "1", "2", "inn.aut", "(14)(23)"),
-    ("12", "12.1+11.2", "2", "irr.end", "1324"),
-    ("13", "21.1+12.2", "11.1+22.2", "irr.end", "1432"),
-    ("14", "22.1+12.2", "21.1+11.2", "red.end", "14"),
-    ("23", "11.1+21.2", "12.1+22.2", "red.end", "23"),
-    ("24", "11.1+22.2", "21.1+12.2", "irr.end", "1234"),
-    ("34", "1", "22.1+21.2", "irr.end", "1423"),
-    ("123", "12.1+21.2", "11.1+22.2", "red.end", "243"),
-    ("132", "21.1+11.2", "12.1+22.2", "red.end", "132"),
-    ("124", "12.1+22.2", "21.1+11.2", "red.end", "124"),
-    ("142", "22.1+11.2", "21.1+12.2", "irr.end", "134"),
-    ("134", "21.1+12.2", "22.1+11.2", "irr.end", "142"),
-    ("143", "22.1+12.2", "11.1+21.2", "red.end", "143"),
-    ("234", "11.1+21.2", "22.1+12.2", "red.end", "234"),
-    ("243", "11.1+22.2", "12.1+21.2", "red.end", "123"),
-    ("1234", "12.1+21.2", "22.1+11.2", "irr.end", "24"),
-    ("1243", "12.1+22.2", "11.1+21.2", "red.end", "1243"),
-    ("1324", "2", "12.1+11.2", "irr.end", "12"),
-    ("1342", "21.1+11.2", "22.1+12.2", "red.end", "1342"),
-    ("1423", "22.1+21.2", "1", "irr.end", "34"),
-    ("1432", "22.1+11.2", "12.1+21.2", "irr.end", "13"),
-    ("(12)(34)", "12.1+11.2", "22.1+21.2", "out.aut", "(13)(24)"),
-    ("(13)(24)", "2", "1", "out.aut", "(12)(34)"),
-    ("(14)(23)", "22.1+21.2", "12.1+11.2", "inn.aut", "id"),
+# sigma, psi(s_1), psi(s_2), partner under Ad u; the images are the
+# normal forms that `cuntzalg normal` prints
+TABLE1: List[Tuple[str, str, str, str]] = [
+    ("id", "s1", "s2", "(14)(23)"),
+    ("12", "s11s2' + s12s1'", "s2", "1324"),
+    ("13", "s12s2' + s21s1'", "s11s1' + s22s2'", "1432"),
+    ("14", "s12s2' + s22s1'", "s11s2' + s21s1'", "14"),
+    ("23", "s11s1' + s21s2'", "s12s1' + s22s2'", "23"),
+    ("24", "s11s1' + s22s2'", "s12s2' + s21s1'", "1234"),
+    ("34", "s1", "s21s2' + s22s1'", "1423"),
+    ("123", "s12s1' + s21s2'", "s11s1' + s22s2'", "243"),
+    ("132", "s11s2' + s21s1'", "s12s1' + s22s2'", "132"),
+    ("124", "s12s1' + s22s2'", "s11s2' + s21s1'", "124"),
+    ("142", "s11s2' + s22s1'", "s12s2' + s21s1'", "134"),
+    ("134", "s12s2' + s21s1'", "s11s2' + s22s1'", "142"),
+    ("143", "s12s2' + s22s1'", "s11s1' + s21s2'", "143"),
+    ("234", "s11s1' + s21s2'", "s12s2' + s22s1'", "234"),
+    ("243", "s11s1' + s22s2'", "s12s1' + s21s2'", "123"),
+    ("1234", "s12s1' + s21s2'", "s11s2' + s22s1'", "24"),
+    ("1243", "s12s1' + s22s2'", "s11s1' + s21s2'", "1243"),
+    ("1324", "s2", "s11s2' + s12s1'", "12"),
+    ("1342", "s11s2' + s21s1'", "s12s2' + s22s1'", "1342"),
+    ("1423", "s21s2' + s22s1'", "s1", "34"),
+    ("1432", "s11s2' + s22s1'", "s12s1' + s21s2'", "13"),
+    ("(12)(34)", "s11s2' + s12s1'", "s21s2' + s22s1'", "(13)(24)"),
+    ("(13)(24)", "s2", "s1", "(12)(34)"),
+    ("(14)(23)", "s21s2' + s22s1'", "s11s2' + s12s1'", "id"),
 ]
 
 # sigma, P(1), P(2), P(12), GP(+); cells are sorted multisets
@@ -100,9 +93,8 @@ TABLE2: List[Tuple[str, str, str, str, str]] = [
      "GP(+) (+) GP(+).theta"),
 ]
 
-# sigma, P[1], P[2], P[12], GP[+], property; the "aut" of "inn.aut" and
-# "out.aut" is derived (psi o psi = id), the inner/outer qualifier is
-# imported from the reference
+# sigma, P[1], P[2], P[12], GP[+], property; see verify_table3 for how
+# each property is derived
 TABLE3: List[Tuple[str, str, str, str, str, str]] = [
     ("id", "P[1]", "P[2]", "P[12]", "GP[+]", "inn.aut"),
     ("(12)(34)", "P[2]", "P[1]", "P[21]", "GP[+]", "out.aut"),
@@ -126,14 +118,14 @@ TABLE3: List[Tuple[str, str, str, str, str, str]] = [
      "GP[+] (+) GP[-]", "red.end"),
 ]
 
-# image of E_11 (decoded by _img) -> sigmas
+# psi(E_11), as `cuntzalg normal` prints it -> sigmas
 TABLE4: List[Tuple[str, List[str]]] = [
-    ("1.1", ["12", "34"]),
-    ("2.2", ["1324", "1423"]),
-    ("12.12+22.22", ["14", "124"]),
-    ("11.11+21.21", ["23", "132"]),
-    ("12.12+21.21", ["13", "123", "134", "1234"]),
-    ("11.11+22.22", ["24", "142", "243", "1432"]),
+    ("s1s1'", ["12", "34"]),
+    ("s2s2'", ["1324", "1423"]),
+    ("s12s12' + s22s22'", ["14", "124"]),
+    ("s11s11' + s21s21'", ["23", "132"]),
+    ("s12s12' + s21s21'", ["13", "123", "134", "1234"]),
+    ("s11s11' + s22s22'", ["24", "142", "243", "1432"]),
 ]
 
 
@@ -153,16 +145,6 @@ def _t6_1234(n: int) -> CarExpr:
     if n == 1:
         return _a(1)
     return _sgn(n % 2 == 1) * _a(n, True)
-
-
-def _t6_142(n: int) -> CarExpr:
-    p = _a(1) * _a(1, True)
-    q = _a(1, True) * _a(1)
-    if n % 2 == 1:         # n = 2k - 1
-        k = (n + 1) // 2
-        return _sgn(k % 2 == 0) * (p * _a(2 * k) - q * _a(2 * k, True))
-    k = n // 2             # n = 2k
-    return _sgn(k % 2 == 0) * (p * _a(2 * k + 1, True) + q * _a(2 * k + 1))
 
 
 def _t6_14(n: int) -> CarExpr:
@@ -190,11 +172,14 @@ def _t6_132(n: int) -> CarExpr:
 # the modes a_1..a_4 on which each formula is checked
 TABLE6_MODES = 4
 
-# sigma -> formula for the image of a_n, or None for "---"
-TABLE6: Dict[str, Optional[Callable[[int], CarExpr]]] = {
+# sigma -> formula for the image of a_n; the rows 12, 13, 24 and 34, which
+# have no such formula, are Table 7's.  Row 142 is the mixture family:
+# psi_142(a_{2j-1}) = b_{-(j-1/2)} and psi_142(a_{2j}) = b_{j-1/2}
+TABLE6: Dict[str, Callable[[int], CarExpr]] = {
     "id": _t6_id, "(12)(34)": _t6_1234,
-    "12": None, "13": None, "24": None, "34": None,
-    "142": _t6_142, "14": _t6_14, "23": _t6_23,
+    "142": lambda n: mixture(Fraction(n - 1, 2) if n % 2 == 0
+                             else Fraction(-n, 2)),
+    "14": _t6_14, "23": _t6_23,
     "123": _t6_123, "124": _t6_124, "132": _t6_132,
 }
 
@@ -316,15 +301,13 @@ def _cell(report: TableReport, row: str, col: str,
 
 def verify_table1() -> TableReport:
     report = TableReport("table1")
-    endos = {name: lookup_morphism("psi:" + name) for name, *_ in TABLE1}
-    for name, im1, im2, prop, partner in TABLE1:
-        endo = endos[name]
-        _cell(report, name, "psi(s1)", str(_img(2, im1).reduce()),
-              str(endo.images[0].reduce()))
-        _cell(report, name, "psi(s2)", str(_img(2, im2).reduce()),
-              str(endo.images[1].reduce()))
+    for name, im1, im2, partner in TABLE1:
+        endo = lookup_morphism("psi:" + name)
+        _cell(report, name, "psi(s1)", im1, str(endo.images[0]))
+        _cell(report, name, "psi(s2)", im2, str(endo.images[1]))
         _cell(report, name, "Ad u", "conjugate",
-              "conjugate" if endo.then(AD_FLIP) == endos[partner]
+              "conjugate"
+              if endo.then(AD_FLIP) == lookup_morphism("psi:" + partner)
               else "not conjugate")
     return report
 
@@ -338,6 +321,19 @@ def verify_table2() -> TableReport:
     return report
 
 
+def _automorphism_kind(endo: PermEndo, cells: Dict[str, str]) -> str:
+    """Inner, outer or plain "aut" for an automorphism psi with the
+    UHF_TESTS fingerprint cells.  Inner needs an exhibited conjugator: Ad 1,
+    or Ad u with u = s_1 s_2' + s_2 s_1' in F.  Outer needs a moved
+    representation: P[J] o Ad w ~ P[J] for every unitary w in F, so a
+    P[J] cell other than P[J] rules out every such w."""
+    if endo == identity(2) or endo == AD_FLIP:
+        return "inn.aut"
+    if any(cells[f"P[{j}]"] != f"P[{j}]" for j in ("1", "2", "12")):
+        return "out.aut"
+    return "aut"
+
+
 def verify_table3() -> TableReport:
     report = TableReport("table3")
     for name, *cells in TABLE3:
@@ -348,10 +344,9 @@ def verify_table3() -> TableReport:
             _cell(report, name, col, want, computed[col])
         if prop.endswith("aut"):
             # psi o psi = id (on word maps) makes psi an automorphism,
-            # its own inverse; the inner/outer qualifier is imported from
-            # the reference, not derived
-            involutive = endo.is_involution()
-            verdict = prop if involutive else "not.involutive"
+            # its own inverse
+            verdict = (_automorphism_kind(endo, computed)
+                       if endo.is_involution() else "not.involutive")
         elif commutant_witness(endo) is not None:  # psi(F)' cap F > scalars
             verdict = "red.end"
         else:
@@ -364,23 +359,18 @@ def verify_table4() -> TableReport:
     report = TableReport("table4")
     e11 = CuntzPoly.matrix_unit(2, (1,), (1,))
     for image, sigmas in TABLE4:
-        want = _img(2, image)
         for name in sigmas:
-            got = lookup_morphism("psi:" + name)(e11)
-            _cell(report, name, "psi(E_11)", str(want.reduce()),
-                  str(got.reduce()))
+            _cell(report, name, "psi(E_11)", image,
+                  str(lookup_morphism("psi:" + name)(e11)))
     return report
 
 
 def _verify_images(which: str,
-                   rows: Dict[str, Optional[List[CarExpr]]]) -> TableReport:
+                   rows: Dict[str, List[CarExpr]]) -> TableReport:
     """One cell a_n per formula: psi_name(a_n) against the O_2 image of the
-    n-th formula of the row, n = 1, 2, ...; a row None is "---"."""
+    n-th formula of the row, n = 1, 2, ..."""
     report = TableReport(which)
     for name, formulas in rows.items():
-        if formulas is None:
-            _cell(report, name, "a_n", "---", "---")
-            continue
         endo = lookup_morphism("psi:" + name)
         for n, rhs in enumerate(formulas, start=1):
             got = apply_endo(endo, CarExpr.generator(n))
@@ -391,8 +381,7 @@ def _verify_images(which: str,
 
 def verify_table6() -> TableReport:
     return _verify_images("table6", {
-        name: None if formula is None
-        else [formula(n) for n in range(1, TABLE6_MODES + 1)]
+        name: [formula(n) for n in range(1, TABLE6_MODES + 1)]
         for name, formula in TABLE6.items()})
 
 

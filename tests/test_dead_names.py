@@ -12,10 +12,13 @@ LIBRARY = ROOT / "src" / "cuntzalg"
 def test_every_defined_name_is_used_outside_its_definitions():
     """Each function, class and method defined in src/cuntzalg (dunders
     aside) appears as a whole word in src/cuntzalg, demos/ or perfbench/
-    other than on the lines that define it."""
+    other than on the lines that define it.  The package's __init__.py
+    is left out: a re-export is not a use."""
     words, definitions = Counter(), Counter()
     for folder in (LIBRARY, ROOT / "demos", ROOT / "perfbench"):
         for path in sorted(folder.rglob("*.py")):
+            if path == LIBRARY / "__init__.py":
+                continue
             text = path.read_text()
             words.update(re.findall(r"\w+", text))
             definitions.update(re.findall(
