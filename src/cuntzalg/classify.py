@@ -21,7 +21,11 @@ u s_i, with no polynomial product and no elimination:
 * conjugacy by u = s_1 s_2^* + s_2 s_1^* (Table 1) is decided on the
   maps u of PermEndos: Ad u is the PermEndo AD_FLIP, and Ad u o psi_1 =
   psi_2 iff psi_1.then(AD_FLIP) == psi_2, looked up by lowest map;
-  the tests keep the products u psi_1(s_i) u^* as the reference.
+  the tests keep the products u psi_1(s_i) u^* as the reference;
+* a map's kind, Table 3's property, is decided from the map alone:
+  an involution is an automorphism, inner or outer, and any other map
+  is a reducible or irreducible endomorphism by its relative commutant
+  (see :func:`kind`, which Table 3 and Theorem 14 both read).
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from .scalars import MINUS_ONE, ONE
 from .words import (Record, Word, adjoint, all_words, pad, render_word,
                     times)
 from .algebra import CuntzPoly
-from .morphisms import PermEndo, _lowest_map, lookup_morphism
+from .morphisms import PermEndo, _lowest_map, identity, lookup_morphism
 # perfbench/selftest.py checks that its tracer wraps classify.branch
 from .reps import branch, branching  # noqa: F401
 
@@ -300,10 +304,26 @@ ALL_SIGMA = ["id", "12", "13", "14", "23", "24", "34",
              "1234", "1243", "1324", "1342", "1423", "1432",
              "(12)(34)", "(13)(24)", "(14)(23)"]
 
-KLEIN = ["id", "(12)(34)", "(13)(24)", "(14)(23)"]
-
 CLASS_REPRESENTATIVES = ["id", "(12)(34)", "12", "13", "24", "34",
                          "142", "123", "14", "124", "132", "23"]
+
+
+def kind(endo: PermEndo) -> str:
+    """Table 3's property of psi, read off the map alone.  An involution,
+    psi o psi = id, is an automorphism, its own inverse: "inn.aut" with an
+    exhibited conjugator (Ad 1, or Ad u with u = s_1 s_2' + s_2 s_1' in
+    F), "out.aut" when it moves some P[J], J in {1, 2, 12} (P[J] o Ad w ~
+    P[J] for every unitary w in F), plain "aut" otherwise.  Any other map
+    is "red.end" or "irr.end" as psi(F)' cap F has a non-scalar element
+    (:func:`commutant_witness`) or not."""
+    if endo.is_involution():
+        if endo == identity(endo.n) or endo == AD_FLIP:
+            return "inn.aut"
+        if any(test != cell for test, cell
+               in fingerprint(endo, UHF_TESTS[:3]).items()):
+            return "out.aut"
+        return "aut"
+    return "irr.end" if commutant_witness(endo) is None else "red.end"
 
 
 def theorem14_counts() -> Dict[str, int]:
@@ -311,10 +331,12 @@ def theorem14_counts() -> Dict[str, int]:
     24 second-order endomorphisms of O_2 to UHF_2.
 
     Returns the dictionary with keys restrictions (distinct maps on
-    UHF_2), classes (unitary equivalence classes), klein (automorphism
-    classes forming the four-group), irreducible and reducible (proper
-    classes whose relative commutant psi(F)' cap F, at every depth, is or
-    is not trivial).
+    UHF_2), classes (unitary equivalence classes), klein (distinct
+    restrictions of the automorphisms, a four-group in two classes),
+    irreducible and reducible (classes whose relative commutant psi(F)'
+    cap F, at every depth, is or is not trivial).  Each class is read by
+    :func:`kind` once; Ad u o psi is an automorphism iff psi is, so a
+    class's kind tells whether its restrictions are automorphisms.
 
     No step scans pairs.  The restrictions are merged by
     :func:`_restriction_leaders`: the 24 maps fall into 12 pairs by their
@@ -332,40 +354,35 @@ def theorem14_counts() -> Dict[str, int]:
 
     # distinct UHF restrictions: merge by restriction equality
     leaders = _restriction_leaders([endos[name] for name in ALL_SIGMA])
-    merged = {name: ALL_SIGMA[i] for name, i in zip(ALL_SIGMA, leaders)}
-    reps = [name for name in ALL_SIGMA if merged[name] == name]
+    reps = [name for i, name in enumerate(ALL_SIGMA) if leaders[i] == i]
 
     # unitary equivalence classes among the restrictions: Ad u (u in
     # UHF_2) is an involution, so a class is one map or a Table-1
     # conjugate pair, named by its least name; each Ad u o psi composed
     # once and looked up by its lowest map
     by_map = {lowest(endos[r]): r for r in reps}
-    classes = {min(r, by_map.get(lowest(endos[r].then(AD_FLIP)), r))
+    classes = {r: min(r, by_map.get(lowest(endos[r].then(AD_FLIP)), r))
                for r in reps}
+    kinds = {c: kind(endos[c]) for c in sorted(set(classes.values()))}
 
     # every class representative must have a distinct fingerprint
-    prints = {r: tuple(fingerprint(endos[r], UHF_TESTS).values())
-              for r in classes}
+    prints = {c: tuple(fingerprint(endos[c], UHF_TESTS).values())
+              for c in kinds}
     if len(set(prints.values())) != len(prints):
         raise AssertionError("fingerprints fail to separate the classes")
 
-    # the four automorphisms: distinct restrictions, closed under
-    # composition (a four-group)
-    klein = len({merged[k] for k in KLEIN})
-    group = {lowest(endos[k]) for k in KLEIN}
-    for a in KLEIN:
-        for b in KLEIN:
+    # the automorphisms' restrictions, closed under composition (a
+    # four-group)
+    auts = [r for r in reps if kinds[classes[r]].endswith("aut")]
+    group = {lowest(endos[a]) for a in auts}
+    for a in auts:
+        for b in auts:
             if lowest(endos[b].then(endos[a])) not in group:
                 raise AssertionError("automorphism set not closed")
-
-    # the automorphism classes are of neither proper type
-    proper = [r for r in classes if r not in KLEIN]
-    red = sum(commutant_witness(endos[r]) is not None for r in proper)
     return {
         "restrictions": len(reps),
-        "classes": len(classes),
-        "klein": klein,
-        "irreducible": len(proper) - red,
-        "reducible": red,
+        "classes": len(kinds),
+        "klein": len(auts),
+        "irreducible": sum(k == "irr.end" for k in kinds.values()),
+        "reducible": sum(k == "red.end" for k in kinds.values()),
     }
-

@@ -272,5 +272,7 @@ def as_cuntz(value: Value, n: int = 2) -> CuntzPoly:
     if isinstance(value, Scalar):
         return CuntzPoly.from_scalar(n, value)
     if isinstance(value, CarExpr):
+        if n != 2:
+            raise ValueError(f"fermion expressions live on O_2, not on O_{n}")
         return psi_map(value)
     return value

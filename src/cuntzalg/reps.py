@@ -777,9 +777,11 @@ def parse_rep(text: str, n: int = 2):
         return ("gp", text[3], text[2] == "[")
     if text.startswith("P(") and text.endswith(")"):
         body, semi, qtext = text[2:-1].partition(";")
-        phase = parse_number(qtext, "phase") if semi else PHASE_0
         if "^inf" in body:
+            if semi:
+                raise ValueError(f"a chain takes no phase: {text}")
             return ("chain", parse_ev_word(body, n))
+        phase = parse_number(qtext, "phase") if semi else PHASE_0
         return ("cycle", parse_word(body, n), phase)
     if text.startswith("P[") and text.endswith("]"):
         return ("uhf", parse_word(text[2:-1], n))

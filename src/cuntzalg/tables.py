@@ -32,12 +32,12 @@ from typing import Callable, Dict, List, Optional, Tuple
 from .scalars import MINUS_ONE, ONE
 from .words import Record
 from .algebra import CuntzPoly
-from .morphisms import PermEndo, identity, lookup_morphism, nakanishi
+from .morphisms import lookup_morphism, nakanishi
 from .reps import FERMION_REPS, branching
 from .fermions import (CarExpr, apply_endo, fermion_branch, mixture,
                        psi_map)
-from .classify import (AD_FLIP, O_TESTS, UHF_TESTS, commutant_witness,
-                       fingerprint, multiset, theorem14_counts)
+from .classify import (AD_FLIP, O_TESTS, UHF_TESTS, fingerprint, kind,
+                       multiset, theorem14_counts)
 
 
 # sigma, psi(s_1), psi(s_2), partner under Ad u; the images are the
@@ -93,8 +93,8 @@ TABLE2: List[Tuple[str, str, str, str, str]] = [
      "GP(+) (+) GP(+).theta"),
 ]
 
-# sigma, P[1], P[2], P[12], GP[+], property; see verify_table3 for how
-# each property is derived
+# sigma, P[1], P[2], P[12], GP[+], property; the property is the
+# classify.kind of the map
 TABLE3: List[Tuple[str, str, str, str, str, str]] = [
     ("id", "P[1]", "P[2]", "P[12]", "GP[+]", "inn.aut"),
     ("(12)(34)", "P[2]", "P[1]", "P[21]", "GP[+]", "out.aut"),
@@ -321,37 +321,14 @@ def verify_table2() -> TableReport:
     return report
 
 
-def _automorphism_kind(endo: PermEndo, cells: Dict[str, str]) -> str:
-    """Inner, outer or plain "aut" for an automorphism psi with the
-    UHF_TESTS fingerprint cells.  Inner needs an exhibited conjugator: Ad 1,
-    or Ad u with u = s_1 s_2' + s_2 s_1' in F.  Outer needs a moved
-    representation: P[J] o Ad w ~ P[J] for every unitary w in F, so a
-    P[J] cell other than P[J] rules out every such w."""
-    if endo == identity(2) or endo == AD_FLIP:
-        return "inn.aut"
-    if any(cells[f"P[{j}]"] != f"P[{j}]" for j in ("1", "2", "12")):
-        return "out.aut"
-    return "aut"
-
-
 def verify_table3() -> TableReport:
     report = TableReport("table3")
     for name, *cells in TABLE3:
         endo = lookup_morphism("psi:" + name)
         computed = fingerprint(endo, UHF_TESTS)
-        prop = cells[-1]
         for col, want in zip(UHF_TESTS, cells):
             _cell(report, name, col, want, computed[col])
-        if prop.endswith("aut"):
-            # psi o psi = id (on word maps) makes psi an automorphism,
-            # its own inverse
-            verdict = (_automorphism_kind(endo, computed)
-                       if endo.is_involution() else "not.involutive")
-        elif commutant_witness(endo) is not None:  # psi(F)' cap F > scalars
-            verdict = "red.end"
-        else:
-            verdict = "irr.end"
-        _cell(report, name, "property", prop, verdict)
+        _cell(report, name, "property", cells[-1], kind(endo))
     return report
 
 

@@ -92,6 +92,25 @@ def test_theorem14_and_table1_make_no_cuntz_poly_product(monkeypatch):
     assert products == []
 
 
+KINDS = {"inn.aut": {"id", "(14)(23)"}, "out.aut": {"(12)(34)", "(13)(24)"},
+         "irr.end": {"12", "13", "24", "34", "1234", "1324", "1423", "1432"}}
+
+
+def test_kind_of_every_sigma():
+    endos = [standard_endo(name) for name in ALL_SIGMA]
+    kinds = {name: classify.kind(m) for name, m in zip(ALL_SIGMA, endos)}
+    assert kinds == {name: next((k for k, names in KINDS.items()
+                                 if name in names), "red.end")
+                     for name in ALL_SIGMA}
+    # Ad u o psi and psi have one kind, and so do equal restrictions
+    for name, m in zip(ALL_SIGMA, endos):
+        assert classify.kind(m.then(AD_FLIP)) == kinds[name], name
+    leaders = classify._restriction_leaders(endos)
+    assert sum(i != j for i, j in enumerate(leaders)) == 4
+    for name, i in zip(ALL_SIGMA, leaders):
+        assert kinds[name] == kinds[ALL_SIGMA[i]], name
+
+
 def test_restriction_equalities():
     pairs = [("14", "1243"), ("124", "143"), ("132", "234"), ("23", "1342")]
     for n1, n2 in pairs:

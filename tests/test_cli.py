@@ -131,6 +131,25 @@ def test_restrict_chain(capsys):
         ["11(12)^inf", "1(12)^inf", "(12)^inf", "(21)^inf", "(12)^inf"]
 
 
+@pytest.mark.parametrize("argv", [
+    ("branch", "--rep", "P((12)^inf;1/2)", "--endo", "psi:12"),
+    ("restrict", "--rep", "P(2(1)^inf;7)"),
+])
+def test_a_phase_on_a_chain_is_refused(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: a chain takes no phase: {argv[2]}\n"
+
+
+def test_a_fermion_expression_is_embedded_in_o2_alone(capsys):
+    refused = (2, "", "error: fermion expressions live on O_2, not on O_3\n")
+    assert run(capsys, "normal", "a1", "--embed", "--n", "3",
+               "--json") == refused
+    assert run(capsys, "eq", "a1", "a1", "--n", "3") == refused
+    # without --embed the formal expression is printed, in any rank
+    assert run(capsys, "normal", "a1", "--n", "3") == (0, "a1\n", "")
+
+
 def test_gp(capsys):
     code, out, _ = run(capsys, "gp", "--endo", "psi:132")
     assert code == 0

@@ -54,6 +54,14 @@ def test_mixed_expression_embeds():
     assert mixed == CuntzPoly.generator(2, 1) * psi_map(CarExpr.generator(1))
 
 
+def test_a_fermion_expression_is_embedded_in_o2_alone():
+    value = parse_expr("a1 + a2'", 3)
+    assert as_cuntz(value) == psi_map(value)
+    with pytest.raises(ValueError, match="^fermion expressions live on "
+                       "O_2, not on O_3$"):
+        as_cuntz(value, 3)
+
+
 def test_larger_alphabet():
     assert parse_expr("s3", n=3) == CuntzPoly.generator(3, 3)
     with pytest.raises(ValueError):

@@ -186,6 +186,17 @@ def test_pinned_demo_stdout(name, md5):
     assert hashlib.md5(out).hexdigest() == md5
 
 
+def test_the_benchmark_selftest_passes():
+    """perfbench/selftest.py reads library names of its own, among them
+    reps.uhf_branch, words.make_ev_word and the positional arguments of
+    reps.Component; it fails, and this test with it, when a refactor
+    breaks one."""
+    done = subprocess.run([sys.executable, str(ROOT / "perfbench" /
+                                               "selftest.py")],
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
 def test_the_benchmark_tracer_finds_every_name_it_patches():
     """perfbench/tracing.py wraps library entry points by name, among them
     Morphism.then and __eq__, PermEndo.__init__, Scalar.inverse and

@@ -755,6 +755,15 @@ def test_parse_rep():
         parse_rep("Q(12)")
 
 
+@pytest.mark.parametrize("text", ["P((12)^inf;1/2)", "P(2(1)^inf;7)",
+                                  "P((1)^inf;0)"])
+def test_parse_rep_refuses_a_phase_on_a_chain(text):
+    # a chain has no phase to carry; dropping it would answer for P(chain)
+    with pytest.raises(ValueError, match=rf"^a chain takes no phase: "
+                       rf"{re.escape(text)}$"):
+        parse_rep(text)
+
+
 @pytest.mark.parametrize("name, shown", [("fock", "Fock"), ("FOCK*", "Fock*"),
                                          ("iw", "IW"), ("iw*", "IW*")])
 def test_parse_rep_refuses_a_fermion_name_outside_o2(name, shown):

@@ -52,7 +52,17 @@ def test_table3_automorphism_status_is_derived(monkeypatch):
     monkeypatch.setattr(tables, "TABLE3", [row[:-1] + ("out.aut",)])
     report = tables.verify_table3()
     assert [c.ok for c in report.cells] == [True] * 4 + [False]
-    assert report.cells[-1].computed == "not.involutive"
+    assert report.cells[-1].computed == "irr.end"
+
+
+def test_table3_the_claimed_property_chooses_no_question(monkeypatch):
+    # the identity is an involution: a row calling it an irreducible
+    # endomorphism fails, though its relative commutant is trivial
+    row = next(r for r in tables.TABLE3 if r[0] == "id")
+    monkeypatch.setattr(tables, "TABLE3", [row[:-1] + ("irr.end",)])
+    report = tables.verify_table3()
+    assert [c.ok for c in report.cells] == [True] * 4 + [False]
+    assert report.cells[-1].computed == "inn.aut"
 
 
 def test_table3_inner_and_outer_are_derived(monkeypatch):
