@@ -7,9 +7,7 @@ Subcommands wrap one library operation each:
     apply     apply a named morphism to an expression
     branch    branching law of a representation under an endomorphism
     restrict  restrict a representation of O_n to its gauge-invariant part
-    gp        branching of the quasi-free pair GP(+)/GP(-)
-    car       embed a fermion expression into O_2, or check the
-              anticommutation relations
+    car       check the anticommutation relations of the modes 1..M
     mixture   print a mixture operator b_k and its O_2 image
     vacuum    verify the vacuum equations of a named fermion representation
     verify    recompute a stored reference table and diff it
@@ -34,7 +32,7 @@ from typing import Dict, List, Optional
 from .words import (parse_integer, parse_number, primitive_split, render_word,
                     shift)
 from .algebra import CuntzPoly, check_rank
-from .morphisms import Morphism, lookup_morphism
+from .morphisms import lookup_morphism
 from .reps import (FERMION_REPS, branching, decompose_power, parse_rep,
                    restrict_cycle_to_uhf)
 from .fermions import (CarExpr, _check_half_integer, _check_mode, mixture,
@@ -131,23 +129,17 @@ def cmd_branch(args) -> int:
         return 0
     endo = lookup_morphism(args.endo)
     if endo.n != args.n:
-        raise ValueError(f"representation of O_{args.n} cannot be composed "
-                         f"with an endomorphism of O_{endo.n}")
-    if kind == "gp":
-        return _gp_report(endo, args.rep, args.json)
-    _print_components(branching(endo, args.rep), args.json)
-    return 0
-
-
-def _gp_report(endo: Morphism, rep: str, as_json: bool) -> int:
-    labels = branching(endo, rep)
-    if labels is None:
-        if as_json:
-            _emit_json({"derivable": False})
-        else:
-            print("not derivable")
-        return 0
-    _print_components(labels, as_json, derivable=True)
+        raise ValueError(f"{args.rep.strip()} is read on O_{args.n} and "
+                         f"{endo.name} acts on O_{endo.n}: rank mismatch")
+    labels = branching(endo, args.rep)
+    if kind != "gp":
+        _print_components(labels, args.json)
+    elif labels is not None:
+        _print_components(labels, args.json, derivable=True)
+    elif args.json:
+        _emit_json({"derivable": False})
+    else:
+        print("not derivable")
     return 0
 
 
@@ -187,22 +179,9 @@ def cmd_restrict(args) -> int:
     raise ValueError("restrict expects a cycle P(J) or a chain")
 
 
-def cmd_gp(args) -> int:
-    sign = "-" if args.minus else "+"
-    rep = f"GP[{sign}]" if args.uhf else f"GP({sign})"
-    return _gp_report(lookup_morphism(args.endo), rep, args.json)
-
-
 def cmd_car(args) -> int:
-    if args.check_modes is not None:
-        if args.expr is not None:
-            raise ValueError("give an expression or --check-modes, not both")
-        return _print_check(verify_car(args.check_modes), args.json,
-                            modes=args.check_modes)
-    if args.expr is None:
-        raise ValueError("give an expression or --check-modes")
-    _print_poly(as_cuntz(parse_expr(args.expr, 2), 2), args.json)
-    return 0
+    return _print_check(verify_car(args.check_modes), args.json,
+                        modes=args.check_modes)
 
 
 def cmd_mixture(args) -> int:
@@ -294,14 +273,9 @@ _COMMANDS = {
     "restrict": (cmd_restrict, "restrict to the gauge-invariant subalgebra",
                  [], {"--rep": (str, None, ""), "--eta-min": (int, None, ""),
                       "--eta-max": (int, None, ""), **_RANK}, ["--rep"]),
-    "gp": (cmd_gp, "branching of GP(+) or GP(-)", [],
-           {"--endo": (str, None, ""), "--minus": (bool, False, "use GP(-)"),
-            "--uhf": (bool, False, "gauge-invariant components GP[+/-]"),
-            **_JSON}, ["--endo"]),
-    "car": (cmd_car, "fermion expressions and anticommutation checks",
-            [("expr", None)],
+    "car": (cmd_car, "check the anticommutation relations", [],
             {"--check-modes": (int, None, "check modes 1..INT"), **_JSON},
-            []),
+            ["--check-modes"]),
     "mixture": (cmd_mixture, "mixture operator b_k, k a half-integer",
                 [("index", None)],
                 {"--check": (bool, False, "check the relations up to |k|"),

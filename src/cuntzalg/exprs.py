@@ -27,9 +27,10 @@ The word of 's' digits or of a unit is its digits, one letter each,
 and the digit run '0' alone is the empty word: s0 is 1 ("normal s0"
 prints 1), and so is E[0,0]; a 0 inside a longer run is refused.  A
 letter outside 1..n is refused at the position of its digit run, a
-unit whose words differ in length at its 'E', and a fermion mode above
-fermions.MAX_MODE that a sum or product embeds into O_2 at the start of
-its right operand ("a21" alone is kept as a formal word).
+unit whose words differ in length at its 'E', and a fermion part that a
+sum or product embeds into O_2, with a mode above fermions.MAX_MODE or
+next to an element of O_n for n != 2, at the start of its right operand
+("a21" alone is kept as a formal word).
 
 Juxtaposition multiplies; a postfix apostrophe takes the adjoint.
 Expressions over s/E live in O_n, expressions over a/b in the fermion
@@ -116,15 +117,16 @@ class _Parser:
     def promote(self, left: Value, right: Value,
                 start: int) -> Tuple[Value, Value]:
         """Bring two operands to a common algebra for + / *.  A fermion
-        part that psi_map refuses (a mode above fermions.MAX_MODE) is
-        refused at token ``start``, where the right operand begins."""
+        part that as_cuntz refuses (in O_n for n != 2, or a mode above
+        fermions.MAX_MODE) is refused at token ``start``, where the right
+        operand begins."""
         if type(left) is type(right):
             return left, right
         try:
             if isinstance(left, CarExpr) and isinstance(right, CuntzPoly):
-                left = psi_map(left)
+                left = as_cuntz(left, self.n)
             elif isinstance(right, CarExpr) and isinstance(left, CuntzPoly):
-                right = psi_map(right)
+                right = as_cuntz(right, self.n)
         except ValueError as exc:
             raise ExprError(str(exc), self.at(start)) from None
         return _lift(left, right), _lift(right, left)

@@ -2,6 +2,8 @@
 
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import time
@@ -146,15 +148,19 @@ def test_a_fermion_expression_is_embedded_in_o2_alone(capsys):
     assert run(capsys, "normal", "a1", "--embed", "--n", "3",
                "--json") == refused
     assert run(capsys, "eq", "a1", "a1", "--n", "3") == refused
+    # a mixed expression is refused where its right operand begins
+    assert run(capsys, "normal", "s1 a1", "--n", "3") == (
+        2, "", refused[2].replace("\n", " (at position 3)\n"))
     # without --embed the formal expression is printed, in any rank
     assert run(capsys, "normal", "a1", "--n", "3") == (0, "a1\n", "")
 
 
 def test_gp(capsys):
-    code, out, _ = run(capsys, "gp", "--endo", "psi:132")
+    code, out, _ = run(capsys, "branch", "--rep", "GP(+)", "--endo",
+                       "psi:132")
     assert code == 0
     assert out.strip() == "GP(+) (+) GP(-).theta"
-    code, out, _ = run(capsys, "gp", "--endo", "psi:13")
+    code, out, _ = run(capsys, "branch", "--rep", "GP(+)", "--endo", "psi:13")
     assert code == 0
     assert out.strip() == "not derivable"
 
@@ -162,7 +168,7 @@ def test_gp(capsys):
 def test_car(capsys):
     code, out, _ = run(capsys, "car", "--check-modes", "4")
     assert (code, out.strip()) == (0, "pass")
-    code, out, _ = run(capsys, "car", "a1")
+    code, out, _ = run(capsys, "normal", "a1", "--embed")
     assert code == 0
     assert out.strip() == "s1s2'"
 
@@ -484,7 +490,7 @@ def test_whitespace_before_digits(capsys, text, same_as):
 @pytest.mark.parametrize("argv", [
     ("normal", "--embed", "a30"),
     ("eq", "a30", "a30"),
-    ("car", "a17"),
+    ("normal", "a17", "--embed"),
     ("car", "--check-modes", "40"),
     ("apply", "a17", "--endo", "alpha"),
     ("mixture", "61/2", "--json"),
@@ -639,10 +645,12 @@ def test_image_product_above_the_limit_is_refused_at_once(capsys, argv, shown):
 
 
 def test_gp_of_a_long_signed_composite_makes_no_product(capsys):
-    # psi_1324^7 is signed permutative at level 8, so gp takes its Walsh
-    # twist on words instead of composing phi o m o phi by products
+    # psi_1324^7 is signed permutative at level 8, so GP branching takes
+    # its Walsh twist on words instead of composing phi o m o phi by
+    # products
     start = time.perf_counter()
-    code, out, err = run(capsys, "gp", "--endo", ".".join(["psi:1324"] * 7))
+    code, out, err = run(capsys, "branch", "--rep", "GP(+)", "--endo",
+                         ".".join(["psi:1324"] * 7))
     assert time.perf_counter() - start < 2.0
     assert (code, out, err) == (0, "not derivable\n", "")
 
@@ -651,9 +659,9 @@ def test_gp_of_a_long_signed_composite_makes_no_product(capsys):
 def test_gp_of_a_phi_composite_makes_no_product(capsys, monkeypatch,
                                                 factors):
     # psi_1324^k o phi has entries +-1/sqrt(2) in its matrix u, and a map
-    # GP can answer has a dyadic rational u, so gp reads "not derivable"
-    # off the images; no phi o m o phi is composed, so k = 6 is not
-    # refused by the term-pair limit of that product
+    # GP can answer has a dyadic rational u, so branch reads "not
+    # derivable" off the images; no phi o m o phi is composed, so k = 6
+    # is not refused by the term-pair limit of that product
     products = []
     inside = []
     mul, gp = CuntzPoly.__mul__, reps.gp_branch
@@ -672,14 +680,15 @@ def test_gp_of_a_phi_composite_makes_no_product(capsys, monkeypatch,
     monkeypatch.setattr(CuntzPoly, "__mul__", counted)
     monkeypatch.setattr(reps, "gp_branch", traced)
     name = ".".join(["psi:1324"] * factors + ["phi"])
-    assert run(capsys, "gp", "--endo", name) == (0, "not derivable\n", "")
+    assert run(capsys, "branch", "--rep", "GP(+)", "--endo", name) == \
+        (0, "not derivable\n", "")
     assert products == []
 
 
 def test_gp_twist_above_the_level_limit_is_refused_at_once(capsys):
     name = ".".join(["psi:1324"] * 9)
     start = time.perf_counter()
-    code, out, err = run(capsys, "gp", "--endo", name)
+    code, out, err = run(capsys, "branch", "--rep", "GP(+)", "--endo", name)
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (2, "")
     assert err == (f"error: the GP twist of {name} needs the Walsh "
@@ -691,7 +700,8 @@ def test_composite_above_the_word_map_limit_is_refused(capsys, monkeypatch):
     # refused before its word map is built; at the real limit (2^18
     # words) the 18th factor is refused, after about 6 s and 480 MB
     monkeypatch.setattr(morphisms, "MAX_IMAGE_PAIRS", 2 ** 6)
-    code, out, err = run(capsys, "gp", "--endo", ".".join(["psi:1324"] * 9))
+    code, out, err = run(capsys, "branch", "--rep", "GP(+)", "--endo",
+                         ".".join(["psi:1324"] * 9))
     assert (code, out) == (2, "")
     assert err == ("error: the composite " + ".".join(["psi_1324"] * 6)
                    + " has level 7, a word map of 2^7 words above the limit "
@@ -716,8 +726,13 @@ def test_branch_refuses_a_rank_mismatch_for_every_name(capsys, rep):
     code, out, err = run(capsys, "branch", "--rep", rep, "--endo", "psi:14",
                          "--n", "3")
     assert (code, out) == (2, "")
-    assert err == ("error: representation of O_3 cannot be composed with "
-                   "an endomorphism of O_2\n")
+    assert err == (f"error: {rep} is read on O_3 and psi_14 acts on O_2: "
+                   "rank mismatch\n")
+    code, out, err = run(capsys, "branch", "--rep", rep, "--endo",
+                         "nakanishi")
+    assert (code, out) == (2, "")
+    assert err == (f"error: {rep} is read on O_2 and nakanishi acts on O_3: "
+                   "rank mismatch\n")
 
 
 @pytest.mark.parametrize("rep, shown", [("fock", "Fock"), ("iw*", "IW*")])
@@ -729,7 +744,8 @@ def test_branch_refuses_a_fermion_name_outside_o2(capsys, rep, shown):
 
 
 def test_gp_names_a_map_that_does_not_act_on_o2(capsys):
-    code, out, err = run(capsys, "gp", "--endo", "nakanishi")
+    code, out, err = run(capsys, "branch", "--rep", "GP(+)", "--endo",
+                         "nakanishi", "--n", "3")
     assert (code, out) == (2, "")
     assert err == "error: GP(+/-) live on O_2, but nakanishi acts on O_3\n"
 
@@ -744,12 +760,12 @@ def test_mixture_check_refuses_a_bad_index(capsys, index):
 
 
 def test_car_refuses_an_expression_with_check_modes(capsys):
-    # the check does not read the expression, so the pair is refused
-    # rather than answered for the check alone
+    # the check reads no expression, so car takes none: normal --embed
+    # embeds one
     for argv in (["car", "a1 a1", "--check-modes", "2"],
-                 ["car", "--check-modes", "2", "a1", "--json"]):
+                 ["car", "--check-modes", "2", "a1 a1", "--json"]):
         assert run(capsys, *argv) == (
-            2, "", "error: give an expression or --check-modes, not both\n")
+            2, "", "error: unrecognized arguments: a1 a1\n")
 
 
 @pytest.mark.parametrize("shifts", [("--eta-min", "-1"), ("--eta-max", "1"),
@@ -776,7 +792,7 @@ def test_restrict_chain_shifts_default_to_four_each_way(capsys):
 @pytest.mark.parametrize("argv, text", [
     (("apply", "s1", "--endo", "alpha."), "alpha."),
     (("apply", "s1", "--endo", "."), "."),
-    (("gp", "--endo", "alpha..phi"), "alpha..phi"),
+    (("branch", "--rep", "GP(+)", "--endo", "alpha..phi"), "alpha..phi"),
     (("branch", "--rep", "P(1)", "--endo", " . alpha"), " . alpha"),
 ])
 def test_empty_factor_names_the_whole_morphism_name(capsys, argv, text):
@@ -838,15 +854,17 @@ def test_an_option_value_may_follow_an_equals_sign(capsys):
 @pytest.mark.parametrize("argv, message", [
     ((), "the following arguments are required: command"),
     (("nope",), "argument command: invalid choice: 'nope' (choose from "
-                "'normal', 'eq', 'apply', 'branch', 'restrict', 'gp', 'car', "
+                "'normal', 'eq', 'apply', 'branch', 'restrict', 'car', "
                 "'mixture', 'vacuum', 'verify', 'classify')"),
     (("apply",), "the following arguments are required: expr, --endo"),
     (("eq", "s1"), "the following arguments are required: right"),
     (("vacuum", "x", "--max-mode", "3"),
      "argument rep: invalid choice: 'x' (choose from 'fock', 'fock*', "
      "'iw', 'iw*')"),
-    (("car", "--check", "3"), "unrecognized arguments: --check"),
-    (("car", "--check-mode", "3"), "unrecognized arguments: --check-mode"),
+    (("car", "--check-modes", "3", "--check"),
+     "unrecognized arguments: --check"),
+    (("car", "--check-modes", "3", "--check-mode"),
+     "unrecognized arguments: --check-mode"),
     (("vacuum", "fock", "--max-mode"),
      "argument --max-mode: expected one argument"),
     (("vacuum", "fock", "--max-mode", "--json"),
@@ -856,13 +874,21 @@ def test_an_option_value_may_follow_an_equals_sign(capsys):
     (("vacuum", "fock", "--json=1"), "unrecognized arguments: --json=1"),
     (("normal", "s1", "--bogus", "s2", "--", "--json"),
      "unrecognized arguments: --bogus s2 --json"),
-    (("gp", "--endo", "psi:12", "--n", "3"),
+    (("car", "--check-modes", "2", "--n", "3"),
      "unrecognized arguments: --n 3"),
     (("vacuum", "fock", "--max-mode", "3x"), "bad --max-mode value '3x'"),
-    (("car", "-a1", "--check-modes=2", "--"),
-     "give an expression or --check-modes, not both"),
+    (("car", "-a1", "--check-modes=2", "--"), "unrecognized arguments: -a1"),
     # after "--" a help token is a positional like any other
     (("normal", "--", "-h"), "unexpected character 'h' (at position 1)"),
+    # a required option is missed before an unrecognized one is named
+    (("car", "--check", "3"),
+     "the following arguments are required: --check-modes"),
+    # GP answers come from branch --rep GP(...), embeddings from
+    # normal --embed
+    (("gp", "--endo", "psi:12"), "argument command: invalid choice: 'gp' "
+     "(choose from 'normal', 'eq', 'apply', 'branch', 'restrict', 'car', "
+     "'mixture', 'vacuum', 'verify', 'classify')"),
+    (("car", "a1"), "the following arguments are required: --check-modes"),
 ])
 def test_a_usage_error_is_one_line(capsys, argv, message):
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")
@@ -876,7 +902,7 @@ def test_a_usage_error_is_one_line(capsys, argv, message):
     (("apply", "--endo", "--help"),
      "usage: cuntzalg apply expr --endo [OPTIONS]"),
     (("car", "--help", "--check-modes", "0"),
-     "usage: cuntzalg car [expr] [OPTIONS]"),
+     "usage: cuntzalg car --check-modes [OPTIONS]"),
 ])
 def test_help_anywhere_before_the_end_of_options(capsys, argv, first):
     code, out, err = run(capsys, *argv)
@@ -907,3 +933,20 @@ def test_no_call_carries_state_into_the_next(capsys, first, then, check):
     assert (code, err) == (0, "")
     assert check(out), out
     assert run(capsys, *then) == (code, out, err)
+
+
+def test_every_readme_example_reads_without_a_usage_error():
+    """Each command line of README's "Command line" block is read by the
+    table of the commands; none is run."""
+    text = (ROOT / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1]
+    lines = [line for line in block.split("```", 1)[0].splitlines()
+             if line.startswith("cuntzalg ")]
+    assert len(lines) > 10
+    for line in lines:
+        cli._read(shlex.split(line, comments=True)[1:])
+
+
+def test_the_docstring_lists_every_command():
+    listed = re.findall(r"^    (\w+)  ", cli.__doc__, re.MULTILINE)
+    assert listed == list(cli._COMMANDS)

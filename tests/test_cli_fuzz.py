@@ -19,8 +19,8 @@ from hypothesis import given, settings, strategies as st
 
 from cuntzalg import cli
 from cuntzalg.cli import (cmd_apply, cmd_branch, cmd_car, cmd_classify,
-                          cmd_eq, cmd_gp, cmd_mixture, cmd_normal,
-                          cmd_restrict, cmd_vacuum, cmd_verify, main)
+                          cmd_eq, cmd_mixture, cmd_normal, cmd_restrict,
+                          cmd_vacuum, cmd_verify, main)
 from cuntzalg.reps import FERMION_REPS
 from cuntzalg.tables import VERIFIERS
 from cuntzalg.words import parse_integer
@@ -90,10 +90,7 @@ COMMANDS = [
     command("restrict", [], option("--rep", st.sampled_from(REPS)),
             option("--eta-min", small(-3, 3)),
             option("--eta-max", small(-3, 3)), JSON, N),
-    command("gp", [], option("--endo", st.sampled_from(MAPS)),
-            switch("--minus"), switch("--uhf"), JSON),
-    command("car", [st.one_of(st.just(""), expressions)],
-            option("--check-modes", small(-1, 5)), JSON),
+    command("car", [], option("--check-modes", small(-1, 5)), JSON),
     command("mixture", [st.sampled_from(INDICES)], switch("--check"), JSON),
     command("vacuum", [st.sampled_from(["fock", "fock*", "iw", "iw*", "x"])],
             option("--max-mode", small(-1, 5)), JSON),
@@ -242,18 +239,8 @@ def build_parser() -> Reference:
     common(p)
     p.set_defaults(func=cmd_restrict)
 
-    p = sub.add_parser("gp", help="branching of GP(+) or GP(-)")
-    p.add_argument("--endo", required=True)
-    p.add_argument("--minus", action="store_true", help="use GP(-)")
-    p.add_argument("--uhf", action="store_true",
-                   help="report gauge-invariant components GP[+/-]")
-    common(p, n=False)
-    p.set_defaults(func=cmd_gp)
-
-    p = sub.add_parser("car",
-                       help="fermion expressions and anticommutation checks")
-    p.add_argument("expr", nargs="?")
-    integer(p, "--check-modes", None,
+    p = sub.add_parser("car", help="check the anticommutation relations")
+    integer(p, "--check-modes", None, required=True,
             help="verify the anticommutation relations for this many "
                  "modes")
     common(p, n=False)

@@ -62,6 +62,19 @@ def test_a_fermion_expression_is_embedded_in_o2_alone():
         as_cuntz(value, 3)
 
 
+@pytest.mark.parametrize("text, pos", [("s1 a1", 3), ("a1 s1", 3),
+                                       ("s1 + a1", 5), ("a1' a1 - s12'", 9)])
+def test_a_mixed_expression_in_o3_is_refused_at_its_right_operand(text, pos):
+    # the fermion part would be embedded into O_2, next to an element of
+    # O_3; in O_2 the same text embeds
+    with pytest.raises(ExprError) as err:
+        parse_expr(text, 3)
+    assert (err.value.pos, str(err.value)) == (
+        pos, f"fermion expressions live on O_2, not on O_3 (at position "
+             f"{pos})")
+    assert isinstance(parse_expr(text, 2), CuntzPoly)
+
+
 def test_larger_alphabet():
     assert parse_expr("s3", n=3) == CuntzPoly.generator(3, 3)
     with pytest.raises(ValueError):
